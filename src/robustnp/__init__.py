@@ -23,8 +23,6 @@ from .charge_model import (
     SampleSpace,
     SublinearExpectation,
     TestFunction,
-    argmax_member,
-    argmin_member,
     expectation,
     frac,
     is_pure,
@@ -78,8 +76,6 @@ __all__ = [
     "SampleSpace",
     "SublinearExpectation",
     "TestFunction",
-    "argmax_member",
-    "argmin_member",
     "expectation",
     "frac",
     "is_pure",

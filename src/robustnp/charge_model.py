@@ -75,12 +75,6 @@ class SampleSpace:
         """Number of value slots: explicit atoms plus the tail if present."""
         return len(self.atoms) + (1 if self.has_tail else 0)
 
-    def index(self, label: str) -> int:
-        try:
-            return self.atoms.index(label)
-        except ValueError:
-            raise KeyError(f"no atom labeled {label!r} in {self.atoms!r}") from None
-
     def event(self, members: Iterable[str], contains_tail: bool = False) -> "Event":
         return Event(self, frozenset(members), contains_tail)
 
@@ -100,11 +94,6 @@ class Event:
             raise ValueError(f"events may only use explicit atoms; unknown: {sorted(unknown)}")
         if self.contains_tail and not self.space.has_tail:
             raise ValueError("this sample space has no tail atom")
-
-    def complement(self) -> "Event":
-        rest = frozenset(self.space.atoms) - self.members
-        tail = self.space.has_tail and not self.contains_tail
-        return Event(self.space, rest, tail)
 
     def indicator(self) -> "TestFunction":
         values = tuple(ONE if a in self.members else ZERO for a in self.space.atoms)
@@ -164,16 +153,12 @@ class Charge:
     def is_countably_additive(self) -> bool:
         return self.tail_mass == ZERO
 
-    def mass_of(self, event: Event) -> Fraction:
-        if event.space != self.space:
-            raise ValueError("event and charge live on different sample spaces")
-        m = sum(
-            (self.atom_mass[i] for i, a in enumerate(self.space.atoms) if a in event.members),
-            ZERO,
-        )
-        if event.contains_tail:
-            m += self.tail_mass
-        return m
+    def slot_masses(self) -> list[Fraction]:
+        """Masses in slot order: the explicit atoms, then the tail if present."""
+        v = list(self.atom_mass)
+        if self.space.has_tail:
+            v.append(self.tail_mass)
+        return v
 
     def support(self) -> Event:
         """The event carrying all mass: atoms with positive mass, tail if charged."""
@@ -229,8 +214,19 @@ class TestFunction:
         vals = tuple(frac(values.get(a, 0)) for a in space.atoms)
         return cls(space, vals, frac(tail))
 
-    def value_at(self, label: str) -> Fraction:
-        return self.atom_value[self.space.index(label)]
+    @classmethod
+    def from_slots(cls, space: SampleSpace, values: Sequence[Fraction]) -> "TestFunction":
+        """Inverse of :meth:`slot_values`."""
+        if space.has_tail:
+            return cls(space, tuple(values[:-1]), values[-1])
+        return cls(space, tuple(values), ZERO)
+
+    def slot_values(self) -> list[Fraction]:
+        """Values in slot order: the explicit atoms, then the tail if present."""
+        v = list(self.atom_value)
+        if self.space.has_tail:
+            v.append(self.tail_value)
+        return v
 
     def complement(self) -> "TestFunction":
         values = tuple(ONE - v for v in self.atom_value)
@@ -296,17 +292,6 @@ def upper_expectation(e: SublinearExpectation, x: TestFunction) -> Fraction:
 
 def lower_expectation(e: SublinearExpectation, x: TestFunction) -> Fraction:
     return min(expectation(c, x) for c in e.family)
-
-
-def argmax_member(e: SublinearExpectation, x: TestFunction) -> int:
-    """Index of the first family member attaining the upper expectation."""
-    values = [expectation(c, x) for c in e.family]
-    return values.index(max(values))
-
-
-def argmin_member(e: SublinearExpectation, x: TestFunction) -> int:
-    values = [expectation(c, x) for c in e.family]
-    return values.index(min(values))
 
 
 @dataclass(frozen=True)

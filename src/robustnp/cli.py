@@ -14,8 +14,8 @@ Problem files are JSON with exact rationals as "num/den" strings:
 The key "tail" inside a charge holds its tail mass and is therefore
 reserved as an atom label. Floats are rejected: exactness is the point.
 
-Exit codes: 0 success, 2 input problem, 3 certificate failure, 4 oracle
-mismatch under --oracle.
+Exit codes: 0 success, 2 input problem, 3 internal failure (certificate
+or solver), 4 oracle mismatch under --oracle.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .minimax import (
     beta_criterion_check,
     compute_beta,
     default_reference_charges,
-    detect_case,
     kkt_certificate,
     solve_minimax,
     verify_degenerate_form,
@@ -207,6 +206,7 @@ def _representation_obj(prob: TestProblem, sol) -> dict:
             "violations": list(rep.violations),
             "precondition_support": rep.precondition_support,
             "precondition_grid": rep.precondition_grid,
+            "level_c": _rat(sol.level_c),
         }
     references = default_reference_charges(prob.space, count=3)
     labels = ["uniform"] + [f"random_{i}" for i in range(1, len(references))]
@@ -259,7 +259,6 @@ def _parse_alpha_flag(raw: "str | None") -> "Fraction | None":
 def cmd_solve(args) -> int:
     prob = load_problem(args.spec, _parse_alpha_flag(args.alpha))
     sol = solve_minimax(prob)
-    case = detect_case(prob, sol)
     kkt = kkt_certificate(prob, sol)
     beta = None
     criterion = None
@@ -276,7 +275,7 @@ def cmd_solve(args) -> int:
         },
         "value": _rat(sol.gamma_alpha),
         "attained_level": _rat(sol.attained_level),
-        "case": case.value,
+        "case": sol.case.value,
         "test": _test_obj(sol.x_alpha),
         "q_weights": [_rat(wt) for wt in sol.q_weights],
         "q_alpha": _charge_obj(sol.q_alpha),
@@ -316,7 +315,7 @@ def cmd_solve(args) -> int:
         + f", |P|={len(prob.p_family)}, |Q|={len(prob.q_family)}, alpha={prob.alpha}"
     )
     print(f"value: {sol.gamma_alpha} ({float(sol.gamma_alpha)})")
-    print(f"case: {case.value}   attained level: {sol.attained_level}")
+    print(f"case: {sol.case.value}   attained level: {sol.attained_level}")
     print("test:")
     for a, v in zip(prob.space.atoms, sol.x_alpha.atom_value):
         print(f"  {a} = {v}")
@@ -506,6 +505,9 @@ def main(argv: "list[str] | None" = None) -> int:
         return EXIT_INPUT
     except CertificateError as exc:
         print(f"certificate error: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

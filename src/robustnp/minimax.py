@@ -11,14 +11,17 @@ The solver is a chain of small exact LPs:
 
 1. the epigraph program for the worst-case power (gives the value and a
    first optimal dual point),
-2. a sweep over the dual optimal face lifting every zero mixture weight
-   that can be positive on some optimal dual (averaging the lifted points
-   lands in the relative interior of the face, so the alternative mixture
-   charges every member that any optimal dual charges),
+2. rounds over the dual optimal face, each maximizing the total weight of
+   the alternative members still at zero and stopping at a round of value
+   0 (averaging the collected points gives a dual whose support is
+   maximal, so the alternative mixture charges every member that any
+   optimal dual charges),
 3. a second program minimizing the worst-case attained level over the
    optimal tests (this decides the case split and picks the reported test),
-4. an auxiliary program for the countably additive part of the alternative
-   mixture, whose level-side duals produce the null mixture.
+4. the best integral of the countably additive part of the alternative
+   mixture at level alpha, and an auxiliary program minimizing the level
+   needed to reach it, whose level-side duals produce the null mixture and
+   whose value decides the threshold form's grid precondition.
 
 Every solution carries a dual certificate whose residuals are recomputed
 exactly; a nonzero residual raises instead of warning.
@@ -126,8 +129,11 @@ class Solution:
     power. ``q_alpha`` is the least favorable alternative mixture (weights
     in ``q_weights``), ``lam`` the weight of its countably additive part,
     and ``gamma_c`` the best power achievable against that part alone.
-    ``p_alpha`` is the null-side mixture from the auxiliary program, or
-    ``None`` when ``lam == 0`` and the auxiliary program is vacuous.
+    ``p_alpha`` is the null-side mixture from the auxiliary program, and
+    ``level_c`` that program's value: the smallest worst-case null level at
+    which a test still integrates the countably additive part to
+    ``gamma_c``. All three are ``None`` when ``lam == 0`` and the auxiliary
+    program is vacuous.
     """
 
     x_alpha: TestFunction
@@ -140,6 +146,7 @@ class Solution:
     gamma_c: Fraction
     p_alpha: "Charge | None"
     p_weights: "tuple[Fraction, ...] | None"
+    level_c: "Fraction | None"
     certificate: DualCertificate
 
 
@@ -174,26 +181,6 @@ class RepresentationReport:
     gamma_consistent: "bool | None"
 
 
-def _coeffs(charge: Charge) -> list[Fraction]:
-    v = list(charge.atom_mass)
-    if charge.space.has_tail:
-        v.append(charge.tail_mass)
-    return v
-
-
-def _slot_values(x: TestFunction) -> list[Fraction]:
-    v = list(x.atom_value)
-    if x.space.has_tail:
-        v.append(x.tail_value)
-    return v
-
-
-def _as_test(space: SampleSpace, vec: "tuple[Fraction, ...]") -> TestFunction:
-    if space.has_tail:
-        return TestFunction(space, tuple(vec[:-1]), vec[-1])
-    return TestFunction(space, tuple(vec), ZERO)
-
-
 def _solve_epigraph(prob: TestProblem):
     """Max worst-case power via the epigraph LP; returns value and duals."""
     nv = prob.space.n_slots
@@ -203,10 +190,10 @@ def _solve_epigraph(prob: TestProblem):
     a_ub: list[list[Fraction]] = []
     b_ub: list[Fraction] = []
     for q in prob.q_family.family:
-        a_ub.append([-v for v in _coeffs(q)] + [ONE])
+        a_ub.append([-v for v in q.slot_masses()] + [ONE])
         b_ub.append(ZERO)
     for p in prob.p_family.family:
-        a_ub.append(_coeffs(p) + [ZERO])
+        a_ub.append(p.slot_masses() + [ZERO])
         b_ub.append(prob.alpha)
     for k in range(nv):
         row = [ZERO] * (nv + 1)
@@ -224,48 +211,52 @@ def _solve_epigraph(prob: TestProblem):
 
 
 def _lift_dual_support(prob: TestProblem, gamma: Fraction, u, v, w):
-    """Average the initial dual point with face points lifting each zero u_j.
+    """Average the initial dual point with face points lifting the zero u_j.
 
     The dual optimal face is cut out by dual feasibility plus the equation
-    "dual objective equals gamma". For every alternative member carrying
-    zero weight in the initial dual we maximize its weight over that face;
-    the average of all collected points is a relative interior point, so a
-    member ends up with zero weight only if every optimal dual ignores it.
+    "dual objective equals gamma". Each round maximizes the total weight of
+    the alternative members still at zero over that face and drops those
+    the round's point charges; a round of value 0 proves that every optimal
+    dual ignores the members left, and ends the sweep. Each other round
+    lifts at least one member, so there are at most as many rounds as zero
+    members. The average of all collected points charges every member that
+    some optimal dual charges (Freund, Roundy & Todd 1985).
     """
     nv = prob.space.n_slots
     mq = len(prob.q_family)
     mp = len(prob.p_family)
-    q_cols = [_coeffs(q) for q in prob.q_family.family]
-    p_cols = [_coeffs(p) for p in prob.p_family.family]
+    n_all = mq + mp + nv
+    q_cols = [q.slot_masses() for q in prob.q_family.family]
+    p_cols = [p.slot_masses() for p in prob.p_family.family]
+    a_ub: list[list[Fraction]] = []
+    b_ub: list[Fraction] = []
+    # sum_j u_j >= 1  (dual feasibility for the epigraph variable)
+    a_ub.append([-ONE] * mq + [ZERO] * (mp + nv))
+    b_ub.append(-ONE)
+    # slot-wise: sum_j u_j q_j(k) - sum_i v_i p_i(k) - w_k <= 0
+    for k in range(nv):
+        row = [q_cols[j][k] for j in range(mq)]
+        row += [-p_cols[i][k] for i in range(mp)]
+        row += [ZERO] * nv
+        row[mq + mp + k] = -ONE
+        a_ub.append(row)
+        b_ub.append(ZERO)
+    # objective pinned to the optimal value
+    a_eq = [[ZERO] * mq + [prob.alpha] * mp + [ONE] * nv]
+    b_eq = [gamma]
     points = [list(u) + list(v) + list(w)]
-    for j0 in range(mq):
-        if u[j0] != 0:
-            continue
-        n_all = mq + mp + nv
-        c = [ZERO] * n_all
-        c[j0] = ONE
-        a_ub: list[list[Fraction]] = []
-        b_ub: list[Fraction] = []
-        # sum_j u_j >= 1  (dual feasibility for the epigraph variable)
-        a_ub.append([-ONE] * mq + [ZERO] * (mp + nv))
-        b_ub.append(-ONE)
-        # slot-wise: sum_j u_j q_j(k) - sum_i v_i p_i(k) - w_k <= 0
-        for k in range(nv):
-            row = [q_cols[j][k] for j in range(mq)]
-            row += [-p_cols[i][k] for i in range(mp)]
-            row += [ZERO] * nv
-            row[mq + mp + k] = -ONE
-            a_ub.append(row)
-            b_ub.append(ZERO)
-        # objective pinned to the optimal value
-        a_eq = [[ZERO] * mq + [prob.alpha] * mp + [ONE] * nv]
-        b_eq = [gamma]
+    zero = [j for j in range(mq) if u[j] == 0]
+    while zero:
+        c = [ONE if j in zero else ZERO for j in range(n_all)]
         res = solve_lp(c, a_ub, b_ub, a_eq, b_eq, sense="max")
         if res.status != "optimal":
             raise RuntimeError(f"dual face program ended {res.status}")
         points.append(list(res.x))
+        if res.value == 0:
+            break
+        zero = [j for j in zero if res.x[j] == 0]
     k = len(points)
-    avg = [sum((pt[i] for pt in points), ZERO) / k for i in range(mq + mp + nv)]
+    avg = [sum((pt[i] for pt in points), ZERO) / k for i in range(n_all)]
     return avg[:mq], avg[mq : mq + mp], avg[mq + mp :]
 
 
@@ -276,10 +267,10 @@ def _min_attained_level(prob: TestProblem, gamma: Fraction):
     a_ub: list[list[Fraction]] = []
     b_ub: list[Fraction] = []
     for p in prob.p_family.family:
-        a_ub.append(_coeffs(p) + [-ONE])
+        a_ub.append(p.slot_masses() + [-ONE])
         b_ub.append(ZERO)
     for q in prob.q_family.family:
-        a_ub.append([-v for v in _coeffs(q)] + [ZERO])
+        a_ub.append([-v for v in q.slot_masses()] + [ZERO])
         b_ub.append(-gamma)
     for k in range(nv):
         row = [ZERO] * (nv + 1)
@@ -289,7 +280,7 @@ def _min_attained_level(prob: TestProblem, gamma: Fraction):
     res = solve_lp(c, a_ub, b_ub, sense="min")
     if res.status != "optimal":
         raise RuntimeError(f"level program ended {res.status}")
-    return _as_test(prob.space, res.x[:nv]), res.value
+    return TestFunction.from_slots(prob.space, res.x[:nv]), res.value
 
 
 def _countable_value(prob: TestProblem, lam_qc: Charge) -> Fraction:
@@ -297,11 +288,11 @@ def _countable_value(prob: TestProblem, lam_qc: Charge) -> Fraction:
     if lam_qc.total == 0:
         return ZERO
     nv = prob.space.n_slots
-    c = _coeffs(lam_qc)
+    c = lam_qc.slot_masses()
     a_ub: list[list[Fraction]] = []
     b_ub: list[Fraction] = []
     for p in prob.p_family.family:
-        a_ub.append(_coeffs(p))
+        a_ub.append(p.slot_masses())
         b_ub.append(prob.alpha)
     for k in range(nv):
         row = [ZERO] * nv
@@ -322,7 +313,7 @@ def _null_side_mixture(prob: TestProblem, lam_qc: Charge, gamma_c: Fraction):
     When its value is positive the level rows' multipliers sum to 1 and
     define the mixture; when it is zero the level constraint is slack at
     the auxiliary optimum and any mixture works, so the uniform one is
-    reported.
+    reported. Returns the mixture, its weights and the program's value.
     """
     nv = prob.space.n_slots
     mp = len(prob.p_family)
@@ -330,9 +321,9 @@ def _null_side_mixture(prob: TestProblem, lam_qc: Charge, gamma_c: Fraction):
     a_ub: list[list[Fraction]] = []
     b_ub: list[Fraction] = []
     for p in prob.p_family.family:
-        a_ub.append(_coeffs(p) + [-ONE])
+        a_ub.append(p.slot_masses() + [-ONE])
         b_ub.append(ZERO)
-    a_ub.append([-v for v in _coeffs(lam_qc)] + [ZERO])
+    a_ub.append([-v for v in lam_qc.slot_masses()] + [ZERO])
     b_ub.append(-gamma_c)
     for k in range(nv):
         row = [ZERO] * (nv + 1)
@@ -351,7 +342,7 @@ def _null_side_mixture(prob: TestProblem, lam_qc: Charge, gamma_c: Fraction):
         raise RuntimeError(
             f"level duals of the auxiliary program sum to {total}, expected 1"
         )
-    return mix(prob.p_family.family, weights, normalize=False), tuple(weights)
+    return mix(prob.p_family.family, weights, normalize=False), tuple(weights), res.value
 
 
 def _build_certificate(
@@ -364,7 +355,7 @@ def _build_certificate(
 ) -> DualCertificate:
     """Recompute feasibility, duality gap, and slackness products exactly."""
     nv = prob.space.n_slots
-    xv = _slot_values(x)
+    xv = x.slot_values()
     if len(u) != len(prob.q_family) or len(v) != len(prob.p_family) or len(w) != nv:
         raise CertificateError("certificate has the wrong shape for this problem")
     if any(val < 0 for val in u + v + w):
@@ -382,8 +373,8 @@ def _build_certificate(
         raise CertificateError(
             f"worst-case power of the test is {min(q_vals)}, claimed {gamma}"
         )
-    q_cols = [_coeffs(q) for q in prob.q_family.family]
-    p_cols = [_coeffs(p) for p in prob.p_family.family]
+    q_cols = [q.slot_masses() for q in prob.q_family.family]
+    p_cols = [p.slot_masses() for p in prob.p_family.family]
     slack = []
     for k in range(nv):
         lhs = sum((u[j] * q_cols[j][k] for j in range(len(u))), ZERO)
@@ -439,9 +430,9 @@ def solve_minimax(prob: TestProblem) -> Solution:
     lam_qc = q_alpha.atom_part()
     gamma_c = _countable_value(prob, lam_qc)
     if lam > 0:
-        p_alpha, p_weights = _null_side_mixture(prob, lam_qc, gamma_c)
+        p_alpha, p_weights, level_c = _null_side_mixture(prob, lam_qc, gamma_c)
     else:
-        p_alpha, p_weights = None, None
+        p_alpha = p_weights = level_c = None
     certificate = _build_certificate(prob, x_alpha, gamma, u, v, w)
     return Solution(
         x_alpha=x_alpha,
@@ -454,6 +445,7 @@ def solve_minimax(prob: TestProblem) -> Solution:
         gamma_c=gamma_c,
         p_alpha=p_alpha,
         p_weights=p_weights,
+        level_c=level_c,
         certificate=certificate,
     )
 
@@ -619,8 +611,9 @@ def verify_threshold_form(prob: TestProblem, sol: Solution) -> RepresentationRep
     unconstrained, as is the tail. Also reports the quantile form of the
     cut point and two renderings of the attained-case precondition: the
     support criterion (the support of the alternative's countable part
-    already uses up the level budget) and a strict-slack probe of the
-    level-tightened problem.
+    already uses up the level budget) and the grid criterion (tightening
+    the level by any positive amount strictly cuts the best integral of the
+    countable part), read exactly from ``sol.level_c``.
     """
     if sol.case is not Case.LEVEL_ATTAINED:
         raise ValueError(
@@ -648,18 +641,11 @@ def verify_threshold_form(prob: TestProblem, sol: Solution) -> RepresentationRep
 
     supp = lam_qc.support()
     precondition_support = upper_expectation(prob.p_family, supp.indicator()) >= prob.alpha
-    # Strict-slack probe: tightening the level by any positive amount must
-    # strictly cut the achievable integral of the countable part. By
-    # monotonicity in the level it suffices to probe the tightest point of
-    # a dyadic grid under alpha.
-    eps = prob.alpha / 2**20
-    tight = TestProblem(
-        prob.space,
-        prob.p_family,
-        prob.q_family,
-        prob.alpha - eps,
-    )
-    precondition_grid = _countable_value(tight, lam_qc) < sol.gamma_c
+    # The best countable integral V(a) at level a is concave and
+    # nondecreasing with V(alpha) = gamma_c, and level_c is the least level
+    # at which gamma_c is still reachable. So V(alpha - eps) < gamma_c for
+    # every eps > 0 exactly when level_c == alpha.
+    precondition_grid = sol.level_c == prob.alpha
 
     return RepresentationReport(
         form="threshold",

@@ -65,13 +65,6 @@ def _bound(explicit: "int | None", default: int) -> int:
     return value
 
 
-def _coeffs(charge: Charge) -> list[Fraction]:
-    v = list(charge.atom_mass)
-    if charge.space.has_tail:
-        v.append(charge.tail_mass)
-    return v
-
-
 def _invert(m: list[list[Fraction]]) -> "list[list[Fraction]] | None":
     """Inverse of a small square matrix, or None when singular."""
     k = len(m)
@@ -122,8 +115,8 @@ def vertex_enumerate(
             f"oracle bound {limit_family}"
         )
 
-    p_rows = [_coeffs(p) for p in prob.p_family.family]
-    q_rows = [_coeffs(q) for q in prob.q_family.family]
+    p_rows = [p.slot_masses() for p in prob.p_family.family]
+    q_rows = [q.slot_masses() for q in prob.q_family.family]
     planes: list[tuple[list[Fraction], Fraction]] = []
     for row in p_rows:
         planes.append((row, prob.alpha))
@@ -179,16 +172,8 @@ def vertex_enumerate(
                     elif value == best:
                         winners[key] = None
 
-    tests = tuple(
-        _as_test(prob.space, vec) for vec in sorted(winners)
-    )
+    tests = tuple(TestFunction.from_slots(prob.space, vec) for vec in sorted(winners))
     return OracleResult(value=best, argmax_tests=tests, enumeration_size=solved)
-
-
-def _as_test(space, vec):
-    if space.has_tail:
-        return TestFunction(space, tuple(vec[:-1]), vec[-1])
-    return TestFunction(space, tuple(vec), ZERO)
 
 
 def np_oracle(

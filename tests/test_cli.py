@@ -1,12 +1,14 @@
 """Command line entry points, JSON reports, and exit codes."""
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import robustnp
+import robustnp.minimax
 from robustnp.cli import (
     EXIT_CERTIFICATE,
     EXIT_INPUT,
@@ -216,3 +218,76 @@ def test_every_fixture_solves(tmp_path):
         report = json.loads(out.read_text())
         assert report["certificate"]["status"] == "verified"
         assert report["certificate"]["duality_gap"]["exact"] == "0"
+
+
+def _seeded_specs(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        atoms = [f"w{i}" for i in range(rng.randint(2, 4))]
+        has_tail = rng.random() < 0.5
+        slots = atoms + (["tail"] if has_tail else [])
+
+        def member():
+            raw = [rng.randint(0, 4) for _ in slots]
+            if sum(raw) == 0:
+                raw[0] = 1
+            return {s: f"{v}/{sum(raw)}" for s, v in zip(slots, raw) if v}
+
+        yield {
+            "atoms": atoms,
+            "has_tail": has_tail,
+            "alpha": rng.choice(["1/4", "1/3", "1/2"]),
+            "p_family": [member() for _ in range(rng.randint(1, 2))],
+            "q_family": [member() for _ in range(rng.randint(1, 3))],
+        }
+
+
+def test_solve_runs_no_lp_beyond_solve_minimax(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = robustnp.minimax.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(robustnp.minimax, "solve_lp", counting)
+    specs = sorted(FIXTURES.glob("*.json"))
+    for i, spec in enumerate(_seeded_specs(7, 8)):
+        specs.append(write_spec(tmp_path, spec, f"s{i}.json"))
+    for spec in specs:
+        calls.clear()
+        robustnp.solve_minimax(load_problem(str(spec)))
+        in_solve = len(calls)
+        calls.clear()
+        assert run(["solve", spec, "--json", tmp_path / "report.json"]) == EXIT_OK
+        assert len(calls) == in_solve, spec.name
+    capsys.readouterr()
+
+
+def test_grid_precondition_in_report(tmp_path):
+    flat = {
+        "atoms": ["a"],
+        "has_tail": True,
+        "alpha": "1/2",
+        "p_family": [{"a": "536870911/1073741824", "tail": "536870913/1073741824"}],
+        "q_family": [{"a": "1/2", "tail": "1/2"}],
+    }
+    out = tmp_path / "report.json"
+    assert run(["solve", write_spec(tmp_path, flat), "--json", out]) == EXIT_OK
+    rep = json.loads(out.read_text())["representation"]
+    assert rep["form"] == "threshold"
+    assert rep["precondition_grid"] is False
+    assert rep["level_c"]["exact"] == "536870911/1073741824"
+    assert run(["solve", FIXTURES / "three_atom.json", "--json", out]) == EXIT_OK
+    rep = json.loads(out.read_text())["representation"]
+    assert rep["precondition_grid"] is True
+    assert rep["level_c"]["exact"] == "1/2"
+
+
+def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(
+        robustnp.minimax, "solve_lp", lambda *args, **kwargs: robustnp.LpSolution("infeasible")
+    )
+    assert run(["solve", FIXTURES / "three_atom.json"]) == EXIT_CERTIFICATE
+    err = capsys.readouterr().err
+    assert err == "internal error: epigraph program ended infeasible; it is always solvable\n"

@@ -22,6 +22,7 @@ from robustnp import (
     expectation,
     kkt_certificate,
     lower_expectation,
+    solve_lp,
     solve_minimax,
     upper_expectation,
     verify_degenerate_form,
@@ -271,3 +272,96 @@ def test_sum_split_with_tail():
     assert sol.lam == F(1, 2)
     assert sol.gamma_alpha == sol.gamma_c + (1 - sol.lam)
     assert expectation(sol.q_alpha, sol.x_alpha) == sol.gamma_alpha
+
+
+def test_grid_precondition_is_exact_on_a_flat_stretch():
+    # The countable value is flat on [1/2 - delta, 1/2]: the atom alone
+    # uses only 1/2 - delta of the level, so tightening by less than delta
+    # costs nothing and the grid precondition fails. A probe at
+    # alpha - alpha/2**20 cannot see a stretch this short.
+    delta = F(1, 2**30)
+    space = SampleSpace(("a",), True)
+    p = Charge(space, (F(1, 2) - delta,), F(1, 2) + delta)
+    q = Charge(space, (F(1, 2),), F(1, 2))
+    prob = TestProblem(
+        space,
+        SublinearExpectation((p,), "null"),
+        SublinearExpectation((q,), "alternative"),
+        F(1, 2),
+    )
+    sol = solve_minimax(prob)
+    assert sol.case is Case.LEVEL_ATTAINED
+    assert sol.level_c == F(1, 2) - delta
+    rep = verify_threshold_form(prob, sol)
+    assert rep.precondition_grid is False
+    assert rep.precondition_support is False
+    assert solve_minimax(three_atom_problem()).level_c == F(1, 2)
+
+
+def _degenerate_problem(rng):
+    """Tail, tied masses and repeated alternative members, |Q| from 3 to 5."""
+    n = rng.randint(2, 4)
+    space = SampleSpace(tuple(f"a{i}" for i in range(n)), True)
+
+    def member():
+        raw = [rng.randint(0, 3) for _ in range(n + 1)]
+        if sum(raw) == 0:
+            raw[rng.randrange(n + 1)] = 1
+        total = sum(raw)
+        return Charge(space, tuple(F(v, total) for v in raw[:n]), F(raw[n], total))
+
+    distinct = [member() for _ in range(rng.randint(1, 3))]
+    q_fam = tuple(rng.choice(distinct) for _ in range(rng.randint(3, 5)))
+    p_fam = tuple(member() for _ in range(rng.randint(1, 2)))
+    alpha = rng.choice([F(1, 4), F(1, 3), F(1, 2), F(2, 3)])
+    return TestProblem(
+        space,
+        SublinearExpectation(p_fam, "null"),
+        SublinearExpectation(q_fam, "alternative"),
+        alpha,
+    )
+
+
+def _max_weight_on_dual_face(prob, gamma, j0):
+    """Largest u_j0 over the optimal face of the epigraph program's dual.
+
+    The instances all have a tail, so the slots are the atoms then the tail.
+    Variables (u, v, w) >= 0 with sum u >= 1, sum_j u_j q_j <= sum_i v_i p_i
+    + w slot by slot, and dual objective alpha * sum v + sum w = gamma.
+    """
+    q_cols = [q.atom_mass + (q.tail_mass,) for q in prob.q_family.family]
+    p_cols = [p.atom_mass + (p.tail_mass,) for p in prob.p_family.family]
+    mq, mp, nv = len(q_cols), len(p_cols), prob.space.n_slots
+    c = [F(0)] * (mq + mp + nv)
+    c[j0] = F(1)
+    a_ub = [[F(-1)] * mq + [F(0)] * (mp + nv)]
+    b_ub = [F(-1)]
+    for k in range(nv):
+        row = [q[k] for q in q_cols] + [-p[k] for p in p_cols] + [F(0)] * nv
+        row[mq + mp + k] = F(-1)
+        a_ub.append(row)
+        b_ub.append(F(0))
+    a_eq = [[F(0)] * mq + [prob.alpha] * mp + [F(1)] * nv]
+    res = solve_lp(c, a_ub, b_ub, a_eq, [gamma], sense="max")
+    assert res.status == "optimal"
+    return res.value
+
+
+def test_lift_support_is_maximal_on_degenerate_instances():
+    # A member may carry zero weight only if no optimal dual charges it.
+    rng = random.Random(1985)
+    checked = 0
+    for _ in range(60):
+        prob = _degenerate_problem(rng)
+        sol = solve_minimax(prob)
+        kkt_certificate(prob, sol)
+        for j, weight in enumerate(sol.q_weights):
+            if weight == 0:
+                assert _max_weight_on_dual_face(prob, sol.gamma_alpha, j) == 0
+                checked += 1
+        # Repeated members are interchangeable on the face.
+        for a, qa in enumerate(prob.q_family.family):
+            for b, qb in enumerate(prob.q_family.family):
+                if qa == qb:
+                    assert (sol.q_weights[a] == 0) == (sol.q_weights[b] == 0)
+    assert checked >= 20
