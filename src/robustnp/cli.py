@@ -14,8 +14,8 @@ Problem files are JSON with exact rationals as "num/den" strings:
 The key "tail" inside a charge holds its tail mass and is therefore
 reserved as an atom label. Floats are rejected: exactness is the point.
 
-Exit codes: 0 success, 2 input problem, 3 internal failure (certificate
-or solver), 4 oracle mismatch under --oracle.
+Exit codes: 0 success, 2 input problem or unwritable --json path, 3
+internal failure (certificate or solver), 4 oracle mismatch under --oracle.
 """
 
 from __future__ import annotations
@@ -244,7 +244,10 @@ def _hypotheses_obj(prob: TestProblem, sol) -> dict:
 def _emit(report: dict, json_out: "str | None") -> None:
     if json_out:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        Path(json_out).write_text(text)
+        try:
+            Path(json_out).write_text(text)
+        except OSError as exc:
+            raise SpecError(f"--json {json_out}: {exc}") from None
 
 
 def _parse_alpha_flag(raw: "str | None") -> "Fraction | None":

@@ -1,12 +1,15 @@
 """Exact two-phase simplex over rationals, with dual extraction.
 
 This is a small dense implementation sized for the LPs built elsewhere in
-the package: a handful of variables and a few dozen rows. Everything is a
-`fractions.Fraction`, so "optimal" means optimal, not optimal up to a
-tolerance, and the duals returned here can be used in exact complementary
-slackness checks. Bland's rule is used for both entering and leaving
-choices, which rules out cycling on the degenerate instances the testing
-problems like to produce.
+the package: a handful of variables and a few dozen rows. Each tableau row
+is a vector of Python ints over its own positive integer denominator, kept
+in lowest terms, so a pivot is integer multiply, subtract and one gcd per
+row it touches. The data are `fractions.Fraction`s only where they enter
+and where the result is assembled. Nothing is rounded, so "optimal" means
+optimal, not optimal up to a tolerance, and the duals returned here can be
+used in exact complementary slackness checks. Bland's rule is used for both
+entering and leaving choices, which rules out cycling on the degenerate
+instances the testing problems like to produce.
 
 Conventions (documented once, relied on everywhere):
 
@@ -20,6 +23,7 @@ Conventions (documented once, relied on everywhere):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -46,6 +50,30 @@ class LpSolution:
     reduced_costs: "tuple[Fraction, ...] | None" = None
 
 
+def _frac(v) -> Fraction:
+    """``Fraction(v)``, without rebuilding a value that already is one."""
+    return v if isinstance(v, Fraction) else Fraction(v)
+
+
+def _scale(values: list[Fraction]) -> tuple[list[int], int]:
+    """Integers over the least common denominator of ``values``."""
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _eliminate(
+    row: list[int], den: int, prow: list[int], pd: int, f: int
+) -> tuple[list[int], int]:
+    """``row/den - (f/den) * prow/pd`` as integers over a positive denominator."""
+    new = [a * pd - f * b for a, b in zip(row, prow)]
+    den *= pd
+    g = math.gcd(den, *new)
+    if g > 1:
+        new = [v // g for v in new]
+        den //= g
+    return new, den
+
+
 def solve_lp(
     c: Sequence[Fraction],
     a_ub: "Sequence[Sequence[Fraction]] | None" = None,
@@ -56,14 +84,14 @@ def solve_lp(
 ) -> LpSolution:
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-    c_raw = [Fraction(v) for v in c]
+    c_raw = [_frac(v) for v in c]
     n = len(c_raw)
     if n == 0:
         raise ValueError("need at least one variable")
-    rows_ub = [[Fraction(v) for v in row] for row in (a_ub or [])]
-    rhs_ub = [Fraction(v) for v in (b_ub or [])]
-    rows_eq = [[Fraction(v) for v in row] for row in (a_eq or [])]
-    rhs_eq = [Fraction(v) for v in (b_eq or [])]
+    rows_ub = [[_frac(v) for v in row] for row in (a_ub or [])]
+    rhs_ub = [_frac(v) for v in (b_ub or [])]
+    rows_eq = [[_frac(v) for v in row] for row in (a_eq or [])]
+    rhs_eq = [_frac(v) for v in (b_eq or [])]
     if len(rows_ub) != len(rhs_ub):
         raise ValueError("a_ub and b_ub disagree on the number of rows")
     if len(rows_eq) != len(rhs_eq):
@@ -107,116 +135,105 @@ def solve_lp(
     n_cols = col
     art_cols = frozenset(art_col.values())
 
-    tableau: list[list[Fraction]] = []
+    # The tableau: row r is the integer vector rows[r] over the positive
+    # denominator dens[r], in lowest terms. Row m is the reduced-cost row.
+    rows: list[list[int]] = []
+    dens: list[int] = []
     basis: list[int] = []
     for r in range(m):
-        trow = [ZERO] * (n_cols + 1)
-        for j, v in enumerate(body[r]):
-            trow[j] = v
+        scaled, den = _scale(body[r] + [rhs[r]])
+        trow = scaled[:n] + [0] * (n_cols - n) + scaled[n:]
         if r in slack_col:
             # Flipped ub rows carry a surplus variable instead of a slack.
-            trow[slack_col[r]] = -ONE if meta[r][2] else ONE
+            trow[slack_col[r]] = -den if meta[r][2] else den
         if r in art_col:
-            trow[art_col[r]] = ONE
-        trow[n_cols] = rhs[r]
-        tableau.append(trow)
+            trow[art_col[r]] = den
+        rows.append(trow)
+        dens.append(den)
         basis.append(art_col[r] if r in art_col else slack_col[r])
+    rows.append([])
+    dens.append(1)
 
-    def price(costs: list[Fraction]) -> list[Fraction]:
-        cbar = list(costs)
+    def price(costs: list[Fraction]) -> None:
+        # Column basis[r] is the unit vector of row r, so eliminating it
+        # leaves the other basic columns' costs untouched.
+        cost, cden = _scale(costs + [ZERO])
         for r in range(m):
-            cb = costs[basis[r]]
-            if cb != 0:
-                trow = tableau[r]
-                for j in range(n_cols):
-                    if trow[j] != 0:
-                        cbar[j] -= cb * trow[j]
-        return cbar
+            f = cost[basis[r]]
+            if f:
+                cost, cden = _eliminate(cost, cden, rows[r], dens[r], f)
+        rows[m], dens[m] = cost, cden
 
-    def pivot(r: int, j: int, cbar: list[Fraction]) -> None:
-        prow = tableau[r]
-        piv = prow[j]
-        if piv != ONE:
-            for k in range(n_cols + 1):
-                if prow[k] != 0:
-                    prow[k] /= piv
-        for rr in range(m):
-            if rr == r:
-                continue
-            orow = tableau[rr]
-            f = orow[j]
-            if f != 0:
-                for k in range(n_cols + 1):
-                    if prow[k] != 0:
-                        orow[k] -= f * prow[k]
-        f = cbar[j]
-        if f != 0:
-            for k in range(n_cols):
-                if prow[k] != 0:
-                    cbar[k] -= f * prow[k]
+    def pivot(r: int, j: int) -> None:
+        prow = rows[r]
+        pd = prow[j]
+        if pd < 0:
+            prow = [-v for v in prow]
+            pd = -pd
+        g = math.gcd(pd, *prow)
+        if g > 1:
+            prow = [v // g for v in prow]
+            pd //= g
+        rows[r], dens[r] = prow, pd
+        for i in range(m + 1):
+            if i != r:
+                f = rows[i][j]
+                if f:
+                    rows[i], dens[i] = _eliminate(rows[i], dens[i], prow, pd, f)
         basis[r] = j
 
-    def run_phase(costs: list[Fraction], banned: frozenset[int]) -> tuple[str, list[Fraction]]:
-        cbar = price(costs)
+    def run_phase(banned: frozenset[int]) -> str:
         for _ in range(_MAX_PIVOTS):
-            enter = -1
-            for j in range(n_cols):
-                if j in banned:
-                    continue
-                if cbar[j] < 0:
-                    enter = j
-                    break
+            cost = rows[m]
+            enter = next((j for j in range(n_cols) if cost[j] < 0 and j not in banned), -1)
             if enter < 0:
-                return "optimal", cbar
+                return "optimal"
+            # Compare the ratios b_r / a_r crosswise: the row denominators
+            # cancel, and every a_r taking part is positive.
             leave = -1
-            best: "Fraction | None" = None
+            best_b = best_a = 0
             for r in range(m):
-                a = tableau[r][enter]
+                a = rows[r][enter]
                 if a > 0:
-                    ratio = tableau[r][n_cols] / a
-                    if best is None or ratio < best or (
-                        ratio == best and basis[r] < basis[leave]
+                    b = rows[r][n_cols]
+                    if leave < 0 or b * best_a < best_b * a or (
+                        b * best_a == best_b * a and basis[r] < basis[leave]
                     ):
-                        best = ratio
-                        leave = r
+                        leave, best_b, best_a = r, b, a
             if leave < 0:
-                return "unbounded", cbar
-            pivot(leave, enter, cbar)
+                return "unbounded"
+            pivot(leave, enter)
         raise RuntimeError("simplex did not terminate; this should be unreachable")
 
     # Phase 1: minimize the sum of artificial variables.
     if art_cols:
-        phase1_costs = [ONE if j in art_cols else ZERO for j in range(n_cols)]
-        status, _ = run_phase(phase1_costs, frozenset())
-        if status != "optimal":
+        price([ONE if j in art_cols else ZERO for j in range(n_cols)])
+        if run_phase(frozenset()) != "optimal":
             raise RuntimeError("phase 1 cannot be unbounded")
-        residue = sum(
-            (tableau[r][n_cols] for r in range(m) if basis[r] in art_cols), ZERO
-        )
-        if residue > 0:
+        # Right-hand sides are nonnegative, so any nonzero one is a residue.
+        if any(rows[r][n_cols] for r in range(m) if basis[r] in art_cols):
             return LpSolution("infeasible")
         # Drive basic artificials out where possible. Their rows have
         # right-hand side 0, so pivoting on any nonzero entry (either sign)
         # keeps the solution unchanged and feasible. A row with no nonzero
         # entry outside the artificial columns is a dependent row; it stays
         # identically zero through phase 2 and is harmless.
-        dummy = [ZERO] * n_cols
         for r in range(m):
             if basis[r] in art_cols:
                 for j in range(n_cols):
-                    if j not in art_cols and tableau[r][j] != 0:
-                        pivot(r, j, dummy)
+                    if j not in art_cols and rows[r][j] != 0:
+                        pivot(r, j)
                         break
 
-    phase2_costs = c_int + [ZERO] * (n_cols - n)
-    status, cbar = run_phase(phase2_costs, art_cols)
-    if status == "unbounded":
+    price(c_int + [ZERO] * (n_cols - n))
+    if run_phase(art_cols) == "unbounded":
         return LpSolution("unbounded")
+    cost, cden = rows[m], dens[m]
 
     x = [ZERO] * n
     for r in range(m):
         if basis[r] < n:
-            x[basis[r]] = tableau[r][n_cols]
+            x[basis[r]] = Fraction(rows[r][n_cols], dens[r])
     value = sum((cv * xv for cv, xv in zip(c_raw, x)), ZERO)
 
     # Duals of the internal (normalized, minimization) problem, read off the
@@ -228,10 +245,7 @@ def solve_lp(
     y_ub_out = [ZERO] * len(rows_ub)
     y_eq_out = [ZERO] * len(rows_eq)
     for r, (kind, orig, flipped) in enumerate(meta):
-        if r in art_col:
-            y_int = -cbar[art_col[r]]
-        else:
-            y_int = -cbar[slack_col[r]]
+        y_int = Fraction(-cost[art_col[r] if r in art_col else slack_col[r]], cden)
         y = -y_int if flipped else y_int
         if sense == "max":
             y = -y
@@ -246,5 +260,5 @@ def solve_lp(
         value=value,
         y_ub=tuple(y_ub_out),
         y_eq=tuple(y_eq_out),
-        reduced_costs=tuple(cbar[:n]),
+        reduced_costs=tuple([Fraction(v, cden) for v in cost[:n]]),
     )

@@ -151,6 +151,21 @@ def test_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unwritable_json_path_exits_2(tmp_path, capsys):
+    spec = write_spec(tmp_path, SMALL)
+    out = tmp_path / "no_such_dir" / "out.json"
+    for argv in (
+        ["solve", spec, "--json", out],
+        ["np", spec, "--json", out],
+        ["check", spec, "--json", out],
+        ["sweep", "nonexistence", "--sizes", "1:2", "--json", out],
+        ["solve", spec, "--json", tmp_path],
+    ):
+        assert run(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: --json ") and err.count("\n") == 1
+
+
 def test_np_command(tmp_path, capsys):
     out = tmp_path / "np.json"
     spec = write_spec(tmp_path, SMALL)

@@ -365,3 +365,62 @@ def test_lift_support_is_maximal_on_degenerate_instances():
                 if qa == qb:
                     assert (sol.q_weights[a] == 0) == (sol.q_weights[b] == 0)
     assert checked >= 20
+
+
+def _masses(rng, n_slots, zero, den):
+    """Masses on ``n_slots`` slots summing to 1 over ``den``, none on ``zero``."""
+    live = [k for k in range(n_slots) if k not in zero]
+    cuts = sorted(rng.randint(0, den) for _ in range(len(live) - 1))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+    raw = [0] * n_slots
+    for k, part in zip(live, parts):
+        raw[k] = part
+    return [F(v, den) for v in raw]
+
+
+def _stress_problem(rng):
+    """Duplicate members, all-tie ratios, zero-mass atoms, 2^40 denominators."""
+    n = rng.randint(1, 5)
+    has_tail = n < 5 and rng.random() < 0.5
+    n_slots = n + has_tail
+    space = SampleSpace(tuple(f"a{i}" for i in range(n)), has_tail)
+    zero = set(rng.sample(range(n), rng.randint(0, n - 1)))
+    big = rng.random() < 0.5
+
+    def member():
+        den = 2**40 + rng.randint(-50, 50) if big else rng.choice([1, 2, 3, 6])
+        m = _masses(rng, n_slots, zero, den)
+        return Charge(space, tuple(m[:n]), m[n] if has_tail else F(0))
+
+    p_fam = [member() for _ in range(rng.randint(1, 2))]
+    q_fam = [member() for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.4:
+        # All-tie ratios: an alternative member equal to a null member.
+        q_fam.append(rng.choice(p_fam))
+    q_fam += rng.choices(q_fam, k=rng.randint(0, 4 - len(q_fam)))
+    p_fam += rng.choices(p_fam, k=rng.randint(0, 1))
+    alpha = rng.choice([F(1, 4), F(1, 2), F(2, 3), F(2**39 + 1, 2**40 - 3)])
+    return TestProblem(
+        space,
+        SublinearExpectation(tuple(p_fam), "null"),
+        SublinearExpectation(tuple(q_fam), "alternative"),
+        alpha,
+    )
+
+
+def test_degenerate_instances_are_certified_and_match_oracle():
+    rng = random.Random(1968)
+    seen = {"big": 0, "tie": 0, "duplicate": 0, "zero atom": 0}
+    for _ in range(100):
+        prob = _stress_problem(rng)
+        sol = solve_minimax(prob)
+        kkt_certificate(prob, sol)
+        assert sol.gamma_alpha == vertex_enumerate(prob).value
+        p_fam, q_fam = prob.p_family.family, prob.q_family.family
+        seen["big"] += any(m.denominator > 2**39 for c in p_fam for m in c.atom_mass)
+        seen["tie"] += any(q in p_fam for q in q_fam)
+        seen["duplicate"] += len(set(q_fam)) < len(q_fam)
+        seen["zero atom"] += any(
+            all(c.atom_mass[k] == 0 for c in p_fam + q_fam) for k in range(len(prob.space.atoms))
+        )
+    assert min(seen.values()) >= 20, seen

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from _fraction_simplex import solve_lp as fraction_solve_lp
 
 from robustnp.simplex import LpSolution, solve_lp
 
@@ -149,3 +150,66 @@ def test_matches_floating_point_solver():
         assert abs(float(sol.value) - ref.fun) < 1e-9
         checked += 1
     assert checked == 25
+
+
+BIG = 2**40
+
+
+def _random_lp(rng):
+    """A small LP built around a feasible point, sometimes made infeasible.
+
+    Slacks of 0 at that point tie ratios; dependent equality rows keep an
+    artificial basic at 0 after phase 1, and other zero-level artificials
+    are driven out on entries of either sign; rows with ``A x0 < 0`` are
+    flipped. A quarter of the LPs draw half their entries with
+    denominators near 2^40.
+    """
+    n = rng.randint(1, 5)
+    big = rng.random() < 0.25
+
+    def entry():
+        if big and rng.random() < 0.5:
+            return F(rng.randint(-BIG, BIG), BIG + rng.randint(-99, 99))
+        return F(rng.randint(-2, 2), rng.choice([1, 1, 2, 3]))
+
+    x0 = [F(rng.randint(0, 2), rng.choice([1, 2])) if rng.random() < 0.7 else F(0)
+          for _ in range(n)]
+
+    def at_x0(row):
+        return sum((a * x for a, x in zip(row, x0)), F(0))
+
+    a_ub = [[entry() for _ in range(n)] for _ in range(rng.randint(0, 4))]
+    b_ub = [at_x0(row) + rng.choice([0, 0, 1, F(1, 2)]) for row in a_ub]
+    a_eq = [[entry() for _ in range(n)] for _ in range(rng.randint(0, 3))]
+    if a_eq and rng.random() < 0.5:
+        # A dependent row: a multiple of one row, plus maybe another row.
+        i, k = rng.randrange(len(a_eq)), rng.randrange(len(a_eq))
+        s = F(rng.choice([-2, -1, 2, 3]), rng.choice([1, 3]))
+        a_eq.append([s * u + (v if i != k else 0) for u, v in zip(a_eq[i], a_eq[k])])
+    b_eq = [at_x0(row) for row in a_eq]
+    if rng.random() < 0.15:
+        if a_eq and rng.random() < 0.5:
+            b_eq[-1] -= 1
+        elif a_ub:
+            a_ub.append([-v for v in a_ub[0]])
+            b_ub.append(-b_ub[0] - 1)
+    if rng.random() < 0.7:
+        a_ub += [[F(int(j == i)) for j in range(n)] for i in range(n)]
+        b_ub += [F(rng.randint(1, 3))] * n
+    c = [entry() for _ in range(n)]
+    return c, a_ub, b_ub, a_eq, b_eq, rng.choice(["min", "max"])
+
+
+def test_integer_tableau_matches_fraction_reference():
+    rng = random.Random(2016)
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    flipped = big = 0
+    for _ in range(300):
+        c, a_ub, b_ub, a_eq, b_eq, sense = _random_lp(rng)
+        sol = solve_lp(c, a_ub, b_ub, a_eq, b_eq, sense)
+        assert sol == fraction_solve_lp(c, a_ub, b_ub, a_eq, b_eq, sense)
+        statuses[sol.status] += 1
+        flipped += any(b < 0 for b in b_ub + b_eq)
+        big += any(v.denominator > 2**39 for row in a_ub + a_eq for v in row)
+    assert min(statuses.values()) >= 10
+    assert flipped >= 30 and big >= 30
