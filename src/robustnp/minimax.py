@@ -23,6 +23,11 @@ The solver is a chain of small exact LPs:
    needed to reach it, whose level-side duals produce the null mixture and
    whose value decides the threshold form's grid precondition.
 
+Each LP layout is written down once. The dual face program of step 2 is
+the transpose of the epigraph program of step 1, and steps 3 and 4 share
+one level program, "min t : E_P[x] <= t, reach rows >= target, x <= 1",
+with the alternative members or the countable part as the reach rows.
+
 Every solution carries a dual certificate whose residuals are recomputed
 exactly; a nonzero residual raises instead of warning.
 """
@@ -181,25 +186,55 @@ class RepresentationReport:
     gamma_consistent: "bool | None"
 
 
-def _solve_epigraph(prob: TestProblem):
-    """Max worst-case power via the epigraph LP; returns value and duals."""
-    nv = prob.space.n_slots
-    mq = len(prob.q_family)
-    mp = len(prob.p_family)
-    c = [ZERO] * nv + [ONE]
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    for q in prob.q_family.family:
-        a_ub.append([-v for v in q.slot_masses()] + [ONE])
-        b_ub.append(ZERO)
-    for p in prob.p_family.family:
-        a_ub.append(p.slot_masses() + [ZERO])
-        b_ub.append(prob.alpha)
+def _slot_rows(prob: TestProblem) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """The null and alternative members' masses in slot order."""
+    return (
+        [p.slot_masses() for p in prob.p_family.family],
+        [q.slot_masses() for q in prob.q_family.family],
+    )
+
+
+def _box(nv: int, width: int) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Rows x_k <= 1 for the first ``nv`` of ``width`` columns."""
+    rows = []
     for k in range(nv):
-        row = [ZERO] * (nv + 1)
+        row = [ZERO] * width
         row[k] = ONE
-        a_ub.append(row)
-        b_ub.append(ONE)
+        rows.append(row)
+    return rows, [ONE] * nv
+
+
+def _epigraph_program(prob: TestProblem, p_rows, q_rows):
+    """max t : t <= E_{Q_j}[x], E_{P_i}[x] <= alpha, x <= 1, over (x, t).
+
+    Returns ``(c, a_ub, b_ub)``; the rows are the alternative members, the
+    null members, then the box, so the duals split as (u, v, w).
+    """
+    nv = prob.space.n_slots
+    box, ones = _box(nv, nv + 1)
+    a_ub = [[-val for val in q] + [ONE] for q in q_rows]
+    a_ub += [p + [ZERO] for p in p_rows]
+    b_ub = [ZERO] * len(q_rows) + [prob.alpha] * len(p_rows) + ones
+    return [ZERO] * nv + [ONE], a_ub + box, b_ub
+
+
+def _level_program(p_rows, reach_rows, target: Fraction):
+    """min t : E_{P_i}[x] <= t, E_r[x] >= target for each reach row r, x <= 1.
+
+    Returns ``(c, a_ub, b_ub)`` over (x, t); the level rows come first.
+    """
+    nv = len(p_rows[0])
+    box, ones = _box(nv, nv + 1)
+    a_ub = [p + [-ONE] for p in p_rows]
+    a_ub += [[-val for val in r] + [ZERO] for r in reach_rows]
+    b_ub = [ZERO] * len(p_rows) + [-target] * len(reach_rows) + ones
+    return [ZERO] * nv + [ONE], a_ub + box, b_ub
+
+
+def _solve_epigraph(prob: TestProblem, p_rows, q_rows):
+    """Max worst-case power via the epigraph LP; returns value and duals."""
+    mq, mp = len(q_rows), len(p_rows)
+    c, a_ub, b_ub = _epigraph_program(prob, p_rows, q_rows)
     res = solve_lp(c, a_ub, b_ub, sense="max")
     if res.status != "optimal":
         raise RuntimeError(f"epigraph program ended {res.status}; it is always solvable")
@@ -210,45 +245,34 @@ def _solve_epigraph(prob: TestProblem):
     return gamma, u, v, w
 
 
-def _lift_dual_support(prob: TestProblem, gamma: Fraction, u, v, w):
+def _lift_dual_support(prob: TestProblem, p_rows, q_rows, gamma: Fraction, u, v, w):
     """Average the initial dual point with face points lifting the zero u_j.
 
     The dual optimal face is cut out by dual feasibility plus the equation
-    "dual objective equals gamma". Each round maximizes the total weight of
-    the alternative members still at zero over that face and drops those
-    the round's point charges; a round of value 0 proves that every optimal
-    dual ignores the members left, and ends the sweep. Each other round
-    lifts at least one member, so there are at most as many rounds as zero
-    members. The average of all collected points charges every member that
-    some optimal dual charges (Freund, Roundy & Todd 1985).
+    "dual objective equals gamma". For the epigraph program max c.z subject
+    to A z <= b that is -A^T y <= -c (the epigraph variable's row first,
+    then one row per slot) and b.y = gamma over y = (u, v, w) >= 0. Each
+    round maximizes the total weight of the alternative members still at
+    zero over that face and drops those the round's point charges; a round
+    of value 0 proves that every optimal dual ignores the members left, and
+    ends the sweep. Each other round lifts at least one member, so there
+    are at most as many rounds as zero members. The average of all
+    collected points charges every member that some optimal dual charges
+    (Freund, Roundy & Todd 1985).
     """
-    nv = prob.space.n_slots
-    mq = len(prob.q_family)
-    mp = len(prob.p_family)
-    n_all = mq + mp + nv
-    q_cols = [q.slot_masses() for q in prob.q_family.family]
-    p_cols = [p.slot_masses() for p in prob.p_family.family]
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    # sum_j u_j >= 1  (dual feasibility for the epigraph variable)
-    a_ub.append([-ONE] * mq + [ZERO] * (mp + nv))
-    b_ub.append(-ONE)
-    # slot-wise: sum_j u_j q_j(k) - sum_i v_i p_i(k) - w_k <= 0
-    for k in range(nv):
-        row = [q_cols[j][k] for j in range(mq)]
-        row += [-p_cols[i][k] for i in range(mp)]
-        row += [ZERO] * nv
-        row[mq + mp + k] = -ONE
-        a_ub.append(row)
-        b_ub.append(ZERO)
-    # objective pinned to the optimal value
-    a_eq = [[ZERO] * mq + [prob.alpha] * mp + [ONE] * nv]
-    b_eq = [gamma]
-    points = [list(u) + list(v) + list(w)]
+    mq, mp = len(q_rows), len(p_rows)
     zero = [j for j in range(mq) if u[j] == 0]
+    if not zero:
+        return u, v, w
+    c, a_ub, b_ub = _epigraph_program(prob, p_rows, q_rows)
+    order = [len(c) - 1, *range(len(c) - 1)]
+    face_a = [[-row[k] if row[k] else ZERO for row in a_ub] for k in order]
+    face_b = [-c[k] if c[k] else ZERO for k in order]
+    n_all = len(b_ub)
+    points = [u + v + w]
     while zero:
-        c = [ONE if j in zero else ZERO for j in range(n_all)]
-        res = solve_lp(c, a_ub, b_ub, a_eq, b_eq, sense="max")
+        obj = [ONE if j in zero else ZERO for j in range(n_all)]
+        res = solve_lp(obj, face_a, face_b, [b_ub], [gamma], sense="max")
         if res.status != "optimal":
             raise RuntimeError(f"dual face program ended {res.status}")
         points.append(list(res.x))
@@ -260,52 +284,29 @@ def _lift_dual_support(prob: TestProblem, gamma: Fraction, u, v, w):
     return avg[:mq], avg[mq : mq + mp], avg[mq + mp :]
 
 
-def _min_attained_level(prob: TestProblem, gamma: Fraction):
+def _min_attained_level(prob: TestProblem, p_rows, q_rows, gamma: Fraction):
     """Among optimal tests, minimize the worst-case null level."""
-    nv = prob.space.n_slots
-    c = [ZERO] * nv + [ONE]
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    for p in prob.p_family.family:
-        a_ub.append(p.slot_masses() + [-ONE])
-        b_ub.append(ZERO)
-    for q in prob.q_family.family:
-        a_ub.append([-v for v in q.slot_masses()] + [ZERO])
-        b_ub.append(-gamma)
-    for k in range(nv):
-        row = [ZERO] * (nv + 1)
-        row[k] = ONE
-        a_ub.append(row)
-        b_ub.append(ONE)
+    c, a_ub, b_ub = _level_program(p_rows, q_rows, gamma)
     res = solve_lp(c, a_ub, b_ub, sense="min")
     if res.status != "optimal":
         raise RuntimeError(f"level program ended {res.status}")
-    return TestFunction.from_slots(prob.space, res.x[:nv]), res.value
+    return TestFunction.from_slots(prob.space, res.x[: prob.space.n_slots]), res.value
 
 
-def _countable_value(prob: TestProblem, lam_qc: Charge) -> Fraction:
+def _countable_value(prob: TestProblem, p_rows, lam_qc: Charge) -> Fraction:
     """Best integral of the countably additive part over the level set."""
     if lam_qc.total == 0:
         return ZERO
     nv = prob.space.n_slots
-    c = lam_qc.slot_masses()
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    for p in prob.p_family.family:
-        a_ub.append(p.slot_masses())
-        b_ub.append(prob.alpha)
-    for k in range(nv):
-        row = [ZERO] * nv
-        row[k] = ONE
-        a_ub.append(row)
-        b_ub.append(ONE)
-    res = solve_lp(c, a_ub, b_ub, sense="max")
+    box, ones = _box(nv, nv)
+    b_ub = [prob.alpha] * len(p_rows) + ones
+    res = solve_lp(lam_qc.slot_masses(), p_rows + box, b_ub, sense="max")
     if res.status != "optimal":
         raise RuntimeError(f"countable part program ended {res.status}")
     return res.value
 
 
-def _null_side_mixture(prob: TestProblem, lam_qc: Charge, gamma_c: Fraction):
+def _null_side_mixture(prob: TestProblem, p_rows, lam_qc: Charge, gamma_c: Fraction):
     """Null mixture from the auxiliary program's level-side duals.
 
     The auxiliary program minimizes the worst-case null level over tests
@@ -315,21 +316,8 @@ def _null_side_mixture(prob: TestProblem, lam_qc: Charge, gamma_c: Fraction):
     the auxiliary optimum and any mixture works, so the uniform one is
     reported. Returns the mixture, its weights and the program's value.
     """
-    nv = prob.space.n_slots
-    mp = len(prob.p_family)
-    c = [ZERO] * nv + [ONE]
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    for p in prob.p_family.family:
-        a_ub.append(p.slot_masses() + [-ONE])
-        b_ub.append(ZERO)
-    a_ub.append([-v for v in lam_qc.slot_masses()] + [ZERO])
-    b_ub.append(-gamma_c)
-    for k in range(nv):
-        row = [ZERO] * (nv + 1)
-        row[k] = ONE
-        a_ub.append(row)
-        b_ub.append(ONE)
+    mp = len(p_rows)
+    c, a_ub, b_ub = _level_program(p_rows, [lam_qc.slot_masses()], gamma_c)
     res = solve_lp(c, a_ub, b_ub, sense="min")
     if res.status != "optimal":
         raise RuntimeError(f"auxiliary level program ended {res.status}")
@@ -347,6 +335,8 @@ def _null_side_mixture(prob: TestProblem, lam_qc: Charge, gamma_c: Fraction):
 
 def _build_certificate(
     prob: TestProblem,
+    p_rows,
+    q_rows,
     x: TestFunction,
     gamma: Fraction,
     u: "list[Fraction]",
@@ -373,12 +363,10 @@ def _build_certificate(
         raise CertificateError(
             f"worst-case power of the test is {min(q_vals)}, claimed {gamma}"
         )
-    q_cols = [q.slot_masses() for q in prob.q_family.family]
-    p_cols = [p.slot_masses() for p in prob.p_family.family]
     slack = []
     for k in range(nv):
-        lhs = sum((u[j] * q_cols[j][k] for j in range(len(u))), ZERO)
-        rhs = sum((v[i] * p_cols[i][k] for i in range(len(v))), ZERO) + w[k]
+        lhs = sum((u[j] * q_rows[j][k] for j in range(len(u))), ZERO)
+        rhs = sum((v[i] * p_rows[i][k] for i in range(len(v))), ZERO) + w[k]
         if lhs > rhs:
             raise CertificateError(
                 f"dual infeasible at slot {k}: mixture mass {lhs} exceeds {rhs}"
@@ -414,26 +402,27 @@ def solve_minimax(prob: TestProblem) -> Solution:
     certificate fails its exact recomputation, which would mean a bug in
     the pipeline rather than a property of the instance.
     """
-    gamma, u0, v0, w0 = _solve_epigraph(prob)
-    u, v, w = _lift_dual_support(prob, gamma, u0, v0, w0)
+    p_rows, q_rows = _slot_rows(prob)
+    gamma, u0, v0, w0 = _solve_epigraph(prob, p_rows, q_rows)
+    u, v, w = _lift_dual_support(prob, p_rows, q_rows, gamma, u0, v0, w0)
     if sum(u, ZERO) != ONE:
         raise RuntimeError(
             f"interior dual point has alternative weights summing to {sum(u, ZERO)}"
         )
     q_alpha = mix(prob.q_family.family, u, normalize=False)
-    x_alpha, attained = _min_attained_level(prob, gamma)
+    x_alpha, attained = _min_attained_level(prob, p_rows, q_rows, gamma)
     if attained > prob.alpha:
         raise RuntimeError(f"minimal attained level {attained} exceeds alpha")
     case = Case.LEVEL_SLACK if attained < prob.alpha else Case.LEVEL_ATTAINED
     dec = yosida_hewitt(q_alpha)
     lam = dec.lam
     lam_qc = q_alpha.atom_part()
-    gamma_c = _countable_value(prob, lam_qc)
+    gamma_c = _countable_value(prob, p_rows, lam_qc)
     if lam > 0:
-        p_alpha, p_weights, level_c = _null_side_mixture(prob, lam_qc, gamma_c)
+        p_alpha, p_weights, level_c = _null_side_mixture(prob, p_rows, lam_qc, gamma_c)
     else:
         p_alpha = p_weights = level_c = None
-    certificate = _build_certificate(prob, x_alpha, gamma, u, v, w)
+    certificate = _build_certificate(prob, p_rows, q_rows, x_alpha, gamma, u, v, w)
     return Solution(
         x_alpha=x_alpha,
         gamma_alpha=gamma,
@@ -457,7 +446,8 @@ def detect_case(prob: TestProblem, sol: Solution) -> Case:
     its test attains it feasibly; a solution failing that is rejected with
     ``ValueError`` rather than classified.
     """
-    gamma, _, _, _ = _solve_epigraph(prob)
+    p_rows, q_rows = _slot_rows(prob)
+    gamma, _, _, _ = _solve_epigraph(prob, p_rows, q_rows)
     if gamma != sol.gamma_alpha:
         raise ValueError(
             f"solution claims value {sol.gamma_alpha}, the problem's optimum is {gamma}"
@@ -466,7 +456,7 @@ def detect_case(prob: TestProblem, sol: Solution) -> Case:
         raise ValueError("solution's test does not attain the optimal value")
     if upper_expectation(prob.p_family, sol.x_alpha) > prob.alpha:
         raise ValueError("solution's test violates the level constraint")
-    _, attained = _min_attained_level(prob, gamma)
+    _, attained = _min_attained_level(prob, p_rows, q_rows, gamma)
     return Case.LEVEL_SLACK if attained < prob.alpha else Case.LEVEL_ATTAINED
 
 
@@ -481,6 +471,7 @@ def kkt_certificate(prob: TestProblem, sol: Solution) -> DualCertificate:
     cert = sol.certificate
     return _build_certificate(
         prob,
+        *_slot_rows(prob),
         sol.x_alpha,
         sol.gamma_alpha,
         list(cert.q_constraint_duals),

@@ -257,6 +257,59 @@ def test_random_instances_match_oracle():
     assert seen_slack and seen_attained
 
 
+def _large_problem(rng):
+    """10 to 40 atoms plus a tail, 2 to 5 members a side: past the oracle."""
+    n = rng.randint(10, 40)
+    space = SampleSpace(tuple(f"a{i}" for i in range(n)), True)
+
+    def member():
+        raw = [rng.choice([0, 0, rng.randint(1, 9)]) for _ in range(n + 1)]
+        raw[rng.randrange(n + 1)] += 1
+        total = sum(raw)
+        return Charge(space, tuple(F(v, total) for v in raw[:n]), F(raw[n], total))
+
+    p_fam = SublinearExpectation(tuple(member() for _ in range(rng.randint(2, 5))), "null")
+    q_fam = SublinearExpectation(tuple(member() for _ in range(rng.randint(2, 5))), "alternative")
+    return TestProblem(space, p_fam, q_fam, F(rng.randint(1, 9), 10))
+
+
+def test_large_instances_match_highs():
+    # The brute-force oracle stops at 6 slots; HiGHS checks the value and the
+    # minimal attained level in floating point on instances up to 41 slots.
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    rng = random.Random(1968)
+    cases = set()
+    for _ in range(20):
+        prob = _large_problem(rng)
+        sol = solve_minimax(prob)
+        p_rows = [[float(v) for v in p.slot_masses()] for p in prob.p_family.family]
+        q_rows = [[float(v) for v in q.slot_masses()] for q in prob.q_family.family]
+        nv = prob.space.n_slots
+        bounds = [(0, 1)] * nv + [(None, None)]
+        # max t : t <= E_Q[x], E_P[x] <= alpha
+        epigraph = scipy_opt.linprog(
+            [0.0] * nv + [-1.0],
+            A_ub=[[-v for v in q] + [1.0] for q in q_rows] + [p + [0.0] for p in p_rows],
+            b_ub=[0.0] * len(q_rows) + [float(prob.alpha)] * len(p_rows),
+            bounds=bounds,
+            method="highs",
+        )
+        assert epigraph.status == 0
+        assert abs(-epigraph.fun - float(sol.gamma_alpha)) < 1e-9
+        # min t : E_P[x] <= t, E_Q[x] >= gamma
+        level = scipy_opt.linprog(
+            [0.0] * nv + [1.0],
+            A_ub=[p + [-1.0] for p in p_rows] + [[-v for v in q] + [0.0] for q in q_rows],
+            b_ub=[0.0] * len(p_rows) + [-float(sol.gamma_alpha)] * len(q_rows),
+            bounds=bounds,
+            method="highs",
+        )
+        assert level.status == 0
+        assert abs(level.fun - float(sol.attained_level)) < 1e-7
+        cases.add(sol.case)
+    assert cases == {Case.LEVEL_SLACK, Case.LEVEL_ATTAINED}
+
+
 def test_sum_split_with_tail():
     space = SampleSpace(("a", "b"), True)
     p = Charge(space, (F(1, 2), F(1, 2)), F(0))
