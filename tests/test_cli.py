@@ -110,6 +110,15 @@ def test_json_output_is_deterministic(tmp_path):
     assert a.read_text().endswith("\n")
 
 
+def test_json_report_replaces_a_longer_file(tmp_path):
+    fresh, old = tmp_path / "fresh.json", tmp_path / "old.json"
+    spec = write_spec(tmp_path, SMALL)
+    old.write_text("x" * 100000)
+    assert run(["solve", spec, "--json", fresh]) == EXIT_OK
+    assert run(["solve", spec, "--json", old]) == EXIT_OK
+    assert old.read_bytes() == fresh.read_bytes()
+
+
 def test_round_trip_serialization(tmp_path):
     prob = load_problem(str(FIXTURES / "intro_example.json"))
     payload = serialize_problem(prob)
