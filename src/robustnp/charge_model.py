@@ -115,7 +115,7 @@ class Charge:
     tail_mass: Fraction = ZERO
 
     def __post_init__(self) -> None:
-        masses = tuple(frac(m) for m in self.atom_mass)
+        masses = tuple([frac(m) for m in self.atom_mass])
         object.__setattr__(self, "atom_mass", masses)
         object.__setattr__(self, "tail_mass", frac(self.tail_mass))
         if len(masses) != self.space.n_atoms:
@@ -181,7 +181,7 @@ class TestFunction:
     tail_value: Fraction = ZERO
 
     def __post_init__(self) -> None:
-        values = tuple(frac(v) for v in self.atom_value)
+        values = tuple([frac(v) for v in self.atom_value])
         object.__setattr__(self, "atom_value", values)
         object.__setattr__(self, "tail_value", frac(self.tail_value))
         if len(values) != self.space.n_atoms:
@@ -386,10 +386,10 @@ def mix(
         s = sum(ws, ZERO)
         if s != 1:
             raise ValueError(f"mixture weights must sum to 1, got {s}")
-    atoms = tuple(
+    atoms = tuple([
         sum((w * c.atom_mass[i] for w, c in zip(ws, charges)), ZERO)
         for i in range(space.n_atoms)
-    )
+    ])
     tail = sum((w * c.tail_mass for w, c in zip(ws, charges)), ZERO)
     return Charge(space, atoms, tail)
 

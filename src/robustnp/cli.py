@@ -26,7 +26,7 @@ import os
 import stat
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .charge_model import (
@@ -165,6 +165,9 @@ def load_problem(path: str, alpha_override: "Fraction | None" = None) -> TestPro
         raise SpecError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:
+        # An integer literal past the int-to-str digit limit, for one.
+        raise SpecError(f"{path}: {exc}") from None
     except RecursionError:
         raise SpecError(f"{path}: JSON nested too deeply to parse") from None
     return parse_problem(data, alpha_override)
@@ -478,7 +481,9 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def main(argv: "list[str] | None" = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="robustnp",
         description="Exact worst-case tests between families of charges.",
@@ -504,8 +509,11 @@ def main(argv: "list[str] | None" = None) -> int:
     p_sweep.add_argument("--alpha", help="level for the generated problems")
     p_sweep.add_argument("--json", dest="json_out", metavar="OUT")
     common(sub.add_parser("check", help="run hypothesis checks only"), with_oracle=False)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: "list[str] | None" = None) -> int:
+    args = _parser().parse_args(argv)
     handlers = {"solve": cmd_solve, "np": cmd_np, "sweep": cmd_sweep, "check": cmd_check}
     try:
         return handlers[args.command](args)

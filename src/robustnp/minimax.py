@@ -27,6 +27,9 @@ Each LP layout is written down once. The dual face program of step 2 is
 the transpose of the epigraph program of step 1, and steps 3 and 4 share
 one level program, "min t : E_P[x] <= t, reach rows >= target, x <= 1",
 with the alternative members or the countable part as the reach rows.
+The test box 0 <= x <= 1 goes to the simplex as variable bounds, not rows;
+its multipliers w come back as the bound duals, and only the dual face
+program carries them, as identity columns.
 
 Every solution carries a dual certificate whose residuals are recomputed
 exactly; a nonzero residual raises instead of warning.
@@ -194,55 +197,41 @@ def _slot_rows(prob: TestProblem) -> tuple[list[list[Fraction]], list[list[Fract
     )
 
 
-def _box(nv: int, width: int) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Rows x_k <= 1 for the first ``nv`` of ``width`` columns."""
-    rows = []
-    for k in range(nv):
-        row = [ZERO] * width
-        row[k] = ONE
-        rows.append(row)
-    return rows, [ONE] * nv
-
-
 def _epigraph_program(prob: TestProblem, p_rows, q_rows):
-    """max t : t <= E_{Q_j}[x], E_{P_i}[x] <= alpha, x <= 1, over (x, t).
+    """max t : t <= E_{Q_j}[x], E_{P_i}[x] <= alpha, 0 <= x <= 1, over (x, t).
 
-    Returns ``(c, a_ub, b_ub)``; the rows are the alternative members, the
-    null members, then the box, so the duals split as (u, v, w).
+    Returns ``(c, a_ub, b_ub, upper)``; the rows are the alternative
+    members, then the null members, so the row duals split as (u, v), and
+    the box is the bounds ``upper``, whose duals are w.
     """
     nv = prob.space.n_slots
-    box, ones = _box(nv, nv + 1)
     a_ub = [[-val for val in q] + [ONE] for q in q_rows]
     a_ub += [p + [ZERO] for p in p_rows]
-    b_ub = [ZERO] * len(q_rows) + [prob.alpha] * len(p_rows) + ones
-    return [ZERO] * nv + [ONE], a_ub + box, b_ub
+    b_ub = [ZERO] * len(q_rows) + [prob.alpha] * len(p_rows)
+    return [ZERO] * nv + [ONE], a_ub, b_ub, [ONE] * nv + [None]
 
 
 def _level_program(p_rows, reach_rows, target: Fraction):
     """min t : E_{P_i}[x] <= t, E_r[x] >= target for each reach row r, x <= 1.
 
-    Returns ``(c, a_ub, b_ub)`` over (x, t); the level rows come first.
+    Returns ``(c, a_ub, b_ub, upper)`` over (x, t); the level rows come
+    first, and the box is the bounds ``upper``.
     """
     nv = len(p_rows[0])
-    box, ones = _box(nv, nv + 1)
     a_ub = [p + [-ONE] for p in p_rows]
     a_ub += [[-val for val in r] + [ZERO] for r in reach_rows]
-    b_ub = [ZERO] * len(p_rows) + [-target] * len(reach_rows) + ones
-    return [ZERO] * nv + [ONE], a_ub + box, b_ub
+    b_ub = [ZERO] * len(p_rows) + [-target] * len(reach_rows)
+    return [ZERO] * nv + [ONE], a_ub, b_ub, [ONE] * nv + [None]
 
 
 def _solve_epigraph(prob: TestProblem, p_rows, q_rows):
     """Max worst-case power via the epigraph LP; returns value and duals."""
-    mq, mp = len(q_rows), len(p_rows)
-    c, a_ub, b_ub = _epigraph_program(prob, p_rows, q_rows)
-    res = solve_lp(c, a_ub, b_ub, sense="max")
+    mq = len(q_rows)
+    c, a_ub, b_ub, upper = _epigraph_program(prob, p_rows, q_rows)
+    res = solve_lp(c, a_ub, b_ub, sense="max", upper=upper)
     if res.status != "optimal":
         raise RuntimeError(f"epigraph program ended {res.status}; it is always solvable")
-    gamma = res.value
-    u = list(res.y_ub[:mq])
-    v = list(res.y_ub[mq : mq + mp])
-    w = list(res.y_ub[mq + mp :])
-    return gamma, u, v, w
+    return res.value, list(res.y_ub[:mq]), list(res.y_ub[mq:]), list(res.y_upper[:-1])
 
 
 def _lift_dual_support(prob: TestProblem, p_rows, q_rows, gamma: Fraction, u, v, w):
@@ -250,29 +239,36 @@ def _lift_dual_support(prob: TestProblem, p_rows, q_rows, gamma: Fraction, u, v,
 
     The dual optimal face is cut out by dual feasibility plus the equation
     "dual objective equals gamma". For the epigraph program max c.z subject
-    to A z <= b that is -A^T y <= -c (the epigraph variable's row first,
-    then one row per slot) and b.y = gamma over y = (u, v, w) >= 0. Each
-    round maximizes the total weight of the alternative members still at
-    zero over that face and drops those the round's point charges; a round
-    of value 0 proves that every optimal dual ignores the members left, and
-    ends the sweep. Each other round lifts at least one member, so there
-    are at most as many rounds as zero members. The average of all
-    collected points charges every member that some optimal dual charges
-    (Freund, Roundy & Todd 1985).
+    to A z <= b and 0 <= x <= 1, with row duals y = (u, v) and bound duals
+    w, that is -A^T y - w <= -c (the epigraph variable's row first, then one
+    row per slot, w_k only in slot k's row) and b.y + sum w = gamma over
+    (u, v, w) >= 0. Each round maximizes the total weight of the
+    alternative members still at zero over that face and drops those the
+    round's point charges; a round of value 0 proves that every optimal
+    dual ignores the members left, and ends the sweep. Each other round
+    lifts at least one member, so there are at most as many rounds as zero
+    members. The average of all collected points charges every member that
+    some optimal dual charges (Freund, Roundy & Todd 1985).
     """
     mq, mp = len(q_rows), len(p_rows)
     zero = [j for j in range(mq) if u[j] == 0]
     if not zero:
         return u, v, w
-    c, a_ub, b_ub = _epigraph_program(prob, p_rows, q_rows)
-    order = [len(c) - 1, *range(len(c) - 1)]
-    face_a = [[-row[k] if row[k] else ZERO for row in a_ub] for k in order]
+    c, a_ub, b_ub, _ = _epigraph_program(prob, p_rows, q_rows)
+    nv = len(c) - 1
+    order = [nv, *range(nv)]
+    face_a = [
+        [-row[k] if row[k] else ZERO for row in a_ub]
+        + [-ONE if i == k else ZERO for i in range(nv)]
+        for k in order
+    ]
     face_b = [-c[k] if c[k] else ZERO for k in order]
-    n_all = len(b_ub)
+    b_all = b_ub + [ONE] * nv
+    n_all = len(b_all)
     points = [u + v + w]
     while zero:
         obj = [ONE if j in zero else ZERO for j in range(n_all)]
-        res = solve_lp(obj, face_a, face_b, [b_ub], [gamma], sense="max")
+        res = solve_lp(obj, face_a, face_b, [b_all], [gamma], sense="max")
         if res.status != "optimal":
             raise RuntimeError(f"dual face program ended {res.status}")
         points.append(list(res.x))
@@ -286,8 +282,8 @@ def _lift_dual_support(prob: TestProblem, p_rows, q_rows, gamma: Fraction, u, v,
 
 def _min_attained_level(prob: TestProblem, p_rows, q_rows, gamma: Fraction):
     """Among optimal tests, minimize the worst-case null level."""
-    c, a_ub, b_ub = _level_program(p_rows, q_rows, gamma)
-    res = solve_lp(c, a_ub, b_ub, sense="min")
+    c, a_ub, b_ub, upper = _level_program(p_rows, q_rows, gamma)
+    res = solve_lp(c, a_ub, b_ub, sense="min", upper=upper)
     if res.status != "optimal":
         raise RuntimeError(f"level program ended {res.status}")
     return TestFunction.from_slots(prob.space, res.x[: prob.space.n_slots]), res.value
@@ -297,10 +293,9 @@ def _countable_value(prob: TestProblem, p_rows, lam_qc: Charge) -> Fraction:
     """Best integral of the countably additive part over the level set."""
     if lam_qc.total == 0:
         return ZERO
-    nv = prob.space.n_slots
-    box, ones = _box(nv, nv)
-    b_ub = [prob.alpha] * len(p_rows) + ones
-    res = solve_lp(lam_qc.slot_masses(), p_rows + box, b_ub, sense="max")
+    b_ub = [prob.alpha] * len(p_rows)
+    upper = [ONE] * prob.space.n_slots
+    res = solve_lp(lam_qc.slot_masses(), p_rows, b_ub, sense="max", upper=upper)
     if res.status != "optimal":
         raise RuntimeError(f"countable part program ended {res.status}")
     return res.value
@@ -317,8 +312,8 @@ def _null_side_mixture(prob: TestProblem, p_rows, lam_qc: Charge, gamma_c: Fract
     reported. Returns the mixture, its weights and the program's value.
     """
     mp = len(p_rows)
-    c, a_ub, b_ub = _level_program(p_rows, [lam_qc.slot_masses()], gamma_c)
-    res = solve_lp(c, a_ub, b_ub, sense="min")
+    c, a_ub, b_ub, upper = _level_program(p_rows, [lam_qc.slot_masses()], gamma_c)
+    res = solve_lp(c, a_ub, b_ub, sense="min", upper=upper)
     if res.status != "optimal":
         raise RuntimeError(f"auxiliary level program ended {res.status}")
     # min sense: multipliers of the level rows are <= 0, flip the sign.

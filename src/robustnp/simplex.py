@@ -7,17 +7,38 @@ in lowest terms, so a pivot is integer multiply, subtract and one gcd per
 row it touches. The data are `fractions.Fraction`s only where they enter
 and where the result is assembled. Nothing is rounded, so "optimal" means
 optimal, not optimal up to a tolerance, and the duals returned here can be
-used in exact complementary slackness checks. Bland's rule is used for both
-entering and leaving choices, which rules out cycling on the degenerate
-instances the testing problems like to produce.
+used in exact complementary slackness checks.
+
+Bounds ``x_j <= u_j`` stay out of the tableau (Dantzig's upper-bounding
+technique): a variable at its bound is complemented, ``x_j = u_j - x_j'``,
+by negating its column and moving ``u_j a_j`` into the right-hand side. The
+ratio test has three kinds of candidate: a basic variable falling to 0, a
+bounded basic variable rising to its bound (complemented, then pivoted out
+at 0) and the entering variable's own bound (a flip, with no pivot).
+
+Bland's rule picks the entering column (smallest index with a negative
+reduced cost) and the candidate (smallest variable index among tied
+ratios, a flip counting as the entering index), which rules out cycling on
+the degenerate instances the testing problems like to produce. Each step
+is a Bland pivot of the same LP with explicit rows ``x_j + s_j = u_j``
+under the order ``x_0 < s_0 < x_1 < ... < slacks < artificials``: a flip
+is ``x_s`` entering for ``s_s``, a rise is ``s_B`` leaving, and at most one
+of each pair is nonbasic or a candidate. So the rule is finite (Bland
+1977). A flip with ``u_j > 0`` strictly improves the objective.
 
 Conventions (documented once, relied on everywhere):
 
 * Problems are ``min``/``max`` of ``c . x`` subject to ``a_ub x <= b_ub``,
-  ``a_eq x = b_eq`` and ``x >= 0``.
-* ``value = b_ub . y_ub + b_eq . y_eq`` holds exactly for both senses.
-* For ``sense="max"``: ``y_ub >= 0`` and ``reduced_costs = A^T y - c >= 0``.
-* For ``sense="min"``: ``y_ub <= 0`` and ``reduced_costs = c - A^T y >= 0``.
+  ``a_eq x = b_eq`` and ``0 <= x <= upper``; ``upper`` holds a nonnegative
+  rational or ``None`` (no bound) per variable. With ``upper=None`` the
+  pivots are those of the unbounded simplex and ``y_upper`` is ``None``.
+* ``y_upper`` prices the bound rows in the sign convention of ``y_ub`` (0
+  where there is no bound), and
+  ``value = b_ub . y_ub + b_eq . y_eq + upper . y_upper`` exactly.
+* For ``sense="max"``: ``y_ub, y_upper >= 0`` and
+  ``reduced_costs = A^T y + y_upper - c >= 0``.
+* For ``sense="min"``: ``y_ub, y_upper <= 0`` and
+  ``reduced_costs = c - A^T y - y_upper >= 0``.
 * Complementary slackness holds exactly against the returned ``x``.
 """
 
@@ -39,7 +60,8 @@ class LpSolution:
     """Result of :func:`solve_lp`.
 
     ``status`` is one of ``"optimal"``, ``"infeasible"``, ``"unbounded"``.
-    The remaining fields are ``None`` unless the status is ``"optimal"``.
+    The remaining fields are ``None`` unless the status is ``"optimal"``;
+    ``y_upper`` is also ``None`` when the problem had no ``upper``.
     """
 
     status: str
@@ -48,6 +70,7 @@ class LpSolution:
     y_ub: "tuple[Fraction, ...] | None" = None
     y_eq: "tuple[Fraction, ...] | None" = None
     reduced_costs: "tuple[Fraction, ...] | None" = None
+    y_upper: "tuple[Fraction, ...] | None" = None
 
 
 def _frac(v) -> Fraction:
@@ -61,17 +84,20 @@ def _scale(values: list[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
+    """``row/den`` in lowest terms."""
+    g = math.gcd(den, *row)
+    if g > 1:
+        row = [v // g for v in row]
+        den //= g
+    return row, den
+
+
 def _eliminate(
     row: list[int], den: int, prow: list[int], pd: int, f: int
 ) -> tuple[list[int], int]:
     """``row/den - (f/den) * prow/pd`` as integers over a positive denominator."""
-    new = [a * pd - f * b for a, b in zip(row, prow)]
-    den *= pd
-    g = math.gcd(den, *new)
-    if g > 1:
-        new = [v // g for v in new]
-        den //= g
-    return new, den
+    return _reduce([a * pd - f * b for a, b in zip(row, prow)], den * pd)
 
 
 def solve_lp(
@@ -81,6 +107,7 @@ def solve_lp(
     a_eq: "Sequence[Sequence[Fraction]] | None" = None,
     b_eq: "Sequence[Fraction] | None" = None,
     sense: str = "min",
+    upper: "Sequence[Fraction | None] | None" = None,
 ) -> LpSolution:
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
@@ -99,6 +126,13 @@ def solve_lp(
     for row in rows_ub + rows_eq:
         if len(row) != n:
             raise ValueError(f"constraint row has {len(row)} entries, expected {n}")
+    bound: "list[Fraction | None]" = [None] * n
+    if upper is not None:
+        if len(upper) != n:
+            raise ValueError(f"upper has {len(upper)} entries, expected {n}")
+        bound = [None if u is None else _frac(u) for u in upper]
+        if any(u is not None and u < 0 for u in bound):
+            raise ValueError("upper bounds must be nonnegative")
 
     c_int = [-v for v in c_raw] if sense == "max" else list(c_raw)
 
@@ -134,9 +168,13 @@ def solve_lp(
             col += 1
     n_cols = col
     art_cols = frozenset(art_col.values())
+    bound += [None] * (n_cols - n)
+    # comp[j]: column j holds the complement u_j - x_j rather than x_j.
+    comp = [False] * n
 
     # The tableau: row r is the integer vector rows[r] over the positive
-    # denominator dens[r], in lowest terms. Row m is the reduced-cost row.
+    # denominator dens[r], in lowest terms. Row m is the reduced-cost row;
+    # its last entry is not read.
     rows: list[list[int]] = []
     dens: list[int] = []
     basis: list[int] = []
@@ -170,10 +208,7 @@ def solve_lp(
         if pd < 0:
             prow = [-v for v in prow]
             pd = -pd
-        g = math.gcd(pd, *prow)
-        if g > 1:
-            prow = [v // g for v in prow]
-            pd //= g
+        prow, pd = _reduce(prow, pd)
         rows[r], dens[r] = prow, pd
         for i in range(m + 1):
             if i != r:
@@ -182,26 +217,58 @@ def solve_lp(
                     rows[i], dens[i] = _eliminate(rows[i], dens[i], prow, pd, f)
         basis[r] = j
 
+    def complement(j: int) -> None:
+        # Substitute x_j = u_j - x_j' in every row. For a basic x_j only its
+        # own row changes, and the pivot that follows takes x_j' out at 0.
+        p, q = bound[j].numerator, bound[j].denominator
+        for i in range(m + 1):
+            row = rows[i]
+            a = row[j]
+            if not a:
+                continue
+            if q == 1:
+                row[n_cols] -= a * p
+                row[j] = -a
+            else:
+                row = [v * q for v in row]
+                row[n_cols] -= a * p
+                row[j] = -a * q
+                rows[i], dens[i] = _reduce(row, dens[i] * q)
+        comp[j] = not comp[j]
+
     def run_phase(banned: frozenset[int]) -> str:
         for _ in range(_MAX_PIVOTS):
             cost = rows[m]
             enter = next((j for j in range(n_cols) if cost[j] < 0 and j not in banned), -1)
             if enter < 0:
                 return "optimal"
-            # Compare the ratios b_r / a_r crosswise: the row denominators
-            # cancel, and every a_r taking part is positive.
-            leave = -1
-            best_b = best_a = 0
+            # Candidate steps are ratios t_n / t_d with t_d > 0, compared
+            # crosswise, ties to the smaller variable index; row m stands for
+            # the entering variable's own bound.
+            leave = key = -1
+            best_n = best_d = 0
+            if (u := bound[enter]) is not None:
+                leave, key, best_n, best_d = m, enter, u.numerator, u.denominator
             for r in range(m):
                 a = rows[r][enter]
-                if a > 0:
-                    b = rows[r][n_cols]
-                    if leave < 0 or b * best_a < best_b * a or (
-                        b * best_a == best_b * a and basis[r] < basis[leave]
-                    ):
-                        leave, best_b, best_a = r, b, a
+                if a > 0:  # falls to 0 at b_r / a_r; the row denominators cancel
+                    t_n, t_d = rows[r][n_cols], a
+                elif a < 0 and (u := bound[basis[r]]) is not None:  # rises to u
+                    t_n = u.numerator * dens[r] - u.denominator * rows[r][n_cols]
+                    t_d = -a * u.denominator
+                else:
+                    continue
+                if leave < 0 or t_n * best_d < best_n * t_d or (
+                    t_n * best_d == best_n * t_d and basis[r] < key
+                ):
+                    leave, key, best_n, best_d = r, basis[r], t_n, t_d
             if leave < 0:
                 return "unbounded"
+            if leave == m:
+                complement(enter)
+                continue
+            if rows[leave][enter] < 0:
+                complement(basis[leave])
             pivot(leave, enter)
         raise RuntimeError("simplex did not terminate; this should be unreachable")
 
@@ -225,7 +292,7 @@ def solve_lp(
                         pivot(r, j)
                         break
 
-    price(c_int + [ZERO] * (n_cols - n))
+    price([-v if comp[j] else v for j, v in enumerate(c_int)] + [ZERO] * (n_cols - n))
     if run_phase(art_cols) == "unbounded":
         return LpSolution("unbounded")
     cost, cden = rows[m], dens[m]
@@ -234,14 +301,25 @@ def solve_lp(
     for r in range(m):
         if basis[r] < n:
             x[basis[r]] = Fraction(rows[r][n_cols], dens[r])
+    reduced = [Fraction(v, cden) for v in cost[:n]]
+    # A complemented x_j sits at its bound, and its column's reduced cost
+    # cbar' is -cbar_j: the bound row takes y_upper = -cbar' (internal min
+    # sense) and leaves x_j a reduced cost of 0.
+    y_upper = [ZERO] * n
+    for j in range(n):
+        if comp[j]:
+            x[j] = bound[j] - x[j]
+            y_upper[j] = reduced[j] if sense == "max" else -reduced[j]
+            reduced[j] = ZERO
     value = sum((cv * xv for cv, xv in zip(c_raw, x)), ZERO)
 
     # Duals of the internal (normalized, minimization) problem, read off the
     # final reduced costs of each row's identity column: for an artificial
-    # column (+e_r, cost 0) cbar = -y_r; for a plain slack likewise. A row
-    # that was sign-flipped during normalization gets its multiplier negated
-    # to speak about the caller's original row, and a "max" problem negates
-    # once more (the internal problem minimized -c).
+    # column (+e_r, cost 0) cbar = -y_r; for a plain slack likewise.
+    # Complementing columns leaves y = c_B B^-1 unchanged. A row that was
+    # sign-flipped during normalization gets its multiplier negated to speak
+    # about the caller's original row, and a "max" problem negates once more
+    # (the internal problem minimized -c).
     y_ub_out = [ZERO] * len(rows_ub)
     y_eq_out = [ZERO] * len(rows_eq)
     for r, (kind, orig, flipped) in enumerate(meta):
@@ -260,5 +338,6 @@ def solve_lp(
         value=value,
         y_ub=tuple(y_ub_out),
         y_eq=tuple(y_eq_out),
-        reduced_costs=tuple([Fraction(v, cden) for v in cost[:n]]),
+        reduced_costs=tuple(reduced),
+        y_upper=None if upper is None else tuple(y_upper),
     )

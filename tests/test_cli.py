@@ -169,6 +169,13 @@ def test_input_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
+    # An integer literal past Python's 4300-digit conversion limit.
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"alpha": ' + "1" * 5000 + "}")
+    assert run(["solve", huge]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {huge}: ") and err.count("\n") == 1
+
 
 def test_unwritable_json_path_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path, SMALL)

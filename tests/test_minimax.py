@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from _fraction_simplex import solve_lp as fraction_solve_lp
 
 from robustnp import (
     Case,
@@ -22,6 +23,7 @@ from robustnp import (
     expectation,
     kkt_certificate,
     lower_expectation,
+    minimax,
     solve_lp,
     solve_minimax,
     upper_expectation,
@@ -477,3 +479,40 @@ def test_degenerate_instances_are_certified_and_match_oracle():
             all(c.atom_mass[k] == 0 for c in p_fam + q_fam) for k in range(len(prob.space.atoms))
         )
     assert min(seen.values()) >= 20, seen
+
+
+def _solve_lp_with_box_rows(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, sense="min",
+                            upper=None):
+    """The reference simplex, with the bounds ``upper`` written as rows."""
+    n, m = len(c), len(a_ub or [])
+    upper = upper or [None] * n
+    kept = [k for k in range(n) if upper[k] is not None]
+    box = [[F(int(j == k)) for j in range(n)] for k in kept]
+    res = fraction_solve_lp(
+        c, list(a_ub or []) + box, list(b_ub or []) + [upper[k] for k in kept], a_eq, b_eq,
+        sense,
+    )
+    if res.status != "optimal" or not kept:
+        return res
+    y_upper = [F(0)] * n
+    for k, y in zip(kept, res.y_ub[m:]):
+        y_upper[k] = y
+    return dataclasses.replace(res, y_ub=res.y_ub[:m], y_upper=tuple(y_upper))
+
+
+def test_bounded_pipeline_matches_explicit_box_rows(monkeypatch):
+    # Every field that the LPs' optimal values decide is the same whether
+    # the test box is variable bounds or explicit rows.
+    rng = random.Random(1977)
+    problems = [_random_problem(rng) for _ in range(30)]
+    problems += [_degenerate_problem(rng) for _ in range(30)]
+    problems += [_stress_problem(rng) for _ in range(30)]
+    problems += [_large_problem(rng) for _ in range(5)]
+    bounded = [solve_minimax(prob) for prob in problems]
+    monkeypatch.setattr(minimax, "solve_lp", _solve_lp_with_box_rows)
+    for prob, sol in zip(problems, bounded):
+        ref = solve_minimax(prob)
+        kkt_certificate(prob, sol)
+        for field in ("gamma_alpha", "attained_level", "case", "lam", "gamma_c", "level_c"):
+            assert getattr(sol, field) == getattr(ref, field), field
+        assert [w > 0 for w in sol.q_weights] == [w > 0 for w in ref.q_weights]

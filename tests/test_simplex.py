@@ -213,3 +213,87 @@ def test_integer_tableau_matches_fraction_reference():
         big += any(v.denominator > 2**39 for row in a_ub + a_eq for v in row)
     assert min(statuses.values()) >= 10
     assert flipped >= 30 and big >= 30
+
+
+def _random_bounds(rng, n):
+    """One upper bound per variable: None, 0, an integer or a rational."""
+
+    def one():
+        kind = rng.random()
+        if kind < 0.4:
+            return None
+        if kind < 0.5:
+            return F(0)
+        if kind < 0.75:
+            return F(rng.randint(1, 3))
+        return F(rng.randint(1, 7), rng.choice([2, 3, 5]))
+
+    return [one() for _ in range(n)]
+
+
+def _dot(a, b):
+    return sum((u * v for u, v in zip(a, b)), F(0))
+
+
+def test_upper_bounds_match_explicit_rows():
+    rng = random.Random(1955)
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    flips = zero = rational = none = 0
+    for _ in range(1000):
+        c, a_ub, b_ub, a_eq, b_eq, sense = _random_lp(rng)
+        n = len(c)
+        upper = _random_bounds(rng, n)
+        sol = solve_lp(c, a_ub, b_ub, a_eq, b_eq, sense, upper=upper)
+        box = [[F(int(j == k)) for j in range(n)] for k in range(n) if upper[k] is not None]
+        ref = fraction_solve_lp(
+            c, a_ub + box, b_ub + [u for u in upper if u is not None], a_eq, b_eq, sense
+        )
+        assert sol.status == ref.status
+        statuses[sol.status] += 1
+        flips += any(b < 0 for b in b_ub + b_eq)
+        zero += F(0) in upper
+        rational += any(u is not None and u.denominator > 1 for u in upper)
+        none += None in upper
+        if sol.status != "optimal":
+            assert sol.x is None and sol.y_upper is None
+            continue
+        assert sol.value == ref.value == _dot(c, sol.x)
+        # Primal feasibility, bounds included.
+        assert all(0 <= xj and (u is None or xj <= u) for xj, u in zip(sol.x, upper))
+        assert all(_dot(row, sol.x) <= b for row, b in zip(a_ub, b_ub))
+        assert all(_dot(row, sol.x) == b for row, b in zip(a_eq, b_eq))
+        # Dual signs follow y_ub's convention; unbounded variables get 0.
+        sign = 1 if sense == "max" else -1
+        assert all(sign * y >= 0 for y in sol.y_ub + sol.y_upper)
+        assert all(y == 0 for y, u in zip(sol.y_upper, upper) if u is None)
+        bounded = [u or F(0) for u in upper]
+        assert _dot(b_ub, sol.y_ub) + _dot(b_eq, sol.y_eq) + _dot(bounded, sol.y_upper) == sol.value
+        # reduced_costs = c - A^T y - y_upper for min, its negation for max.
+        for j in range(n):
+            aty = _dot([row[j] for row in a_ub], sol.y_ub)
+            aty += _dot([row[j] for row in a_eq], sol.y_eq)
+            assert sol.reduced_costs[j] == -sign * (c[j] - aty - sol.y_upper[j])
+            assert sol.reduced_costs[j] >= 0
+            assert sol.x[j] * sol.reduced_costs[j] == 0
+            assert sol.y_upper[j] * (bounded[j] - sol.x[j]) == 0
+        for row, b, y in zip(a_ub, b_ub, sol.y_ub):
+            assert y * (b - _dot(row, sol.x)) == 0
+    assert statuses["optimal"] >= 500 and statuses["infeasible"] >= 100
+    assert statuses["unbounded"] >= 15
+    assert min(flips, zero, rational, none) >= 100
+
+
+def test_upper_bound_flip_and_validation():
+    # max x1 + x2 over the unit box, as bounds: two flips and no pivot.
+    sol = solve_lp([1, 1], upper=[1, 1], sense="max")
+    assert (sol.x, sol.value, sol.y_ub, sol.y_upper) == ((1, 1), 2, (), (1, 1))
+    assert sol.reduced_costs == (0, 0)
+    # x1 enters at 1/2 on the row; x2 then lifts it to its bound 1, and the
+    # row's slack lifts x2 to its bound 2: two basic variables rise and leave.
+    sol = solve_lp([-1, -2], a_ub=[[1, -1]], b_ub=[F(1, 2)], upper=[1, 2])
+    assert (sol.x, sol.value, sol.y_ub, sol.y_upper) == ((1, 2), -5, (0,), (-1, -2))
+    assert solve_lp([1], upper=None).y_upper is None
+    with pytest.raises(ValueError):
+        solve_lp([1, 2], upper=[1])
+    with pytest.raises(ValueError):
+        solve_lp([1], upper=[F(-1, 2)])
