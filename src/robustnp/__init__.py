@@ -25,7 +25,6 @@ from .charge_model import (
     TestFunction,
     expectation,
     frac,
-    is_pure,
     lower_expectation,
     mix,
     radon_nikodym,
@@ -54,7 +53,6 @@ from .minimax import (
     TestProblem,
     beta_criterion_check,
     compute_beta,
-    default_reference_charges,
     detect_case,
     kkt_certificate,
     solve_minimax,
@@ -78,7 +76,6 @@ __all__ = [
     "TestFunction",
     "expectation",
     "frac",
-    "is_pure",
     "lower_expectation",
     "mix",
     "radon_nikodym",
@@ -103,7 +100,6 @@ __all__ = [
     "TestProblem",
     "beta_criterion_check",
     "compute_beta",
-    "default_reference_charges",
     "detect_case",
     "kkt_certificate",
     "solve_minimax",

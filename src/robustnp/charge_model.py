@@ -353,13 +353,6 @@ def yosida_hewitt(charge: Charge) -> Decomposition:
     return Decomposition(lam, countable, pure, total)
 
 
-def is_pure(charge: Charge) -> bool:
-    """True when the charge has no countably additive component at all."""
-    if charge.total == 0:
-        raise ValueError("the zero charge is neither pure nor countably additive")
-    return all(m == 0 for m in charge.atom_mass)
-
-
 def mix(
     charges: Sequence[Charge],
     weights: Sequence[RationalLike],

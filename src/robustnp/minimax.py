@@ -7,21 +7,31 @@ with a least favorable pair: a mixture of the alternative family whose
 single-measure testing problem the optimal test also solves, and a mixture
 of the null family playing the same role on the level side.
 
-The solver is a chain of small exact LPs:
+The solver is a chain of small exact LPs; steps 2 and 4 run only where
+the epigraph's certificate leaves them open:
 
-1. the epigraph program for the worst-case power (gives the value and a
-   first optimal dual point),
+1. the epigraph program for the worst-case power (gives the value, a first
+   optimal dual point (u, v, w) and an optimal test x0),
 2. rounds over the dual optimal face, each maximizing the total weight of
    the alternative members still at zero and stopping at a round of value
    0 (averaging the collected points gives a dual whose support is
    maximal, so the alternative mixture charges every member that any
-   optimal dual charges),
+   optimal dual charges). Every optimal dual has u_j = 0 where
+   E_{Q_j}[x0] > gamma, so only members tight at x0 are candidates,
 3. a second program minimizing the worst-case attained level over the
    optimal tests (this decides the case split and picks the reported test),
-4. the best integral of the countably additive part of the alternative
-   mixture at level alpha, and an auxiliary program minimizing the level
-   needed to reach it, whose level-side duals produce the null mixture and
-   whose value decides the threshold form's grid precondition.
+4. the best integral gamma_c of the countably additive part of the
+   alternative mixture at level alpha, and an auxiliary program minimizing
+   the level needed to reach it, whose level-side duals produce the null
+   mixture and whose value level_c decides the grid precondition. For the
+   countable program, x0 is feasible, (v, w without its tail entry) is
+   dual feasible, and complementary slackness holds on every atom; when it
+   also holds on the tail slot (no tail, x0[tail] = 0 or
+   sum_i v_i p_i[tail] = 0), gamma_c = gamma - w_tail with no solve. If
+   the level duals v* certifying gamma_c have s = sum v* > 0, weak duality
+   puts the countable value at any level a < alpha at most
+   gamma_c - (alpha - a) s, so level_c = alpha and v*/s is an optimal
+   auxiliary dual; only s = 0 runs the auxiliary program.
 
 Each LP layout is written down once. The dual face program of step 2 is
 the transpose of the epigraph program of step 1, and steps 3 and 4 share
@@ -37,7 +47,6 @@ exactly; a nonzero residual raises instead of warning.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -137,11 +146,14 @@ class Solution:
     power. ``q_alpha`` is the least favorable alternative mixture (weights
     in ``q_weights``), ``lam`` the weight of its countably additive part,
     and ``gamma_c`` the best power achievable against that part alone.
-    ``p_alpha`` is the null-side mixture from the auxiliary program, and
-    ``level_c`` that program's value: the smallest worst-case null level at
-    which a test still integrates the countably additive part to
-    ``gamma_c``. All three are ``None`` when ``lam == 0`` and the auxiliary
-    program is vacuous.
+    ``p_alpha`` is the null-side mixture, with weights ``p_weights`` from
+    an optimal dual of the auxiliary program, and ``level_c`` that program's
+    value: the smallest worst-case null level at which a test still
+    integrates the countably additive part to ``gamma_c``. When the level
+    duals certifying ``gamma_c`` have a positive sum, ``level_c`` is alpha
+    and ``p_weights`` are those duals normalized, with no solve; otherwise
+    they are the program's level-row multipliers. All three are ``None``
+    when ``lam == 0`` and the auxiliary program is vacuous.
     """
 
     x_alpha: TestFunction
@@ -225,17 +237,23 @@ def _level_program(p_rows, reach_rows, target: Fraction):
 
 
 def _solve_epigraph(prob: TestProblem, p_rows, q_rows):
-    """Max worst-case power via the epigraph LP; returns value and duals."""
+    """Max worst-case power via the epigraph LP: value, duals (u, v, w), test x0."""
     mq = len(q_rows)
     c, a_ub, b_ub, upper = _epigraph_program(prob, p_rows, q_rows)
     res = solve_lp(c, a_ub, b_ub, sense="max", upper=upper)
     if res.status != "optimal":
         raise RuntimeError(f"epigraph program ended {res.status}; it is always solvable")
-    return res.value, list(res.y_ub[:mq]), list(res.y_ub[mq:]), list(res.y_upper[:-1])
+    u, v, w = list(res.y_ub[:mq]), list(res.y_ub[mq:]), list(res.y_upper[:-1])
+    return res.value, u, v, w, list(res.x[:-1])
 
 
-def _lift_dual_support(prob: TestProblem, p_rows, q_rows, gamma: Fraction, u, v, w):
+def _lift_dual_support(prob: TestProblem, p_rows, q_rows, gamma: Fraction, u, v, w, x0):
     """Average the initial dual point with face points lifting the zero u_j.
+
+    Only a member with u_j = 0 whose row is tight at the optimal test x0 is
+    a candidate: complementary slackness u_j (E_{Q_j}[x0] - gamma) = 0
+    holds for every optimal dual, so a slack row forces u_j = 0 on the
+    whole face. With no candidate, (u, v, w) comes back unchanged.
 
     The dual optimal face is cut out by dual feasibility plus the equation
     "dual objective equals gamma". For the epigraph program max c.z subject
@@ -251,7 +269,10 @@ def _lift_dual_support(prob: TestProblem, p_rows, q_rows, gamma: Fraction, u, v,
     some optimal dual charges (Freund, Roundy & Todd 1985).
     """
     mq, mp = len(q_rows), len(p_rows)
-    zero = [j for j in range(mq) if u[j] == 0]
+    zero = [
+        j for j, q in enumerate(q_rows)
+        if u[j] == 0 and sum((a * b for a, b in zip(q, x0) if a), ZERO) == gamma
+    ]
     if not zero:
         return u, v, w
     c, a_ub, b_ub, _ = _epigraph_program(prob, p_rows, q_rows)
@@ -289,16 +310,14 @@ def _min_attained_level(prob: TestProblem, p_rows, q_rows, gamma: Fraction):
     return TestFunction.from_slots(prob.space, res.x[: prob.space.n_slots]), res.value
 
 
-def _countable_value(prob: TestProblem, p_rows, lam_qc: Charge) -> Fraction:
-    """Best integral of the countably additive part over the level set."""
-    if lam_qc.total == 0:
-        return ZERO
+def _countable_value(prob: TestProblem, p_rows, lam_qc: Charge):
+    """Best integral of the countably additive part at level alpha, with the level duals."""
     b_ub = [prob.alpha] * len(p_rows)
     upper = [ONE] * prob.space.n_slots
     res = solve_lp(lam_qc.slot_masses(), p_rows, b_ub, sense="max", upper=upper)
     if res.status != "optimal":
         raise RuntimeError(f"countable part program ended {res.status}")
-    return res.value
+    return res.value, list(res.y_ub)
 
 
 def _null_side_mixture(prob: TestProblem, p_rows, lam_qc: Charge, gamma_c: Fraction):
@@ -358,10 +377,12 @@ def _build_certificate(
         raise CertificateError(
             f"worst-case power of the test is {min(q_vals)}, claimed {gamma}"
         )
+    u_rows = [(uj, q) for uj, q in zip(u, q_rows) if uj]
+    v_rows = [(vi, p) for vi, p in zip(v, p_rows) if vi]
     slack = []
     for k in range(nv):
-        lhs = sum((u[j] * q_rows[j][k] for j in range(len(u))), ZERO)
-        rhs = sum((v[i] * p_rows[i][k] for i in range(len(v))), ZERO) + w[k]
+        lhs = sum((uj * q[k] for uj, q in u_rows if q[k]), ZERO)
+        rhs = sum((vi * p[k] for vi, p in v_rows if p[k]), ZERO) + w[k]
         if lhs > rhs:
             raise CertificateError(
                 f"dual infeasible at slot {k}: mixture mass {lhs} exceeds {rhs}"
@@ -398,8 +419,8 @@ def solve_minimax(prob: TestProblem) -> Solution:
     the pipeline rather than a property of the instance.
     """
     p_rows, q_rows = _slot_rows(prob)
-    gamma, u0, v0, w0 = _solve_epigraph(prob, p_rows, q_rows)
-    u, v, w = _lift_dual_support(prob, p_rows, q_rows, gamma, u0, v0, w0)
+    gamma, u0, v0, w0, x0 = _solve_epigraph(prob, p_rows, q_rows)
+    u, v, w = _lift_dual_support(prob, p_rows, q_rows, gamma, u0, v0, w0, x0)
     if sum(u, ZERO) != ONE:
         raise RuntimeError(
             f"interior dual point has alternative weights summing to {sum(u, ZERO)}"
@@ -409,14 +430,22 @@ def solve_minimax(prob: TestProblem) -> Solution:
     if attained > prob.alpha:
         raise RuntimeError(f"minimal attained level {attained} exceeds alpha")
     case = Case.LEVEL_SLACK if attained < prob.alpha else Case.LEVEL_ATTAINED
-    dec = yosida_hewitt(q_alpha)
-    lam = dec.lam
+    lam = yosida_hewitt(q_alpha).lam
     lam_qc = q_alpha.atom_part()
-    gamma_c = _countable_value(prob, p_rows, lam_qc)
-    if lam > 0:
-        p_alpha, p_weights, level_c = _null_side_mixture(prob, p_rows, lam_qc, gamma_c)
+    if lam == 0:
+        gamma_c, p_alpha, p_weights, level_c = ZERO, None, None, None
     else:
-        p_alpha = p_weights = level_c = None
+        # Step 4's shortcuts, argued in the module docstring.
+        has_tail = prob.space.has_tail
+        if not has_tail or x0[-1] == 0 or not any(vi and p[-1] for vi, p in zip(v, p_rows)):
+            gamma_c, v_c = gamma - (w[-1] if has_tail else ZERO), v
+        else:
+            gamma_c, v_c = _countable_value(prob, p_rows, lam_qc)
+        if (s := sum(v_c, ZERO)) > 0:
+            p_weights, level_c = tuple(vi / s for vi in v_c), prob.alpha
+            p_alpha = mix(prob.p_family.family, p_weights, normalize=False)
+        else:
+            p_alpha, p_weights, level_c = _null_side_mixture(prob, p_rows, lam_qc, gamma_c)
     certificate = _build_certificate(prob, p_rows, q_rows, x_alpha, gamma, u, v, w)
     return Solution(
         x_alpha=x_alpha,
@@ -442,7 +471,7 @@ def detect_case(prob: TestProblem, sol: Solution) -> Case:
     ``ValueError`` rather than classified.
     """
     p_rows, q_rows = _slot_rows(prob)
-    gamma, _, _, _ = _solve_epigraph(prob, p_rows, q_rows)
+    gamma = _solve_epigraph(prob, p_rows, q_rows)[0]
     if gamma != sol.gamma_alpha:
         raise ValueError(
             f"solution claims value {sol.gamma_alpha}, the problem's optimum is {gamma}"
@@ -721,21 +750,3 @@ def verify_degenerate_form(
         precondition_grid=None,
         gamma_consistent=gamma_consistent,
     )
-
-
-def default_reference_charges(
-    space: SampleSpace, count: int = 3, seed: int = 212
-) -> list[Charge]:
-    """Uniform plus ``count`` seeded random full-support reference measures.
-
-    Used to probe the slack-case form with several choices of reference
-    measure; the verdict must not depend on which one is picked.
-    """
-    n = space.n_atoms
-    charges = [Charge(space, tuple(Fraction(1, n) for _ in range(n)), ZERO)]
-    rng = random.Random(seed)
-    for _ in range(count):
-        nums = [rng.randint(1, 9) for _ in range(n)]
-        den = sum(nums)
-        charges.append(Charge(space, tuple(Fraction(v, den) for v in nums), ZERO))
-    return charges

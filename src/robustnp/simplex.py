@@ -311,7 +311,7 @@ def solve_lp(
             x[j] = bound[j] - x[j]
             y_upper[j] = reduced[j] if sense == "max" else -reduced[j]
             reduced[j] = ZERO
-    value = sum((cv * xv for cv, xv in zip(c_raw, x)), ZERO)
+    value = sum((cv * xv for cv, xv in zip(c_raw, x) if cv and xv), ZERO)
 
     # Duals of the internal (normalized, minimization) problem, read off the
     # final reduced costs of each row's identity column: for an artificial

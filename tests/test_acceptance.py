@@ -24,7 +24,6 @@ from robustnp import (
     check_h2_at,
     check_h3,
     compute_beta,
-    default_reference_charges,
     expectation,
     hypothesis_report,
     kkt_certificate,
@@ -46,6 +45,18 @@ from robustnp.minimax import TestProblem
 F = Fraction
 
 FIXTURES = Path(robustnp.__file__).parent / "fixtures"
+
+
+def default_reference_charges(space, count=3, seed=212):
+    """Uniform plus ``count`` seeded random full-support reference measures."""
+    n = space.n_atoms
+    charges = [Charge(space, tuple(F(1, n) for _ in range(n)), F(0))]
+    rng = random.Random(seed)
+    for _ in range(count):
+        nums = [rng.randint(1, 9) for _ in range(n)]
+        den = sum(nums)
+        charges.append(Charge(space, tuple(F(v, den) for v in nums), F(0)))
+    return charges
 
 
 @contextmanager

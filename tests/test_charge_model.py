@@ -13,7 +13,6 @@ from robustnp import (
     TestFunction,
     expectation,
     frac,
-    is_pure,
     lower_expectation,
     mix,
     radon_nikodym,
@@ -30,6 +29,13 @@ def space_of(n, has_tail=False):
 
 def charge(space, *masses, tail=0):
     return Charge(space, tuple(F(m) for m in masses), F(tail))
+
+
+def is_pure(c):
+    """True when the charge has no countably additive component at all."""
+    if c.total == 0:
+        raise ValueError("the zero charge is neither pure nor countably additive")
+    return all(m == 0 for m in c.atom_mass)
 
 
 def tf(space, *values, tail=0):

@@ -2,7 +2,9 @@
 
 import dataclasses
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from _fraction_simplex import solve_lp as fraction_solve_lp
@@ -32,8 +34,11 @@ from robustnp import (
     vertex_enumerate,
     yosida_hewitt,
 )
+from robustnp.cli import load_problem
+from robustnp.hypotheses import nonexistence_problem
 
 F = Fraction
+FIXTURES = Path(minimax.__file__).parent / "fixtures"
 
 
 def charge_on(space, mapping, tail=0):
@@ -516,3 +521,123 @@ def test_bounded_pipeline_matches_explicit_box_rows(monkeypatch):
         for field in ("gamma_alpha", "attained_level", "case", "lam", "gamma_c", "level_c"):
             assert getattr(sol, field) == getattr(ref, field), field
         assert [w > 0 for w in sol.q_weights] == [w > 0 for w in ref.q_weights]
+
+
+def _ladder_problem(rng, n, mp, mq, has_tail=True):
+    """Integer weights 0..9 normalised, on n atoms with or without a tail."""
+    space = SampleSpace(tuple(f"a{i}" for i in range(n)), has_tail)
+    slots = space.n_slots
+
+    def member():
+        raw = [rng.randint(0, 9) for _ in range(slots)]
+        if sum(raw) == 0:
+            raw[rng.randrange(slots)] = 1
+        total = sum(raw)
+        return Charge(space, tuple(F(v, total) for v in raw[:n]),
+                      F(raw[n], total) if has_tail else F(0))
+
+    return TestProblem(
+        space,
+        SublinearExpectation(tuple(member() for _ in range(mp)), "null"),
+        SublinearExpectation(tuple(member() for _ in range(mq)), "alternative"),
+        rng.choice([F(1, 4), F(1, 3), F(1, 2), F(2, 3)]),
+    )
+
+
+def _auxiliary_dual_value(prob, p_weights, lam_qc, gamma_c):
+    """Best auxiliary dual objective with the level multipliers ``p_weights``.
+
+    The auxiliary program is min t : E_{P_i}[x] <= t, E_{lam_qc}[x] >=
+    gamma_c, 0 <= x <= 1. Given level multipliers mu summing to 1 and a
+    reach multiplier nu >= 0, the best box multipliers are w_k = max(0,
+    nu lam_k - (mu.p)_k), so the dual objective gamma_c nu - sum w_k is
+    concave and piecewise linear in nu; gamma_c <= lam_qc's mass keeps it
+    bounded, and its maximum sits at nu = 0 or at a breakpoint.
+    """
+    lam = lam_qc.slot_masses()
+    p_rows = [p.slot_masses() for p in prob.p_family.family]
+    mixed = [sum((m * p[k] for m, p in zip(p_weights, p_rows)), F(0)) for k in range(len(lam))]
+    breaks = [F(0)] + [mixed[k] / lam[k] for k in range(len(lam)) if lam[k] > 0]
+    return max(
+        gamma_c * nu - sum((max(F(0), nu * l - m) for l, m in zip(lam, mixed)), F(0))
+        for nu in breaks
+    )
+
+
+def test_certificate_shortcuts_match_the_lps_they_replace(monkeypatch):
+    # gamma_c and level_c read off the epigraph's certificate equal what the
+    # countable and auxiliary programs return, and p_weights is an exact
+    # optimal auxiliary dual either way.
+    rng = random.Random(1956)
+    cells = [(6, 2, 2), (8, 2, 2), (12, 3, 3), (6, 2, 6)]
+    problems = [_ladder_problem(rng, *rng.choice(cells)) for _ in range(60)]
+    problems += [_ladder_problem(rng, *rng.choice(cells), has_tail=False) for _ in range(20)]
+    problems += [_degenerate_problem(rng) for _ in range(40)]
+    problems += [_stress_problem(rng) for _ in range(60)]
+    stage_calls = []
+    for name in ("_countable_value", "_null_side_mixture"):
+        def spy(*args, _name=name, _fn=getattr(minimax, name)):
+            stage_calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(minimax, name, spy)
+    ran = {"countable": 0, "countable skipped": 0, "null side": 0, "null side skipped": 0,
+           "no tail": 0}
+    for prob in problems:
+        stage_calls.clear()
+        sol = solve_minimax(prob)
+        kkt_certificate(prob, sol)
+        if sol.lam == 0:
+            continue
+        ran["no tail"] += not prob.space.has_tail
+        for stage, label in (("_countable_value", "countable"), ("_null_side_mixture", "null side")):
+            ran[label if stage in stage_calls else f"{label} skipped"] += 1
+        p_rows, _ = minimax._slot_rows(prob)
+        lam_qc = sol.q_alpha.atom_part()
+        gamma_c, _ = minimax._countable_value(prob, p_rows, lam_qc)
+        assert sol.gamma_c == gamma_c
+        _, _, level_c = minimax._null_side_mixture(prob, p_rows, lam_qc, gamma_c)
+        assert sol.level_c == level_c
+        assert all(m >= 0 for m in sol.p_weights)
+        assert sum(sol.p_weights) == 1
+        assert _auxiliary_dual_value(prob, sol.p_weights, lam_qc, sol.gamma_c) == sol.level_c
+    assert min(ran.values()) >= 10, ran
+
+
+def _lp_stages(monkeypatch, prob):
+    """The stage functions that called ``solve_lp``, in order, for one solve."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(minimax, "solve_lp", counting)
+    sol = solve_minimax(prob)
+    kkt_certificate(prob, sol)
+    return calls, sol
+
+
+def test_lp_count_per_solve(monkeypatch):
+    intro = load_problem(str(FIXTURES / "intro_example.json"))
+    assert _lp_stages(monkeypatch, intro)[0] == ["_solve_epigraph", "_min_attained_level"]
+    three = load_problem(str(FIXTURES / "three_atom.json"))
+    assert "_countable_value" not in _lp_stages(monkeypatch, three)[0]
+    # Q_1 = (1, 0) is slack at the unique optimal test x = (1, alpha):
+    # E_{Q_1}[x] = 1 > gamma = (1 + alpha)/2, so u_1 = 0 on the whole face.
+    space = SampleSpace(("a", "b"), False)
+    slack = TestProblem(
+        space,
+        SublinearExpectation((charge_on(space, {"b": 1}),), "null"),
+        SublinearExpectation(
+            (charge_on(space, {"a": 1}), charge_on(space, {"a": F(1, 2), "b": F(1, 2)})),
+            "alternative",
+        ),
+        F(1, 3),
+    )
+    calls, sol = _lp_stages(monkeypatch, slack)
+    assert sol.q_weights[0] == 0 and sol.gamma_alpha == F(2, 3)
+    assert "_lift_dual_support" not in calls
+    for n in (1, 5, 30):
+        calls = _lp_stages(monkeypatch, nonexistence_problem(n, F(1, 3)))[0]
+        assert calls == ["_solve_epigraph", "_min_attained_level", "_countable_value",
+                         "_null_side_mixture"]
