@@ -53,7 +53,6 @@ from .minimax import (
     TestProblem,
     beta_criterion_check,
     compute_beta,
-    detect_case,
     kkt_certificate,
     solve_minimax,
     verify_degenerate_form,
@@ -100,7 +99,6 @@ __all__ = [
     "TestProblem",
     "beta_criterion_check",
     "compute_beta",
-    "detect_case",
     "kkt_certificate",
     "solve_minimax",
     "verify_degenerate_form",

@@ -233,13 +233,6 @@ class TestFunction:
         tail = (ONE - self.tail_value) if self.space.has_tail else ZERO
         return TestFunction(self.space, values, tail)
 
-    def shaved(self, eps: RationalLike) -> "TestFunction":
-        """Pointwise ``max(x - eps, 0)``; used to probe behaviour near {x > 0}."""
-        e = frac(eps)
-        values = tuple(max(v - e, ZERO) for v in self.atom_value)
-        tail = max(self.tail_value - e, ZERO) if self.space.has_tail else ZERO
-        return TestFunction(self.space, values, tail)
-
 
 @dataclass(frozen=True)
 class SublinearExpectation:

@@ -43,9 +43,7 @@ from .minimax import (
     CertificateError,
     PureLeastFavorableError,
     TestProblem,
-    beta_criterion_check,
     compute_beta,
-    kkt_certificate,
     solve_minimax,
     verify_degenerate_form,
     verify_threshold_form,
@@ -222,7 +220,7 @@ def _representation_obj(prob: TestProblem, sol) -> dict:
 
 
 def _hypotheses_obj(prob: TestProblem, sol) -> dict:
-    rep = hypothesis_report(prob, tests=[sol.x_alpha], k_max=10)
+    rep = hypothesis_report(prob, tests=[sol.x_alpha])
     return {
         "h1": rep.h1,
         "h2_at_solution": next(iter(rep.h2_at.values())),
@@ -270,13 +268,13 @@ def _parse_alpha_flag(raw: "str | None") -> "Fraction | None":
 
 def cmd_solve(args) -> int:
     prob = load_problem(args.spec, _parse_alpha_flag(args.alpha))
+    # solve_minimax has already checked the certificate, case split included.
     sol = solve_minimax(prob)
-    kkt = kkt_certificate(prob, sol)
     beta = None
     criterion = None
     if sol.lam > 0:
         beta = compute_beta(prob.p_family, yosida_hewitt(sol.q_alpha).countable)
-        criterion = beta_criterion_check(prob, sol)
+        criterion = (sol.case is Case.LEVEL_SLACK) == (beta > 1 - prob.alpha)
     report = {
         "problem": {
             "atoms": list(prob.space.atoms),
@@ -300,7 +298,7 @@ def cmd_solve(args) -> int:
         "hypotheses": _hypotheses_obj(prob, sol),
         "certificate": {
             "status": "verified",
-            "duality_gap": _rat(kkt.duality_gap),
+            "duality_gap": _rat(sol.certificate.duality_gap),
         },
     }
     exit_code = EXIT_OK
@@ -460,7 +458,7 @@ def cmd_check(args) -> int:
         ("constant_1/2", TestFunction.constant(prob.space, Fraction(1, 2))),
         ("ones", TestFunction.constant(prob.space, 1)),
     ]
-    rep = hypothesis_report(prob, tests=[x for _, x in probes], k_max=10)
+    rep = hypothesis_report(prob, tests=[x for _, x in probes])
     h2 = {label: rep.h2_at[x] for label, x in probes}
     report = {
         "h1": rep.h1,

@@ -19,7 +19,7 @@ the epigraph's certificate leaves them open:
    optimal dual charges). Every optimal dual has u_j = 0 where
    E_{Q_j}[x0] > gamma, so only members tight at x0 are candidates,
 3. a second program minimizing the worst-case attained level over the
-   optimal tests (this decides the case split and picks the reported test),
+   optimal tests (the reported test; the certificate decides the case split),
 4. the best integral gamma_c of the countably additive part of the
    alternative mixture at level alpha, and an auxiliary program minimizing
    the level needed to reach it, whose level-side duals produce the null
@@ -42,7 +42,12 @@ its multipliers w come back as the bound duals, and only the dual face
 program carries them, as identity columns.
 
 Every solution carries a dual certificate whose residuals are recomputed
-exactly; a nonzero residual raises instead of warning.
+exactly; a nonzero residual raises instead of warning. The same check
+settles the case split with no LP. Complementary slackness gives
+v_i (alpha - E_{P_i}[x]) = 0 for every optimal test x, so some v_i > 0 means
+every optimal test spends alpha. If v = 0, summing the dual rows over the
+slots gives 1 <= sum w = gamma, so every optimal test is 1 on the union S
+of the alternative supports, and the least attained level is max_i P_i(S).
 """
 
 from __future__ import annotations
@@ -141,11 +146,15 @@ class DualCertificate:
 class Solution:
     """Output of :func:`solve_minimax`.
 
-    ``x_alpha`` is an optimal test with the smallest possible worst-case
-    attained level among optimal tests; ``gamma_alpha`` its worst-case
-    power. ``q_alpha`` is the least favorable alternative mixture (weights
-    in ``q_weights``), ``lam`` the weight of its countably additive part,
-    and ``gamma_c`` the best power achievable against that part alone.
+    ``x_alpha`` is an optimal test with the least worst-case level among
+    optimal tests, ``attained_level``; ``gamma_alpha`` is its worst-case
+    power. The certificate's level duals v fix both: some v_i > 0 makes
+    every optimal test spend alpha (LevelAttained); v = 0 makes
+    ``gamma_alpha`` 1 and ``attained_level`` max_i P_i(S), for S the union
+    of the alternative supports, and the case is LevelSlack exactly when
+    that is below alpha. ``q_alpha`` is the least favorable alternative
+    mixture (weights in ``q_weights``), ``lam`` the weight of its countably
+    additive part, and ``gamma_c`` the best power against that part alone.
     ``p_alpha`` is the null-side mixture, with weights ``p_weights`` from
     an optimal dual of the auxiliary program, and ``level_c`` that program's
     value: the smallest worst-case null level at which a test still
@@ -353,11 +362,13 @@ def _build_certificate(
     q_rows,
     x: TestFunction,
     gamma: Fraction,
+    attained: Fraction,
+    case: Case,
     u: "list[Fraction]",
     v: "list[Fraction]",
     w: "list[Fraction]",
 ) -> DualCertificate:
-    """Recompute feasibility, duality gap, and slackness products exactly."""
+    """Recompute feasibility, duality gap, slackness and the case split exactly."""
     nv = prob.space.n_slots
     xv = x.slot_values()
     if len(u) != len(prob.q_family) or len(v) != len(prob.p_family) or len(w) != nv:
@@ -401,6 +412,22 @@ def _build_certificate(
             raise CertificateError(
                 f"complementary slackness residual {r} is {val}, expected 0"
             )
+    # (u, v, w) and x are optimal now, so v fixes the least level (see Solution).
+    if v_rows:
+        least = prob.alpha
+    else:
+        support = [k for k in range(nv) if any(q[k] for q in q_rows)]
+        least = max(sum((p[k] for k in support), ZERO) for p in p_rows)
+    if attained != least:
+        raise CertificateError(
+            f"claimed attained level {attained}, the certificate proves {least}"
+        )
+    if max(p_vals) != attained:
+        raise CertificateError(
+            f"test reaches level {max(p_vals)}, claimed attained level {attained}"
+        )
+    if case is not (Case.LEVEL_SLACK if attained < prob.alpha else Case.LEVEL_ATTAINED):
+        raise CertificateError(f"case {case.value} disagrees with attained level {attained}")
     return DualCertificate(
         q_constraint_duals=tuple(u),
         level_duals=tuple(v),
@@ -427,8 +454,6 @@ def solve_minimax(prob: TestProblem) -> Solution:
         )
     q_alpha = mix(prob.q_family.family, u, normalize=False)
     x_alpha, attained = _min_attained_level(prob, p_rows, q_rows, gamma)
-    if attained > prob.alpha:
-        raise RuntimeError(f"minimal attained level {attained} exceeds alpha")
     case = Case.LEVEL_SLACK if attained < prob.alpha else Case.LEVEL_ATTAINED
     lam = yosida_hewitt(q_alpha).lam
     lam_qc = q_alpha.atom_part()
@@ -446,7 +471,9 @@ def solve_minimax(prob: TestProblem) -> Solution:
             p_alpha = mix(prob.p_family.family, p_weights, normalize=False)
         else:
             p_alpha, p_weights, level_c = _null_side_mixture(prob, p_rows, lam_qc, gamma_c)
-    certificate = _build_certificate(prob, p_rows, q_rows, x_alpha, gamma, u, v, w)
+    certificate = _build_certificate(
+        prob, p_rows, q_rows, x_alpha, gamma, attained, case, u, v, w
+    )
     return Solution(
         x_alpha=x_alpha,
         gamma_alpha=gamma,
@@ -463,34 +490,14 @@ def solve_minimax(prob: TestProblem) -> Solution:
     )
 
 
-def detect_case(prob: TestProblem, sol: Solution) -> Case:
-    """Recompute the case split for a solution from scratch.
-
-    Verifies first that the solution's value is the true optimum and that
-    its test attains it feasibly; a solution failing that is rejected with
-    ``ValueError`` rather than classified.
-    """
-    p_rows, q_rows = _slot_rows(prob)
-    gamma = _solve_epigraph(prob, p_rows, q_rows)[0]
-    if gamma != sol.gamma_alpha:
-        raise ValueError(
-            f"solution claims value {sol.gamma_alpha}, the problem's optimum is {gamma}"
-        )
-    if lower_expectation(prob.q_family, sol.x_alpha) != gamma:
-        raise ValueError("solution's test does not attain the optimal value")
-    if upper_expectation(prob.p_family, sol.x_alpha) > prob.alpha:
-        raise ValueError("solution's test violates the level constraint")
-    _, attained = _min_attained_level(prob, p_rows, q_rows, gamma)
-    return Case.LEVEL_SLACK if attained < prob.alpha else Case.LEVEL_ATTAINED
-
-
 def kkt_certificate(prob: TestProblem, sol: Solution) -> DualCertificate:
     """Re-derive the certificate for ``sol`` with every residual recomputed.
 
     Nothing is trusted from the stored certificate except the multipliers
-    themselves; feasibility, the duality gap, and all complementary
-    slackness products are rebuilt from the problem data. Any exact
-    violation raises :class:`CertificateError`.
+    themselves; feasibility, the duality gap, all complementary slackness
+    products, the attained level and the case split are rebuilt from the
+    problem data, and no LP is solved. Any exact violation raises
+    :class:`CertificateError`.
     """
     cert = sol.certificate
     return _build_certificate(
@@ -498,6 +505,8 @@ def kkt_certificate(prob: TestProblem, sol: Solution) -> DualCertificate:
         *_slot_rows(prob),
         sol.x_alpha,
         sol.gamma_alpha,
+        sol.attained_level,
+        sol.case,
         list(cert.q_constraint_duals),
         list(cert.level_duals),
         list(cert.box_duals),

@@ -283,18 +283,29 @@ def _seeded_specs(seed, count):
         }
 
 
-def test_solve_runs_no_lp_beyond_solve_minimax(tmp_path, monkeypatch, capsys):
+def _counting(monkeypatch, name):
+    """Replace ``robustnp.minimax.<name>`` with a spy; returns its call list."""
     calls = []
-    real = robustnp.minimax.solve_lp
+    real = getattr(robustnp.minimax, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(robustnp.minimax, "solve_lp", counting)
+    monkeypatch.setattr(robustnp.minimax, name, counting)
+    return calls
+
+
+def _fixtures_and_seeded_specs(tmp_path):
     specs = sorted(FIXTURES.glob("*.json"))
     for i, spec in enumerate(_seeded_specs(7, 8)):
         specs.append(write_spec(tmp_path, spec, f"s{i}.json"))
+    return specs
+
+
+def test_solve_runs_no_lp_beyond_solve_minimax(tmp_path, monkeypatch, capsys):
+    calls = _counting(monkeypatch, "solve_lp")
+    specs = _fixtures_and_seeded_specs(tmp_path)
     for spec in specs:
         calls.clear()
         robustnp.solve_minimax(load_problem(str(spec)))
@@ -302,6 +313,17 @@ def test_solve_runs_no_lp_beyond_solve_minimax(tmp_path, monkeypatch, capsys):
         calls.clear()
         assert run(["solve", spec, "--json", tmp_path / "report.json"]) == EXIT_OK
         assert len(calls) == in_solve, spec.name
+    capsys.readouterr()
+
+
+def test_solve_builds_the_certificate_once(tmp_path, monkeypatch, capsys):
+    # solve_minimax checks the certificate, case split included; the
+    # command reports that check and does not repeat it.
+    calls = _counting(monkeypatch, "_build_certificate")
+    for spec in _fixtures_and_seeded_specs(tmp_path):
+        calls.clear()
+        assert run(["solve", spec, "--json", tmp_path / "report.json"]) == EXIT_OK
+        assert len(calls) == 1, spec.name
     capsys.readouterr()
 
 

@@ -21,7 +21,6 @@ from robustnp import (
     beta_criterion_check,
     check_h1,
     compute_beta,
-    detect_case,
     expectation,
     kkt_certificate,
     lower_expectation,
@@ -81,7 +80,7 @@ def test_three_atom_solution():
     assert sol.gamma_c == 1
     assert sol.p_alpha is not None
     assert sol.p_alpha.atom_mass == (F(1, 4), F(1, 4), F(1, 2))
-    assert detect_case(prob, sol) is Case.LEVEL_ATTAINED
+    kkt_certificate(prob, sol)
 
 
 def test_three_atom_certificate():
@@ -123,7 +122,14 @@ def test_dirac_slack_case():
     assert sol.attained_level == 0
     assert sol.case is Case.LEVEL_SLACK
     assert sol.lam == 1
-    assert detect_case(prob, sol) is Case.LEVEL_SLACK
+    kkt_certificate(prob, sol)
+    # (1/4, 1) is optimal too, but its level 1/4 is above the least level 0.
+    higher = TestFunction(prob.space, (F(1, 4), F(1)), F(0))
+    higher = dataclasses.replace(sol, x_alpha=higher)
+    with pytest.raises(CertificateError, match="reaches level 1/4"):
+        kkt_certificate(prob, higher)
+    with pytest.raises(CertificateError, match="proves 0"):
+        kkt_certificate(prob, dataclasses.replace(higher, attained_level=F(1, 4)))
     rep = verify_degenerate_form(prob, sol)
     assert rep.verdict
     assert rep.form == "degenerate"
@@ -163,25 +169,75 @@ def test_identical_singleton_boundary():
         assert set(rep.classification.values()) == {"boundary"}
 
 
-def test_detect_case_rejects_bad_solutions():
-    prob = three_atom_problem()
-    sol = solve_minimax(prob)
-    wrong_value = dataclasses.replace(sol, gamma_alpha=F(1, 2))
-    with pytest.raises(ValueError, match="optimum"):
-        detect_case(prob, wrong_value)
-    zeros = TestFunction(prob.space, (F(0), F(0), F(0)), F(0))
-    wrong_test = dataclasses.replace(sol, x_alpha=zeros)
-    with pytest.raises(ValueError, match="attain"):
-        detect_case(prob, wrong_test)
-
-
 def test_certificate_rejects_fake_optimum():
     prob = three_atom_problem()
     sol = solve_minimax(prob)
+    wrong_value = dataclasses.replace(sol, gamma_alpha=F(1, 2))
+    with pytest.raises(CertificateError, match="claimed 1/2"):
+        kkt_certificate(prob, wrong_value)
     zeros = TestFunction(prob.space, (F(0), F(0), F(0)), F(0))
     fake = dataclasses.replace(sol, x_alpha=zeros)
     with pytest.raises(CertificateError):
         kkt_certificate(prob, fake)
+
+
+def _support_problem(rng, shift):
+    """Alternatives on a random slot set S, alpha = max_i P_i(S) + shift.
+
+    With shift >= 0 the test 1_S is feasible, so gamma = 1; with shift = 0
+    it spends the level exactly, as in the three-atom problem. Returns None
+    when alpha falls outside (0, 1).
+    """
+    n = rng.randint(2, 4)
+    space = SampleSpace(tuple(f"a{i}" for i in range(n)), rng.random() < 0.5)
+    slots = space.n_slots
+    support = rng.sample(range(slots), rng.randint(1, slots - 1))
+
+    def member(on):
+        raw = [rng.randint(0, 3) if k in on else 0 for k in range(slots)]
+        raw[rng.choice(on)] += 1
+        m = [F(r, sum(raw)) for r in raw]
+        return Charge(space, tuple(m[:n]), m[n] if space.has_tail else F(0))
+
+    p_fam = tuple(member(range(slots)) for _ in range(rng.randint(1, 2)))
+    q_fam = tuple(member(support) for _ in range(rng.randint(1, 3)))
+    alpha = max(sum(p.slot_masses()[k] for k in support) for p in p_fam) + shift
+    if not 0 < alpha < 1:
+        return None
+    return TestProblem(
+        space, SublinearExpectation(p_fam, "null"), SublinearExpectation(q_fam, "alternative"),
+        alpha,
+    )
+
+
+def test_certificate_rejects_a_nudged_case_level_or_value():
+    # The certificate decides the case and the attained level exactly, so a
+    # flipped case, or the level or the value moved by a rational step far
+    # below every input denominator, must each be rejected.
+    rng = random.Random(2011)
+    problems = [three_atom_problem(), dirac_problem()]
+    problems += [_support_problem(rng, shift) for shift in (F(-1, 16), F(0), F(1, 16))
+                 for _ in range(30)]
+    kinds = {"gamma < 1": 0, "gamma = 1, slack": 0, "gamma = 1, attained, v = 0": 0}
+    for prob in filter(None, problems):
+        sol = solve_minimax(prob)
+        kkt_certificate(prob, sol)
+        if sol.gamma_alpha < 1:
+            kinds["gamma < 1"] += 1
+        elif sol.case is Case.LEVEL_SLACK:
+            kinds["gamma = 1, slack"] += 1
+        elif not any(sol.certificate.level_duals):
+            kinds["gamma = 1, attained, v = 0"] += 1
+        flipped = Case.LEVEL_SLACK if sol.case is Case.LEVEL_ATTAINED else Case.LEVEL_ATTAINED
+        wrong = [dataclasses.replace(sol, case=flipped)]
+        for field in ("attained_level", "gamma_alpha"):
+            value = getattr(sol, field)
+            step = F(1, 2**64 * value.denominator)
+            wrong += [dataclasses.replace(sol, **{field: value + d}) for d in (step, -step)]
+        for bad in wrong:
+            with pytest.raises(CertificateError):
+                kkt_certificate(prob, bad)
+    assert min(kinds.values()) >= 5, kinds
 
 
 def test_beta_criterion_needs_countable_part():
