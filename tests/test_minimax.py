@@ -169,12 +169,24 @@ def test_identical_singleton_boundary():
         assert set(rep.classification.values()) == {"boundary"}
 
 
-def test_certificate_rejects_fake_optimum():
+def test_detect_case_rejects_bad_solutions():
+    # The case split is read off the certificate, so a wrong optimum value or
+    # a test that does not attain it must fail certification before any case
+    # is reported.
     prob = three_atom_problem()
     sol = solve_minimax(prob)
     wrong_value = dataclasses.replace(sol, gamma_alpha=F(1, 2))
     with pytest.raises(CertificateError, match="claimed 1/2"):
         kkt_certificate(prob, wrong_value)
+    zeros = TestFunction(prob.space, (F(0), F(0), F(0)), F(0))
+    wrong_test = dataclasses.replace(sol, x_alpha=zeros)
+    with pytest.raises(CertificateError, match="worst-case power of the test is 0"):
+        kkt_certificate(prob, wrong_test)
+
+
+def test_certificate_rejects_fake_optimum():
+    prob = three_atom_problem()
+    sol = solve_minimax(prob)
     zeros = TestFunction(prob.space, (F(0), F(0), F(0)), F(0))
     fake = dataclasses.replace(sol, x_alpha=zeros)
     with pytest.raises(CertificateError):
