@@ -51,7 +51,6 @@ from .minimax import (
     RepresentationReport,
     Solution,
     TestProblem,
-    beta_criterion_check,
     compute_beta,
     kkt_certificate,
     solve_minimax,
@@ -97,7 +96,6 @@ __all__ = [
     "RepresentationReport",
     "Solution",
     "TestProblem",
-    "beta_criterion_check",
     "compute_beta",
     "kkt_certificate",
     "solve_minimax",

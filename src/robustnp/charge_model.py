@@ -13,9 +13,12 @@ package, so equality assertions downstream mean exact equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
+
+from .simplex import _scale
 
 TAIL_LABEL = "tail"
 
@@ -372,12 +375,18 @@ def mix(
         s = sum(ws, ZERO)
         if s != 1:
             raise ValueError(f"mixture weights must sum to 1, got {s}")
-    atoms = tuple([
-        sum((w * c.atom_mass[i] for w, c in zip(ws, charges)), ZERO)
-        for i in range(space.n_atoms)
-    ])
-    tail = sum((w * c.tail_mass for w, c in zip(ws, charges)), ZERO)
-    return Charge(space, atoms, tail)
+    # Sum in integers, each charge's masses over their common denominator.
+    rows = [_scale([*c.atom_mass, c.tail_mass]) for c in charges]
+    scaled, dw = _scale(ws)
+    den = math.lcm(*[d for _, d in rows])
+    acc = [0] * (space.n_atoms + 1)
+    for a, (masses, d) in zip(scaled, rows):
+        if a:
+            f = a * (den // d)
+            acc = [s + f * m if m else s for s, m in zip(acc, masses)]
+    den *= dw
+    out = [Fraction(s, den) if s else ZERO for s in acc]
+    return Charge(space, tuple(out[:-1]), out[-1])
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from .charge_model import (
     SublinearExpectation,
     TestFunction,
     frac,
-    yosida_hewitt,
 )
 from .hypotheses import GENERATORS, hypothesis_report, truncation_sweep
 from .minimax import (
@@ -273,7 +272,7 @@ def cmd_solve(args) -> int:
     beta = None
     criterion = None
     if sol.lam > 0:
-        beta = compute_beta(prob.p_family, yosida_hewitt(sol.q_alpha).countable)
+        beta = compute_beta(prob.p_family, sol.q_alpha.atom_part())
         criterion = (sol.case is Case.LEVEL_SLACK) == (beta > 1 - prob.alpha)
     report = {
         "problem": {

@@ -33,16 +33,27 @@ the epigraph's certificate leaves them open:
    gamma_c - (alpha - a) s, so level_c = alpha and v*/s is an optimal
    auxiliary dual; only s = 0 runs the auxiliary program.
 
-Each LP layout is written down once. The dual face program of step 2 is
-the transpose of the epigraph program of step 1, and steps 3 and 4 share
-one level program, "min t : E_P[x] <= t, reach rows >= target, x <= 1",
-with the alternative members or the countable part as the reach rows.
-The test box 0 <= x <= 1 goes to the simplex as variable bounds, not rows;
-its multipliers w come back as the bound duals, and only the dual face
-program carries them, as identity columns.
+One layout, "max t : t <= E_r[x] on the t rows, E_c[x] <= cap_c on the
+cap rows, 0 <= x <= 1", serves steps 1, 3 and 4. The epigraph has the
+alternative members as t rows and the null members, capped at alpha, as
+cap rows. Steps 3 and 4 swap the families: they minimize the level t
+over tests x whose reach rows (the alternative members, or the countable
+part) reach a target, written in complements y = 1 - x and s = 1 - t
+(every member is a probability charge):
+
+    max s : s <= E_{P_i}[y], E_r[y] <= E_r[1] - target, 0 <= y <= 1.
+
+The target is gamma <= 1 or gamma_c <= lam, so every right-hand side is
+nonnegative, y = 0, s = 0 is a feasible slack basis and phase 1 never
+runs. At the optimum s = 1 - level >= 1 - alpha > 0 is basic, so its
+reduced cost is 0 and the level-row duals sum to exactly 1: they are the
+null mixture's weights as they stand. The dual face program of step 2 is
+the transpose of the epigraph program. The test box goes to the simplex
+as variable bounds; its multipliers w come back as the bound duals, and
+only the dual face program carries them, as identity columns.
 
 Every solution carries a dual certificate whose residuals are recomputed
-exactly; a nonzero residual raises instead of warning. The same check
+exactly, in integers; a nonzero residual raises instead of warning. The same check
 settles the case split with no LP. Complementary slackness gives
 v_i (alpha - E_{P_i}[x]) = 0 for every optimal test x, so some v_i > 0 means
 every optimal test spends alpha. If v = 0, summing the dual rows over the
@@ -52,6 +63,7 @@ of the alternative supports, and the least attained level is max_i P_i(S).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -71,9 +83,8 @@ from .charge_model import (
     mix,
     radon_nikodym,
     upper_expectation,
-    yosida_hewitt,
 )
-from .simplex import solve_lp
+from .simplex import _scale, solve_lp
 
 
 class CertificateError(RuntimeError):
@@ -161,8 +172,10 @@ class Solution:
     integrates the countably additive part to ``gamma_c``. When the level
     duals certifying ``gamma_c`` have a positive sum, ``level_c`` is alpha
     and ``p_weights`` are those duals normalized, with no solve; otherwise
-    they are the program's level-row multipliers. All three are ``None``
-    when ``lam == 0`` and the auxiliary program is vacuous.
+    they are the program's level-row multipliers, which sum to 1. So also
+    at ``level_c == 0``, where every mixture is an optimal dual, they are
+    the multipliers of the final basis, not a fixed choice. All three are
+    ``None`` when ``lam == 0`` and the auxiliary program is vacuous.
     """
 
     x_alpha: TestFunction
@@ -218,37 +231,25 @@ def _slot_rows(prob: TestProblem) -> tuple[list[list[Fraction]], list[list[Fract
     )
 
 
-def _epigraph_program(prob: TestProblem, p_rows, q_rows):
-    """max t : t <= E_{Q_j}[x], E_{P_i}[x] <= alpha, 0 <= x <= 1, over (x, t).
+def _epigraph_program(t_rows, cap_rows, caps):
+    """max t : t <= E_r[x] for r in t_rows, E_c[x] <= cap_c for c in cap_rows, 0 <= x <= 1.
 
-    Returns ``(c, a_ub, b_ub, upper)``; the rows are the alternative
-    members, then the null members, so the row duals split as (u, v), and
-    the box is the bounds ``upper``, whose duals are w.
+    Returns ``(c, a_ub, b_ub, upper)`` over (x, t); the t rows come first,
+    so the row duals split in that order, and the box is the bounds
+    ``upper``, whose duals are w. With ``caps`` nonnegative, x = 0, t = 0
+    is a feasible basis.
     """
-    nv = prob.space.n_slots
-    a_ub = [[-val for val in q] + [ONE] for q in q_rows]
-    a_ub += [p + [ZERO] for p in p_rows]
-    b_ub = [ZERO] * len(q_rows) + [prob.alpha] * len(p_rows)
-    return [ZERO] * nv + [ONE], a_ub, b_ub, [ONE] * nv + [None]
-
-
-def _level_program(p_rows, reach_rows, target: Fraction):
-    """min t : E_{P_i}[x] <= t, E_r[x] >= target for each reach row r, x <= 1.
-
-    Returns ``(c, a_ub, b_ub, upper)`` over (x, t); the level rows come
-    first, and the box is the bounds ``upper``.
-    """
-    nv = len(p_rows[0])
-    a_ub = [p + [-ONE] for p in p_rows]
-    a_ub += [[-val for val in r] + [ZERO] for r in reach_rows]
-    b_ub = [ZERO] * len(p_rows) + [-target] * len(reach_rows)
+    nv = len(t_rows[0])
+    a_ub = [[-val for val in r] + [ONE] for r in t_rows]
+    a_ub += [list(r) + [ZERO] for r in cap_rows]
+    b_ub = [ZERO] * len(t_rows) + list(caps)
     return [ZERO] * nv + [ONE], a_ub, b_ub, [ONE] * nv + [None]
 
 
 def _solve_epigraph(prob: TestProblem, p_rows, q_rows):
     """Max worst-case power via the epigraph LP: value, duals (u, v, w), test x0."""
     mq = len(q_rows)
-    c, a_ub, b_ub, upper = _epigraph_program(prob, p_rows, q_rows)
+    c, a_ub, b_ub, upper = _epigraph_program(q_rows, p_rows, [prob.alpha] * len(p_rows))
     res = solve_lp(c, a_ub, b_ub, sense="max", upper=upper)
     if res.status != "optimal":
         raise RuntimeError(f"epigraph program ended {res.status}; it is always solvable")
@@ -284,7 +285,7 @@ def _lift_dual_support(prob: TestProblem, p_rows, q_rows, gamma: Fraction, u, v,
     ]
     if not zero:
         return u, v, w
-    c, a_ub, b_ub, _ = _epigraph_program(prob, p_rows, q_rows)
+    c, a_ub, b_ub, _ = _epigraph_program(q_rows, p_rows, [prob.alpha] * mp)
     nv = len(c) - 1
     order = [nv, *range(nv)]
     face_a = [
@@ -311,12 +312,13 @@ def _lift_dual_support(prob: TestProblem, p_rows, q_rows, gamma: Fraction, u, v,
 
 
 def _min_attained_level(prob: TestProblem, p_rows, q_rows, gamma: Fraction):
-    """Among optimal tests, minimize the worst-case null level."""
-    c, a_ub, b_ub, upper = _level_program(p_rows, q_rows, gamma)
-    res = solve_lp(c, a_ub, b_ub, sense="min", upper=upper)
+    """Among optimal tests, minimize the worst-case null level (in complements)."""
+    c, a_ub, b_ub, upper = _epigraph_program(p_rows, q_rows, [ONE - gamma] * len(q_rows))
+    res = solve_lp(c, a_ub, b_ub, sense="max", upper=upper)
     if res.status != "optimal":
         raise RuntimeError(f"level program ended {res.status}")
-    return TestFunction.from_slots(prob.space, res.x[: prob.space.n_slots]), res.value
+    x = [ONE - y for y in res.x[: prob.space.n_slots]]
+    return TestFunction.from_slots(prob.space, x), ONE - res.value
 
 
 def _countable_value(prob: TestProblem, p_rows, lam_qc: Charge):
@@ -333,27 +335,30 @@ def _null_side_mixture(prob: TestProblem, p_rows, lam_qc: Charge, gamma_c: Fract
     """Null mixture from the auxiliary program's level-side duals.
 
     The auxiliary program minimizes the worst-case null level over tests
-    whose integral against the countably additive part reaches gamma_c.
-    When its value is positive the level rows' multipliers sum to 1 and
-    define the mixture; when it is zero the level constraint is slack at
-    the auxiliary optimum and any mixture works, so the uniform one is
-    reported. Returns the mixture, its weights and the program's value.
+    whose integral against the countably additive part reaches gamma_c. In
+    its complemented form the level rows' multipliers sum to 1 (module
+    docstring) and define the mixture. Returns the mixture, its weights and
+    the program's value.
     """
-    mp = len(p_rows)
-    c, a_ub, b_ub, upper = _level_program(p_rows, [lam_qc.slot_masses()], gamma_c)
-    res = solve_lp(c, a_ub, b_ub, sense="min", upper=upper)
+    lam_row = lam_qc.slot_masses()
+    masses, den = _scale(lam_row)
+    cap = Fraction(sum(masses), den) - gamma_c
+    c, a_ub, b_ub, upper = _epigraph_program(p_rows, [lam_row], [cap])
+    res = solve_lp(c, a_ub, b_ub, sense="max", upper=upper)
     if res.status != "optimal":
         raise RuntimeError(f"auxiliary level program ended {res.status}")
-    # min sense: multipliers of the level rows are <= 0, flip the sign.
-    weights = [-d for d in res.y_ub[:mp]]
-    total = sum(weights, ZERO)
-    if total == 0:
-        weights = [ONE / mp] * mp
-    elif total != ONE:
+    weights = res.y_ub[: len(p_rows)]
+    if (total := sum(weights, ZERO)) != ONE:
         raise RuntimeError(
             f"level duals of the auxiliary program sum to {total}, expected 1"
         )
-    return mix(prob.p_family.family, weights, normalize=False), tuple(weights), res.value
+    return mix(prob.p_family.family, weights, normalize=False), weights, ONE - res.value
+
+
+def _cmp(num: int, den: int, f: Fraction) -> int:
+    """Sign of num/den - f, for den > 0."""
+    lhs, rhs = num * f.denominator, f.numerator * den
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def _build_certificate(
@@ -368,63 +373,81 @@ def _build_certificate(
     v: "list[Fraction]",
     w: "list[Fraction]",
 ) -> DualCertificate:
-    """Recompute feasibility, duality gap, slackness and the case split exactly."""
+    """Recompute feasibility, duality gap, slackness and the case split exactly.
+
+    The arithmetic runs on integers: the test, each member row and each
+    multiplier vector are kept over their least common denominator, and a
+    ``Fraction`` is built only for a reported value or an error message.
+    """
     nv = prob.space.n_slots
-    xv = x.slot_values()
     if len(u) != len(prob.q_family) or len(v) != len(prob.p_family) or len(w) != nv:
         raise CertificateError("certificate has the wrong shape for this problem")
-    if any(val < 0 for val in u + v + w):
+    (us, du), (vs, dv), (ws, dw) = _scale(u), _scale(v), _scale(w)
+    if any(val < 0 for val in us + vs + ws):
         raise CertificateError("dual multipliers must be nonnegative")
-    if sum(u, ZERO) != ONE:
+    if sum(us) != du:
         raise CertificateError(f"alternative weights sum to {sum(u, ZERO)}, expected 1")
-    q_vals = [expectation(q, x) for q in prob.q_family.family]
-    p_vals = [expectation(p, x) for p in prob.p_family.family]
-    for i, val in enumerate(p_vals):
-        if val > prob.alpha:
+    xs, dx = _scale(x.slot_values())
+    q_sc, p_sc = [_scale(q) for q in q_rows], [_scale(p) for p in p_rows]
+    # E_C[x] as (numerator, denominator) for every member C.
+    q_vals = [(sum(m * xk for m, xk in zip(qs, xs) if m), dq * dx) for qs, dq in q_sc]
+    p_vals = [(sum(m * xk for m, xk in zip(ps, xs) if m), dp * dx) for ps, dp in p_sc]
+    for i, (num, den) in enumerate(p_vals):
+        if _cmp(num, den, prob.alpha) > 0:
             raise CertificateError(
-                f"test exceeds level: null member {i} integrates to {val} > {prob.alpha}"
+                f"test exceeds level: null member {i} integrates to "
+                f"{Fraction(num, den)} > {prob.alpha}"
             )
-    if min(q_vals) != gamma:
-        raise CertificateError(
-            f"worst-case power of the test is {min(q_vals)}, claimed {gamma}"
-        )
-    u_rows = [(uj, q) for uj, q in zip(u, q_rows) if uj]
-    v_rows = [(vi, p) for vi, p in zip(v, p_rows) if vi]
-    slack = []
-    for k in range(nv):
-        lhs = sum((uj * q[k] for uj, q in u_rows if q[k]), ZERO)
-        rhs = sum((vi * p[k] for vi, p in v_rows if p[k]), ZERO) + w[k]
-        if lhs > rhs:
+    q_cmp = [_cmp(num, den, gamma) for num, den in q_vals]
+    if min(q_cmp) != 0:
+        power = min(Fraction(num, den) for num, den in q_vals)
+        raise CertificateError(f"worst-case power of the test is {power}, claimed {gamma}")
+    # slack_k = (sum_i v_i p_i + w - sum_j u_j q_j)[k], as integers over den.
+    lq, lp = math.lcm(*[d for _, d in q_sc]), math.lcm(*[d for _, d in p_sc])
+    den = math.lcm(du * lq, dv * lp, dw)
+    fq, fp = den // (du * lq), den // (dv * lp)
+    slack = [wk * (den // dw) for wk in ws]
+    for vi, (ps, d) in zip(vs, p_sc):
+        if vi:
+            f = vi * fp * (lp // d)
+            slack = [s + f * m if m else s for s, m in zip(slack, ps)]
+    for uj, (qs, d) in zip(us, q_sc):
+        if uj:
+            f = uj * fq * (lq // d)
+            slack = [s - f * m if m else s for s, m in zip(slack, qs)]
+    for k, val in enumerate(slack):
+        if val < 0:
+            lhs = sum((uj * q[k] for uj, q in zip(u, q_rows)), ZERO)
             raise CertificateError(
-                f"dual infeasible at slot {k}: mixture mass {lhs} exceeds {rhs}"
+                f"dual infeasible at slot {k}: mixture mass {lhs} exceeds "
+                f"{lhs + Fraction(val, den)}"
             )
-        slack.append(rhs - lhs)
-    gap = prob.alpha * sum(v, ZERO) + sum(w, ZERO) - gamma
-    residuals = []
-    residuals += [u[j] * (q_vals[j] - gamma) for j in range(len(u))]
-    residuals += [v[i] * (prob.alpha - p_vals[i]) for i in range(len(v))]
-    residuals += [w[k] * (ONE - xv[k]) for k in range(nv)]
-    residuals += [slack[k] * xv[k] for k in range(nv)]
+    gap = prob.alpha * Fraction(sum(vs), dv) + Fraction(sum(ws), dw) - gamma
+    # The residuals u_j (E_{Q_j}[x] - gamma), v_i (alpha - E_{P_i}[x]),
+    # w_k (1 - x_k) and slack_k x_k, each tested for zero by its factors.
+    zero = [not uj or c == 0 for uj, c in zip(us, q_cmp)]
+    zero += [not vi or _cmp(num, d, prob.alpha) == 0 for vi, (num, d) in zip(vs, p_vals)]
+    zero += [not wk or xk == dx for wk, xk in zip(ws, xs)]
+    zero += [not sk or not xk for sk, xk in zip(slack, xs)]
     if gap != 0:
         raise CertificateError(f"duality gap is {gap}, expected 0")
-    for r, val in enumerate(residuals):
-        if val != 0:
-            raise CertificateError(
-                f"complementary slackness residual {r} is {val}, expected 0"
-            )
+    if not all(zero):
+        raise CertificateError(f"complementary slackness residual {zero.index(False)} is not 0")
     # (u, v, w) and x are optimal now, so v fixes the least level (see Solution).
-    if v_rows:
-        least = prob.alpha
+    if any(vs):
+        least = [(prob.alpha.numerator, prob.alpha.denominator)]
     else:
-        support = [k for k in range(nv) if any(q[k] for q in q_rows)]
-        least = max(sum((p[k] for k in support), ZERO) for p in p_rows)
-    if attained != least:
+        support = [k for k in range(nv) if any(qs[k] for qs, _ in q_sc)]
+        least = [(sum(ps[k] for k in support), d) for ps, d in p_sc]
+    if max(_cmp(num, d, attained) for num, d in least) != 0:
         raise CertificateError(
-            f"claimed attained level {attained}, the certificate proves {least}"
+            f"claimed attained level {attained}, the certificate proves "
+            f"{max(Fraction(num, d) for num, d in least)}"
         )
-    if max(p_vals) != attained:
+    if max(_cmp(num, d, attained) for num, d in p_vals) != 0:
         raise CertificateError(
-            f"test reaches level {max(p_vals)}, claimed attained level {attained}"
+            f"test reaches level {max(Fraction(num, d) for num, d in p_vals)}, "
+            f"claimed attained level {attained}"
         )
     if case is not (Case.LEVEL_SLACK if attained < prob.alpha else Case.LEVEL_ATTAINED):
         raise CertificateError(f"case {case.value} disagrees with attained level {attained}")
@@ -432,8 +455,8 @@ def _build_certificate(
         q_constraint_duals=tuple(u),
         level_duals=tuple(v),
         box_duals=tuple(w),
-        lower_box_duals=tuple(slack),
-        cs_residuals=tuple(residuals),
+        lower_box_duals=tuple(Fraction(val, den) if val else ZERO for val in slack),
+        cs_residuals=(ZERO,) * len(zero),
         duality_gap=gap,
     )
 
@@ -455,7 +478,7 @@ def solve_minimax(prob: TestProblem) -> Solution:
     q_alpha = mix(prob.q_family.family, u, normalize=False)
     x_alpha, attained = _min_attained_level(prob, p_rows, q_rows, gamma)
     case = Case.LEVEL_SLACK if attained < prob.alpha else Case.LEVEL_ATTAINED
-    lam = yosida_hewitt(q_alpha).lam
+    lam = ONE - q_alpha.tail_mass
     lam_qc = q_alpha.atom_part()
     if lam == 0:
         gamma_c, p_alpha, p_weights, level_c = ZERO, None, None, None
@@ -531,17 +554,6 @@ def compute_beta(p_family: SublinearExpectation, q_countable: Charge) -> Fractio
     )
     z = Event(q_countable.space, zero_atoms, q_countable.space.has_tail)
     return lower_expectation(p_family, z.indicator())
-
-
-def beta_criterion_check(prob: TestProblem, sol: Solution) -> bool:
-    """Whether the case split agrees with the mass criterion beta > 1 - alpha."""
-    if sol.lam == 0:
-        raise PureLeastFavorableError(
-            "the least favorable alternative mixture has no countably additive part"
-        )
-    qc = yosida_hewitt(sol.q_alpha).countable
-    beta = compute_beta(prob.p_family, qc)
-    return (sol.case is Case.LEVEL_SLACK) == (beta > ONE - prob.alpha)
 
 
 def _scan_threshold(

@@ -327,6 +327,30 @@ def test_solve_builds_the_certificate_once(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_h2_holds_at_every_probe(tmp_path):
+    # check_h2_at returns True by an argument, not a search. Check the
+    # criterion it stands for, that every null member attaining a positive
+    # upper level charges {x > 0}, on the fixtures and 400 seeded specs at
+    # x_alpha, 1/2 and 1, and that no report carries an H2 witness.
+    problems = [load_problem(str(p)) for p in sorted(FIXTURES.glob("*.json"))]
+    problems += [parse_problem(spec) for spec in _seeded_specs(1605, 400)]
+    probes = 0
+    for prob in problems:
+        tests = [robustnp.solve_minimax(prob).x_alpha]
+        tests += [robustnp.TestFunction.constant(prob.space, v) for v in (F(1, 2), 1)]
+        for x in tests:
+            assert robustnp.check_h2_at(prob.p_family, x)
+            top = robustnp.upper_expectation(prob.p_family, x)
+            for c in prob.p_family.family:
+                if top > 0 and robustnp.expectation(c, x) == top:
+                    assert any(m and v for m, v in zip(c.slot_masses(), x.slot_values()))
+            probes += 1
+        rep = robustnp.hypothesis_report(prob, tests)
+        assert all(rep.h2_at.values())
+        assert not any(key.startswith("h2") for key in rep.witnesses)
+    assert len(problems) == 405 and probes == 1215
+
+
 def test_grid_precondition_in_report(tmp_path):
     flat = {
         "atoms": ["a"],

@@ -2,11 +2,14 @@
 
 import dataclasses
 import random
+import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from _fraction_certificate import kkt_certificate as fraction_certificate
 from _fraction_simplex import solve_lp as fraction_solve_lp
 
 from robustnp import (
@@ -18,7 +21,6 @@ from robustnp import (
     SublinearExpectation,
     TestFunction,
     TestProblem,
-    beta_criterion_check,
     check_h1,
     compute_beta,
     expectation,
@@ -42,6 +44,16 @@ FIXTURES = Path(minimax.__file__).parent / "fixtures"
 
 def charge_on(space, mapping, tail=0):
     return Charge.from_mapping(space, {k: F(v) for k, v in mapping.items()}, F(tail))
+
+
+def beta_criterion_check(prob, sol):
+    """Whether the case split agrees with the mass criterion beta > 1 - alpha."""
+    if sol.lam == 0:
+        raise PureLeastFavorableError(
+            "the least favorable alternative mixture has no countably additive part"
+        )
+    beta = compute_beta(prob.p_family, yosida_hewitt(sol.q_alpha).countable)
+    return (sol.case is Case.LEVEL_SLACK) == (beta > 1 - prob.alpha)
 
 
 def three_atom_problem():
@@ -709,3 +721,133 @@ def test_lp_count_per_solve(monkeypatch):
         calls = _lp_stages(monkeypatch, nonexistence_problem(n, F(1, 3)))[0]
         assert calls == ["_solve_epigraph", "_min_attained_level", "_countable_value",
                          "_null_side_mixture"]
+
+
+def _level_corpus(rng):
+    """Ladder-style, degenerate and stress instances, and nonexistence_problem(1..56)."""
+    cells = [(6, 2, 2), (8, 2, 2), (12, 3, 3), (6, 2, 6)]
+    problems = [_ladder_problem(rng, *rng.choice(cells)) for _ in range(50)]
+    problems += [_ladder_problem(rng, *rng.choice(cells), has_tail=False) for _ in range(10)]
+    problems += [_degenerate_problem(rng) for _ in range(40)]
+    problems += [_stress_problem(rng) for _ in range(60)]
+    problems += [nonexistence_problem(n, F(rng.randint(1, 15), 16)) for n in range(1, 57)]
+    return problems
+
+
+def _outcome(check, prob, sol):
+    try:
+        return check(prob, sol)
+    except CertificateError as exc:
+        return f"CertificateError: {exc}"
+
+
+def _nudged(rng, sol):
+    """Solutions with one field or multiplier moved by a small rational step."""
+    cert = sol.certificate
+    step = F(1, 2**70)
+    xv = sol.x_alpha.slot_values()
+    k = rng.randrange(len(xv))
+    xv[k] += step if xv[k] < 1 else -step
+    flipped = Case.LEVEL_SLACK if sol.case is Case.LEVEL_ATTAINED else Case.LEVEL_ATTAINED
+    out = [
+        dataclasses.replace(sol, x_alpha=TestFunction.from_slots(sol.x_alpha.space, xv)),
+        dataclasses.replace(sol, gamma_alpha=sol.gamma_alpha - step),
+        dataclasses.replace(sol, attained_level=sol.attained_level + step),
+        dataclasses.replace(sol, case=flipped),
+    ]
+
+    def with_duals(**duals):
+        return dataclasses.replace(sol, certificate=dataclasses.replace(cert, **duals))
+
+    u, v, w = list(cert.q_constraint_duals), list(cert.level_duals), list(cert.box_duals)
+    for name, vec in (("q_constraint_duals", u), ("level_duals", v), ("box_duals", w)):
+        i = rng.randrange(len(vec))
+        out.append(with_duals(**{name: tuple(vec[:i] + [vec[i] + step] + vec[i + 1:])}))
+        out.append(with_duals(**{name: tuple(vec[:i] + [vec[i] - step] + vec[i + 1:])}))
+    # Moving box weight between two slots keeps the gap at 0.
+    if len(w) > 1:
+        a, b = rng.sample(range(len(w)), 2)
+        moved = list(w)
+        moved[a] -= step
+        moved[b] += step
+        out.append(with_duals(box_duals=tuple(moved)))
+    out.append(with_duals(box_duals=tuple(w[:-1])))
+    return out
+
+
+def test_integer_certificate_matches_the_fraction_reference():
+    # The integer certificate reports what the Fraction one reports, and a
+    # nudged solution fails both with the same message.
+    rng = random.Random(1605)
+    seen = Counter()
+    for prob in _level_corpus(rng):
+        sol = solve_minimax(prob)
+        assert kkt_certificate(prob, sol) == fraction_certificate(prob, sol) == sol.certificate
+        for bad in _nudged(rng, sol):
+            got = _outcome(kkt_certificate, prob, bad)
+            assert got == _outcome(fraction_certificate, prob, bad)
+            seen[re.sub(r"-?\d+(/\d+)?", "#", got) if isinstance(got, str) else "accepted"] += 1
+    # Every check but the slackness residuals fired; those cannot fail once
+    # the gap is 0, since the weak duality chain is then tight link by link.
+    assert set(seen) == {"accepted"} | {f"CertificateError: {m}" for m in (
+        "certificate has the wrong shape for this problem",
+        "dual multipliers must be nonnegative",
+        "alternative weights sum to #, expected #",
+        "test exceeds level: null member # integrates to # > #",
+        "worst-case power of the test is #, claimed #",
+        "dual infeasible at slot #: mixture mass # exceeds #",
+        "duality gap is #, expected #",
+        "claimed attained level #, the certificate proves #",
+        "test reaches level #, claimed attained level #",
+        "case LevelSlack disagrees with attained level #",
+        "case LevelAttained disagrees with attained level #",
+    )}, seen
+
+
+def _min_form_level(p_rows, reach_rows, target):
+    """The former level program: min t : E_{P_i}[x] <= t, E_r[x] >= target, 0 <= x <= 1."""
+    nv = len(p_rows[0])
+    a_ub = [p + [F(-1)] for p in p_rows] + [[-m for m in r] + [F(0)] for r in reach_rows]
+    b_ub = [F(0)] * len(p_rows) + [-target] * len(reach_rows)
+    res = solve_lp([F(0)] * nv + [F(1)], a_ub, b_ub, sense="min", upper=[F(1)] * nv + [None])
+    assert res.status == "optimal"
+    return res.value
+
+
+def test_level_programs_match_the_min_form_reference():
+    rng = random.Random(1605)
+    for prob in _level_corpus(rng):
+        sol = solve_minimax(prob)
+        p_rows, q_rows = minimax._slot_rows(prob)
+        assert sol.attained_level == _min_form_level(p_rows, q_rows, sol.gamma_alpha)
+        if sol.lam:
+            lam_row = sol.q_alpha.atom_part().slot_masses()
+            assert sol.level_c == _min_form_level(p_rows, [lam_row], sol.gamma_c)
+
+
+def test_level_programs_start_feasible_and_their_level_duals_sum_to_1(monkeypatch):
+    # Nonnegative right-hand sides and no equality rows: the slack basis is
+    # feasible, so solve_lp adds no artificial variable and runs no phase 1.
+    calls = []
+
+    def recording(*args, **kwargs):
+        res = solve_lp(*args, **kwargs)
+        calls.append((sys._getframe(1).f_code.co_name, args, kwargs, res))
+        return res
+
+    monkeypatch.setattr(minimax, "solve_lp", recording)
+    seen = Counter()
+    for prob in _level_corpus(random.Random(1605)):
+        calls.clear()
+        solve_minimax(prob)
+        mp = len(prob.p_family)
+        for stage, args, kwargs, res in calls:
+            if stage not in ("_min_attained_level", "_null_side_mixture"):
+                continue
+            seen[stage] += 1
+            c, a_ub, b_ub = args
+            assert kwargs == {"sense": "max", "upper": [F(1)] * (len(c) - 1) + [None]}
+            assert all(b >= 0 for b in b_ub)
+            assert res.status == "optimal"
+            assert sum(res.y_ub[:mp]) == 1
+    assert seen["_min_attained_level"] == 216 and seen["_null_side_mixture"] >= 56, seen
