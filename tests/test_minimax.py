@@ -100,7 +100,6 @@ def test_three_atom_certificate():
     sol = solve_minimax(prob)
     cert = kkt_certificate(prob, sol)
     assert cert.duality_gap == 0
-    assert all(r == 0 for r in cert.cs_residuals)
     assert all(d >= 0 for d in cert.q_constraint_duals)
     assert all(d >= 0 for d in cert.level_duals)
     assert sum(cert.q_constraint_duals) == 1
@@ -462,27 +461,24 @@ def _degenerate_problem(rng):
     )
 
 
-def _max_weight_on_dual_face(prob, gamma, j0):
-    """Largest u_j0 over the optimal face of the epigraph program's dual.
+def _max_on_dual_face(prob, gamma, c):
+    """Largest c . (u, v, w) over the optimal face of the epigraph program's dual.
 
-    The instances all have a tail, so the slots are the atoms then the tail.
-    Variables (u, v, w) >= 0 with sum u >= 1, sum_j u_j q_j <= sum_i v_i p_i
+    This is the face in equality form, solved by the two-phase reference
+    simplex: (u, v, w) >= 0 with sum u >= 1, sum_j u_j q_j <= sum_i v_i p_i
     + w slot by slot, and dual objective alpha * sum v + sum w = gamma.
     """
-    q_cols = [q.atom_mass + (q.tail_mass,) for q in prob.q_family.family]
-    p_cols = [p.atom_mass + (p.tail_mass,) for p in prob.p_family.family]
-    mq, mp, nv = len(q_cols), len(p_cols), prob.space.n_slots
-    c = [F(0)] * (mq + mp + nv)
-    c[j0] = F(1)
+    p_rows, q_rows = minimax._slot_rows(prob)
+    mq, mp, nv = len(q_rows), len(p_rows), prob.space.n_slots
     a_ub = [[F(-1)] * mq + [F(0)] * (mp + nv)]
     b_ub = [F(-1)]
     for k in range(nv):
-        row = [q[k] for q in q_cols] + [-p[k] for p in p_cols] + [F(0)] * nv
+        row = [q[k] for q in q_rows] + [-p[k] for p in p_rows] + [F(0)] * nv
         row[mq + mp + k] = F(-1)
         a_ub.append(row)
         b_ub.append(F(0))
     a_eq = [[F(0)] * mq + [prob.alpha] * mp + [F(1)] * nv]
-    res = solve_lp(c, a_ub, b_ub, a_eq, [gamma], sense="max")
+    res = fraction_solve_lp(c, a_ub, b_ub, a_eq, [gamma], sense="max")
     assert res.status == "optimal"
     return res.value
 
@@ -495,9 +491,11 @@ def test_lift_support_is_maximal_on_degenerate_instances():
         prob = _degenerate_problem(rng)
         sol = solve_minimax(prob)
         kkt_certificate(prob, sol)
+        n_all = len(prob.q_family) + len(prob.p_family) + prob.space.n_slots
         for j, weight in enumerate(sol.q_weights):
             if weight == 0:
-                assert _max_weight_on_dual_face(prob, sol.gamma_alpha, j) == 0
+                unit = [F(int(i == j)) for i in range(n_all)]
+                assert _max_on_dual_face(prob, sol.gamma_alpha, unit) == 0
                 checked += 1
         # Repeated members are interchangeable on the face.
         for a, qa in enumerate(prob.q_family.family):
@@ -566,16 +564,14 @@ def test_degenerate_instances_are_certified_and_match_oracle():
     assert min(seen.values()) >= 20, seen
 
 
-def _solve_lp_with_box_rows(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, sense="min",
-                            upper=None):
+def _solve_lp_with_box_rows(c, a_ub=None, b_ub=None, *, sense="min", upper=None):
     """The reference simplex, with the bounds ``upper`` written as rows."""
     n, m = len(c), len(a_ub or [])
     upper = upper or [None] * n
     kept = [k for k in range(n) if upper[k] is not None]
     box = [[F(int(j == k)) for j in range(n)] for k in kept]
     res = fraction_solve_lp(
-        c, list(a_ub or []) + box, list(b_ub or []) + [upper[k] for k in kept], a_eq, b_eq,
-        sense,
+        c, list(a_ub or []) + box, list(b_ub or []) + [upper[k] for k in kept], sense=sense
     )
     if res.status != "optimal" or not kept:
         return res
@@ -787,8 +783,9 @@ def test_integer_certificate_matches_the_fraction_reference():
             got = _outcome(kkt_certificate, prob, bad)
             assert got == _outcome(fraction_certificate, prob, bad)
             seen[re.sub(r"-?\d+(/\d+)?", "#", got) if isinstance(got, str) else "accepted"] += 1
-    # Every check but the slackness residuals fired; those cannot fail once
-    # the gap is 0, since the weak duality chain is then tight link by link.
+    # Every check fired. The reference still tests the slackness residuals,
+    # and they never fire: once the gap is 0, the weak duality chain is
+    # tight link by link, which is why the library does not test them.
     assert set(seen) == {"accepted"} | {f"CertificateError: {m}" for m in (
         "certificate has the wrong shape for this problem",
         "dual multipliers must be nonnegative",
@@ -805,11 +802,17 @@ def test_integer_certificate_matches_the_fraction_reference():
 
 
 def _min_form_level(p_rows, reach_rows, target):
-    """The former level program: min t : E_{P_i}[x] <= t, E_r[x] >= target, 0 <= x <= 1."""
+    """The former level program: min t : E_{P_i}[x] <= t, E_r[x] >= target, 0 <= x <= 1.
+
+    Its reach rows have negative right-hand sides, so the two-phase
+    reference simplex solves it.
+    """
     nv = len(p_rows[0])
     a_ub = [p + [F(-1)] for p in p_rows] + [[-m for m in r] + [F(0)] for r in reach_rows]
     b_ub = [F(0)] * len(p_rows) + [-target] * len(reach_rows)
-    res = solve_lp([F(0)] * nv + [F(1)], a_ub, b_ub, sense="min", upper=[F(1)] * nv + [None])
+    res = _solve_lp_with_box_rows(
+        [F(0)] * nv + [F(1)], a_ub, b_ub, sense="min", upper=[F(1)] * nv + [None]
+    )
     assert res.status == "optimal"
     return res.value
 
@@ -851,3 +854,43 @@ def test_level_programs_start_feasible_and_their_level_duals_sum_to_1(monkeypatc
             assert res.status == "optimal"
             assert sum(res.y_ub[:mp]) == 1
     assert seen["_min_attained_level"] == 216 and seen["_null_side_mixture"] >= 56, seen
+
+
+def test_every_lp_starts_from_the_slack_basis_and_lift_rounds_stay_on_the_face(monkeypatch):
+    # No stage passes equality rows or a negative right-hand side. A lift
+    # round of positive value ends on the dual optimal face, and every
+    # round's value is its objective's maximum over that face, as the
+    # equality-form face program solved by the two-phase reference gives it.
+    calls = []
+
+    def recording(*args, **kwargs):
+        res = solve_lp(*args, **kwargs)
+        calls.append((sys._getframe(1).f_code.co_name, args, kwargs, res))
+        return res
+
+    monkeypatch.setattr(minimax, "solve_lp", recording)
+    rng = random.Random(1985)
+    problems = [_degenerate_problem(rng) for _ in range(60)]
+    rng = random.Random(1968)
+    problems += [_stress_problem(rng) for _ in range(100)]
+    seen = Counter()
+    for prob in problems:
+        calls.clear()
+        sol = solve_minimax(prob)
+        mq, mp = len(prob.q_family), len(prob.p_family)
+        for stage, args, kwargs, res in calls:
+            seen[stage] += 1
+            assert len(args) == 3 and set(kwargs) <= {"sense", "upper"}, stage
+            c, _, b_ub = args
+            assert all(b >= 0 for b in b_ub), stage
+            if stage != "_lift_dual_support":
+                continue
+            assert res.value == _max_on_dual_face(prob, sol.gamma_alpha, c)
+            if res.value == 0:
+                seen["round of value 0"] += 1
+                continue
+            seen["round of positive value"] += 1
+            u, v, w = res.x[:mq], res.x[mq : mq + mp], res.x[mq + mp :]
+            assert sum(u) == 1
+            assert prob.alpha * sum(v) + sum(w) == sol.gamma_alpha
+    assert min(seen.values()) >= 10 and len(seen) == 7, seen
