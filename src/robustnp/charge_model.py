@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .simplex import _scale
+from .simplex import _frac, _scale
 
 TAIL_LABEL = "tail"
 
@@ -31,19 +31,10 @@ RationalLike = Union[int, str, Fraction]
 def frac(value: RationalLike) -> Fraction:
     """Coerce an int, a ``"num/den"`` string, or a Fraction to a Fraction.
 
-    Floats are refused on purpose: a float that looks like 0.1 is not 1/10,
-    and silently accepting it would poison every exact comparison later.
+    Floats and bools raise ``TypeError``. This is the package's one
+    coercion rule; :func:`robustnp.simplex.solve_lp` applies it too.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise TypeError(f"refusing bool as a rational value: {value!r}")
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(
-        f"refusing {value!r} ({type(value).__name__}); "
-        "pass an int, a Fraction, or a 'num/den' string"
-    )
+    return _frac(value)
 
 
 @dataclass(frozen=True)
@@ -125,9 +116,10 @@ class Charge:
             raise ValueError(
                 f"expected {self.space.n_atoms} atom masses, got {len(masses)}"
             )
-        if any(m < 0 for m in masses) or self.tail_mass < 0:
+        # A Fraction's denominator is positive: the signs are the numerators'.
+        if any(m.numerator < 0 for m in masses) or self.tail_mass.numerator < 0:
             raise ValueError("charges are nonnegative")
-        if self.tail_mass > 0 and not self.space.has_tail:
+        if self.tail_mass.numerator and not self.space.has_tail:
             raise ValueError("tail mass on a space without a tail atom")
 
     @classmethod
@@ -191,11 +183,13 @@ class TestFunction:
             raise ValueError(
                 f"expected {self.space.n_atoms} atom values, got {len(values)}"
             )
-        if any(v < 0 or v > 1 for v in values):
+        # v lies in [0, 1] iff 0 <= numerator <= denominator.
+        if any(v.numerator < 0 or v.numerator > v.denominator for v in values):
             raise ValueError("test values must lie in [0, 1]")
-        if not self.space.has_tail and self.tail_value != ZERO:
+        tail = self.tail_value
+        if not self.space.has_tail and tail.numerator:
             raise ValueError("tail value on a space without a tail atom")
-        if self.tail_value < 0 or self.tail_value > 1:
+        if tail.numerator < 0 or tail.numerator > tail.denominator:
             raise ValueError("test values must lie in [0, 1]")
 
     @classmethod
@@ -365,7 +359,7 @@ def mix(
     if not charges:
         raise ValueError("cannot mix an empty family")
     ws = [frac(w) for w in weights]
-    if any(w < 0 for w in ws):
+    if any(w.numerator < 0 for w in ws):
         raise ValueError("mixture weights are nonnegative")
     space = charges[0].space
     for c in charges:

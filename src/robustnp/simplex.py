@@ -4,8 +4,11 @@ This is a small dense implementation sized for the LPs built elsewhere in
 the package: a handful of variables and a few dozen rows. Each tableau row
 is a vector of Python ints over its own positive integer denominator, kept
 in lowest terms, so a pivot is integer multiply, subtract and one gcd per
-row it touches. The data are `fractions.Fraction`s only where they enter
-and where the result is assembled. Nothing is rounded, so "optimal" means
+row it touches. `fractions.Fraction`s are built in two places only: where
+the inputs are coerced (``_frac``, which refuses floats and bools), and for
+the nonzero entries of the result. The sign checks run on the scaled
+integers, and the optimal value is read off the cost row's right-hand
+side rather than summed as ``c . x``. Nothing is rounded, so "optimal" means
 optimal, not optimal up to a tolerance, and the duals returned here can be
 used in exact complementary slackness checks. Every right-hand side must be
 nonnegative, so the slack basis x = 0 is feasible and there is one phase:
@@ -66,7 +69,9 @@ class LpSolution:
     ``None`` unless the status is ``"optimal"``; ``y_upper`` is also
     ``None`` when the problem had no ``upper``. There are no equality rows,
     so ``y_eq`` is ``()``; the field keeps the result's shape for code that
-    reads it.
+    reads it. ``value`` is read off the final tableau, not summed, and
+    equals both ``c . x`` and ``b_ub . y_ub + upper . y_upper`` exactly.
+    Zero entries are the shared ``ZERO``.
     """
 
     status: str
@@ -79,14 +84,29 @@ class LpSolution:
 
 
 def _frac(v) -> Fraction:
-    """``Fraction(v)``, without rebuilding a value that already is one."""
-    return v if isinstance(v, Fraction) else Fraction(v)
+    """Coerce an int, a ``"num/den"`` string, or a Fraction to a Fraction.
+
+    A Fraction is returned as it is. Floats are refused on purpose: a float
+    that looks like 0.1 is not 1/10, and silently accepting it would poison
+    every exact comparison later.
+    """
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, bool):
+        raise TypeError(f"refusing bool as a rational value: {v!r}")
+    if isinstance(v, (int, str)):
+        return Fraction(v)
+    raise TypeError(
+        f"refusing {v!r} ({type(v).__name__}); "
+        "pass an int, a Fraction, or a 'num/den' string"
+    )
 
 
 def _scale(values: list[Fraction]) -> tuple[list[int], int]:
     """Integers over the least common denominator of ``values``."""
-    den = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
+    dens = [v.denominator for v in values]
+    den = math.lcm(*dens)
+    return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
 
 def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
@@ -126,33 +146,36 @@ def solve_lp(
     for row in body:
         if len(row) != n:
             raise ValueError(f"constraint row has {len(row)} entries, expected {n}")
-    if any(b < 0 for b in rhs):
-        raise ValueError("b_ub must be nonnegative, so that the slack basis is feasible")
     m = len(body)
     n_cols = n + m
+
+    # The tableau: row r is the integer vector rows[r] over the positive
+    # denominator dens[r], in lowest terms, with row r's slack in column
+    # n + r, basic at the start. Row m is the reduced-cost row; the slacks
+    # cost 0, so it starts as the costs themselves, with right-hand side 0.
+    # Every step keeps its last entry at minus the internal minimum's value
+    # at the current basis, which is where the optimal value is read.
+    rows: list[list[int]] = []
+    dens: list[int] = []
+    for r in range(m):
+        scaled, den = _scale(body[r] + [rhs[r]])
+        if scaled[n] < 0:
+            raise ValueError("b_ub must be nonnegative, so that the slack basis is feasible")
+        rows.append(scaled[:n] + [den if i == r else 0 for i in range(m)] + scaled[n:])
+        dens.append(den)
     bound: "list[Fraction | None]" = [None] * n_cols
     if upper is not None:
         if len(upper) != n:
             raise ValueError(f"upper has {len(upper)} entries, expected {n}")
         bound[:n] = [None if u is None else _frac(u) for u in upper]
-        if any(u is not None and u < 0 for u in bound):
+        if any(u is not None and u.numerator < 0 for u in bound):
             raise ValueError("upper bounds must be nonnegative")
     # comp[j]: column j holds the complement u_j - x_j rather than x_j.
     comp = [False] * n
-
-    # The tableau: row r is the integer vector rows[r] over the positive
-    # denominator dens[r], in lowest terms, with row r's slack in column
-    # n + r, basic at the start. Row m is the reduced-cost row; the slacks
-    # cost 0, so it starts as the costs themselves, and its last entry is
-    # not read.
-    rows: list[list[int]] = []
-    dens: list[int] = []
-    for r in range(m):
-        scaled, den = _scale(body[r] + [rhs[r]])
-        rows.append(scaled[:n] + [den if i == r else 0 for i in range(m)] + scaled[n:])
-        dens.append(den)
     basis = list(range(n, n_cols))
-    cost, cden = _scale([-v for v in c_raw] if sense == "max" else c_raw)
+    cost, cden = _scale(c_raw)
+    if sense == "max":
+        cost = [-v for v in cost]
     rows.append(cost + [0] * (m + 1))
     dens.append(cden)
 
@@ -232,31 +255,32 @@ def solve_lp(
 
     x = [ZERO] * n
     for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = Fraction(rows[r][n_cols], dens[r])
-    reduced = [Fraction(v, cden) for v in cost[:n]]
+        if basis[r] < n and (v := rows[r][n_cols]):
+            x[basis[r]] = Fraction(v, dens[r])
+    reduced = [Fraction(v, cden) if v else ZERO for v in cost[:n]]
+    # A "max" problem negates the internal minimum's prices and value back
+    # (the internal problem minimized -c).
+    sign = 1 if sense == "max" else -1
     # A complemented x_j sits at its bound, and its column's reduced cost
     # cbar' is -cbar_j: the bound row takes y_upper = -cbar' (internal min
     # sense) and leaves x_j a reduced cost of 0.
     y_upper = [ZERO] * n
     for j in range(n):
         if comp[j]:
-            x[j] = bound[j] - x[j]
-            y_upper[j] = reduced[j] if sense == "max" else -reduced[j]
-            reduced[j] = ZERO
-    value = sum((cv * xv for cv, xv in zip(c_raw, x) if cv and xv), ZERO)
+            x[j] = bound[j] - x[j] if x[j] else bound[j]
+            if reduced[j]:
+                y_upper[j] = reduced[j] if sign > 0 else -reduced[j]
+                reduced[j] = ZERO
 
     # Row r's slack column (+e_r, cost 0) has the final reduced cost -y_r of
     # the internal minimization; complementing columns leaves y = c_B B^-1
-    # unchanged. A "max" problem negates it back (the internal problem
-    # minimized -c).
-    sign = 1 if sense == "max" else -1
-    y_ub = tuple(Fraction(sign * cost[n + r], cden) for r in range(m))
+    # unchanged.
+    y_ub = tuple(Fraction(sign * v, cden) if v else ZERO for v in cost[n:n_cols])
 
     return LpSolution(
         status="optimal",
         x=tuple(x),
-        value=value,
+        value=Fraction(sign * cost[n_cols], cden),
         y_ub=y_ub,
         y_eq=(),
         reduced_costs=tuple(reduced),

@@ -363,3 +363,24 @@ def test_density_identity(data):
             assert d.g[i] is None and d.h[i] is None
         else:
             assert d.g[i] + d.h[i] == 2
+
+
+def test_sign_and_range_checks_see_tiny_excesses():
+    # The checks read numerators and denominators; a step of 10^-30 past
+    # either end of the range must still be caught.
+    s = space_of(2, has_tail=True)
+    eps = F(1, 10**30)
+    with pytest.raises(ValueError, match="nonnegative"):
+        charge(s, -eps, 1 + eps)
+    with pytest.raises(ValueError, match="nonnegative"):
+        charge(s, F(1, 2), F(1, 2) + eps, tail=-eps)
+    for bad in (-eps, 1 + eps):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            tf(s, bad, 0)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            tf(s, 0, 1, tail=bad)
+    with pytest.raises(ValueError, match="nonnegative"):
+        mix([Q1, Q2], [1 + eps, -eps])
+    # The end points themselves are accepted.
+    assert tf(s, 0, 1, tail=1).slot_values() == [0, 1, 1]
+    assert charge(s, 0, 1).slot_masses() == [0, 1, 0]

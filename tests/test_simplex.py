@@ -290,3 +290,51 @@ def test_upper_bound_flip_and_validation():
         solve_lp([1, 2], upper=[1])
     with pytest.raises(ValueError):
         solve_lp([1], upper=[F(-1, 2)])
+
+
+def test_floats_and_bools_are_refused():
+    # solve_lp coerces as charge_model.frac does: 0.1 is not 1/10.
+    good = {"c": [1], "a_ub": [[1]], "b_ub": [1], "upper": [1]}
+    for bad in (0.1, 1.0, True, False):
+        for key, value in (("c", [bad]), ("a_ub", [[bad]]), ("b_ub", [bad]),
+                           ("upper", [bad])):
+            args = dict(good, **{key: value})
+            with pytest.raises(TypeError, match="refusing"):
+                solve_lp(args["c"], args["a_ub"], args["b_ub"], sense="max",
+                         upper=args["upper"])
+    sol = solve_lp([1], [[1]], ["1/10"], sense="max", upper=[F(1, 5)])
+    assert (sol.x, sol.value) == ((F(1, 10),), F(1, 10))
+
+
+def test_sign_checks_on_every_input_form():
+    # The right-hand side is checked on its scaled integer and upper on its
+    # numerator: every form of a negative value is refused, and 0 is not.
+    for neg in (-1, "-1/3", F(-1, 3), F(-1, 10**30)):
+        with pytest.raises(ValueError, match="b_ub must be nonnegative"):
+            solve_lp([1, 1], [[1, 2], [F(1, 7), 1]], [1, neg], sense="max")
+        with pytest.raises(ValueError, match="upper bounds must be nonnegative"):
+            solve_lp([1, 1], [[1, 1]], [1], sense="max", upper=[None, neg])
+    for zero in (0, "0", "0/5", F(0)):
+        sol = solve_lp([1, 1], [[1, 2], [F(1, 7), 1]], [1, zero], sense="max",
+                       upper=[zero, None])
+        assert (sol.status, sol.x, sol.value) == ("optimal", (0, 0), 0)
+        assert (sol.y_ub, sol.y_upper) == ((0, 1), (F(6, 7), 0))
+
+
+def test_value_read_off_the_tableau_matches_both_sums():
+    # value comes from the cost row's right-hand side; it must equal the
+    # primal sum c . x and the dual sum b_ub . y_ub + upper . y_upper.
+    rng = random.Random(1955)
+    optimal = {"min": 0, "max": 0}
+    for _ in range(1000):
+        c, a_ub, b_ub, _sense = _random_lp(rng)
+        upper = _random_bounds(rng, len(c))
+        bounded = [u or F(0) for u in upper]
+        for sense in ("min", "max"):
+            sol = solve_lp(c, a_ub, b_ub, sense=sense, upper=upper)
+            if sol.status != "optimal":
+                continue
+            optimal[sense] += 1
+            assert sol.value == _dot(c, sol.x)
+            assert sol.value == _dot(b_ub, sol.y_ub) + _dot(bounded, sol.y_upper)
+    assert min(optimal.values()) >= 500
