@@ -37,7 +37,6 @@ from .hypotheses import (
     canonical_tail_sequence,
     check_continuity_from_above,
     check_h1,
-    check_h2_at,
     check_h3,
     hypothesis_report,
     nonexistence_problem,
@@ -84,7 +83,6 @@ __all__ = [
     "canonical_tail_sequence",
     "check_continuity_from_above",
     "check_h1",
-    "check_h2_at",
     "check_h3",
     "hypothesis_report",
     "nonexistence_problem",

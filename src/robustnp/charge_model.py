@@ -31,7 +31,8 @@ RationalLike = Union[int, str, Fraction]
 def frac(value: RationalLike) -> Fraction:
     """Coerce an int, a ``"num/den"`` string, or a Fraction to a Fraction.
 
-    Floats and bools raise ``TypeError``. This is the package's one
+    Floats and bools raise ``TypeError``, a string in exponent notation
+    (``"1e-3"``) raises ``ValueError``. This is the package's one
     coercion rule; :func:`robustnp.simplex.solve_lp` applies it too.
     """
     return _frac(value)

@@ -33,7 +33,6 @@ from .charge_model import (
     Charge,
     SampleSpace,
     SublinearExpectation,
-    TestFunction,
     frac,
 )
 from .hypotheses import GENERATORS, hypothesis_report, truncation_sweep
@@ -218,11 +217,11 @@ def _representation_obj(prob: TestProblem, sol) -> dict:
     }
 
 
-def _hypotheses_obj(prob: TestProblem, sol) -> dict:
-    rep = hypothesis_report(prob, tests=[sol.x_alpha])
+def _hypotheses_obj(prob: TestProblem) -> dict:
+    """The structural checks as reported by both ``solve`` and ``check``."""
+    rep = hypothesis_report(prob)
     return {
         "h1": rep.h1,
-        "h2_at_solution": next(iter(rep.h2_at.values())),
         "h3": rep.h3,
         "continuity_p": rep.continuity_p,
         "continuity_q": rep.continuity_q,
@@ -294,7 +293,7 @@ def cmd_solve(args) -> int:
         "beta": None if beta is None else _rat(beta),
         "beta_criterion_matches_case": criterion,
         "representation": _representation_obj(prob, sol),
-        "hypotheses": _hypotheses_obj(prob, sol),
+        "hypotheses": _hypotheses_obj(prob),
         "certificate": {
             "status": "verified",
             "duality_gap": _rat(sol.certificate.duality_gap),
@@ -342,8 +341,8 @@ def cmd_solve(args) -> int:
         print(f"representation: {rep['form']} verdict={rep['verdict']}{extra}")
     hyp = report["hypotheses"]
     print(
-        f"hypotheses: h1={hyp['h1']} h2(x_alpha)={hyp['h2_at_solution']} "
-        f"h3={hyp['h3']} continuity=({hyp['continuity_p']}, {hyp['continuity_q']})"
+        f"hypotheses: h1={hyp['h1']} h3={hyp['h3']} "
+        f"continuity=({hyp['continuity_p']}, {hyp['continuity_q']})"
     )
     print("certificate: verified (duality gap 0)")
     if args.oracle:
@@ -453,26 +452,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_check(args) -> int:
     prob = load_problem(args.spec, _parse_alpha_flag(args.alpha))
-    probes = [
-        ("constant_1/2", TestFunction.constant(prob.space, Fraction(1, 2))),
-        ("ones", TestFunction.constant(prob.space, 1)),
-    ]
-    rep = hypothesis_report(prob, tests=[x for _, x in probes])
-    h2 = {label: rep.h2_at[x] for label, x in probes}
-    report = {
-        "h1": rep.h1,
-        "h2_at": h2,
-        "h3": rep.h3,
-        "continuity_p": rep.continuity_p,
-        "continuity_q": rep.continuity_q,
-        "witnesses": dict(rep.witnesses),
-    }
-    print(f"h1: {rep.h1}")
-    for label, value in h2.items():
-        print(f"h2 at {label}: {value}")
-    print(f"h3: {rep.h3}")
-    print(f"continuity: P={rep.continuity_p} Q={rep.continuity_q}")
-    for key, text in rep.witnesses.items():
+    report = _hypotheses_obj(prob)
+    print(f"h1: {report['h1']}")
+    print(f"h3: {report['h3']}")
+    print(f"continuity: P={report['continuity_p']} Q={report['continuity_q']}")
+    for key, text in report["witnesses"].items():
         print(f"witness[{key}]: {text}")
     _emit(report, args.json_out)
     return EXIT_OK

@@ -7,13 +7,24 @@ mass under any charge is exactly the charge's tail mass. Every other
 decreasing sequence is squeezed below that. Quantifiers over all
 sequences therefore collapse to statements about tail masses, which is
 what makes the checks below exact rather than sampled.
+
+H2 (shaving a test x by 1/K strictly lowers its upper null expectation,
+for all K >= 1) holds at every test on this model, so it has no check.
+Write f(K) for the upper expectation of max(x - 1/K, 0). The shaved test
+grows pointwise with K, so f is nondecreasing, and f(K) < f(inf) for
+every K holds exactly when it holds for all large K. Once 1/K is below
+every positive value of x, a member c shaves to E_c[x] - c{x > 0}/K, and
+for large K only members with E_c[x] maximal can attain f(K). So H2 holds
+at x exactly when every maximizing member charges {x > 0}. If the upper
+expectation is 0 that is vacuous, and otherwise a maximizer has
+E_c[x] > 0, which needs a slot with positive mass and positive x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .charge_model import (
     ONE,
@@ -22,7 +33,6 @@ from .charge_model import (
     Event,
     SampleSpace,
     SublinearExpectation,
-    TestFunction,
     frac,
 )
 from .minimax import TestProblem, solve_minimax
@@ -30,15 +40,14 @@ from .minimax import TestProblem, solve_minimax
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Joint outcome of the structural checks for one problem.
+    """Joint outcome of the structural checks H1, H3 and continuity from above.
 
-    ``h2_at`` maps each probed test function to its check result, which
-    is always True on this model (see :func:`check_h2_at`). Every other
-    False flag has an explanation under its own key in ``witnesses``.
+    Every False flag has an explanation under its own key in ``witnesses``.
+    H2 holds at every test on this model (see the module docstring), so
+    the report does not carry it.
     """
 
     h1: bool
-    h2_at: dict[TestFunction, bool]
     h3: bool
     continuity_p: bool
     continuity_q: bool
@@ -76,27 +85,7 @@ def check_h1(p_family: SublinearExpectation, q_family: SublinearExpectation) -> 
     """
     if p_family.space != q_family.space:
         raise ValueError("families live on different sample spaces")
-    q_tail, _ = _max_tail(q_family)
-    p_tail, _ = _max_tail(p_family)
-    return q_tail == 0 or p_tail == 0
-
-
-def check_h2_at(p_family: SublinearExpectation, x: TestFunction) -> bool:
-    """Shaving x by 1/K strictly lowers its upper null expectation, for all K >= 1.
-
-    Write f(K) for the upper expectation of max(x - 1/K, 0). The shaved
-    test grows pointwise with K, so f is nondecreasing, and f(K) < f(inf)
-    for every K holds exactly when it holds for all large K. Once 1/K is
-    below every positive value of x, a member c shaves to E_c[x] - c{x > 0}/K,
-    and for large K only members with E_c[x] maximal can attain f(K). So the
-    check holds exactly when every maximizing member charges {x > 0}. On
-    this model that is always so: if the upper expectation is 0 the check
-    is vacuous, and otherwise a maximizer has E_c[x] > 0, which needs a
-    slot with positive mass and positive x.
-    """
-    if x.space != p_family.space:
-        raise ValueError("test and family live on different sample spaces")
-    return True
+    return _max_tail(q_family)[0] == 0 or _max_tail(p_family)[0] == 0
 
 
 def check_h3(p_family: SublinearExpectation, q_family: SublinearExpectation) -> bool:
@@ -111,55 +100,36 @@ def check_continuity_from_above(family: SublinearExpectation) -> bool:
     return _max_tail(family)[0] == 0
 
 
-def hypothesis_report(
-    prob: TestProblem,
-    tests: Sequence[TestFunction] = (),
-) -> HypothesisReport:
-    """Run all checks for one problem and collect witnesses for failures."""
-    p_family, q_family = prob.p_family, prob.q_family
+def hypothesis_report(prob: TestProblem) -> HypothesisReport:
+    """Run all checks for one problem and collect witnesses for failures.
+
+    Each flag is the same test of the maximal tail masses as its
+    ``check_*`` function, read once per family.
+    """
+    p_tail, pi = _max_tail(prob.p_family)
+    q_tail, qi = _max_tail(prob.q_family)
+    null = f"null member {pi} keeps mass {p_tail}"
+    alternative = f"alternative member {qi} keeps mass {q_tail}"
+    canonical = "along the canonical shrinking events"
+    shrinking = "along events shrinking to the empty set"
     witnesses: dict[str, str] = {}
 
-    h1 = check_h1(p_family, q_family)
+    h1 = q_tail == 0 or p_tail == 0
     if not h1:
-        q_tail, qi = _max_tail(q_family)
-        p_tail, pi = _max_tail(p_family)
-        witnesses["h1"] = (
-            f"along the canonical shrinking events, alternative member {qi} keeps "
-            f"mass {q_tail} while null member {pi} keeps mass {p_tail}"
-        )
-
-    h3 = check_h3(p_family, q_family)
+        witnesses["h1"] = f"{canonical}, {alternative} while {null}"
+    h3 = p_tail < ONE and q_tail < ONE
     if not h3:
-        p_tail, pi = _max_tail(p_family)
-        q_tail, qi = _max_tail(q_family)
-        side = (
-            f"null member {pi} keeps mass {p_tail}"
-            if p_tail == ONE
-            else f"alternative member {qi} keeps mass {q_tail}"
-        )
-        witnesses["h3"] = f"along the canonical shrinking events, {side}"
-
-    continuity_p = check_continuity_from_above(p_family)
-    if not continuity_p:
-        tail, i = _max_tail(p_family)
-        witnesses["continuity_p"] = (
-            f"null member {i} keeps mass {tail} along events shrinking to the empty set"
-        )
-    continuity_q = check_continuity_from_above(q_family)
-    if not continuity_q:
-        tail, i = _max_tail(q_family)
-        witnesses["continuity_q"] = (
-            f"alternative member {i} keeps mass {tail} along events shrinking to the empty set"
-        )
-
-    h2_at = {x: check_h2_at(p_family, x) for x in tests}
+        witnesses["h3"] = f"{canonical}, {null if p_tail == ONE else alternative}"
+    if p_tail != 0:
+        witnesses["continuity_p"] = f"{null} {shrinking}"
+    if q_tail != 0:
+        witnesses["continuity_q"] = f"{alternative} {shrinking}"
 
     return HypothesisReport(
         h1=h1,
-        h2_at=h2_at,
         h3=h3,
-        continuity_p=continuity_p,
-        continuity_q=continuity_q,
+        continuity_p=p_tail == 0,
+        continuity_q=q_tail == 0,
         witnesses=witnesses,
     )
 

@@ -295,18 +295,17 @@ def _lift_dual_support(prob: TestProblem, p_rows, q_rows, gamma: Fraction, u, v,
     ]
     if not zero:
         return u, v, w
-    c, a_ub, b_ub, _ = _epigraph_program(q_rows, p_rows, [prob.alpha] * mp)
-    nv = len(c) - 1
-    # The epigraph's columns over (u, v, w): one per slot, then t's (sum u).
-    cols = [
-        [row[k] for row in a_ub] + [ONE if i == k else ZERO for i in range(nv)]
-        for k in range(nv + 1)
+    nv = prob.space.n_slots
+    # Over (u, v, w): a row per slot, the gap row, the normalization row.
+    face_a = [
+        [q[k] for q in q_rows] + [-p[k] for p in p_rows]
+        + [-ONE if i == k else ZERO for i in range(nv)]
+        for k in range(nv)
     ]
-    dual_obj = b_ub + [ONE] * nv
-    face_a = [[-a for a in col] for col in cols[:nv]]
-    face_a += [[b - gamma * a for b, a in zip(dual_obj, cols[nv])], cols[nv]]
+    face_a.append([-gamma] * mq + [prob.alpha] * mp + [ONE] * nv)
+    face_a.append([ONE] * mq + [ZERO] * (mp + nv))
     face_b = [ZERO] * (nv + 1) + [ONE]
-    n_all = len(dual_obj)
+    n_all = mq + mp + nv
     points = [u + v + w]
     while zero:
         obj = [ONE if j in zero else ZERO for j in range(n_all)]

@@ -5,14 +5,15 @@ the package: a handful of variables and a few dozen rows. Each tableau row
 is a vector of Python ints over its own positive integer denominator, kept
 in lowest terms, so a pivot is integer multiply, subtract and one gcd per
 row it touches. `fractions.Fraction`s are built in two places only: where
-the inputs are coerced (``_frac``, which refuses floats and bools), and for
-the nonzero entries of the result. The sign checks run on the scaled
-integers, and the optimal value is read off the cost row's right-hand
-side rather than summed as ``c . x``. Nothing is rounded, so "optimal" means
-optimal, not optimal up to a tolerance, and the duals returned here can be
-used in exact complementary slackness checks. Every right-hand side must be
-nonnegative, so the slack basis x = 0 is feasible and there is one phase:
-the callers write their programs in that form.
+the inputs are coerced (``_frac``, which refuses floats, bools and
+exponent strings), and for the nonzero entries of the result. The sign
+checks run on the scaled integers, and the optimal value is read off the
+cost row's right-hand side rather than summed as ``c . x``. Nothing is
+rounded, so "optimal" means optimal, not optimal up to a tolerance, and
+the duals returned here can be used in exact complementary slackness
+checks. Every right-hand side must be nonnegative, so the slack basis
+x = 0 is feasible and there is one phase: the callers write their
+programs in that form.
 
 Bounds ``x_j <= u_j`` stay out of the tableau (Dantzig's upper-bounding
 technique): a variable at its bound is complemented, ``x_j = u_j - x_j'``,
@@ -88,12 +89,16 @@ def _frac(v) -> Fraction:
 
     A Fraction is returned as it is. Floats are refused on purpose: a float
     that looks like 0.1 is not 1/10, and silently accepting it would poison
-    every exact comparison later.
+    every exact comparison later. So is a string in exponent notation:
+    from twelve characters, ``Fraction("1e-999999999")`` would build a
+    denominator of a billion digits before anything could check it.
     """
     if isinstance(v, Fraction):
         return v
     if isinstance(v, bool):
         raise TypeError(f"refusing bool as a rational value: {v!r}")
+    if isinstance(v, str) and ("e" in v or "E" in v):
+        raise ValueError(f"refusing exponent notation in {v!r}; write 'num/den'")
     if isinstance(v, (int, str)):
         return Fraction(v)
     raise TypeError(

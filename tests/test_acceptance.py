@@ -21,7 +21,6 @@ from robustnp import (
     TestFunction,
     check_continuity_from_above,
     check_h1,
-    check_h2_at,
     check_h3,
     compute_beta,
     expectation,
@@ -220,8 +219,8 @@ def test_criterion_07_representation_suite(capfd, batch200):
                 beta = compute_beta(prob.p_family, qc)
                 assert (sol.case is Case.LEVEL_SLACK) == (beta > 1 - prob.alpha)
             if sol.case is Case.LEVEL_ATTAINED:
-                rep = hypothesis_report(prob, tests=[sol.x_alpha])
-                structural = rep.h1 and rep.h3 and all(rep.h2_at.values())
+                rep = hypothesis_report(prob)
+                structural = rep.h1 and rep.h3
                 if structural and sol.lam > 0 and sol.p_alpha is not None:
                     form = verify_threshold_form(prob, sol)
                     assert form.verdict, (prob, form.violations)

@@ -16,6 +16,7 @@ from robustnp import (
     lower_expectation,
     mix,
     radon_nikodym,
+    solve_lp,
     upper_expectation,
     yosida_hewitt,
 )
@@ -63,6 +64,18 @@ def test_frac_refuses_floats_and_bools():
         frac(0.5)
     with pytest.raises(TypeError):
         frac(True)
+
+
+def test_frac_refuses_exponent_notation():
+    # Fraction("1e-999999999") would build a billion-digit denominator;
+    # the refusal comes first, in frac and in solve_lp alike.
+    for literal in ("1e-3", "2E5", "1e-999999999"):
+        with pytest.raises(ValueError, match=f"exponent notation in '{literal}'"):
+            frac(literal)
+    with pytest.raises(ValueError, match="exponent notation in '1e-3'"):
+        solve_lp(["1e-3"], [[1]], [1])
+    with pytest.raises(ValueError, match="exponent notation in '1e0'"):
+        solve_lp([1], [[1]], ["1e0"], upper=[1])
 
 
 def test_space_rejects_duplicates_and_empty():

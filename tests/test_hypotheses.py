@@ -10,12 +10,10 @@ from robustnp import (
     Charge,
     SampleSpace,
     SublinearExpectation,
-    TestFunction,
     TestProblem,
     canonical_tail_sequence,
     check_continuity_from_above,
     check_h1,
-    check_h2_at,
     check_h3,
     expectation,
     hypothesis_report,
@@ -67,22 +65,6 @@ def test_h1_examples():
     assert check_h1(fam("null", ca), fam("alternative", geo))
 
 
-def test_h2_examples():
-    space = SampleSpace(("a", "b", "c"), False)
-    full = Charge(space, (F(1, 2), F(1, 4), F(1, 4)), F(0))
-    x = TestFunction(space, (F(1, 2), F(1), F(0)), F(0))
-    assert check_h2_at(fam("null", full), x)
-
-    tspace = tailed_space(2)
-    pure = Charge(tspace, (F(0), F(0)), F(1))
-    finite_ind = TestFunction(tspace, (F(1), F(1)), F(0))
-    assert check_h2_at(fam("null", pure), finite_ind)
-
-    dirac = Charge(space, (F(1), F(0), F(0)), F(0))
-    off_support = TestFunction(space, (F(0), F(1), F(1)), F(0))
-    assert check_h2_at(fam("null", dirac), off_support)
-
-
 def test_h3_examples():
     space = tailed_space(2)
     ca = Charge(space, (F(1, 2), F(1, 2)), F(0))
@@ -114,13 +96,8 @@ def test_single_countably_additive_family_passes_everything():
         prob = TestProblem(
             space, fam("null", c), fam("alternative", c), F(1, 2)
         )
-        probes = [
-            TestFunction(space, tuple(F(rng.randint(0, 4), 4) for _ in range(n)), F(0))
-            for _ in range(3)
-        ]
-        rep = hypothesis_report(prob, probes)
+        rep = hypothesis_report(prob)
         assert rep.h1 and rep.h3 and rep.continuity_p and rep.continuity_q
-        assert all(rep.h2_at.values())
         assert rep.witnesses == {}
 
 
@@ -138,6 +115,35 @@ def test_report_witnesses_on_failures():
     assert "null member 0" in rep.witnesses["h3"]
     assert not rep.continuity_p and not rep.continuity_q
     assert "continuity_p" in rep.witnesses and "continuity_q" in rep.witnesses
+
+
+def test_report_flags_match_the_checks():
+    # hypothesis_report reads each family's largest tail mass once; its
+    # flags must agree with the check_* functions, and exactly the False
+    # ones carry a witness.
+    rng = random.Random(4711)
+    space = tailed_space(2)
+    seen = set()
+    for _ in range(300):
+
+        def member():
+            tail = rng.choice([F(0), F(0), F(1, 2), F(1)])
+            a = (1 - tail) * F(rng.randint(0, 4), 4)
+            return Charge(space, (a, 1 - tail - a), tail)
+
+        p = fam("null", *(member() for _ in range(rng.randint(1, 3))))
+        q = fam("alternative", *(member() for _ in range(rng.randint(1, 3))))
+        rep = hypothesis_report(TestProblem(space, p, q, F(1, 3)))
+        flags = {
+            "h1": check_h1(p, q),
+            "h3": check_h3(p, q),
+            "continuity_p": check_continuity_from_above(p),
+            "continuity_q": check_continuity_from_above(q),
+        }
+        assert {key: getattr(rep, key) for key in flags} == flags
+        assert set(rep.witnesses) == {key for key, ok in flags.items() if not ok}
+        seen.add(tuple(flags.values()))
+    assert len(seen) >= 6
 
 
 def test_nonexistence_problem_shape():
