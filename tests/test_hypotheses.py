@@ -10,6 +10,7 @@ from robustnp import (
     Charge,
     SampleSpace,
     SublinearExpectation,
+    TestFunction,
     TestProblem,
     canonical_tail_sequence,
     check_continuity_from_above,
@@ -20,6 +21,7 @@ from robustnp import (
     nonexistence_problem,
     solve_minimax,
     truncation_sweep,
+    upper_expectation,
 )
 
 F = Fraction
@@ -63,6 +65,31 @@ def test_h1_examples():
     assert not check_h1(fam("null", half_p), fam("alternative", half_q))
     # Geometric keeps tail mass, but the tail-free null side still vanishes.
     assert check_h1(fam("null", ca), fam("alternative", geo))
+
+
+def test_h2_examples():
+    # H2 has no check (the hypotheses module docstring argues it holds at
+    # every test); on each pair, every null member attaining a positive
+    # upper level charges {x > 0}.
+    def charges_positive_part(c, x):
+        return any(m and v for m, v in zip(c.slot_masses(), x.slot_values()))
+
+    space = SampleSpace(("a", "b", "c"), False)
+    full = Charge(space, (F(1, 2), F(1, 4), F(1, 4)), F(0))
+    x = TestFunction(space, (F(1, 2), F(1), F(0)), F(0))
+    assert upper_expectation(fam("null", full), x) == F(1, 2)
+    assert charges_positive_part(full, x)
+
+    tspace = tailed_space(2)
+    pure = Charge(tspace, (F(0), F(0)), F(1))
+    finite_ind = TestFunction(tspace, (F(1), F(1)), F(0))
+    # The level is 0, so the criterion asks nothing of the pure charge.
+    assert upper_expectation(fam("null", pure), finite_ind) == 0
+    assert not charges_positive_part(pure, finite_ind)
+
+    dirac = Charge(space, (F(1), F(0), F(0)), F(0))
+    off_support = TestFunction(space, (F(0), F(1), F(1)), F(0))
+    assert upper_expectation(fam("null", dirac), off_support) == 0
 
 
 def test_h3_examples():
