@@ -85,7 +85,9 @@ def check_h1(p_family: SublinearExpectation, q_family: SublinearExpectation) -> 
     """
     if p_family.space != q_family.space:
         raise ValueError("families live on different sample spaces")
-    return _max_tail(q_family)[0] == 0 or _max_tail(p_family)[0] == 0
+    q_tail, _ = _max_tail(q_family)
+    p_tail, _ = _max_tail(p_family)
+    return q_tail == 0 or p_tail == 0
 
 
 def check_h3(p_family: SublinearExpectation, q_family: SublinearExpectation) -> bool:
@@ -101,35 +103,34 @@ def check_continuity_from_above(family: SublinearExpectation) -> bool:
 
 
 def hypothesis_report(prob: TestProblem) -> HypothesisReport:
-    """Run all checks for one problem and collect witnesses for failures.
-
-    Each flag is the same test of the maximal tail masses as its
-    ``check_*`` function, read once per family.
-    """
-    p_tail, pi = _max_tail(prob.p_family)
-    q_tail, qi = _max_tail(prob.q_family)
+    """Run all checks for one problem and collect witnesses for failures."""
+    p_family, q_family = prob.p_family, prob.q_family
+    p_tail, pi = _max_tail(p_family)
+    q_tail, qi = _max_tail(q_family)
     null = f"null member {pi} keeps mass {p_tail}"
     alternative = f"alternative member {qi} keeps mass {q_tail}"
     canonical = "along the canonical shrinking events"
     shrinking = "along events shrinking to the empty set"
     witnesses: dict[str, str] = {}
 
-    h1 = q_tail == 0 or p_tail == 0
+    h1 = check_h1(p_family, q_family)
     if not h1:
         witnesses["h1"] = f"{canonical}, {alternative} while {null}"
-    h3 = p_tail < ONE and q_tail < ONE
+    h3 = check_h3(p_family, q_family)
     if not h3:
         witnesses["h3"] = f"{canonical}, {null if p_tail == ONE else alternative}"
-    if p_tail != 0:
+    continuity_p = check_continuity_from_above(p_family)
+    if not continuity_p:
         witnesses["continuity_p"] = f"{null} {shrinking}"
-    if q_tail != 0:
+    continuity_q = check_continuity_from_above(q_family)
+    if not continuity_q:
         witnesses["continuity_q"] = f"{alternative} {shrinking}"
 
     return HypothesisReport(
         h1=h1,
         h3=h3,
-        continuity_p=p_tail == 0,
-        continuity_q=q_tail == 0,
+        continuity_p=continuity_p,
+        continuity_q=continuity_q,
         witnesses=witnesses,
     )
 

@@ -52,6 +52,7 @@ Conventions (documented once, relied on everywhere):
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -89,15 +90,14 @@ def _frac(v) -> Fraction:
 
     A Fraction is returned as it is. Floats are refused on purpose: a float
     that looks like 0.1 is not 1/10, and silently accepting it would poison
-    every exact comparison later. So is a string in exponent notation:
-    from twelve characters, ``Fraction("1e-999999999")`` would build a
-    denominator of a billion digits before anything could check it.
+    every exact comparison later. So is exponent notation: the twelve
+    characters ``"1e-999999999"`` would make a billion-digit denominator.
     """
     if isinstance(v, Fraction):
         return v
     if isinstance(v, bool):
         raise TypeError(f"refusing bool as a rational value: {v!r}")
-    if isinstance(v, str) and ("e" in v or "E" in v):
+    if isinstance(v, str) and re.search(r"[\d.][eE][-+]?\d", v):
         raise ValueError(f"refusing exponent notation in {v!r}; write 'num/den'")
     if isinstance(v, (int, str)):
         return Fraction(v)

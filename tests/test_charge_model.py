@@ -1,5 +1,6 @@
 """Charges, test functions, expectations and the decomposition."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -69,8 +70,12 @@ def test_frac_refuses_floats_and_bools():
 def test_frac_refuses_exponent_notation():
     # Fraction("1e-999999999") would build a billion-digit denominator;
     # the refusal comes first, in frac and in solve_lp alike.
-    for literal in ("1e-3", "2E5", "1e-999999999"):
-        with pytest.raises(ValueError, match=f"exponent notation in '{literal}'"):
+    for literal in ("1e-3", "2E5", "1.e+2", "1e-999999999"):
+        with pytest.raises(ValueError, match=re.escape(f"exponent notation in '{literal}'")):
+            frac(literal)
+    # Other malformed strings keep Fraction's own error.
+    for literal in ("three", "none", "1/3e"):
+        with pytest.raises(ValueError, match="Invalid literal"):
             frac(literal)
     with pytest.raises(ValueError, match="exponent notation in '1e-3'"):
         solve_lp(["1e-3"], [[1]], [1])

@@ -144,35 +144,6 @@ def test_report_witnesses_on_failures():
     assert "continuity_p" in rep.witnesses and "continuity_q" in rep.witnesses
 
 
-def test_report_flags_match_the_checks():
-    # hypothesis_report reads each family's largest tail mass once; its
-    # flags must agree with the check_* functions, and exactly the False
-    # ones carry a witness.
-    rng = random.Random(4711)
-    space = tailed_space(2)
-    seen = set()
-    for _ in range(300):
-
-        def member():
-            tail = rng.choice([F(0), F(0), F(1, 2), F(1)])
-            a = (1 - tail) * F(rng.randint(0, 4), 4)
-            return Charge(space, (a, 1 - tail - a), tail)
-
-        p = fam("null", *(member() for _ in range(rng.randint(1, 3))))
-        q = fam("alternative", *(member() for _ in range(rng.randint(1, 3))))
-        rep = hypothesis_report(TestProblem(space, p, q, F(1, 3)))
-        flags = {
-            "h1": check_h1(p, q),
-            "h3": check_h3(p, q),
-            "continuity_p": check_continuity_from_above(p),
-            "continuity_q": check_continuity_from_above(q),
-        }
-        assert {key: getattr(rep, key) for key in flags} == flags
-        assert set(rep.witnesses) == {key for key, ok in flags.items() if not ok}
-        seen.add(tuple(flags.values()))
-    assert len(seen) >= 6
-
-
 def test_nonexistence_problem_shape():
     prob = nonexistence_problem(3)
     assert prob.space.atoms == ("1", "2", "3")
