@@ -17,7 +17,6 @@ Fraction end to end. The main entry points:
 from .charge_model import (
     TAIL_LABEL,
     Charge,
-    Decomposition,
     DensityPair,
     Event,
     SampleSpace,
@@ -29,7 +28,6 @@ from .charge_model import (
     mix,
     radon_nikodym,
     upper_expectation,
-    yosida_hewitt,
 )
 from .hypotheses import (
     GENERATORS,
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "TAIL_LABEL",
     "Charge",
-    "Decomposition",
     "DensityPair",
     "Event",
     "SampleSpace",
@@ -77,7 +74,6 @@ __all__ = [
     "mix",
     "radon_nikodym",
     "upper_expectation",
-    "yosida_hewitt",
     "GENERATORS",
     "HypothesisReport",
     "canonical_tail_sequence",

@@ -6,6 +6,9 @@ in for the unmodeled remainder of a countable space. Mass placed on it acts
 like a purely finitely additive component: it contributes nothing to the
 expectation of an indicator supported on finitely many explicit atoms, and
 contributes in full to any test that is 1 on the tail (cofinite events).
+So a charge's Yosida-Hewitt decomposition is read off its slots:
+:meth:`Charge.atom_part` is the countably additive part and ``tail_mass``
+the mass of the purely finitely additive part.
 
 Everything is a `fractions.Fraction`. There is no rounding anywhere in this
 package, so equality assertions downstream mean exact equality.
@@ -285,65 +288,6 @@ def lower_expectation(e: SublinearExpectation, x: TestFunction) -> Fraction:
     return min(expectation(c, x) for c in e.family)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Split of a charge into countably additive and purely f.a. parts.
-
-    ``lam`` is the weight of the countably additive part relative to the
-    charge's total mass. ``countable`` and ``pure`` are normalized to
-    probability charges when their part is present, else ``None``.
-    """
-
-    lam: Fraction
-    countable: "Charge | None"
-    pure: "Charge | None"
-    total: Fraction
-
-    def recompose(self) -> Charge:
-        """Reassemble the original charge from the parts."""
-        parts = []
-        weights = []
-        if self.countable is not None:
-            parts.append(self.countable)
-            weights.append(self.lam * self.total)
-        if self.pure is not None:
-            parts.append(self.pure)
-            weights.append((ONE - self.lam) * self.total)
-        if not parts:
-            raise ValueError("cannot recompose a zero charge")
-        return mix(parts, weights, normalize=False)
-
-
-def yosida_hewitt(charge: Charge) -> Decomposition:
-    """Split a charge into its countably additive and purely f.a. parts.
-
-    In this model the split is immediate: the explicit atoms carry the
-    countably additive part and the tail carries the purely finitely
-    additive part. Parts are returned as probability charges; a part of
-    mass zero is returned as ``None``.
-    """
-    total = charge.total
-    if total == 0:
-        raise ValueError("cannot decompose the zero charge")
-    atom_total = total - charge.tail_mass
-    lam = atom_total / total
-    countable = None
-    if atom_total > 0:
-        countable = Charge(
-            charge.space,
-            tuple(m / atom_total for m in charge.atom_mass),
-            ZERO,
-        )
-    pure = None
-    if charge.tail_mass > 0:
-        pure = Charge(
-            charge.space,
-            (ZERO,) * charge.space.n_atoms,
-            charge.tail_mass / charge.tail_mass,
-        )
-    return Decomposition(lam, countable, pure, total)
-
-
 def mix(
     charges: Sequence[Charge],
     weights: Sequence[RationalLike],
@@ -353,7 +297,7 @@ def mix(
 
     With ``normalize=True`` the weights must be nonnegative and sum to 1
     exactly; ``normalize=False`` drops the sum requirement and is what the
-    decomposition and dual-extraction internals use.
+    dual-extraction internals use.
     """
     if len(charges) != len(weights):
         raise ValueError("need one weight per charge")

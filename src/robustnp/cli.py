@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import stat
 import sys
@@ -85,8 +86,19 @@ def _parse_charge(space: SampleSpace, data, where: str) -> Charge:
     except (TypeError, ValueError) as exc:
         raise SpecError(f"{where}: {exc}") from None
     if not charge.is_probability:
-        raise SpecError(f"{where}: masses sum to {charge.total}, expected 1")
+        try:
+            total = str(charge.total)
+        except ValueError:  # str refuses ints past sys.get_int_max_str_digits()
+            n, d = charge.total.as_integer_ratio()
+            total = f"a fraction too long to print ({_digits(n)} digits over {_digits(d)})"
+        raise SpecError(f"{where}: masses sum to {total}, expected 1")
     return charge
+
+
+def _digits(n: int) -> int:
+    """Decimal digits of an int n >= 1, found without ``str``."""
+    k = int(math.log10(n))  # floor(log10 n), give or take the float's rounding
+    return k + 1 + (n >= 10 ** (k + 1)) - (n < 10**k)
 
 
 def parse_problem(data, alpha_override: "Fraction | None" = None) -> TestProblem:
@@ -204,9 +216,6 @@ def _representation_obj(prob: TestProblem, sol) -> dict:
             "precondition_grid": rep.precondition_grid,
             "level_c": _rat(sol.level_c),
         }
-    # The slack-case form does not depend on the reference measure (every
-    # full-support reference classifies the atoms alike), so one check
-    # against the default uniform reference says all there is.
     rep = verify_degenerate_form(prob, sol)
     return {
         "form": "degenerate",

@@ -198,20 +198,23 @@ class Solution:
 class RepresentationReport:
     """Outcome of checking a solution against a structural test form.
 
-    ``form`` is ``"threshold"`` or ``"degenerate"``. ``g`` and ``h`` are
-    the densities of the two sides of the relevant pair against their
-    average ``base`` (``None`` on base-null atoms). ``classification``
+    ``form`` is ``"threshold"`` or ``"degenerate"``. ``classification``
     maps each atom label to ``strict_accept``, ``strict_reject``,
     ``boundary`` or ``base_null``; ``b_values`` lists the test's values on
     the boundary atoms, where the form leaves them free. ``violations``
     explains every atom where the test disagrees with the form, and
     ``verdict`` is True when there are none.
+
+    The two cut points sit on reciprocal scales. With g and h the
+    densities of tau_pc and lam_qc, the null and alternative mixtures'
+    countable parts, against their average, ``kappa`` is a cut on h/g:
+    the form asks x = 1 where h > kappa * g and x = 0 where h < kappa * g.
+    ``kappa_formula`` is the smallest u with lam_qc{u * h >= g} >= gamma_c,
+    a cut on g/h, so its reciprocal is on kappa's scale. The degenerate
+    form has no cut: ``kappa`` is 0 and ``kappa_formula`` is None.
     """
 
     form: str
-    base: Charge
-    g: tuple["Fraction | None", ...]
-    h: tuple["Fraction | None", ...]
     kappa: Fraction
     kappa_formula: "Fraction | None"
     tau: "Fraction | None"
@@ -685,9 +688,6 @@ def verify_threshold_form(prob: TestProblem, sol: Solution) -> RepresentationRep
 
     return RepresentationReport(
         form="threshold",
-        base=dens.base,
-        g=dens.g,
-        h=dens.h,
         kappa=kappa,
         kappa_formula=kappa_formula,
         tau=tau,
@@ -702,18 +702,18 @@ def verify_threshold_form(prob: TestProblem, sol: Solution) -> RepresentationRep
     )
 
 
-def verify_degenerate_form(
-    prob: TestProblem,
-    sol: Solution,
-    reference_p: "Charge | None" = None,
-) -> RepresentationReport:
+def verify_degenerate_form(prob: TestProblem, sol: Solution) -> RepresentationReport:
     """Check the slack-case form: accept everywhere the countable part lives.
 
-    The reference measure is any countably additive probability charge on
-    the same space (uniform over the explicit atoms by default); the form
-    does not depend on its choice, which is exactly what makes the slack
-    case degenerate. Also asserts gamma-consistency: the solution's test
-    integrates the countably additive part to its full mass.
+    The form is stated against a reference measure K, with h the density
+    of lam_qc (the alternative mixture's countable part) against the
+    base (K + lam_qc) / 2, and asks x = 1 where h > 0. For every K the
+    base is positive wherever lam_qc is, so h > 0 exactly on lam_qc's
+    support: the form does not depend on K, which is what makes the slack
+    case degenerate. So an atom is ``strict_accept`` where lam_qc has mass
+    and ``boundary`` elsewhere. Also asserts gamma-consistency: the
+    solution's test integrates the countably additive part to its full
+    mass.
     """
     if sol.case is not Case.LEVEL_SLACK:
         raise ValueError(
@@ -724,41 +724,23 @@ def verify_degenerate_form(
         raise PureLeastFavorableError(
             "the least favorable alternative mixture has no countably additive part"
         )
-    space = prob.space
-    if reference_p is None:
-        n = space.n_atoms
-        reference_p = Charge(space, tuple(Fraction(1, n) for _ in range(n)), ZERO)
-    if reference_p.space != space:
-        raise ValueError("reference measure lives on a different sample space")
-    if not reference_p.is_countably_additive:
-        raise ValueError("the reference measure must be countably additive")
-    if not reference_p.is_probability:
-        raise ValueError("the reference measure must be a probability charge")
     lam_qc = sol.q_alpha.atom_part()
-    dens = radon_nikodym(reference_p, lam_qc)
     classification: dict[str, str] = {}
     b_values: dict[str, Fraction] = {}
     violations: list[str] = []
-    for i, label in enumerate(space.atoms):
-        if i in dens.base_null:
-            classification[label] = "base_null"
-            continue
-        if dens.h[i] > 0:
+    for label, m, xv in zip(prob.space.atoms, lam_qc.atom_mass, sol.x_alpha.atom_value):
+        if m > 0:
             classification[label] = "strict_accept"
-            if sol.x_alpha.atom_value[i] != ONE:
+            if xv != ONE:
                 violations.append(
-                    f"atom {label!r}: countable part is positive, x must be 1, "
-                    f"got {sol.x_alpha.atom_value[i]}"
+                    f"atom {label!r}: countable part is positive, x must be 1, got {xv}"
                 )
         else:
             classification[label] = "boundary"
-            b_values[label] = sol.x_alpha.atom_value[i]
+            b_values[label] = xv
     gamma_consistent = expectation(lam_qc, sol.x_alpha) == sol.lam
     return RepresentationReport(
         form="degenerate",
-        base=dens.base,
-        g=dens.g,
-        h=dens.h,
         kappa=ZERO,
         kappa_formula=None,
         tau=None,

@@ -9,13 +9,11 @@ the subdivision refined by the pairwise equal-power cuts, and those are
 exactly the points the enumeration visits.
 
 Size bounds keep the combinatorics honest; they can be raised explicitly
-per call or through the ``ROBUSTNP_MAX_ORACLE_ATOMS`` environment
-variable. Exceeding a bound is a usage error, not a silent fallback.
+per call. Exceeding a bound is a usage error, not a silent fallback.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -32,8 +30,6 @@ from .charge_model import (
 )
 from .minimax import TestProblem
 
-_ENV_BOUND = "ROBUSTNP_MAX_ORACLE_ATOMS"
-
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -49,20 +45,11 @@ class OracleResult:
 
 
 def _bound(explicit: "int | None", default: int) -> int:
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError(f"size bound must be positive, got {explicit}")
-        return explicit
-    raw = os.environ.get(_ENV_BOUND)
-    if raw is None:
+    if explicit is None:
         return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{_ENV_BOUND} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{_ENV_BOUND} must be positive, got {value}")
-    return value
+    if explicit < 1:
+        raise ValueError(f"size bound must be positive, got {explicit}")
+    return explicit
 
 
 def _invert(m: list[list[Fraction]]) -> "list[list[Fraction]] | None":
@@ -107,7 +94,7 @@ def vertex_enumerate(
     if nv > limit_vars:
         raise ValueError(
             f"instance has {nv} variables, oracle bound is {limit_vars}; "
-            f"raise max_vars or {_ENV_BOUND} if this size is intended"
+            "raise max_vars if this size is intended"
         )
     if len(prob.p_family) > limit_family or len(prob.q_family) > limit_family:
         raise ValueError(
@@ -219,7 +206,7 @@ def beta_oracle(
     if space.n_atoms > limit:
         raise ValueError(
             f"instance has {space.n_atoms} atoms, oracle bound is {limit}; "
-            f"raise max_atoms or {_ENV_BOUND} if this size is intended"
+            "raise max_atoms if this size is intended"
         )
     zero_atoms = [
         a for a, m in zip(space.atoms, q_countable.atom_mass) if m == 0

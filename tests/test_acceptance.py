@@ -29,13 +29,13 @@ from robustnp import (
     lower_expectation,
     np_oracle,
     np_test,
+    radon_nikodym,
     solve_minimax,
     truncation_sweep,
     upper_expectation,
     verify_degenerate_form,
     verify_threshold_form,
     vertex_enumerate,
-    yosida_hewitt,
 )
 from robustnp.cli import load_problem
 from robustnp.hypotheses import nonexistence_problem
@@ -141,13 +141,22 @@ def test_criterion_02_dirac_degenerate(capfd):
             assert sol.gamma_alpha == 1
             assert sol.attained_level == 0
             assert sol.case is Case.LEVEL_SLACK
-            qc = yosida_hewitt(sol.q_alpha).countable
+            qc = sol.q_alpha.atom_part()
             beta = compute_beta(prob.p_family, qc)
             assert beta == 1 > 1 - alpha
+            rep = verify_degenerate_form(prob, sol)
+            assert rep.verdict
+            accept = {a for a, c in rep.classification.items() if c == "strict_accept"}
+            # The form does not depend on the reference K: against every K,
+            # the density of qc is positive exactly on the accepted atoms,
+            # also where K has a zero-mass atom (and both vanish there).
             refs = default_reference_charges(prob.space, count=3)
             assert len(refs) >= 3
+            refs += [Charge.from_mapping(prob.space, {a: 1}) for a in prob.space.atoms]
             for ref in refs:
-                assert verify_degenerate_form(prob, sol, ref).verdict
+                h = radon_nikodym(ref, qc).h
+                positive = {a for a, v in zip(prob.space.atoms, h) if v is not None and v > 0}
+                assert positive == accept
 
 
 def test_criterion_03_unique_optimum_on_grid(capfd):
@@ -215,7 +224,7 @@ def test_criterion_07_representation_suite(capfd, batch200):
         attained_checked = slack_checked = 0
         for prob, sol, _ in batch200:
             if sol.lam > 0:
-                qc = yosida_hewitt(sol.q_alpha).countable
+                qc = sol.q_alpha.atom_part()
                 beta = compute_beta(prob.p_family, qc)
                 assert (sol.case is Case.LEVEL_SLACK) == (beta > 1 - prob.alpha)
             if sol.case is Case.LEVEL_ATTAINED:

@@ -19,7 +19,6 @@ from robustnp import (
     radon_nikodym,
     solve_lp,
     upper_expectation,
-    yosida_hewitt,
 )
 
 F = Fraction
@@ -175,36 +174,35 @@ def test_upper_and_lower_three_atom_family():
 
 
 # ---------------------------------------------------------------------------
-# Yosida-Hewitt decomposition
+# Yosida-Hewitt decomposition: atom_part() and tail_mass
 
 
-def test_decomposition_no_tail():
-    d = yosida_hewitt(P3)
-    assert d.lam == 1
-    assert d.countable == P3
-    assert d.pure is None
+def tail_part(c):
+    return Charge(c.space, (F(0),) * c.space.n_atoms, c.tail_mass)
 
 
-def test_decomposition_pure_tail():
+def test_atom_part_no_tail():
+    assert P3.atom_part() == P3
+    assert P3.tail_mass == 0
+    assert P3.is_countably_additive
+
+
+def test_atom_part_pure_tail():
     s = space_of(2, has_tail=True)
     c = charge(s, 0, 0, tail=1)
-    d = yosida_hewitt(c)
-    assert d.lam == 0
-    assert d.countable is None
-    assert d.pure == c
+    assert c.atom_part().total == 0
+    assert tail_part(c) == c
+    assert not c.is_countably_additive
     assert is_pure(c)
 
 
-def test_decomposition_mixed():
+def test_atom_part_mixed():
     s = space_of(2, has_tail=True)
     c = charge(s, F(1, 4), F(1, 4), tail=F(1, 2))
-    d = yosida_hewitt(c)
-    assert d.lam == F(1, 2)
-    assert d.countable.atom_mass == (F(1, 2), F(1, 2))
-    assert d.countable.tail_mass == 0
-    assert d.pure.tail_mass == 1
+    assert c.atom_part() == charge(s, F(1, 4), F(1, 4))
+    assert c.tail_mass == F(1, 2)
+    assert mix([c.atom_part(), tail_part(c)], [1, 1], normalize=False) == c
     assert not is_pure(c)
-    assert d.recompose() == c
 
 
 def test_is_pure_atom_charge():
@@ -360,10 +358,13 @@ def test_monotone(data):
 
 
 @given(_space_charge_tests())
-def test_decomposition_round_trip(data):
+def test_atom_part_and_tail_mass_round_trip(data):
     fam, _ = data
     for c in fam.family:
-        assert yosida_hewitt(c).recompose() == c
+        # The identity solve_minimax uses for lam.
+        assert 1 - c.tail_mass == c.atom_part().total
+        assert c.atom_part().is_countably_additive
+        assert mix([c.atom_part(), tail_part(c)], [1, 1], normalize=False) == c
 
 
 @given(_space_charge_tests())

@@ -82,6 +82,34 @@ def test_solve_dirac_degenerate(tmp_path):
     assert rep["violations"] == []
 
 
+def test_threshold_kappas_are_on_reciprocal_scales(tmp_path):
+    # kappa cuts h/g (x = 1 where h > kappa*g); kappa_formula is the least u
+    # with lam_qc{u*h >= g} >= gamma_c, a cut on g/h.
+    out = tmp_path / "report.json"
+    assert run(["solve", FIXTURES / "intro_example.json", "--json", out]) == EXIT_OK
+    rep = json.loads(out.read_text())["representation"]
+    assert rep["form"] == "threshold" and rep["verdict"] is True
+    assert rep["kappa"]["exact"] == "261/128"
+    assert rep["kappa_formula"]["exact"] == "128/261"
+    prob = load_problem(str(FIXTURES / "intro_example.json"))
+    sol = robustnp.solve_minimax(prob)
+    lam_qc, tau_pc = sol.q_alpha.atom_part(), sol.p_alpha.atom_part()
+    dens = robustnp.radon_nikodym(tau_pc, lam_qc)
+    kappa, u = F(261, 128), F(128, 261)
+    sides = {1: "strict_accept", -1: "strict_reject", 0: "boundary"}
+    for label, g, h in zip(prob.space.atoms, dens.g, dens.h):
+        assert rep["classification"][label] == sides[(h > kappa * g) - (h < kappa * g)]
+    charged = [(m, g, h) for m, g, h in zip(lam_qc.atom_mass, dens.g, dens.h) if m]
+
+    def mass_cut_at(v):
+        return sum((m for m, g, h in charged if v * h >= g), F(0))
+
+    # u reaches gamma_c, and the step function is below it up to u.
+    assert mass_cut_at(u) >= sol.gamma_c
+    below = max(v for v in [F(0)] + [g / h for _, g, h in charged] if v < u)
+    assert mass_cut_at(below) < sol.gamma_c
+
+
 def test_solve_with_oracle_agrees(tmp_path):
     out = tmp_path / "report.json"
     code = run(["solve", FIXTURES / "three_atom.json", "--oracle", "--json", out])
@@ -193,6 +221,21 @@ def test_exponent_notation_is_an_input_error(tmp_path, capsys):
         assert run(argv) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err == f"error: {where}refusing exponent notation in '1e-5000'; write 'num/den'\n"
+
+
+def test_mass_sum_too_long_to_print_is_an_input_error(tmp_path, capsys):
+    # Each mass prints, but their sum's denominator has 5001 digits, past
+    # the int-to-str limit: the message still names the charge.
+    n = 10**2500
+    spec = write_spec(
+        tmp_path, dict(SMALL, p_family=[{"a": f"1/{n + 1}", "b": f"1/{n + 3}"}])
+    )
+    for command in ("solve", "check"):
+        assert run([command, spec]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: p_family[0]: masses sum to a fraction too long to print "
+            "(2501 digits over 5001), expected 1\n"
+        )
 
 
 def test_unwritable_json_path_exits_2(tmp_path, capsys):

@@ -103,18 +103,13 @@ def test_duplicate_member_invariance():
     assert vertex_enumerate(prob).value == vertex_enumerate(doubled).value
 
 
-def test_vars_bound_enforced(monkeypatch):
+def test_vars_bound_enforced():
     atoms = [f"a{i}" for i in range(7)]
     uniform = {a: F(1, 7) for a in atoms}
     prob = make_problem(atoms, [(uniform, 0)], [(uniform, 0)], F(1, 2))
     with pytest.raises(ValueError, match="raise max_vars"):
         vertex_enumerate(prob)
     assert vertex_enumerate(prob, max_vars=7).value == F(1, 2)
-    monkeypatch.setenv("ROBUSTNP_MAX_ORACLE_ATOMS", "7")
-    assert vertex_enumerate(prob).value == F(1, 2)
-    monkeypatch.setenv("ROBUSTNP_MAX_ORACLE_ATOMS", "nope")
-    with pytest.raises(ValueError, match="ROBUSTNP_MAX_ORACLE_ATOMS"):
-        vertex_enumerate(prob)
 
 
 def test_family_bound_enforced():
