@@ -17,7 +17,6 @@ Fraction end to end. The main entry points:
 from .charge_model import (
     TAIL_LABEL,
     Charge,
-    DensityPair,
     Event,
     SampleSpace,
     SublinearExpectation,
@@ -26,7 +25,6 @@ from .charge_model import (
     frac,
     lower_expectation,
     mix,
-    radon_nikodym,
     upper_expectation,
 )
 from .hypotheses import (
@@ -63,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "TAIL_LABEL",
     "Charge",
-    "DensityPair",
     "Event",
     "SampleSpace",
     "SublinearExpectation",
@@ -72,7 +69,6 @@ __all__ = [
     "frac",
     "lower_expectation",
     "mix",
-    "radon_nikodym",
     "upper_expectation",
     "GENERATORS",
     "HypothesisReport",

@@ -326,48 +326,3 @@ def mix(
     den *= dw
     out = [Fraction(s, den) if s else ZERO for s in acc]
     return Charge(space, tuple(out[:-1]), out[-1])
-
-
-@dataclass(frozen=True)
-class DensityPair:
-    """Densities of two charges against their average.
-
-    ``base`` is (p + q) / 2. On atoms where ``base`` vanishes both densities
-    are ``None``; everywhere else ``g[i] + h[i] == 2`` exactly. Indices of
-    base-null atoms are listed in ``base_null``. The tail never enters: both
-    inputs must be countably additive.
-    """
-
-    base: Charge
-    g: tuple["Fraction | None", ...]
-    h: tuple["Fraction | None", ...]
-    base_null: tuple[int, ...]
-
-
-def radon_nikodym(p: Charge, q: Charge) -> DensityPair:
-    """Densities g = dp/dK and h = dq/dK with K = (p + q) / 2.
-
-    Both inputs must be countably additive (no tail mass) and not both zero.
-    The returned densities satisfy (g + h) / 2 = 1 pointwise on the support
-    of K, which is the exactness guarantee everything downstream leans on.
-    """
-    if p.space != q.space:
-        raise ValueError("both charges must live on one sample space")
-    if not p.is_countably_additive or not q.is_countably_additive:
-        raise ValueError("densities are only taken for countably additive charges")
-    if p.total == 0 and q.total == 0:
-        raise ValueError("cannot take densities of two zero charges")
-    base_masses = tuple((a + b) / 2 for a, b in zip(p.atom_mass, q.atom_mass))
-    base = Charge(p.space, base_masses, ZERO)
-    g: list[Fraction | None] = []
-    h: list[Fraction | None] = []
-    null: list[int] = []
-    for i, k in enumerate(base_masses):
-        if k == 0:
-            g.append(None)
-            h.append(None)
-            null.append(i)
-        else:
-            g.append(p.atom_mass[i] / k)
-            h.append(q.atom_mass[i] / k)
-    return DensityPair(base, tuple(g), tuple(h), tuple(null))

@@ -182,7 +182,15 @@ def load_problem(path: str, alpha_override: "Fraction | None" = None) -> TestPro
 
 
 def _rat(v: Fraction) -> dict:
-    return {"exact": str(v), "decimal": str(float(v))}
+    try:
+        exact = str(v)
+    except ValueError:  # str refuses ints past sys.get_int_max_str_digits()
+        n, d = v.as_integer_ratio()
+        raise SpecError(
+            f"a reported value is a fraction too long to print ({_digits(abs(n))} digits "
+            f"over {_digits(d)}); rerun with PYTHONINTMAXSTRDIGITS=0"
+        ) from None
+    return {"exact": exact, "decimal": str(float(v))}
 
 
 def _slot_obj(space: SampleSpace, values: "list[Fraction]") -> dict:

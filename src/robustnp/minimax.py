@@ -74,7 +74,6 @@ from .charge_model import (
     ONE,
     ZERO,
     Charge,
-    DensityPair,
     Event,
     SampleSpace,
     SublinearExpectation,
@@ -83,9 +82,9 @@ from .charge_model import (
     frac,
     lower_expectation,
     mix,
-    radon_nikodym,
     upper_expectation,
 )
+from .neyman_pearson import _ratio_classes
 from .simplex import _scale, solve_lp
 
 
@@ -97,8 +96,8 @@ class PureLeastFavorableError(ValueError):
     """A structural verifier was asked about a purely finitely additive mixture.
 
     When the least favorable alternative mixture has no countably additive
-    part (or the null mixture has none, on the threshold side), the density
-    machinery has nothing to work with and the representation in question
+    part (or the null mixture has none, on the threshold side), there is
+    no ratio of countable masses to cut and the representation in question
     is not defined.
     """
 
@@ -205,12 +204,13 @@ class RepresentationReport:
     explains every atom where the test disagrees with the form, and
     ``verdict`` is True when there are none.
 
-    The two cut points sit on reciprocal scales. With g and h the
-    densities of tau_pc and lam_qc, the null and alternative mixtures'
-    countable parts, against their average, ``kappa`` is a cut on h/g:
-    the form asks x = 1 where h > kappa * g and x = 0 where h < kappa * g.
-    ``kappa_formula`` is the smallest u with lam_qc{u * h >= g} >= gamma_c,
-    a cut on g/h, so its reciprocal is on kappa's scale. The degenerate
+    The two cut points sit on reciprocal scales. With p and q the atom
+    masses of tau_pc and lam_qc, the null and alternative mixtures'
+    countable parts, ``kappa`` is a cut on q/p: the form asks x = 1 where
+    q > kappa * p and x = 0 where q < kappa * p. ``kappa_formula`` is the
+    smallest u with lam_qc{u * q >= p} >= gamma_c, a cut on p/q, so its
+    reciprocal is on kappa's scale. The density ratio dQ/dP is q/p against
+    any reference measure, so neither cut depends on one. The degenerate
     form has no cut: ``kappa`` is 0 and ``kappa_formula`` is None.
     """
 
@@ -245,7 +245,7 @@ def _epigraph_program(t_rows, cap_rows, caps):
     is a feasible basis.
     """
     nv = len(t_rows[0])
-    a_ub = [[-val for val in r] + [ONE] for r in t_rows]
+    a_ub = [[-val if val else ZERO for val in r] + [ONE] for r in t_rows]
     a_ub += [list(r) + [ZERO] for r in cap_rows]
     b_ub = [ZERO] * len(t_rows) + list(caps)
     return [ZERO] * nv + [ONE], a_ub, b_ub, [ONE] * nv + [None]
@@ -561,98 +561,92 @@ def compute_beta(p_family: SublinearExpectation, q_countable: Charge) -> Fractio
 
 def _scan_threshold(
     space: SampleSpace,
-    dens: DensityPair,
+    tau_pc: Charge,
+    lam_qc: Charge,
     x: TestFunction,
 ) -> tuple[Fraction, dict[str, str], dict[str, Fraction], bool, tuple[str, ...]]:
-    """Search for a ratio cut consistent with ``x``.
+    """Search for a cut kappa on the mass ratio q/p of lam_qc to tau_pc consistent with ``x``.
 
-    Candidates are 0, every realized finite ratio h/g, midpoints between
+    Candidates are 0, every realized finite ratio, midpoints between
     consecutive realized ratios, and one value above the largest. For each
-    candidate the atoms split into strict accept (h > kappa * g, x must be
+    candidate the atoms split into strict accept (q > kappa * p, x must be
     1), strict reject (x must be 0) and boundary (x free). The candidate
     with the fewest violations wins, ties broken toward fewer boundary
-    atoms, then toward smaller kappa.
+    atoms, then toward smaller kappa. The counts go class by class, walking
+    kappa down from the top; only the winner's atoms are classified.
     """
-    ratios: list[Fraction] = []
-    for i in range(space.n_atoms):
-        if i in dens.base_null:
+    classes = _ratio_classes(tau_pc, lam_qc)
+    xs = x.atom_value
+    not_one = [sum(xs[i] != ONE for i in idxs) for _, idxs in classes]
+    not_zero = [sum(xs[i] != ZERO for i in idxs) for _, idxs in classes]
+    finite = [r for r, _ in classes[1:]]
+    # Above the largest ratio every finite class is strict reject.
+    accepts, rejects = not_one[0], sum(not_zero[1:])
+    scores = [(accepts + rejects, 0, finite[0] + 1 if finite else ONE)]
+    for k, r in enumerate(finite, start=1):
+        rejects -= not_zero[k]
+        scores.append((accepts + rejects, len(classes[k][1]), r))
+        accepts += not_one[k]
+        if k < len(finite):
+            scores.append((accepts + rejects, 0, (r + finite[k]) / 2))
+    if not finite or finite[-1] > 0:
+        scores.append((accepts + rejects, 0, ZERO))
+    kappa = min(scores)[2]
+
+    ratio_of = {i: r for r, idxs in classes for i in idxs}
+    classification: dict[str, str] = {}
+    b_values: dict[str, Fraction] = {}
+    violations: list[str] = []
+    for i, label in enumerate(space.atoms):
+        if i not in ratio_of:
+            classification[label] = "base_null"
             continue
-        g, h = dens.g[i], dens.h[i]
-        if g > 0:
-            ratios.append(h / g)
-    finite = sorted(set(ratios))
-    candidates = [ZERO] + finite
-    for a, b in zip(finite, finite[1:]):
-        candidates.append((a + b) / 2)
-    candidates.append((finite[-1] + 1) if finite else ONE)
-    candidates = sorted(set(candidates))
-
-    best = None
-    for kappa in candidates:
-        classification: dict[str, str] = {}
-        b_values: dict[str, Fraction] = {}
-        violations: list[str] = []
-        for i, label in enumerate(space.atoms):
-            if i in dens.base_null:
-                classification[label] = "base_null"
-                continue
-            g, h = dens.g[i], dens.h[i]
-            xv = x.atom_value[i]
-            if h > kappa * g:
-                classification[label] = "strict_accept"
-                if xv != ONE:
-                    violations.append(
-                        f"atom {label!r}: h={h} > kappa*g={kappa * g} requires x=1, got {xv}"
-                    )
-            elif h < kappa * g:
-                classification[label] = "strict_reject"
-                if xv != ZERO:
-                    violations.append(
-                        f"atom {label!r}: h={h} < kappa*g={kappa * g} requires x=0, got {xv}"
-                    )
-            else:
-                classification[label] = "boundary"
-                b_values[label] = xv
-        score = (len(violations), len(b_values), kappa)
-        if best is None or score < best[0]:
-            best = (score, kappa, classification, b_values, tuple(violations))
-    _, kappa, classification, b_values, violations = best
-    return kappa, classification, b_values, len(violations) == 0, violations
+        r, xv = ratio_of[i], xs[i]
+        p, q = tau_pc.atom_mass[i], lam_qc.atom_mass[i]
+        if r is None or r > kappa:
+            classification[label] = "strict_accept"
+            if xv != ONE:
+                violations.append(
+                    f"atom {label!r}: q={q} > kappa*p={kappa * p} requires x=1, got {xv}"
+                )
+        elif r < kappa:
+            classification[label] = "strict_reject"
+            if xv != ZERO:
+                violations.append(
+                    f"atom {label!r}: q={q} < kappa*p={kappa * p} requires x=0, got {xv}"
+                )
+        else:
+            classification[label] = "boundary"
+            b_values[label] = xv
+    return kappa, classification, b_values, not violations, tuple(violations)
 
 
-def _kappa_from_quantile(lam_qc: Charge, dens: DensityPair, gamma_c: Fraction) -> Fraction:
-    """Smallest u >= 0 with lam_qc{u * h >= g} at least gamma_c."""
-    space = lam_qc.space
-    breaks = {ZERO}
-    for i in range(space.n_atoms):
-        if lam_qc.atom_mass[i] > 0:
-            breaks.add(dens.g[i] / dens.h[i])
-    for u in sorted(breaks):
-        m = sum(
-            (
-                lam_qc.atom_mass[i]
-                for i in range(space.n_atoms)
-                if lam_qc.atom_mass[i] > 0 and u * dens.h[i] >= dens.g[i]
-            ),
-            ZERO,
-        )
-        if m >= gamma_c:
-            return u
+def _kappa_from_quantile(tau_pc: Charge, lam_qc: Charge, gamma_c: Fraction) -> Fraction:
+    """Smallest u >= 0 with lam_qc{u * q >= p} >= gamma_c, for p, q the masses of tau_pc, lam_qc.
+
+    It is 1/ratio at the first class of q/p whose mass brings lam_qc to
+    gamma_c, or 0 if the class where p vanishes already does.
+    """
+    mass = ZERO
+    for ratio, idxs in _ratio_classes(tau_pc, lam_qc):
+        mass += sum((lam_qc.atom_mass[i] for i in idxs), ZERO)
+        if mass >= gamma_c:
+            return ZERO if ratio is None else 1 / ratio
     raise RuntimeError("quantile search failed; gamma_c exceeds the countable mass")
 
 
 def verify_threshold_form(prob: TestProblem, sol: Solution) -> RepresentationReport:
     """Check the solution against the ratio-cut form of the attained case.
 
-    The densities are taken for the pair (countably additive part of the
-    null mixture, countably additive part of the alternative mixture)
-    against their average. Atoms outside that average's support are
-    unconstrained, as is the tail. Also reports the quantile form of the
-    cut point and two renderings of the attained-case precondition: the
-    support criterion (the support of the alternative's countable part
-    already uses up the level budget) and the grid criterion (tightening
-    the level by any positive amount strictly cuts the best integral of the
-    countable part), read exactly from ``sol.level_c``.
+    The cut is on the ratio q/p of the atom masses of the alternative
+    mixture's countably additive part to the null mixture's. Atoms where
+    both masses are 0 are unconstrained (``base_null``), as is the tail.
+    Also reports the quantile form of the cut point and two renderings of
+    the attained-case precondition: the support criterion (the support of
+    the alternative's countable part already uses up the level budget) and
+    the grid criterion (tightening the level by any positive amount
+    strictly cuts the best integral of the countable part), read exactly
+    from ``sol.level_c``.
     """
     if sol.case is not Case.LEVEL_ATTAINED:
         raise ValueError(
@@ -672,11 +666,10 @@ def verify_threshold_form(prob: TestProblem, sol: Solution) -> RepresentationRep
         )
     lam_qc = sol.q_alpha.atom_part()
     tau_pc = sol.p_alpha.atom_part()
-    dens = radon_nikodym(tau_pc, lam_qc)
     kappa, classification, b_values, verdict, violations = _scan_threshold(
-        prob.space, dens, sol.x_alpha
+        prob.space, tau_pc, lam_qc, sol.x_alpha
     )
-    kappa_formula = _kappa_from_quantile(lam_qc, dens, sol.gamma_c)
+    kappa_formula = _kappa_from_quantile(tau_pc, lam_qc, sol.gamma_c)
 
     supp = lam_qc.support()
     precondition_support = upper_expectation(prob.p_family, supp.indicator()) >= prob.alpha

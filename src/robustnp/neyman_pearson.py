@@ -1,12 +1,11 @@
 """Most powerful randomized tests between two single charges.
 
-This is the classical two-measure construction, done with exact densities
-against the average of the pair: sort atoms by the density ratio of the
-alternative to the null, accept greedily from the top until the level
-budget alpha runs out, and randomize with one constant on the class where
-it runs out. Atoms where the null density vanishes but the alternative's
-does not have ratio +infinity: they cost no level and are always accepted
-first.
+This is the classical two-measure construction on atoms, where the density
+ratio of the alternative q to the null p is q_i / p_i whatever the reference
+measure: sort atoms by that ratio, accept greedily from the top until the
+level budget alpha runs out, and randomize with one constant on the class
+where it runs out. Atoms where p vanishes but q does not have ratio
++infinity: they cost no level and are always accepted first.
 
 When the alternative's support is too small to spend the whole budget the
 test simply accepts that support and stops short of alpha; that situation
@@ -26,7 +25,6 @@ from .charge_model import (
     TestFunction,
     expectation,
     frac,
-    radon_nikodym,
 )
 
 
@@ -34,10 +32,10 @@ from .charge_model import (
 class NpResult:
     """A most powerful level-alpha test for one pair of charges.
 
-    ``test`` equals 1 above the ratio cut ``kappa``, ``b`` on the cut, and
-    0 below it, relative to the average of the pair; ``b`` is a single
-    constant and is used on one ratio class only. ``attained_level`` is
-    below ``alpha`` exactly when ``level_slack`` is set.
+    ``test`` equals 1 where q_i > kappa * p_i, ``b`` where q_i = kappa * p_i,
+    and 0 where q_i < kappa * p_i; ``b`` is a single constant and is used on
+    one ratio class only. ``attained_level`` is below ``alpha`` exactly when
+    ``level_slack`` is set.
     """
 
     kappa: Fraction
@@ -46,6 +44,22 @@ class NpResult:
     attained_level: Fraction
     power: Fraction
     level_slack: bool
+
+
+def _ratio_classes(p: Charge, q: Charge) -> list[tuple["Fraction | None", list[int]]]:
+    """Atom indices grouped by the ratio q_i / p_i, largest ratio first.
+
+    The class of atoms with p_i = 0 < q_i, ratio +infinity, comes first
+    under ``None`` and may be empty. Atoms with p_i = q_i = 0 are in no class.
+    """
+    infinite: list[int] = []
+    finite: dict[Fraction, list[int]] = {}
+    for i, (pm, qm) in enumerate(zip(p.atom_mass, q.atom_mass)):
+        if pm:
+            finite.setdefault(qm / pm, []).append(i)
+        elif qm:
+            infinite.append(i)
+    return [(None, infinite)] + [(r, finite[r]) for r in sorted(finite, reverse=True)]
 
 
 def np_test(p: Charge, q: Charge, alpha: Fraction) -> NpResult:
@@ -66,30 +80,15 @@ def np_test(p: Charge, q: Charge, alpha: Fraction) -> NpResult:
     if not p.is_probability or not q.is_probability:
         raise ValueError("both charges must be probability charges")
 
-    dens = radon_nikodym(p, q)
     space = p.space
-    # Group atoms into ratio classes h/g; g == 0 means ratio +infinity.
-    infinite: list[int] = []
-    finite: dict[Fraction, list[int]] = {}
-    for i in range(space.n_atoms):
-        if i in dens.base_null:
-            continue
-        g, h = dens.g[i], dens.h[i]
-        if g == 0:
-            infinite.append(i)
-        else:
-            finite.setdefault(h / g, []).append(i)
-
     values = [ZERO] * space.n_atoms
     remaining = alpha
     kappa = ZERO
     b = ZERO
     filled_out = True
-    ordered: list[tuple["Fraction | None", list[int]]] = [(None, infinite)]
-    for ratio in sorted(finite, reverse=True):
-        if ratio > 0:
-            ordered.append((ratio, finite[ratio]))
-    for ratio, idxs in ordered:
+    for ratio, idxs in _ratio_classes(p, q):
+        if ratio == 0:
+            break
         pmass = sum((p.atom_mass[i] for i in idxs), ZERO)
         if pmass <= remaining:
             for i in idxs:

@@ -29,7 +29,6 @@ from robustnp import (
     lower_expectation,
     np_oracle,
     np_test,
-    radon_nikodym,
     solve_minimax,
     truncation_sweep,
     upper_expectation,
@@ -154,8 +153,13 @@ def test_criterion_02_dirac_degenerate(capfd):
             assert len(refs) >= 3
             refs += [Charge.from_mapping(prob.space, {a: 1}) for a in prob.space.atoms]
             for ref in refs:
-                h = radon_nikodym(ref, qc).h
-                positive = {a for a, v in zip(prob.space.atoms, h) if v is not None and v > 0}
+                # h = dqc/dB against the base B = (K + qc) / 2, where B > 0.
+                h = {
+                    a: q / ((k + q) / 2)
+                    for a, k, q in zip(prob.space.atoms, ref.atom_mass, qc.atom_mass)
+                    if k + q > 0
+                }
+                positive = {a for a, v in h.items() if v > 0}
                 assert positive == accept
 
 

@@ -16,7 +16,6 @@ from robustnp import (
     frac,
     lower_expectation,
     mix,
-    radon_nikodym,
     solve_lp,
     upper_expectation,
 )
@@ -236,40 +235,6 @@ def test_mix_rejects_bad_weights():
 
 
 # ---------------------------------------------------------------------------
-# densities
-
-
-def test_radon_nikodym_identical():
-    s = space_of(2)
-    u = charge(s, F(1, 2), F(1, 2))
-    d = radon_nikodym(u, u)
-    assert d.g == (1, 1)
-    assert d.h == (1, 1)
-    assert d.base_null == ()
-
-
-def test_radon_nikodym_three_atom():
-    d = radon_nikodym(P3, Q1)
-    assert d.base.atom_mass == (F(3, 8), F(3, 8), F(1, 4))
-    assert d.g == (F(2, 3), F(2, 3), F(2))
-    assert d.h == (F(4, 3), F(4, 3), F(0))
-
-
-def test_radon_nikodym_disjoint_diracs():
-    s = space_of(2)
-    d = radon_nikodym(charge(s, 1, 0), charge(s, 0, 1))
-    assert d.g == (2, 0)
-    assert d.h == (0, 2)
-
-
-def test_radon_nikodym_requires_countably_additive():
-    s = space_of(1, has_tail=True)
-    c = charge(s, F(1, 2), tail=F(1, 2))
-    with pytest.raises(ValueError):
-        radon_nikodym(c, c)
-
-
-# ---------------------------------------------------------------------------
 # property tests
 
 _denoms = st.sampled_from([1, 2, 3, 4, 6, 8])
@@ -365,23 +330,6 @@ def test_atom_part_and_tail_mass_round_trip(data):
         assert 1 - c.tail_mass == c.atom_part().total
         assert c.atom_part().is_countably_additive
         assert mix([c.atom_part(), tail_part(c)], [1, 1], normalize=False) == c
-
-
-@given(_space_charge_tests())
-def test_density_identity(data):
-    fam, _ = data
-    members = [c.atom_part() for c in fam.family if c.tail_mass < 1]
-    if len(members) < 2:
-        return
-    p, q = members[0], members[1]
-    if p.total == 0 and q.total == 0:
-        return
-    d = radon_nikodym(p, q)
-    for i in range(fam.space.n_atoms):
-        if i in d.base_null:
-            assert d.g[i] is None and d.h[i] is None
-        else:
-            assert d.g[i] + d.h[i] == 2
 
 
 def test_sign_and_range_checks_see_tiny_excesses():

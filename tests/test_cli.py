@@ -1,7 +1,10 @@
 """Command line entry points, JSON reports, and exit codes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -83,8 +86,9 @@ def test_solve_dirac_degenerate(tmp_path):
 
 
 def test_threshold_kappas_are_on_reciprocal_scales(tmp_path):
-    # kappa cuts h/g (x = 1 where h > kappa*g); kappa_formula is the least u
-    # with lam_qc{u*h >= g} >= gamma_c, a cut on g/h.
+    # With p, q the masses of tau_pc, lam_qc: kappa cuts q/p (x = 1 where
+    # q > kappa*p); kappa_formula is the least u with lam_qc{u*q >= p} >= gamma_c,
+    # a cut on p/q.
     out = tmp_path / "report.json"
     assert run(["solve", FIXTURES / "intro_example.json", "--json", out]) == EXIT_OK
     rep = json.loads(out.read_text())["representation"]
@@ -94,19 +98,19 @@ def test_threshold_kappas_are_on_reciprocal_scales(tmp_path):
     prob = load_problem(str(FIXTURES / "intro_example.json"))
     sol = robustnp.solve_minimax(prob)
     lam_qc, tau_pc = sol.q_alpha.atom_part(), sol.p_alpha.atom_part()
-    dens = robustnp.radon_nikodym(tau_pc, lam_qc)
     kappa, u = F(261, 128), F(128, 261)
     sides = {1: "strict_accept", -1: "strict_reject", 0: "boundary"}
-    for label, g, h in zip(prob.space.atoms, dens.g, dens.h):
-        assert rep["classification"][label] == sides[(h > kappa * g) - (h < kappa * g)]
-    charged = [(m, g, h) for m, g, h in zip(lam_qc.atom_mass, dens.g, dens.h) if m]
+    masses = list(zip(tau_pc.atom_mass, lam_qc.atom_mass))
+    for label, (p, q) in zip(prob.space.atoms, masses):
+        assert rep["classification"][label] == sides[(q > kappa * p) - (q < kappa * p)]
+    charged = [(p, q) for p, q in masses if q]
 
     def mass_cut_at(v):
-        return sum((m for m, g, h in charged if v * h >= g), F(0))
+        return sum((q for p, q in charged if v * q >= p), F(0))
 
     # u reaches gamma_c, and the step function is below it up to u.
     assert mass_cut_at(u) >= sol.gamma_c
-    below = max(v for v in [F(0)] + [g / h for _, g, h in charged] if v < u)
+    below = max(v for v in [F(0)] + [p / q for p, q in charged] if v < u)
     assert mass_cut_at(below) < sol.gamma_c
 
 
@@ -236,6 +240,40 @@ def test_mass_sum_too_long_to_print_is_an_input_error(tmp_path, capsys):
             "error: p_family[0]: masses sum to a fraction too long to print "
             "(2501 digits over 5001), expected 1\n"
         )
+
+
+def test_value_too_long_to_print_asks_for_the_digit_limit(tmp_path):
+    # A valid spec whose value has a denominator past the int-to-str limit:
+    # solve names the digit counts and the variable that lifts the limit,
+    # and with that variable set it prints the answer.
+    n1, n2, n3 = 10**2500 + 1, 3, 7
+    p = [F(1, n1), F(1, n2)]
+    q = [F(1, n3), F(1, n1)]
+    p.append(1 - sum(p))
+    q.append(1 - sum(q))
+    spec = write_spec(
+        tmp_path,
+        {
+            "atoms": ["a", "b", "c"],
+            "alpha": "1/3",
+            "p_family": [dict(zip("abc", map(str, p)))],
+            "q_family": [dict(zip("abc", map(str, q)))],
+        },
+    )
+    src = str(Path(robustnp.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    argv = [sys.executable, "-m", "robustnp.cli", "solve", str(spec)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (EXIT_INPUT, "")
+    assert done.stderr == (
+        "error: a reported value is a fraction too long to print "
+        "(5001 digits over 5002); rerun with PYTHONINTMAXSTRDIGITS=0\n"
+    )
+    env["PYTHONINTMAXSTRDIGITS"] = "0"
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.startswith("problem: 3 atoms")
 
 
 def test_unwritable_json_path_exits_2(tmp_path, capsys):

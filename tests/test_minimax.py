@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import _reference_threshold as reference
 import pytest
 from _fraction_certificate import kkt_certificate as fraction_certificate
 from _fraction_simplex import solve_lp as fraction_solve_lp
@@ -122,6 +123,81 @@ def test_three_atom_threshold_form():
     assert rep.precondition_grid
     assert compute_beta(prob.p_family, sol.q_alpha.atom_part()) == F(1, 2)
     assert beta_criterion_check(prob, sol)
+
+
+def _random_threshold_case(rng):
+    """Countable parts (tau_pc, lam_qc), a test x and a gamma_c for the threshold checks.
+
+    Small integer masses repeat ratios often and leave atoms where both
+    masses are 0. Half the tests follow a ratio cut with free values on its
+    boundary class; the other half are arbitrary and mostly violate the form.
+    """
+    n = rng.randint(1, 7)
+    space = SampleSpace(tuple(f"a{i}" for i in range(n)), False)
+    den = rng.choice([4, 6, 12])
+    tau_pc = Charge(space, tuple(F(rng.randint(0, 3), den) for _ in range(n)), F(0))
+    lam_qc = Charge(space, tuple(F(rng.randint(0, 3), den) for _ in range(n)), F(0))
+    free = [F(0), F(1), F(1, 2), F(1, 3)]
+    if rng.random() < 0.5:
+        cut = rng.choice([F(0), F(1, 2), F(1), F(3, 2), F(3)])
+        values = [
+            F(q > cut * p) if q != cut * p else rng.choice(free)
+            for p, q in zip(tau_pc.atom_mass, lam_qc.atom_mass)
+        ]
+    else:
+        values = [rng.choice(free) for _ in range(n)]
+    gamma_c = lam_qc.total * F(rng.randint(1, 4), 4)
+    return space, tau_pc, lam_qc, TestFunction(space, tuple(values)), gamma_c
+
+
+def test_threshold_scan_and_quantile_match_the_brute_force_reference():
+    # The class walk picks the same cut as scoring every candidate on every
+    # atom, and the quantile the same break point as enumerating them all.
+    rng = random.Random(4242)
+    verdicts = Counter()
+    for _ in range(2000):
+        space, tau_pc, lam_qc, x, gamma_c = _random_threshold_case(rng)
+        got = minimax._scan_threshold(space, tau_pc, lam_qc, x)
+        dens = reference.densities(tau_pc, lam_qc)
+        want = reference.scan_threshold(space, dens, x)
+        assert got[:4] == want[:4]
+        assert len(got[4]) == len(want[4])
+        verdicts[got[3]] += 1
+        if lam_qc.total:
+            assert minimax._kappa_from_quantile(tau_pc, lam_qc, gamma_c) == (
+                reference.kappa_from_quantile(lam_qc, dens, gamma_c)
+            )
+    assert min(verdicts[True], verdicts[False]) > 500, verdicts
+
+
+def test_threshold_scan_names_the_masses_of_each_violation():
+    # Cutting at 3/2 leaves a and b free and violates only at c and d; every
+    # other cut violates at two atoms or more with fewer of them free.
+    space = SampleSpace(("a", "b", "c", "d", "e", "f"), False)
+    tau_pc = Charge(space, (F(1, 4), F(1, 8), F(1, 4), F(0), F(0), F(3, 8)), F(0))
+    lam_qc = Charge(space, (F(3, 8), F(3, 16), F(1, 4), F(3, 16), F(0), F(0)), F(0))
+    x = TestFunction(space, (F(1, 2), F(1, 3), F(1, 2), F(3, 4), F(1, 3), F(0)))
+    kappa, classification, b_values, verdict, violations = minimax._scan_threshold(
+        space, tau_pc, lam_qc, x
+    )
+    assert kappa == F(3, 2)
+    assert classification == {
+        "a": "boundary",
+        "b": "boundary",
+        "c": "strict_reject",
+        "d": "strict_accept",
+        "e": "base_null",
+        "f": "strict_reject",
+    }
+    assert b_values == {"a": F(1, 2), "b": F(1, 3)}
+    assert verdict is False
+    assert violations == (
+        "atom 'c': q=1/4 < kappa*p=3/8 requires x=0, got 1/2",
+        "atom 'd': q=3/16 > kappa*p=0 requires x=1, got 3/4",
+    )
+    # lam_qc puts 3/16 on d (ratio +infinity), then 9/16 on a and b (ratio 3/2).
+    assert minimax._kappa_from_quantile(tau_pc, lam_qc, F(1, 2)) == F(2, 3)
+    assert minimax._kappa_from_quantile(tau_pc, lam_qc, F(3, 16)) == 0
 
 
 def test_dirac_slack_case():
