@@ -30,7 +30,6 @@ from .charge_model import (
 from .hypotheses import (
     GENERATORS,
     HypothesisReport,
-    canonical_tail_sequence,
     check_continuity_from_above,
     check_h1,
     check_h3,
@@ -72,7 +71,6 @@ __all__ = [
     "upper_expectation",
     "GENERATORS",
     "HypothesisReport",
-    "canonical_tail_sequence",
     "check_continuity_from_above",
     "check_h1",
     "check_h3",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .simplex import _frac, _scale
 
@@ -72,9 +72,6 @@ class SampleSpace:
     def n_slots(self) -> int:
         """Number of value slots: explicit atoms plus the tail if present."""
         return len(self.atoms) + (1 if self.has_tail else 0)
-
-    def event(self, members: Iterable[str], contains_tail: bool = False) -> "Event":
-        return Event(self, frozenset(members), contains_tail)
 
 
 @dataclass(frozen=True)
@@ -288,16 +285,11 @@ def lower_expectation(e: SublinearExpectation, x: TestFunction) -> Fraction:
     return min(expectation(c, x) for c in e.family)
 
 
-def mix(
-    charges: Sequence[Charge],
-    weights: Sequence[RationalLike],
-    normalize: bool = True,
-) -> Charge:
-    """Convex (or plain conic, with ``normalize=False``) combination.
+def mix(charges: Sequence[Charge], weights: Sequence[RationalLike]) -> Charge:
+    """The charge sum_i w_i c_i, for nonnegative weights w_i on one space.
 
-    With ``normalize=True`` the weights must be nonnegative and sum to 1
-    exactly; ``normalize=False`` drops the sum requirement and is what the
-    dual-extraction internals use.
+    The weights need not sum to 1; weights that do (the duals the solver
+    passes) give a convex combination.
     """
     if len(charges) != len(weights):
         raise ValueError("need one weight per charge")
@@ -310,10 +302,6 @@ def mix(
     for c in charges:
         if c.space != space:
             raise ValueError("all charges must share one sample space")
-    if normalize:
-        s = sum(ws, ZERO)
-        if s != 1:
-            raise ValueError(f"mixture weights must sum to 1, got {s}")
     # Sum in integers, each charge's masses over their common denominator.
     rows = [_scale([*c.atom_mass, c.tail_mass]) for c in charges]
     scaled, dw = _scale(ws)

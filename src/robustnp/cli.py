@@ -26,6 +26,7 @@ import math
 import os
 import stat
 import sys
+from decimal import MAX_EMAX, Context, Decimal
 from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
@@ -76,9 +77,6 @@ def _parse_charge(space: SampleSpace, data, where: str) -> Charge:
         raise SpecError(f"{where}: expected an object mapping atom labels to masses")
     entries = dict(data)
     tail_raw = entries.pop("tail", 0)
-    unknown = set(entries) - set(space.atoms)
-    if unknown:
-        raise SpecError(f"{where}: unknown atom labels {sorted(unknown)}")
     masses = {a: _parse_rational(v, f"{where}[{a!r}]") for a, v in entries.items()}
     tail = _parse_rational(tail_raw, f"{where}['tail']")
     try:
@@ -142,24 +140,6 @@ def parse_problem(data, alpha_override: "Fraction | None" = None) -> TestProblem
         raise SpecError(str(exc)) from None
 
 
-def serialize_problem(prob: TestProblem) -> dict:
-    def charge_obj(c: Charge) -> dict:
-        obj = {
-            a: str(m) for a, m in zip(prob.space.atoms, c.atom_mass) if m != 0
-        }
-        if c.tail_mass != 0:
-            obj["tail"] = str(c.tail_mass)
-        return obj
-
-    return {
-        "atoms": list(prob.space.atoms),
-        "has_tail": prob.space.has_tail,
-        "p_family": [charge_obj(c) for c in prob.p_family.family],
-        "q_family": [charge_obj(c) for c in prob.q_family.family],
-        "alpha": str(prob.alpha),
-    }
-
-
 def load_problem(path: str, alpha_override: "Fraction | None" = None) -> TestProblem:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -182,15 +162,20 @@ def load_problem(path: str, alpha_override: "Fraction | None" = None) -> TestPro
 
 
 def _rat(v: Fraction) -> dict:
+    n, d = v.as_integer_ratio()
     try:
         exact = str(v)
     except ValueError:  # str refuses ints past sys.get_int_max_str_digits()
-        n, d = v.as_integer_ratio()
         raise SpecError(
             f"a reported value is a fraction too long to print ({_digits(abs(n))} digits "
             f"over {_digits(d)}); rerun with PYTHONINTMAXSTRDIGITS=0"
         ) from None
-    return {"exact": exact, "decimal": str(float(v))}
+    try:
+        approx = str(float(v))
+    except OverflowError:  # past float's range: 17 significant digits, no float
+        ctx = Context(prec=17, Emax=MAX_EMAX)
+        approx = format(ctx.normalize(ctx.divide(Decimal(n), Decimal(d))), "e")
+    return {"exact": exact, "decimal": approx}
 
 
 def _slot_obj(space: SampleSpace, values: "list[Fraction]") -> dict:

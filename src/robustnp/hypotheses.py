@@ -26,15 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .charge_model import (
-    ONE,
-    ZERO,
-    Charge,
-    Event,
-    SampleSpace,
-    SublinearExpectation,
-    frac,
-)
+from .charge_model import ONE, ZERO, Charge, SampleSpace, SublinearExpectation, frac
 from .minimax import TestProblem, solve_minimax
 
 
@@ -52,21 +44,6 @@ class HypothesisReport:
     continuity_p: bool
     continuity_q: bool
     witnesses: dict[str, str]
-
-
-def canonical_tail_sequence(space: SampleSpace) -> list[Event]:
-    """Events shrinking to the tail marker: drop explicit atoms left to right.
-
-    On the unmodeled countable remainder these stand for a sequence
-    decreasing to the empty set whose expectations converge to the tail
-    mass.
-    """
-    if not space.has_tail:
-        raise ValueError("the canonical sequence needs a tail marker")
-    return [
-        Event(space, frozenset(space.atoms[i:]), True)
-        for i in range(space.n_atoms + 1)
-    ]
 
 
 def _max_tail(family: SublinearExpectation) -> tuple[Fraction, int]:
@@ -169,12 +146,15 @@ def truncation_sweep(
 ) -> list[tuple[int, Fraction]]:
     """Exact optimal value of generator(n) for each requested size.
 
+    Each size must be an ``int`` of at least 1: other types, bools
+    included, raise ``TypeError`` rather than being truncated to one.
     Values are returned as computed; callers that expect monotone growth
     should check it themselves, a dip is data and not an error here.
     """
     out: list[tuple[int, Fraction]] = []
     for n in sizes:
-        n = int(n)
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise TypeError(f"sizes must be ints, got {n!r} ({type(n).__name__})")
         if n < 1:
             raise ValueError(f"sizes must be positive, got {n}")
         sol = solve_minimax(generator(n))

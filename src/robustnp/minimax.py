@@ -255,7 +255,7 @@ def _solve_epigraph(prob: TestProblem, p_rows, q_rows):
     """Max worst-case power via the epigraph LP: value, duals (u, v, w), test x0."""
     mq = len(q_rows)
     c, a_ub, b_ub, upper = _epigraph_program(q_rows, p_rows, [prob.alpha] * len(p_rows))
-    res = solve_lp(c, a_ub, b_ub, sense="max", upper=upper)
+    res = solve_lp(c, a_ub, b_ub, upper=upper)
     if res.status != "optimal":
         raise RuntimeError(f"epigraph program ended {res.status}; it is always solvable")
     u, v, w = list(res.y_ub[:mq]), list(res.y_ub[mq:]), list(res.y_upper[:-1])
@@ -312,7 +312,7 @@ def _lift_dual_support(prob: TestProblem, p_rows, q_rows, gamma: Fraction, u, v,
     points = [u + v + w]
     while zero:
         obj = [ONE if j in zero else ZERO for j in range(n_all)]
-        res = solve_lp(obj, face_a, face_b, sense="max")
+        res = solve_lp(obj, face_a, face_b)
         if res.status != "optimal":
             raise RuntimeError(f"dual face program ended {res.status}")
         if res.value == 0:
@@ -327,7 +327,7 @@ def _lift_dual_support(prob: TestProblem, p_rows, q_rows, gamma: Fraction, u, v,
 def _min_attained_level(prob: TestProblem, p_rows, q_rows, gamma: Fraction):
     """Among optimal tests, minimize the worst-case null level (in complements)."""
     c, a_ub, b_ub, upper = _epigraph_program(p_rows, q_rows, [ONE - gamma] * len(q_rows))
-    res = solve_lp(c, a_ub, b_ub, sense="max", upper=upper)
+    res = solve_lp(c, a_ub, b_ub, upper=upper)
     if res.status != "optimal":
         raise RuntimeError(f"level program ended {res.status}")
     x = [ONE - y for y in res.x[: prob.space.n_slots]]
@@ -338,26 +338,24 @@ def _countable_value(prob: TestProblem, p_rows, lam_qc: Charge):
     """Best integral of the countably additive part at level alpha, with the level duals."""
     b_ub = [prob.alpha] * len(p_rows)
     upper = [ONE] * prob.space.n_slots
-    res = solve_lp(lam_qc.slot_masses(), p_rows, b_ub, sense="max", upper=upper)
+    res = solve_lp(lam_qc.slot_masses(), p_rows, b_ub, upper=upper)
     if res.status != "optimal":
         raise RuntimeError(f"countable part program ended {res.status}")
     return res.value, list(res.y_ub)
 
 
-def _null_side_mixture(prob: TestProblem, p_rows, lam_qc: Charge, gamma_c: Fraction):
+def _null_side_mixture(prob: TestProblem, p_rows, lam_qc: Charge, lam, gamma_c):
     """Null mixture from the auxiliary program's level-side duals.
 
     The auxiliary program minimizes the worst-case null level over tests
     whose integral against the countably additive part reaches gamma_c. In
     its complemented form the level rows' multipliers sum to 1 (module
     docstring) and define the mixture. Returns the mixture, its weights and
-    the program's value.
+    the program's value. ``lam`` is the total mass of ``lam_qc``.
     """
     lam_row = lam_qc.slot_masses()
-    masses, den = _scale(lam_row)
-    cap = Fraction(sum(masses), den) - gamma_c
-    c, a_ub, b_ub, upper = _epigraph_program(p_rows, [lam_row], [cap])
-    res = solve_lp(c, a_ub, b_ub, sense="max", upper=upper)
+    c, a_ub, b_ub, upper = _epigraph_program(p_rows, [lam_row], [lam - gamma_c])
+    res = solve_lp(c, a_ub, b_ub, upper=upper)
     if res.status != "optimal":
         raise RuntimeError(f"auxiliary level program ended {res.status}")
     weights = res.y_ub[: len(p_rows)]
@@ -365,7 +363,7 @@ def _null_side_mixture(prob: TestProblem, p_rows, lam_qc: Charge, gamma_c: Fract
         raise RuntimeError(
             f"level duals of the auxiliary program sum to {total}, expected 1"
         )
-    return mix(prob.p_family.family, weights, normalize=False), weights, ONE - res.value
+    return mix(prob.p_family.family, weights), weights, ONE - res.value
 
 
 def _cmp(num: int, den: int, f: Fraction) -> int:
@@ -478,7 +476,7 @@ def solve_minimax(prob: TestProblem) -> Solution:
         raise RuntimeError(
             f"interior dual point has alternative weights summing to {sum(u, ZERO)}"
         )
-    q_alpha = mix(prob.q_family.family, u, normalize=False)
+    q_alpha = mix(prob.q_family.family, u)
     x_alpha, attained = _min_attained_level(prob, p_rows, q_rows, gamma)
     case = Case.LEVEL_SLACK if attained < prob.alpha else Case.LEVEL_ATTAINED
     lam = ONE - q_alpha.tail_mass
@@ -494,9 +492,9 @@ def solve_minimax(prob: TestProblem) -> Solution:
             gamma_c, v_c = _countable_value(prob, p_rows, lam_qc)
         if (s := sum(v_c, ZERO)) > 0:
             p_weights, level_c = tuple(vi / s for vi in v_c), prob.alpha
-            p_alpha = mix(prob.p_family.family, p_weights, normalize=False)
+            p_alpha = mix(prob.p_family.family, p_weights)
         else:
-            p_alpha, p_weights, level_c = _null_side_mixture(prob, p_rows, lam_qc, gamma_c)
+            p_alpha, p_weights, level_c = _null_side_mixture(prob, p_rows, lam_qc, lam, gamma_c)
     certificate = _build_certificate(
         prob, p_rows, q_rows, x_alpha, gamma, attained, case, u, v, w
     )

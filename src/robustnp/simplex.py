@@ -34,18 +34,15 @@ of each pair is nonbasic or a candidate. So the rule is finite (Bland
 
 Conventions (documented once, relied on everywhere):
 
-* Problems are ``min``/``max`` of ``c . x`` subject to ``a_ub x <= b_ub``
-  with ``b_ub >= 0`` (a negative entry raises ``ValueError``) and
+* Problems maximize ``c . x`` subject to ``a_ub x <= b_ub`` with
+  ``b_ub >= 0`` (a negative entry raises ``ValueError``) and
   ``0 <= x <= upper``; ``upper`` holds a nonnegative rational or ``None``
   (no bound) per variable. With ``upper=None`` the pivots are those of the
-  unbounded simplex and ``y_upper`` is ``None``.
-* ``y_upper`` prices the bound rows in the sign convention of ``y_ub`` (0
-  where there is no bound), and ``value = b_ub . y_ub + upper . y_upper``
-  exactly.
-* For ``sense="max"``: ``y_ub, y_upper >= 0`` and
-  ``reduced_costs = A^T y + y_upper - c >= 0``.
-* For ``sense="min"``: ``y_ub, y_upper <= 0`` and
-  ``reduced_costs = c - A^T y - y_upper >= 0``.
+  unbounded simplex and ``y_upper`` is ``None``. To minimize, pass ``-c``
+  and negate ``value``.
+* ``y_ub, y_upper >= 0``; ``y_upper`` prices the bound rows (0 where there
+  is no bound), and ``value = b_ub . y_ub + upper . y_upper`` exactly.
+* ``reduced_costs = A^T y + y_upper - c >= 0``.
 * Complementary slackness holds exactly against the returned ``x``.
 """
 
@@ -135,11 +132,8 @@ def solve_lp(
     a_ub: "Sequence[Sequence[Fraction]] | None" = None,
     b_ub: "Sequence[Fraction] | None" = None,
     *,
-    sense: str = "min",
     upper: "Sequence[Fraction | None] | None" = None,
 ) -> LpSolution:
-    if sense not in ("min", "max"):
-        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     c_raw = [_frac(v) for v in c]
     n = len(c_raw)
     if n == 0:
@@ -156,10 +150,10 @@ def solve_lp(
 
     # The tableau: row r is the integer vector rows[r] over the positive
     # denominator dens[r], in lowest terms, with row r's slack in column
-    # n + r, basic at the start. Row m is the reduced-cost row; the slacks
-    # cost 0, so it starts as the costs themselves, with right-hand side 0.
-    # Every step keeps its last entry at minus the internal minimum's value
-    # at the current basis, which is where the optimal value is read.
+    # n + r, basic at the start. Row m is the reduced-cost row of the
+    # internal problem, min -c . x; the slacks cost 0, so it starts as -c,
+    # with right-hand side 0. Every step keeps its last entry at the value
+    # of c . x at the current basis, which is where the optimal value is read.
     rows: list[list[int]] = []
     dens: list[int] = []
     for r in range(m):
@@ -179,9 +173,7 @@ def solve_lp(
     comp = [False] * n
     basis = list(range(n, n_cols))
     cost, cden = _scale(c_raw)
-    if sense == "max":
-        cost = [-v for v in cost]
-    rows.append(cost + [0] * (m + 1))
+    rows.append([-v for v in cost] + [0] * (m + 1))
     dens.append(cden)
 
     def pivot(r: int, j: int) -> None:
@@ -263,29 +255,25 @@ def solve_lp(
         if basis[r] < n and (v := rows[r][n_cols]):
             x[basis[r]] = Fraction(v, dens[r])
     reduced = [Fraction(v, cden) if v else ZERO for v in cost[:n]]
-    # A "max" problem negates the internal minimum's prices and value back
-    # (the internal problem minimized -c).
-    sign = 1 if sense == "max" else -1
     # A complemented x_j sits at its bound, and its column's reduced cost
-    # cbar' is -cbar_j: the bound row takes y_upper = -cbar' (internal min
-    # sense) and leaves x_j a reduced cost of 0.
+    # cbar' is -cbar_j: the bound row takes y_upper = cbar' and leaves x_j a
+    # reduced cost of 0.
     y_upper = [ZERO] * n
     for j in range(n):
         if comp[j]:
             x[j] = bound[j] - x[j] if x[j] else bound[j]
             if reduced[j]:
-                y_upper[j] = reduced[j] if sign > 0 else -reduced[j]
+                y_upper[j] = reduced[j]
                 reduced[j] = ZERO
 
-    # Row r's slack column (+e_r, cost 0) has the final reduced cost -y_r of
-    # the internal minimization; complementing columns leaves y = c_B B^-1
-    # unchanged.
-    y_ub = tuple(Fraction(sign * v, cden) if v else ZERO for v in cost[n:n_cols])
+    # Row r's slack column (+e_r, cost 0) has the final reduced cost y_r;
+    # complementing columns leaves y = c_B B^-1 unchanged.
+    y_ub = tuple(Fraction(v, cden) if v else ZERO for v in cost[n:n_cols])
 
     return LpSolution(
         status="optimal",
         x=tuple(x),
-        value=Fraction(sign * cost[n_cols], cden),
+        value=Fraction(cost[n_cols], cden),
         y_ub=y_ub,
         y_eq=(),
         reduced_costs=tuple(reduced),

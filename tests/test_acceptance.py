@@ -231,12 +231,16 @@ def test_criterion_07_representation_suite(capfd, batch200):
                 qc = sol.q_alpha.atom_part()
                 beta = compute_beta(prob.p_family, qc)
                 assert (sol.case is Case.LEVEL_SLACK) == (beta > 1 - prob.alpha)
+                # Members are probabilities: beta = 1 - max_i P_i(supp lam_qc).
+                assert beta == 1 - upper_expectation(prob.p_family, qc.support().indicator())
             if sol.case is Case.LEVEL_ATTAINED:
                 rep = hypothesis_report(prob)
                 structural = rep.h1 and rep.h3
                 if structural and sol.lam > 0 and sol.p_alpha is not None:
                     form = verify_threshold_form(prob, sol)
                     assert form.verdict, (prob, form.violations)
+                    # The support criterion and beta are two paths to one mass.
+                    assert form.precondition_support == (beta <= 1 - prob.alpha)
                     attained_checked += 1
             elif sol.lam > 0:
                 assert verify_degenerate_form(prob, sol).verdict

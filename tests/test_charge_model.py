@@ -144,7 +144,7 @@ def test_expectation_two_point():
 def test_expectation_pure_tail_ignores_finite_support():
     s = space_of(3, has_tail=True)
     c = charge(s, 0, 0, 0, tail=1)
-    ind = s.event(["a0", "a1"]).indicator()
+    ind = Event(s, frozenset({"a0", "a1"})).indicator()
     assert ind.tail_value == 0
     assert expectation(c, ind) == 0
 
@@ -200,7 +200,7 @@ def test_atom_part_mixed():
     c = charge(s, F(1, 4), F(1, 4), tail=F(1, 2))
     assert c.atom_part() == charge(s, F(1, 4), F(1, 4))
     assert c.tail_mass == F(1, 2)
-    assert mix([c.atom_part(), tail_part(c)], [1, 1], normalize=False) == c
+    assert mix([c.atom_part(), tail_part(c)], [1, 1]) == c
     assert not is_pure(c)
 
 
@@ -228,8 +228,6 @@ def test_mix_three_atom_alternatives():
 
 
 def test_mix_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        mix([Q1, Q2], [F(1, 2), F(1, 4)])
     with pytest.raises(ValueError):
         mix([Q1, Q2], [F(3, 2), F(-1, 2)])
 
@@ -329,7 +327,7 @@ def test_atom_part_and_tail_mass_round_trip(data):
         # The identity solve_minimax uses for lam.
         assert 1 - c.tail_mass == c.atom_part().total
         assert c.atom_part().is_countably_additive
-        assert mix([c.atom_part(), tail_part(c)], [1, 1], normalize=False) == c
+        assert mix([c.atom_part(), tail_part(c)], [1, 1]) == c
 
 
 def test_sign_and_range_checks_see_tiny_excesses():

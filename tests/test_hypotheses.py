@@ -12,7 +12,6 @@ from robustnp import (
     SublinearExpectation,
     TestFunction,
     TestProblem,
-    canonical_tail_sequence,
     check_continuity_from_above,
     check_h1,
     check_h3,
@@ -38,18 +37,6 @@ def geometric(space):
 
 def fam(role, *charges):
     return SublinearExpectation(charges, role)
-
-
-def test_canonical_sequence_limits_are_tail_masses():
-    space = tailed_space(3)
-    seq = canonical_tail_sequence(space)
-    assert len(seq) == 4
-    c = Charge(space, (F(1, 4), F(1, 4), F(1, 4)), F(1, 4))
-    values = [expectation(c, e.indicator()) for e in seq]
-    assert values == [F(1), F(3, 4), F(1, 2), F(1, 4)]
-    assert values[-1] == c.tail_mass
-    with pytest.raises(ValueError, match="tail"):
-        canonical_tail_sequence(SampleSpace(("a",), False))
 
 
 def test_h1_examples():
@@ -169,6 +156,10 @@ def test_sweep_closed_form():
     assert all(v < 1 for v in values)
     with pytest.raises(ValueError, match="positive"):
         truncation_sweep(nonexistence_problem, [0])
+    # A size that is not an int is refused, not truncated to one.
+    for bad in (2.7, True, "3"):
+        with pytest.raises(TypeError, match="sizes must be ints"):
+            truncation_sweep(nonexistence_problem, [bad])
 
 
 def test_continuity_implies_attainment():

@@ -1,6 +1,7 @@
 """Worst-case test construction, case split, and representation checks."""
 
 import dataclasses
+import functools
 import random
 import re
 import sys
@@ -626,8 +627,8 @@ def test_degenerate_instances_are_certified_and_match_oracle():
     assert min(seen.values()) >= 20, seen
 
 
-def _solve_lp_with_box_rows(c, a_ub=None, b_ub=None, *, sense="min", upper=None):
-    """The reference simplex, with the bounds ``upper`` written as rows."""
+def _solve_lp_with_box_rows(c, a_ub=None, b_ub=None, *, sense, upper=None):
+    """The reference simplex in ``sense``, with the bounds ``upper`` written as rows."""
     n, m = len(c), len(a_ub or [])
     upper = upper or [None] * n
     kept = [k for k in range(n) if upper[k] is not None]
@@ -652,7 +653,9 @@ def test_bounded_pipeline_matches_explicit_box_rows(monkeypatch):
     problems += [_stress_problem(rng) for _ in range(30)]
     problems += [_large_problem(rng) for _ in range(5)]
     bounded = [solve_minimax(prob) for prob in problems]
-    monkeypatch.setattr(minimax, "solve_lp", _solve_lp_with_box_rows)
+    # solve_lp maximizes; the reference defaults to "min".
+    box_rows = functools.partial(_solve_lp_with_box_rows, sense="max")
+    monkeypatch.setattr(minimax, "solve_lp", box_rows)
     for prob, sol in zip(problems, bounded):
         ref = solve_minimax(prob)
         kkt_certificate(prob, sol)
@@ -733,7 +736,7 @@ def test_certificate_shortcuts_match_the_lps_they_replace(monkeypatch):
         lam_qc = sol.q_alpha.atom_part()
         gamma_c, _ = minimax._countable_value(prob, p_rows, lam_qc)
         assert sol.gamma_c == gamma_c
-        _, _, level_c = minimax._null_side_mixture(prob, p_rows, lam_qc, gamma_c)
+        _, _, level_c = minimax._null_side_mixture(prob, p_rows, lam_qc, sol.lam, gamma_c)
         assert sol.level_c == level_c
         assert all(m >= 0 for m in sol.p_weights)
         assert sum(sol.p_weights) == 1
@@ -911,7 +914,7 @@ def test_level_programs_start_feasible_and_their_level_duals_sum_to_1(monkeypatc
                 continue
             seen[stage] += 1
             c, a_ub, b_ub = args
-            assert kwargs == {"sense": "max", "upper": [F(1)] * (len(c) - 1) + [None]}
+            assert kwargs == {"upper": [F(1)] * (len(c) - 1) + [None]}
             assert all(b >= 0 for b in b_ub)
             assert res.status == "optimal"
             assert sum(res.y_ub[:mp]) == 1
@@ -942,7 +945,7 @@ def test_every_lp_starts_from_the_slack_basis_and_lift_rounds_stay_on_the_face(m
         mq, mp = len(prob.q_family), len(prob.p_family)
         for stage, args, kwargs, res in calls:
             seen[stage] += 1
-            assert len(args) == 3 and set(kwargs) <= {"sense", "upper"}, stage
+            assert len(args) == 3 and set(kwargs) <= {"upper"}, stage
             c, _, b_ub = args
             assert all(b >= 0 for b in b_ub), stage
             if stage != "_lift_dual_support":

@@ -1,5 +1,6 @@
 """Exact simplex: known LPs, sign conventions, duals, degenerate cases."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ F = Fraction
 
 def test_box_max():
     # max x1 + x2 over the unit box.
-    sol = solve_lp([1, 1], a_ub=[[1, 0], [0, 1]], b_ub=[1, 1], sense="max")
+    sol = solve_lp([1, 1], a_ub=[[1, 0], [0, 1]], b_ub=[1, 1])
     assert sol.status == "optimal"
     assert sol.x == (1, 1)
     assert sol.value == 2
@@ -22,40 +23,41 @@ def test_box_max():
 
 
 def test_min_over_simplex():
-    # min 2 x1 - 3 x2 with x1 + x2 <= 1.
-    sol = solve_lp([2, -3], a_ub=[[1, 1]], b_ub=[1], sense="min")
+    # min 2 x1 - 3 x2 with x1 + x2 <= 1, as max -2 x1 + 3 x2.
+    sol = solve_lp([-2, 3], a_ub=[[1, 1]], b_ub=[1])
     assert sol.status == "optimal"
     assert sol.x == (0, 1)
-    assert sol.value == -3
-    # min-sense ub duals are <= 0, and reduced_costs = c - A^T y.
-    assert sol.y_ub == (-3,)
+    assert sol.value == 3
+    # ub duals are >= 0, and reduced_costs = A^T y - c.
+    assert sol.y_ub == (3,)
     assert sol.y_eq == ()
     assert sol.reduced_costs == (5, 0)
 
 
 def test_min_with_a_slack_row():
-    # min -x1 - 2 x2 with x1 + x2 <= 3 and x2 <= 1; both rows bind.
-    sol = solve_lp([-1, -2], a_ub=[[1, 1], [0, 1]], b_ub=[3, 1], sense="min")
+    # min -x1 - 2 x2 with x1 + x2 <= 3 and x2 <= 1, as max x1 + 2 x2; both
+    # rows bind.
+    sol = solve_lp([1, 2], a_ub=[[1, 1], [0, 1]], b_ub=[3, 1])
     assert sol.status == "optimal"
     assert sol.x == (2, 1)
-    assert sol.value == -4
-    assert sol.y_ub == (-1, -1)
+    assert sol.value == 4
+    assert sol.y_ub == (1, 1)
     assert sol.value == F(3) * sol.y_ub[0] + F(1) * sol.y_ub[1]
     # A row that does not bind gets a zero multiplier.
-    sol = solve_lp([-1], a_ub=[[1], [2]], b_ub=[1, 5], sense="min")
-    assert (sol.x, sol.value, sol.y_ub) == ((1,), -1, (-1, 0))
+    sol = solve_lp([1], a_ub=[[1], [2]], b_ub=[1, 5])
+    assert (sol.x, sol.value, sol.y_ub) == ((1,), 1, (1, 0))
 
 
 def test_negative_rhs_is_rejected():
     # The slack basis must be feasible: there is no phase 1.
     with pytest.raises(ValueError, match="b_ub must be nonnegative"):
-        solve_lp([1], a_ub=[[1], [-1]], b_ub=[1, -2], sense="min")
+        solve_lp([1], a_ub=[[1], [-1]], b_ub=[1, -2])
     with pytest.raises(ValueError, match="b_ub must be nonnegative"):
-        solve_lp([1], a_ub=[[-1]], b_ub=[F(-1, 3)], sense="max", upper=[1])
+        solve_lp([1], a_ub=[[-1]], b_ub=[F(-1, 3)], upper=[1])
 
 
 def test_unbounded():
-    sol = solve_lp([1], sense="max")
+    sol = solve_lp([1])
     assert sol.status == "unbounded"
 
 
@@ -65,7 +67,6 @@ def test_degenerate_vertex_terminates():
         [1, 1],
         a_ub=[[1, 0], [0, 1], [1, 1]],
         b_ub=[1, 1, 2],
-        sense="max",
     )
     assert sol.status == "optimal"
     assert sol.value == 2
@@ -76,7 +77,6 @@ def test_fractional_data_stays_exact():
         [F(1, 3), F(1, 7)],
         a_ub=[[F(2, 5), F(1, 5)]],
         b_ub=[F(1, 9)],
-        sense="max",
     )
     assert sol.status == "optimal"
     assert sol.value == F(5, 54)
@@ -85,15 +85,16 @@ def test_fractional_data_stays_exact():
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        solve_lp([1], sense="best")
-    with pytest.raises(ValueError):
-        solve_lp([], sense="min")
+        solve_lp([])
     with pytest.raises(ValueError):
         solve_lp([1, 2], a_ub=[[1]], b_ub=[1])
     with pytest.raises(ValueError):
         solve_lp([1], a_ub=[[1], [1]], b_ub=[1])
+    # upper is keyword-only, and there is no sense to choose.
     with pytest.raises(TypeError):
-        solve_lp([1], [[1]], [1], "max")
+        solve_lp([1], [[1]], [1], [1])
+    with pytest.raises(TypeError):
+        solve_lp([1], [[1]], [1], sense="max")
 
 
 def _dual_identity(sol: LpSolution, b_ub):
@@ -106,13 +107,14 @@ def test_random_lps_satisfy_strong_duality():
     for _ in range(60):
         n = rng.randint(1, 4)
         m = rng.randint(1, 4)
-        sense = rng.choice(["min", "max"])
-        c = [F(rng.randint(-4, 4)) for _ in range(n)]
+        # A "min" draw solves min c . x as max -c . x.
+        sign = 1 if rng.choice(["min", "max"]) == "max" else -1
+        c = [sign * F(rng.randint(-4, 4)) for _ in range(n)]
         a_ub = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
         b_ub = [F(rng.randint(0, 4)) for _ in range(m)]
         # A box keeps everything bounded, and x = 0 is feasible.
         box = [[F(1) if j == i else F(0) for j in range(n)] for i in range(n)]
-        sol = solve_lp(c, a_ub=a_ub + box, b_ub=b_ub + [F(5)] * n, sense=sense)
+        sol = solve_lp(c, a_ub=a_ub + box, b_ub=b_ub + [F(5)] * n)
         assert sol.status == "optimal"
         solved += 1
         primal = sum((ci * xi for ci, xi in zip(c, sol.x)), F(0))
@@ -122,7 +124,7 @@ def test_random_lps_satisfy_strong_duality():
         for row, b, y in zip(a_ub + box, b_ub + [F(5)] * n, sol.y_ub):
             slack = b - sum((v * xi for v, xi in zip(row, sol.x)), F(0))
             assert slack >= 0
-            assert y >= 0 if sense == "max" else y <= 0
+            assert y >= 0
             assert y * slack == 0
         for xj, rc in zip(sol.x, sol.reduced_costs):
             assert rc >= 0
@@ -141,7 +143,8 @@ def test_matches_floating_point_solver():
         a_ub = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
         b_ub = [F(rng.randint(0, 4)) for _ in range(m)]
         box = [[F(1) if j == i else F(0) for j in range(n)] for i in range(n)]
-        sol = solve_lp(c, a_ub=a_ub + box, b_ub=b_ub + [F(3)] * n, sense="min")
+        # linprog minimizes c . x; solve_lp maximizes -c . x.
+        sol = solve_lp([-v for v in c], a_ub=a_ub + box, b_ub=b_ub + [F(3)] * n)
         ref = scipy_opt.linprog(
             [float(v) for v in c],
             A_ub=[[float(v) for v in row] for row in a_ub + box],
@@ -151,7 +154,7 @@ def test_matches_floating_point_solver():
         )
         assert sol.status == "optimal"
         assert ref.status == 0
-        assert abs(float(sol.value) - ref.fun) < 1e-9
+        assert abs(-float(sol.value) - ref.fun) < 1e-9
         checked += 1
     assert checked == 25
 
@@ -196,13 +199,27 @@ def _random_lp(rng):
     return c, a_ub, b_ub, rng.choice(["min", "max"])
 
 
+def _in_sense(c, a_ub, b_ub, sense):
+    """``solve_lp``'s answer in the reference's ``sense`` convention.
+
+    ``min c . x`` is ``max -c . x``: the same tableau, so the same pivots,
+    ``x`` and ``reduced_costs``, with ``value`` and the duals negated.
+    """
+    if sense == "max":
+        return solve_lp(c, a_ub, b_ub)
+    sol = solve_lp([-v for v in c], a_ub, b_ub)
+    if sol.status != "optimal":
+        return sol
+    return dataclasses.replace(sol, value=-sol.value, y_ub=tuple(-y for y in sol.y_ub))
+
+
 def test_integer_tableau_matches_fraction_reference():
     rng = random.Random(2016)
     statuses = {"optimal": 0, "unbounded": 0}
     degenerate = big = 0
     for _ in range(300):
         c, a_ub, b_ub, sense = _random_lp(rng)
-        sol = solve_lp(c, a_ub, b_ub, sense=sense)
+        sol = _in_sense(c, a_ub, b_ub, sense)
         assert sol == fraction_solve_lp(c, a_ub, b_ub, sense=sense)
         statuses[sol.status] += 1
         degenerate += F(0) in b_ub
@@ -239,7 +256,10 @@ def test_upper_bounds_match_explicit_rows():
         c, a_ub, b_ub, sense = _random_lp(rng)
         n = len(c)
         upper = _random_bounds(rng, n)
-        sol = solve_lp(c, a_ub, b_ub, sense=sense, upper=upper)
+        # A "min" draw solves min c . x as max -c . x.
+        sign = 1 if sense == "max" else -1
+        cost = [sign * v for v in c]
+        sol = solve_lp(cost, a_ub, b_ub, upper=upper)
         box = [[F(int(j == k)) for j in range(n)] for k in range(n) if upper[k] is not None]
         ref = fraction_solve_lp(
             c, a_ub + box, b_ub + [u for u in upper if u is not None], sense=sense
@@ -253,20 +273,19 @@ def test_upper_bounds_match_explicit_rows():
         if sol.status != "optimal":
             assert sol.x is None and sol.y_upper is None
             continue
-        assert sol.value == ref.value == _dot(c, sol.x)
+        assert sol.value == sign * ref.value == _dot(cost, sol.x)
         # Primal feasibility, bounds included.
         assert all(0 <= xj and (u is None or xj <= u) for xj, u in zip(sol.x, upper))
         assert all(_dot(row, sol.x) <= b for row, b in zip(a_ub, b_ub))
-        # Dual signs follow y_ub's convention; unbounded variables get 0.
-        sign = 1 if sense == "max" else -1
-        assert all(sign * y >= 0 for y in sol.y_ub + sol.y_upper)
+        # Duals are nonnegative; unbounded variables get 0.
+        assert all(y >= 0 for y in sol.y_ub + sol.y_upper)
         assert all(y == 0 for y, u in zip(sol.y_upper, upper) if u is None)
         bounded = [u or F(0) for u in upper]
         assert _dot(b_ub, sol.y_ub) + _dot(bounded, sol.y_upper) == sol.value
-        # reduced_costs = c - A^T y - y_upper for min, its negation for max.
+        # reduced_costs = A^T y + y_upper - c.
         for j in range(n):
             aty = _dot([row[j] for row in a_ub], sol.y_ub)
-            assert sol.reduced_costs[j] == -sign * (c[j] - aty - sol.y_upper[j])
+            assert sol.reduced_costs[j] == aty + sol.y_upper[j] - cost[j]
             assert sol.reduced_costs[j] >= 0
             assert sol.x[j] * sol.reduced_costs[j] == 0
             assert sol.y_upper[j] * (bounded[j] - sol.x[j]) == 0
@@ -278,14 +297,14 @@ def test_upper_bounds_match_explicit_rows():
 
 def test_upper_bound_flip_and_validation():
     # max x1 + x2 over the unit box, as bounds: two flips and no pivot.
-    sol = solve_lp([1, 1], upper=[1, 1], sense="max")
+    sol = solve_lp([1, 1], upper=[1, 1])
     assert (sol.x, sol.value, sol.y_ub, sol.y_upper) == ((1, 1), 2, (), (1, 1))
     assert sol.reduced_costs == (0, 0)
     # x1 enters at 1/2 on the row; x2 then lifts it to its bound 1, and the
     # row's slack lifts x2 to its bound 2: two basic variables rise and leave.
-    sol = solve_lp([-1, -2], a_ub=[[1, -1]], b_ub=[F(1, 2)], upper=[1, 2])
-    assert (sol.x, sol.value, sol.y_ub, sol.y_upper) == ((1, 2), -5, (0,), (-1, -2))
-    assert solve_lp([1], upper=None).y_upper is None
+    sol = solve_lp([1, 2], a_ub=[[1, -1]], b_ub=[F(1, 2)], upper=[1, 2])
+    assert (sol.x, sol.value, sol.y_ub, sol.y_upper) == ((1, 2), 5, (0,), (1, 2))
+    assert solve_lp([-1], upper=None).y_upper is None
     with pytest.raises(ValueError):
         solve_lp([1, 2], upper=[1])
     with pytest.raises(ValueError):
@@ -300,9 +319,8 @@ def test_floats_and_bools_are_refused():
                            ("upper", [bad])):
             args = dict(good, **{key: value})
             with pytest.raises(TypeError, match="refusing"):
-                solve_lp(args["c"], args["a_ub"], args["b_ub"], sense="max",
-                         upper=args["upper"])
-    sol = solve_lp([1], [[1]], ["1/10"], sense="max", upper=[F(1, 5)])
+                solve_lp(args["c"], args["a_ub"], args["b_ub"], upper=args["upper"])
+    sol = solve_lp([1], [[1]], ["1/10"], upper=[F(1, 5)])
     assert (sol.x, sol.value) == ((F(1, 10),), F(1, 10))
 
 
@@ -311,12 +329,11 @@ def test_sign_checks_on_every_input_form():
     # numerator: every form of a negative value is refused, and 0 is not.
     for neg in (-1, "-1/3", F(-1, 3), F(-1, 10**30)):
         with pytest.raises(ValueError, match="b_ub must be nonnegative"):
-            solve_lp([1, 1], [[1, 2], [F(1, 7), 1]], [1, neg], sense="max")
+            solve_lp([1, 1], [[1, 2], [F(1, 7), 1]], [1, neg])
         with pytest.raises(ValueError, match="upper bounds must be nonnegative"):
-            solve_lp([1, 1], [[1, 1]], [1], sense="max", upper=[None, neg])
+            solve_lp([1, 1], [[1, 1]], [1], upper=[None, neg])
     for zero in (0, "0", "0/5", F(0)):
-        sol = solve_lp([1, 1], [[1, 2], [F(1, 7), 1]], [1, zero], sense="max",
-                       upper=[zero, None])
+        sol = solve_lp([1, 1], [[1, 2], [F(1, 7), 1]], [1, zero], upper=[zero, None])
         assert (sol.status, sol.x, sol.value) == ("optimal", (0, 0), 0)
         assert (sol.y_ub, sol.y_upper) == ((0, 1), (F(6, 7), 0))
 
@@ -325,16 +342,18 @@ def test_value_read_off_the_tableau_matches_both_sums():
     # value comes from the cost row's right-hand side; it must equal the
     # primal sum c . x and the dual sum b_ub . y_ub + upper . y_upper.
     rng = random.Random(1955)
-    optimal = {"min": 0, "max": 0}
+    optimal = {1: 0, -1: 0}
     for _ in range(1000):
         c, a_ub, b_ub, _sense = _random_lp(rng)
         upper = _random_bounds(rng, len(c))
         bounded = [u or F(0) for u in upper]
-        for sense in ("min", "max"):
-            sol = solve_lp(c, a_ub, b_ub, sense=sense, upper=upper)
+        # Both max c . x and min c . x, as max -c . x.
+        for sign in (1, -1):
+            cost = [sign * v for v in c]
+            sol = solve_lp(cost, a_ub, b_ub, upper=upper)
             if sol.status != "optimal":
                 continue
-            optimal[sense] += 1
-            assert sol.value == _dot(c, sol.x)
+            optimal[sign] += 1
+            assert sol.value == _dot(cost, sol.x)
             assert sol.value == _dot(b_ub, sol.y_ub) + _dot(bounded, sol.y_upper)
     assert min(optimal.values()) >= 500
