@@ -17,7 +17,6 @@ Fraction end to end. The main entry points:
 from .charge_model import (
     TAIL_LABEL,
     Charge,
-    Event,
     SampleSpace,
     SublinearExpectation,
     TestFunction,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "TAIL_LABEL",
     "Charge",
-    "Event",
     "SampleSpace",
     "SublinearExpectation",
     "TestFunction",

@@ -75,28 +75,6 @@ class SampleSpace:
 
 
 @dataclass(frozen=True)
-class Event:
-    """A subset of the sample space: explicit members plus a tail flag."""
-
-    space: SampleSpace
-    members: frozenset[str]
-    contains_tail: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(self.members))
-        unknown = self.members - set(self.space.atoms)
-        if unknown:
-            raise ValueError(f"events may only use explicit atoms; unknown: {sorted(unknown)}")
-        if self.contains_tail and not self.space.has_tail:
-            raise ValueError("this sample space has no tail atom")
-
-    def indicator(self) -> "TestFunction":
-        values = tuple(ONE if a in self.members else ZERO for a in self.space.atoms)
-        tail = ONE if self.contains_tail else ZERO
-        return TestFunction(self.space, values, tail)
-
-
-@dataclass(frozen=True)
 class Charge:
     """A nonnegative finitely additive set function on the sample space.
 
@@ -156,13 +134,6 @@ class Charge:
             v.append(self.tail_mass)
         return v
 
-    def support(self) -> Event:
-        """The event carrying all mass: atoms with positive mass, tail if charged."""
-        members = frozenset(
-            a for a, m in zip(self.space.atoms, self.atom_mass) if m > 0
-        )
-        return Event(self.space, members, self.tail_mass > 0)
-
     def atom_part(self) -> "Charge":
         """The same charge with its tail mass dropped (not renormalized)."""
         return Charge(self.space, self.atom_mass, ZERO)
@@ -194,25 +165,6 @@ class TestFunction:
             raise ValueError("test values must lie in [0, 1]")
 
     @classmethod
-    def constant(cls, space: SampleSpace, value: RationalLike) -> "TestFunction":
-        v = frac(value)
-        tail = v if space.has_tail else ZERO
-        return cls(space, (v,) * space.n_atoms, tail)
-
-    @classmethod
-    def from_mapping(
-        cls,
-        space: SampleSpace,
-        values: Mapping[str, RationalLike],
-        tail: RationalLike = 0,
-    ) -> "TestFunction":
-        unknown = set(values) - set(space.atoms)
-        if unknown:
-            raise ValueError(f"unknown atom labels: {sorted(unknown)}")
-        vals = tuple(frac(values.get(a, 0)) for a in space.atoms)
-        return cls(space, vals, frac(tail))
-
-    @classmethod
     def from_slots(cls, space: SampleSpace, values: Sequence[Fraction]) -> "TestFunction":
         """Inverse of :meth:`slot_values`."""
         if space.has_tail:
@@ -225,11 +177,6 @@ class TestFunction:
         if self.space.has_tail:
             v.append(self.tail_value)
         return v
-
-    def complement(self) -> "TestFunction":
-        values = tuple(ONE - v for v in self.atom_value)
-        tail = (ONE - self.tail_value) if self.space.has_tail else ZERO
-        return TestFunction(self.space, values, tail)
 
 
 @dataclass(frozen=True)

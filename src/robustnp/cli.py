@@ -14,8 +14,9 @@ Problem files are JSON with exact rationals as "num/den" strings:
 The key "tail" inside a charge holds its tail mass and is therefore
 reserved as an atom label. Floats are rejected: exactness is the point.
 
-Exit codes: 0 success, 2 input problem or unwritable --json path, 3
-internal failure (certificate or solver), 4 oracle mismatch under --oracle.
+Exit codes: 0 success, 2 input problem, unwritable --json path or an
+instance past --oracle's size bound, 3 internal failure (certificate or
+solver), 4 oracle mismatch under --oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 import os
 import stat
 import sys
-from decimal import MAX_EMAX, Context, Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
@@ -171,10 +172,16 @@ def _rat(v: Fraction) -> dict:
             f"over {_digits(d)}); rerun with PYTHONINTMAXSTRDIGITS=0"
         ) from None
     try:
-        approx = str(float(v))
-    except OverflowError:  # past float's range: 17 significant digits, no float
-        ctx = Context(prec=17, Emax=MAX_EMAX)
+        f = float(v)
+    except OverflowError:
+        f = math.inf
+    if v and not sys.float_info.min <= abs(f) < math.inf:
+        # Past float's range, or below its normal range, where a float
+        # loses digits or reads 0.0: 17 significant digits, no float.
+        ctx = Context(prec=17, Emax=MAX_EMAX, Emin=MIN_EMIN)
         approx = format(ctx.normalize(ctx.divide(Decimal(n), Decimal(d))), "e")
+    else:
+        approx = str(f)
     return {"exact": exact, "decimal": approx}
 
 
@@ -303,7 +310,10 @@ def cmd_solve(args) -> int:
     }
     exit_code = EXIT_OK
     if args.oracle:
-        result = vertex_enumerate(prob)
+        try:
+            result = vertex_enumerate(prob)
+        except ValueError as exc:  # past a size bound; drop the library's advice
+            raise SpecError(f"--oracle: {str(exc).partition(';')[0]}") from None
         matches = result.value == sol.gamma_alpha
         report["oracle"] = {
             "value": _rat(result.value),
@@ -377,7 +387,10 @@ def cmd_np(args) -> int:
     }
     exit_code = EXIT_OK
     if args.oracle:
-        result = np_oracle(p, q, prob.alpha)
+        try:
+            result = np_oracle(p, q, prob.alpha)
+        except ValueError as exc:  # past a size bound; drop the library's advice
+            raise SpecError(f"--oracle: {str(exc).partition(';')[0]}") from None
         matches = result.value == res.power
         report["oracle"] = {
             "value": _rat(result.value),

@@ -12,12 +12,12 @@ the epigraph's certificate leaves them open:
 
 1. the epigraph program for the worst-case power (gives the value, a first
    optimal dual point (u, v, w) and an optimal test x0),
-2. rounds over the dual optimal face, each maximizing the total weight of
-   the alternative members still at zero and stopping at a round of value
-   0 (averaging the collected points gives a dual whose support is
-   maximal, so the alternative mixture charges every member that any
-   optimal dual charges). Every optimal dual has u_j = 0 where
-   E_{Q_j}[x0] > gamma, so only members tight at x0 are candidates,
+2. one program over the cone of the dual optimal face that finds every
+   alternative member some optimal dual charges; averaging its point with
+   the first gives a dual whose support is maximal, so the alternative
+   mixture charges every member that any optimal dual charges. Every
+   optimal dual has u_j = 0 where E_{Q_j}[x0] > gamma, so only members
+   tight at x0 are candidates,
 3. a second program minimizing the worst-case attained level over the
    optimal tests (the reported test; the certificate decides the case split),
 4. the best integral gamma_c of the countably additive part of the
@@ -48,11 +48,11 @@ nonnegative and y = 0, s = 0 is a feasible slack basis, where the simplex
 starts. At the optimum s = 1 - level >= 1 - alpha > 0 is basic, so its
 reduced cost is 0 and the level-row duals sum to exactly 1: they are the
 null mixture's weights as they stand. The dual face program of step 2 is
-the transpose of the epigraph program, written as a cone with one
-normalization row (see `_lift_dual_support`), so its right-hand sides are
-0 and 1 and it starts from the slack basis too. The test box goes to the
-simplex as variable bounds; its multipliers w come back as the bound
-duals, and only the dual face program carries them, as identity columns.
+the transpose of the epigraph program, written as a cone (see
+`_lift_dual_support`), so its right-hand sides are 0 and it starts from
+the slack basis too. The test box goes to the simplex as variable bounds;
+its multipliers w come back as the bound duals, and only the dual face
+program carries them, as identity columns.
 
 Every solution carries a dual certificate whose residuals are recomputed
 exactly, in integers; a nonzero residual raises instead of warning. The same check
@@ -74,7 +74,6 @@ from .charge_model import (
     ONE,
     ZERO,
     Charge,
-    Event,
     SampleSpace,
     SublinearExpectation,
     TestFunction,
@@ -263,7 +262,7 @@ def _solve_epigraph(prob: TestProblem, p_rows, q_rows):
 
 
 def _lift_dual_support(prob: TestProblem, p_rows, q_rows, gamma: Fraction, u, v, w, x0):
-    """Average the initial dual point with face points lifting the zero u_j.
+    """Widen the dual point to charge every member that some optimal dual charges.
 
     Only a member with u_j = 0 whose row is tight at the optimal test x0 is
     a candidate: complementary slackness u_j (E_{Q_j}[x0] - gamma) = 0
@@ -273,54 +272,58 @@ def _lift_dual_support(prob: TestProblem, p_rows, q_rows, gamma: Fraction, u, v,
     The epigraph's dual is its layout transposed: over (u, v, w) >= 0, the
     slot rows sum_j u_j q_jk <= sum_i v_i p_ik + w_k, the t row sum u >= 1
     and the objective alpha * sum v + sum w. Its optimal face is where the
-    objective is gamma, and there sum u = 1, since gamma >= alpha > 0 (the
-    constant test alpha is feasible). Each round maximizes the total weight
-    of the alternative members still at zero over the cone, with
-    Charnes-Cooper's normalization row:
+    objective is gamma. Take the cone K of (u, v, w) >= 0 with
 
-        slot rows,  alpha * sum v + sum w - gamma * sum u <= 0,  sum u <= 1.
+        slot rows,  alpha * sum v + sum w - gamma * sum u <= 0.
 
-    Every right-hand side is 0 or 1, so the round starts from the slack
-    basis. A point with sum u = s > 0, divided by s, is dual feasible with
-    objective at most gamma, so on the face by weak duality. A round of
-    value m > 0 therefore ends at sum u = 1 (dividing by s < 1 would give
-    m/s), on the face, and its value is the face's maximum. It drops the
-    members its point charges, so there are at most as many rounds as zero
-    members. A round of value 0 proves that every optimal dual ignores the
-    members left and ends the sweep; its point may be the origin, so it is
-    not collected. The average of the collected points charges every member
-    that some optimal dual charges (Freund, Roundy & Todd 1985).
+    A point of K with s = sum u > 0, divided by s, is dual feasible with
+    objective at most gamma, so on the face by weak duality; s = 0 forces
+    v = w = 0. So a candidate j is charged by some optimal dual exactly
+    when some point of K has u_j > 0, and as K is closed under sums and
+    positive scaling, one point of K has u_j >= 1 for all such j at once.
+    One program finds them (Freund, Roundy & Todd 1985): over
+    (u, v, w, t) >= 0 with the bounds t_j <= 1,
+
+        max sum t :  the rows of K,  t_j - u_j <= 0 for each candidate j.
+
+    Every right-hand side is 0, so it starts from the slack basis. The
+    point above reaches t_j = 1 for every charged candidate and t_j <= u_j
+    keeps t_j = 0 on the others, so at the optimum t_j = 1 exactly for the
+    charged candidates. A value of 0 proves that no optimal dual charges a
+    candidate. A positive value gives s >= 1, and the average of (u, v, w)
+    and the point divided by s lies on the face and charges every member
+    that some optimal dual charges.
     """
     mq, mp = len(q_rows), len(p_rows)
-    zero = [
+    cand = [
         j for j, q in enumerate(q_rows)
         if u[j] == 0 and sum((a * b for a, b in zip(q, x0) if a), ZERO) == gamma
     ]
-    if not zero:
+    if not cand:
         return u, v, w
     nv = prob.space.n_slots
-    # Over (u, v, w): a row per slot, the gap row, the normalization row.
+    n_face, nc = mq + mp + nv, len(cand)
+    # Over (u, v, w, t): a row per slot, the gap row, a row per candidate.
     face_a = [
         [q[k] for q in q_rows] + [-p[k] for p in p_rows]
-        + [-ONE if i == k else ZERO for i in range(nv)]
+        + [-ONE if i == k else ZERO for i in range(nv)] + [ZERO] * nc
         for k in range(nv)
     ]
-    face_a.append([-gamma] * mq + [prob.alpha] * mp + [ONE] * nv)
-    face_a.append([ONE] * mq + [ZERO] * (mp + nv))
-    face_b = [ZERO] * (nv + 1) + [ONE]
-    n_all = mq + mp + nv
-    points = [u + v + w]
-    while zero:
-        obj = [ONE if j in zero else ZERO for j in range(n_all)]
-        res = solve_lp(obj, face_a, face_b)
-        if res.status != "optimal":
-            raise RuntimeError(f"dual face program ended {res.status}")
-        if res.value == 0:
-            break
-        points.append(list(res.x))
-        zero = [j for j in zero if res.x[j] == 0]
-    k = len(points)
-    avg = [sum((pt[i] for pt in points), ZERO) / k for i in range(n_all)]
+    face_a.append([-gamma] * mq + [prob.alpha] * mp + [ONE] * nv + [ZERO] * nc)
+    for r, j in enumerate(cand):
+        row = [ZERO] * (n_face + nc)
+        row[j], row[n_face + r] = -ONE, ONE
+        face_a.append(row)
+    res = solve_lp(
+        [ZERO] * n_face + [ONE] * nc, face_a, [ZERO] * len(face_a),
+        upper=[None] * n_face + [ONE] * nc,
+    )
+    if res.status != "optimal":
+        raise RuntimeError(f"dual face program ended {res.status}")
+    if res.value == 0:
+        return u, v, w
+    s = sum(res.x[:mq], ZERO)
+    avg = [(a + b / s) / 2 for a, b in zip(u + v + w, res.x)]
     return avg[:mq], avg[mq : mq + mp], avg[mq + mp :]
 
 
@@ -550,11 +553,9 @@ def compute_beta(p_family: SublinearExpectation, q_countable: Charge) -> Fractio
         raise ValueError("the countably additive part must have no tail mass")
     if q_countable.total == 0:
         raise ValueError("the countably additive part is zero; beta is not defined")
-    zero_atoms = frozenset(
-        a for a, m in zip(q_countable.space.atoms, q_countable.atom_mass) if m == 0
-    )
-    z = Event(q_countable.space, zero_atoms, q_countable.space.has_tail)
-    return lower_expectation(p_family, z.indicator())
+    space = q_countable.space
+    zero = tuple(ONE if m == 0 else ZERO for m in q_countable.atom_mass)
+    return lower_expectation(p_family, TestFunction(space, zero, ONE if space.has_tail else ZERO))
 
 
 def _scan_threshold(
@@ -669,8 +670,8 @@ def verify_threshold_form(prob: TestProblem, sol: Solution) -> RepresentationRep
     )
     kappa_formula = _kappa_from_quantile(tau_pc, lam_qc, sol.gamma_c)
 
-    supp = lam_qc.support()
-    precondition_support = upper_expectation(prob.p_family, supp.indicator()) >= prob.alpha
+    supp = TestFunction(prob.space, tuple(ONE if m > 0 else ZERO for m in lam_qc.atom_mass))
+    precondition_support = upper_expectation(prob.p_family, supp) >= prob.alpha
     # The best countable integral V(a) at level a is concave and
     # nondecreasing with V(alpha) = gamma_c, and level_c is the least level
     # at which gamma_c is still reachable. So V(alpha - eps) < gamma_c for

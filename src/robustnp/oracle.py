@@ -22,7 +22,6 @@ from .charge_model import (
     ONE,
     ZERO,
     Charge,
-    Event,
     SublinearExpectation,
     TestFunction,
     frac,
@@ -211,13 +210,13 @@ def beta_oracle(
     zero_atoms = [
         a for a, m in zip(space.atoms, q_countable.atom_mass) if m == 0
     ]
-    tail_options = (False, True) if space.has_tail else (False,)
+    tail_options = (ZERO, ONE) if space.has_tail else (ZERO,)
     best = ZERO
     for r in range(len(zero_atoms) + 1):
         for subset in combinations(zero_atoms, r):
+            ind = tuple(ONE if a in subset else ZERO for a in space.atoms)
             for tail in tail_options:
-                ev = Event(space, frozenset(subset), tail)
-                val = lower_expectation(p_family, ev.indicator())
+                val = lower_expectation(p_family, TestFunction(space, ind, tail))
                 if val > best:
                     best = val
     return best

@@ -182,19 +182,16 @@ def test_criterion_03_unique_optimum_on_grid(capfd):
 def test_criterion_04_intro_truncation(capfd):
     with criterion(capfd, 4, "introductory instance: displayed test and optima"):
         prob, sol = solved("intro_example")
-        displayed = TestFunction.from_mapping(
-            prob.space,
-            {
-                "1/2": F(1, 2),
-                "1/4": F(0),
-                "1/8": F(1, 2),
-                "1/16": F(1, 2),
-                "1/32": F(1, 2),
-                "3/4": F(1),
-                "other": F(0),
-            },
-            tail=F(1, 2),
-        )
+        values = {
+            "1/2": F(1, 2),
+            "1/4": F(0),
+            "1/8": F(1, 2),
+            "1/16": F(1, 2),
+            "1/32": F(1, 2),
+            "3/4": F(1),
+            "other": F(0),
+        }
+        displayed = TestFunction(prob.space, tuple(values[a] for a in prob.space.atoms), F(1, 2))
         assert upper_expectation(prob.p_family, displayed) <= prob.alpha
         assert lower_expectation(prob.q_family, displayed) == F(11, 16)
         assert sol.gamma_alpha >= F(11, 16)
@@ -232,7 +229,8 @@ def test_criterion_07_representation_suite(capfd, batch200):
                 beta = compute_beta(prob.p_family, qc)
                 assert (sol.case is Case.LEVEL_SLACK) == (beta > 1 - prob.alpha)
                 # Members are probabilities: beta = 1 - max_i P_i(supp lam_qc).
-                assert beta == 1 - upper_expectation(prob.p_family, qc.support().indicator())
+                supp = TestFunction(prob.space, tuple(F(m > 0) for m in qc.atom_mass))
+                assert beta == 1 - upper_expectation(prob.p_family, supp)
             if sol.case is Case.LEVEL_ATTAINED:
                 rep = hypothesis_report(prob)
                 structural = rep.h1 and rep.h3

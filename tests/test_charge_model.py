@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from robustnp import (
     Charge,
-    Event,
     SampleSpace,
     SublinearExpectation,
     TestFunction,
@@ -93,14 +92,6 @@ def test_tail_label_reserved():
         SampleSpace(("a", "tail"), True)
 
 
-def test_event_validation():
-    s = space_of(2, has_tail=False)
-    with pytest.raises(ValueError):
-        Event(s, frozenset({"zzz"}), False)
-    with pytest.raises(ValueError):
-        Event(s, frozenset({"a0"}), True)
-
-
 def test_charge_validation():
     s = space_of(2)
     with pytest.raises(ValueError):
@@ -144,9 +135,7 @@ def test_expectation_two_point():
 def test_expectation_pure_tail_ignores_finite_support():
     s = space_of(3, has_tail=True)
     c = charge(s, 0, 0, 0, tail=1)
-    ind = Event(s, frozenset({"a0", "a1"})).indicator()
-    assert ind.tail_value == 0
-    assert expectation(c, ind) == 0
+    assert expectation(c, tf(s, 1, 1, 0)) == 0
 
 
 def test_expectation_three_atom():
@@ -273,7 +262,9 @@ def _space_charge_tests(draw, n_tests=1):
 @given(_space_charge_tests())
 def test_conjugacy(data):
     fam, (x,) = data
-    assert lower_expectation(fam, x) == 1 - upper_expectation(fam, x.complement())
+    tail = 1 - x.tail_value if fam.space.has_tail else 0
+    complement = TestFunction(fam.space, tuple(1 - v for v in x.atom_value), tail)
+    assert lower_expectation(fam, x) == 1 - upper_expectation(fam, complement)
 
 
 @given(_space_charge_tests())
@@ -299,7 +290,7 @@ def test_subadditive_on_averages(data):
 @given(_space_charge_tests(), _rationals())
 def test_constants_preserved_and_homogeneous(data, c):
     fam, (x,) = data
-    const = TestFunction.constant(fam.space, c)
+    const = TestFunction(fam.space, (c,) * fam.space.n_atoms, c if fam.space.has_tail else 0)
     assert upper_expectation(fam, const) == c
     scaled = TestFunction(
         fam.space,

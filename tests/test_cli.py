@@ -122,6 +122,18 @@ def test_solve_with_oracle_agrees(tmp_path):
     assert report["oracle"]["value"]["exact"] == "1"
 
 
+def test_oracle_past_its_size_bound_names_the_flag(tmp_path, capsys):
+    # The library's advice names a keyword that the command line cannot set.
+    assert run(["solve", FIXTURES / "intro_example.json", "--oracle"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: --oracle: instance has 8 variables, oracle bound is 6\n"
+    atoms = [f"a{i}" for i in range(7)]
+    wide = dict(SMALL, atoms=atoms, p_family=[{a: "1/7" for a in atoms}], q_family=[{"a0": "1"}])
+    assert run(["np", write_spec(tmp_path, wide), "--oracle"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: --oracle: instance has 7 variables, oracle bound is 6\n"
+
+
 def test_alpha_override(tmp_path):
     out = tmp_path / "report.json"
     assert run(["solve", FIXTURES / "dirac.json", "--alpha", "9/10", "--json", out]) == EXIT_OK
@@ -259,6 +271,24 @@ def test_decimal_past_float_range_is_read_off_the_integers(tmp_path):
         got = report["representation"]["kappa"] if command == "solve" else report["kappa"]
         assert F(got["exact"]) == kappa
         assert abs(F(got["decimal"]) - kappa) <= kappa / 10**16
+
+
+def test_decimal_below_float_range_is_read_off_the_integers(tmp_path):
+    # alpha = 10^-400 is below the smallest normal float, where float()
+    # returns 0.0; the decimal rendering is computed from the integers.
+    t = 10**400
+    spec = {
+        "atoms": ["a", "b"],
+        "p_family": [{"a": f"1/{t}", "b": f"{t - 1}/{t}"}],
+        "q_family": [{"a": "1/2", "b": "1/2"}],
+        "alpha": f"1/{t}",
+    }
+    out = tmp_path / "report.json"
+    assert run(["solve", write_spec(tmp_path, spec), "--json", out]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["problem"]["alpha"]["decimal"] == "1e-400"
+    rep = report["representation"]
+    assert (rep["level_c"]["decimal"], rep["kappa_formula"]["decimal"]) == ("1e-400", "2e-400")
 
 
 def test_value_too_long_to_print_asks_for_the_digit_limit(tmp_path):
@@ -475,7 +505,11 @@ def test_h2_holds_at_every_probe(tmp_path):
     probes = 0
     for prob in problems:
         tests = [robustnp.solve_minimax(prob).x_alpha]
-        tests += [robustnp.TestFunction.constant(prob.space, v) for v in (F(1, 2), 1)]
+        space = prob.space
+        tests += [
+            robustnp.TestFunction(space, (v,) * space.n_atoms, v if space.has_tail else 0)
+            for v in (F(1, 2), 1)
+        ]
         for x in tests:
             top = robustnp.upper_expectation(prob.p_family, x)
             for c in prob.p_family.family:

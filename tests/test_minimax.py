@@ -549,9 +549,11 @@ def _max_on_dual_face(prob, gamma, c):
 def test_lift_support_is_maximal_on_degenerate_instances():
     # A member may carry zero weight only if no optimal dual charges it.
     rng = random.Random(1985)
+    problems = [_degenerate_problem(rng) for _ in range(60)]
+    rng = random.Random(1968)
+    problems += [_stress_problem(rng) for _ in range(100)]
     checked = 0
-    for _ in range(60):
-        prob = _degenerate_problem(rng)
+    for prob in problems:
         sol = solve_minimax(prob)
         kkt_certificate(prob, sol)
         n_all = len(prob.q_family) + len(prob.p_family) + prob.space.n_slots
@@ -565,7 +567,7 @@ def test_lift_support_is_maximal_on_degenerate_instances():
             for b, qb in enumerate(prob.q_family.family):
                 if qa == qb:
                     assert (sol.q_weights[a] == 0) == (sol.q_weights[b] == 0)
-    assert checked >= 20
+    assert checked >= 80
 
 
 def _masses(rng, n_slots, zero, den):
@@ -921,11 +923,13 @@ def test_level_programs_start_feasible_and_their_level_duals_sum_to_1(monkeypatc
     assert seen["_min_attained_level"] == 216 and seen["_null_side_mixture"] >= 56, seen
 
 
-def test_every_lp_starts_from_the_slack_basis_and_lift_rounds_stay_on_the_face(monkeypatch):
-    # No stage passes equality rows or a negative right-hand side. A lift
-    # round of positive value ends on the dual optimal face, and every
-    # round's value is its objective's maximum over that face, as the
-    # equality-form face program solved by the two-phase reference gives it.
+def test_every_lp_starts_from_the_slack_basis_and_the_lift_finds_the_face_support(monkeypatch):
+    # No stage passes equality rows or a negative right-hand side. The lift
+    # runs one LP exactly when some member is a candidate (zero weight in
+    # the epigraph's dual, tight at its test); its value counts the
+    # candidates that the equality-form face program, solved by the
+    # two-phase reference, can charge, its point charges exactly those, and
+    # divided by sum u it lies on the dual optimal face.
     calls = []
 
     def recording(*args, **kwargs):
@@ -942,20 +946,38 @@ def test_every_lp_starts_from_the_slack_basis_and_lift_rounds_stay_on_the_face(m
     for prob in problems:
         calls.clear()
         sol = solve_minimax(prob)
-        mq, mp = len(prob.q_family), len(prob.p_family)
-        for stage, args, kwargs, res in calls:
+        mq, mp, nv = len(prob.q_family), len(prob.p_family), prob.space.n_slots
+        for stage, args, kwargs, _ in calls:
             seen[stage] += 1
             assert len(args) == 3 and set(kwargs) <= {"upper"}, stage
-            c, _, b_ub = args
-            assert all(b >= 0 for b in b_ub), stage
-            if stage != "_lift_dual_support":
-                continue
-            assert res.value == _max_on_dual_face(prob, sol.gamma_alpha, c)
-            if res.value == 0:
-                seen["round of value 0"] += 1
-                continue
-            seen["round of positive value"] += 1
-            u, v, w = res.x[:mq], res.x[mq : mq + mp], res.x[mq + mp :]
-            assert sum(u) == 1
-            assert prob.alpha * sum(v) + sum(w) == sol.gamma_alpha
+            assert all(b >= 0 for b in args[2]), stage
+        epigraph = calls[0][3]
+        assert calls[0][0] == "_solve_epigraph" and epigraph.value == sol.gamma_alpha
+        _, q_rows = minimax._slot_rows(prob)
+        x0 = epigraph.x[:-1]
+        candidates = [
+            j for j, q in enumerate(q_rows)
+            if epigraph.y_ub[j] == 0 and sum(a * b for a, b in zip(q, x0)) == sol.gamma_alpha
+        ]
+        lifts = [(args, res) for stage, args, _, res in calls if stage == "_lift_dual_support"]
+        assert len(lifts) == (1 if candidates else 0)
+        if not lifts:
+            continue
+        ((_, a_ub, b_ub), res), = lifts
+        assert len(b_ub) == len(a_ub) and not any(b_ub)
+        n_all = mq + mp + nv
+        charged = [
+            j for j in candidates
+            if _max_on_dual_face(prob, sol.gamma_alpha, [F(int(i == j)) for i in range(n_all)]) > 0
+        ]
+        assert res.value == len(charged)
+        assert [j for j in candidates if res.x[j] > 0] == charged
+        if res.value == 0:
+            seen["lift of value 0"] += 1
+            continue
+        seen["lift of positive value"] += 1
+        u, v, w = res.x[:mq], res.x[mq : mq + mp], res.x[mq + mp : n_all]
+        s = sum(u)
+        assert s >= 1
+        assert prob.alpha * sum(v) / s + sum(w) / s == sol.gamma_alpha
     assert min(seen.values()) >= 10 and len(seen) == 7, seen
