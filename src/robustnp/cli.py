@@ -14,9 +14,8 @@ Problem files are JSON with exact rationals as "num/den" strings:
 The key "tail" inside a charge holds its tail mass and is therefore
 reserved as an atom label. Floats are rejected: exactness is the point.
 
-Exit codes: 0 success, 2 input problem, unwritable --json path or an
-instance past --oracle's size bound, 3 internal failure (certificate or
-solver), 4 oracle mismatch under --oracle.
+Exit codes: 0 success, 2 input problem or unwritable --json path, 3
+internal failure (certificate or solver).
 """
 
 from __future__ import annotations
@@ -50,12 +49,10 @@ from .minimax import (
     verify_threshold_form,
 )
 from .neyman_pearson import np_test
-from .oracle import np_oracle, vertex_enumerate
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CERTIFICATE = 3
-EXIT_MISMATCH = 4
 
 
 class SpecError(ValueError):
@@ -304,31 +301,11 @@ def cmd_solve(args) -> int:
         "representation": _representation_obj(prob, sol),
         "hypotheses": _hypotheses_obj(prob),
         "certificate": {
-            "status": "verified",
+            "level_duals": [_rat(vi) for vi in sol.certificate.level_duals],
+            "box_duals": _slot_obj(prob.space, sol.certificate.box_duals),
             "duality_gap": _rat(sol.certificate.duality_gap),
         },
     }
-    exit_code = EXIT_OK
-    if args.oracle:
-        try:
-            result = vertex_enumerate(prob)
-        except ValueError as exc:  # past a size bound; drop the library's advice
-            raise SpecError(f"--oracle: {str(exc).partition(';')[0]}") from None
-        matches = result.value == sol.gamma_alpha
-        report["oracle"] = {
-            "value": _rat(result.value),
-            "matches": matches,
-            "optima": len(result.argmax_tests),
-            "enumeration_size": result.enumeration_size,
-        }
-        if not matches:
-            print(
-                f"oracle mismatch: solver value {sol.gamma_alpha}, "
-                f"oracle value {result.value}",
-                file=sys.stderr,
-            )
-            exit_code = EXIT_MISMATCH
-
     print(
         f"problem: {len(prob.space.atoms)} atoms"
         + (" + tail" if prob.space.has_tail else "")
@@ -357,14 +334,8 @@ def cmd_solve(args) -> int:
         f"continuity=({hyp['continuity_p']}, {hyp['continuity_q']})"
     )
     print("certificate: verified (duality gap 0)")
-    if args.oracle:
-        print(
-            f"oracle: value {report['oracle']['value']['exact']}, "
-            f"matches={report['oracle']['matches']}, "
-            f"optima={report['oracle']['optima']}"
-        )
     _emit(report, args.json_out)
-    return exit_code
+    return EXIT_OK
 
 
 def cmd_np(args) -> int:
@@ -385,37 +356,14 @@ def cmd_np(args) -> int:
         "power": _rat(res.power),
         "level_slack": res.level_slack,
     }
-    exit_code = EXIT_OK
-    if args.oracle:
-        try:
-            result = np_oracle(p, q, prob.alpha)
-        except ValueError as exc:  # past a size bound; drop the library's advice
-            raise SpecError(f"--oracle: {str(exc).partition(';')[0]}") from None
-        matches = result.value == res.power
-        report["oracle"] = {
-            "value": _rat(result.value),
-            "matches": matches,
-            "enumeration_size": result.enumeration_size,
-        }
-        if not matches:
-            print(
-                f"oracle mismatch: np power {res.power}, oracle value {result.value}",
-                file=sys.stderr,
-            )
-            exit_code = EXIT_MISMATCH
     print(f"kappa: {res.kappa}   b: {res.b}")
     print("test:")
     for a, v in zip(prob.space.atoms, res.test.atom_value):
         print(f"  {a} = {v}")
     print(f"attained level: {res.attained_level} (slack: {res.level_slack})")
     print(f"power: {res.power} ({float(res.power)})")
-    if args.oracle:
-        print(
-            f"oracle: value {report['oracle']['value']['exact']}, "
-            f"matches={report['oracle']['matches']}"
-        )
     _emit(report, args.json_out)
-    return exit_code
+    return EXIT_OK
 
 
 def _parse_sizes(raw: str) -> list[int]:
@@ -486,16 +434,10 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_oracle=True):
+    def common(p):
         p.add_argument("spec", help="path to a problem JSON file")
         p.add_argument("--json", dest="json_out", metavar="OUT", help="write a JSON report")
         p.add_argument("--alpha", help="override the level, e.g. 1/3")
-        if with_oracle:
-            p.add_argument(
-                "--oracle",
-                action="store_true",
-                help="cross-check against brute force, exit 4 on mismatch",
-            )
 
     common(sub.add_parser("solve", help="solve the worst-case testing problem"))
     common(sub.add_parser("np", help="classical single-pair test"))
@@ -504,7 +446,7 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--sizes", required=True, help="'lo:hi' or comma separated")
     p_sweep.add_argument("--alpha", help="level for the generated problems")
     p_sweep.add_argument("--json", dest="json_out", metavar="OUT")
-    common(sub.add_parser("check", help="run hypothesis checks only"), with_oracle=False)
+    common(sub.add_parser("check", help="run hypothesis checks only"))
     return parser
 
 

@@ -167,7 +167,7 @@ def np_oracle(
     q: Charge,
     alpha: Fraction,
     *,
-    max_atoms: "int | None" = None,
+    max_vars: "int | None" = None,
 ) -> OracleResult:
     """Exhaustive maximum power for a single pair of charges.
 
@@ -180,7 +180,7 @@ def np_oracle(
         SublinearExpectation((q,), "alternative"),
         frac(alpha),
     )
-    return vertex_enumerate(prob, max_vars=_bound(max_atoms, 6), max_family=1)
+    return vertex_enumerate(prob, max_vars=max_vars, max_family=1)
 
 
 def beta_oracle(

@@ -1,0 +1,171 @@
+"""Check a ``robustnp solve --json`` or ``robustnp np --json`` report by hand.
+
+The checker shares no code with the solver: it uses the standard library
+only and imports nothing from ``robustnp``. It reads the problem spec and
+the report as JSON, works in ``Fraction``s, and accepts a report only if
+the certificate in it proves the reported test optimal. Every check is a
+sum over the slots (atoms, then the tail), so the cost is linear in the
+size of the spec; nothing is re-solved.
+
+A ``solve`` report carries u = ``q_weights`` and, under ``certificate``,
+v = ``level_duals`` and w = ``box_duals``. For every test y in [0, 1] with
+E_{P_i}[y] <= alpha for all i, weak duality gives
+
+    min_j E_{Q_j}[y] <= sum_j u_j E_{Q_j}[y]
+                     <= sum_i v_i E_{P_i}[y] + sum_k w_k y_k
+                     <= alpha * sum v + sum w
+
+when u >= 0 sums to 1, v >= 0, w >= 0 and sum_j u_j q_j <= sum_i v_i p_i + w
+slot by slot. So a feasible test whose worst-case power equals
+alpha * sum v + sum w is optimal. The reported attained level is the least
+among optimal tests: some v_i > 0 forces E_{P_i}[y] = alpha on every
+optimal y, and v = 0 forces value 1, so every optimal y is 1 on the union S
+of the alternative supports and its level is at least max_i P_i(S).
+
+An ``np`` report is checked from its ``kappa``: with w_k = max(q_k -
+kappa p_k, 0) and kappa >= 0, every test y with E_p[y] <= alpha has
+E_q[y] <= kappa * alpha + sum w, so a feasible test with that power is
+optimal.
+
+    python tests/_report_checker.py SPEC REPORT
+
+exits 0 when the report is accepted and 1, with the reason, when not.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+
+class ReportRejected(Exception):
+    """The report's certificate does not prove what the report claims."""
+
+
+def _require(ok: bool, why: str) -> None:
+    if not ok:
+        raise ReportRejected(why)
+
+
+def _rational(entry) -> Fraction:
+    """A report rational: an object whose "exact" string is "num/den"."""
+    return Fraction(entry["exact"])
+
+
+class _Spec:
+    """A problem spec's slot labels and members as Fraction vectors."""
+
+    def __init__(self, spec: dict):
+        self.atoms = list(spec["atoms"])
+        self.has_tail = bool(spec.get("has_tail", False))
+        self.labels = self.atoms + (["tail"] if self.has_tail else [])
+        self.alpha = Fraction(spec["alpha"])
+        self.p = [self._slots(c) for c in spec["p_family"]]
+        self.q = [self._slots(c) for c in spec["q_family"]]
+
+    def _slots(self, charge: dict) -> list[Fraction]:
+        _require(set(charge) <= set(self.labels), f"spec: unknown labels in {charge}")
+        slots = [Fraction(charge.get(label, 0)) for label in self.labels]
+        _require(sum(slots) == 1 and min(slots) >= 0, f"spec: {charge} is no probability")
+        return slots
+
+    def vector(self, obj: dict, what: str) -> list[Fraction]:
+        """A report's per-slot object, keyed by label, as a slot vector."""
+        _require(sorted(obj) == sorted(self.labels), f"{what}: keys {sorted(obj)}")
+        return [_rational(obj[label]) for label in self.labels]
+
+
+def _dot(a: list[Fraction], b: list[Fraction]) -> Fraction:
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def _feasible_test(spec: _Spec, report: dict, alpha: Fraction) -> tuple[list, Fraction]:
+    """The reported test as a vector, after checking its range and level."""
+    x = spec.vector(report["test"], "test")
+    _require(all(0 <= xk <= 1 for xk in x), "test: a value lies outside [0, 1]")
+    attained = _rational(report["attained_level"])
+    level = max(_dot(p, x) for p in spec.p)
+    _require(level == attained, f"attained_level: test reaches {level}, report says {attained}")
+    _require(attained <= alpha, f"attained_level {attained} exceeds alpha {alpha}")
+    return x, attained
+
+
+def check_solve(spec_data: dict, report: dict) -> None:
+    """Accept a ``solve`` report or raise :class:`ReportRejected`."""
+    spec = _Spec(spec_data)
+    problem = report["problem"]
+    _require(
+        (problem["atoms"], problem["has_tail"], problem["p_members"], problem["q_members"])
+        == (spec.atoms, spec.has_tail, len(spec.p), len(spec.q)),
+        "problem: does not describe the spec",
+    )
+    alpha = _rational(problem["alpha"])
+    _require(0 < alpha < 1, f"problem.alpha {alpha} is not in (0, 1)")
+    x, attained = _feasible_test(spec, report, alpha)
+    value = _rational(report["value"])
+    power = min(_dot(q, x) for q in spec.q)
+    _require(power == value, f"value: test's worst-case power is {power}, report says {value}")
+
+    cert = report["certificate"]
+    u = [_rational(e) for e in report["q_weights"]]
+    v = [_rational(e) for e in cert["level_duals"]]
+    w = spec.vector(cert["box_duals"], "certificate.box_duals")
+    _require(len(u) == len(spec.q), "q_weights: one weight per alternative member expected")
+    _require(len(v) == len(spec.p), "level_duals: one dual per null member expected")
+    _require(min(u) >= 0 and sum(u) == 1, f"q_weights: {u} is not a probability vector")
+    _require(min(v) >= 0 and min(w) >= 0, "certificate: a negative dual")
+    mixture = [_dot(u, col) for col in zip(*spec.q)]
+    _require(spec.vector(report["q_alpha"], "q_alpha") == mixture, "q_alpha: not the u-mixture")
+    bound = [_dot(v, col) + wk for col, wk in zip(zip(*spec.p), w)]
+    for label, lhs, rhs in zip(spec.labels, mixture, bound):
+        _require(lhs <= rhs, f"certificate: dual infeasible at {label}: {lhs} > {rhs}")
+    dual = alpha * sum(v) + sum(w)
+    _require(dual == value, f"certificate: dual bound {dual} differs from value {value}")
+    _require(_rational(cert["duality_gap"]) == 0, "certificate: nonzero duality_gap")
+
+    if any(v):
+        least = alpha
+    else:
+        support = [any(q[k] for q in spec.q) for k in range(len(spec.labels))]
+        least = max(sum(pk for pk, s in zip(p, support) if s) for p in spec.p)
+    _require(attained == least, f"attained_level {attained}, the duals prove {least}")
+    case = "LevelSlack" if attained < alpha else "LevelAttained"
+    _require(report["case"] == case, f"case {report['case']}, the levels say {case}")
+
+
+def check_np(spec_data: dict, report: dict, alpha: "Fraction | None" = None) -> None:
+    """Accept an ``np`` report or raise :class:`ReportRejected`.
+
+    ``alpha`` is the spec's unless given, as it is under ``np --alpha``.
+    """
+    spec = _Spec(spec_data)
+    _require(len(spec.p) == len(spec.q) == 1, "spec: np needs one charge per family")
+    (p,), (q,) = spec.p, spec.q
+    alpha = spec.alpha if alpha is None else Fraction(alpha)
+    x, attained = _feasible_test(spec, report, alpha)
+    power = _rational(report["power"])
+    _require(_dot(q, x) == power, f"power: test reaches {_dot(q, x)}, report says {power}")
+    _require(report["level_slack"] == (attained < alpha), "level_slack: disagrees with level")
+    kappa = _rational(report["kappa"])
+    _require(kappa >= 0, f"kappa {kappa} is negative")
+    dual = kappa * alpha + sum(max(qk - kappa * pk, 0) for pk, qk in zip(p, q))
+    _require(dual == power, f"power {power} is not the bound {dual} that kappa proves")
+
+
+def main(argv: "list[str]") -> int:
+    if len(argv) != 2:
+        print("usage: _report_checker.py SPEC REPORT", file=sys.stderr)
+        return 2
+    spec, report = (json.loads(Path(path).read_text(encoding="utf-8")) for path in argv)
+    try:
+        (check_np if "kappa" in report else check_solve)(spec, report)
+    except ReportRejected as exc:
+        print(f"rejected: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,5 +1,7 @@
 """Command line entry points, JSON reports, and exit codes."""
 
+import ast
+import copy
 import json
 import os
 import random
@@ -8,6 +10,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import _report_checker as checker
 import pytest
 
 import robustnp
@@ -15,7 +18,6 @@ import robustnp.minimax
 from robustnp.cli import (
     EXIT_CERTIFICATE,
     EXIT_INPUT,
-    EXIT_MISMATCH,
     EXIT_OK,
     load_problem,
     main,
@@ -66,7 +68,12 @@ def test_solve_three_atom_report(tmp_path, capsys):
     assert report["representation"]["form"] == "threshold"
     assert report["representation"]["verdict"] is True
     assert report["certificate"] == {
-        "status": "verified",
+        "level_duals": [{"exact": "0", "decimal": "0.0"}],
+        "box_duals": {
+            "w1": {"exact": "3/4", "decimal": "0.75"},
+            "w2": {"exact": "1/4", "decimal": "0.25"},
+            "w3": {"exact": "0", "decimal": "0.0"},
+        },
         "duality_gap": {"exact": "0", "decimal": "0.0"},
     }
 
@@ -114,24 +121,21 @@ def test_threshold_kappas_are_on_reciprocal_scales(tmp_path):
 
 
 def test_solve_with_oracle_agrees(tmp_path):
+    # The brute-force value, computed here, and the independent checker
+    # agree with the report on the fixture and on seeded specs.
+    specs = [FIXTURES / "three_atom.json"]
+    for i, spec in enumerate(_seeded_specs(41, 8)):
+        specs.append(write_spec(tmp_path, spec, f"s{i}.json"))
     out = tmp_path / "report.json"
-    code = run(["solve", FIXTURES / "three_atom.json", "--oracle", "--json", out])
-    assert code == EXIT_OK
-    report = json.loads(out.read_text())
-    assert report["oracle"]["matches"] is True
-    assert report["oracle"]["value"]["exact"] == "1"
-
-
-def test_oracle_past_its_size_bound_names_the_flag(tmp_path, capsys):
-    # The library's advice names a keyword that the command line cannot set.
-    assert run(["solve", FIXTURES / "intro_example.json", "--oracle"]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err == "error: --oracle: instance has 8 variables, oracle bound is 6\n"
-    atoms = [f"a{i}" for i in range(7)]
-    wide = dict(SMALL, atoms=atoms, p_family=[{a: "1/7" for a in atoms}], q_family=[{"a0": "1"}])
-    assert run(["np", write_spec(tmp_path, wide), "--oracle"]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err == "error: --oracle: instance has 7 variables, oracle bound is 6\n"
+    values = []
+    for spec in specs:
+        assert run(["solve", spec, "--json", out]) == EXIT_OK
+        report = json.loads(out.read_text())
+        oracle = robustnp.vertex_enumerate(load_problem(str(spec)))
+        assert F(report["value"]["exact"]) == oracle.value, spec.name
+        checker.check_solve(json.loads(spec.read_text()), report)
+        values.append(report["value"]["exact"])
+    assert values[0] == "1"
 
 
 def test_alpha_override(tmp_path):
@@ -139,6 +143,10 @@ def test_alpha_override(tmp_path):
     assert run(["solve", FIXTURES / "dirac.json", "--alpha", "9/10", "--json", out]) == EXIT_OK
     report = json.loads(out.read_text())
     assert report["problem"]["alpha"]["exact"] == "9/10"
+    spec = json.loads((FIXTURES / "dirac.json").read_text())
+    checker.check_solve(spec, report)
+    assert run(["np", FIXTURES / "dirac.json", "--alpha", "9/10", "--json", out]) == EXIT_OK
+    checker.check_np(spec, json.loads(out.read_text()), F(9, 10))
     for bad in ("0", "1", "3/2"):
         assert run(["solve", FIXTURES / "dirac.json", "--alpha", bad]) == EXIT_INPUT
     assert run(["solve", FIXTURES / "dirac.json", "--alpha=-1/4"]) == EXIT_INPUT
@@ -196,6 +204,12 @@ def test_input_errors(tmp_path, capsys):
     empty_family = dict(SMALL, q_family=[])
     assert run(["solve", write_spec(tmp_path, empty_family, "e.json")]) == EXIT_INPUT
     capsys.readouterr()
+
+    # --oracle is gone: the report's certificate vouches for the answer.
+    with pytest.raises(SystemExit) as refused:
+        run(["solve", write_spec(tmp_path, SMALL), "--oracle"])
+    assert refused.value.code == EXIT_INPUT
+    assert "unrecognized arguments: --oracle" in capsys.readouterr().err
 
     # Malformed files are input problems too: one error line naming the file.
     deep = tmp_path / "deep.json"
@@ -343,10 +357,13 @@ def test_unwritable_json_path_exits_2(tmp_path, capsys):
 def test_np_command(tmp_path, capsys):
     out = tmp_path / "np.json"
     spec = write_spec(tmp_path, SMALL)
-    assert run(["np", spec, "--oracle", "--json", out]) == EXIT_OK
+    assert run(["np", spec, "--json", out]) == EXIT_OK
     report = json.loads(out.read_text())
     assert report["power"]["exact"] == "1"
-    assert report["oracle"]["matches"] is True
+    prob = load_problem(str(spec))
+    p, q = prob.p_family.family[0], prob.q_family.family[0]
+    assert F(report["power"]["exact"]) == robustnp.np_oracle(p, q, prob.alpha).value
+    checker.check_np(SMALL, report)
     capsys.readouterr()
 
     two_members = dict(SMALL, q_family=[{"b": "1"}, {"a": "1"}])
@@ -390,7 +407,7 @@ def test_check_command(tmp_path, capsys):
 
 
 def test_exit_codes_are_distinct():
-    assert len({EXIT_OK, EXIT_INPUT, EXIT_CERTIFICATE, EXIT_MISMATCH}) == 4
+    assert len({EXIT_OK, EXIT_INPUT, EXIT_CERTIFICATE}) == 3
     assert EXIT_OK == 0
 
 
@@ -407,9 +424,7 @@ def test_every_fixture_solves(tmp_path):
     for path in sorted(FIXTURES.glob("*.json")):
         out = tmp_path / (path.stem + ".json")
         assert run(["solve", path, "--json", out]) == EXIT_OK, path.name
-        report = json.loads(out.read_text())
-        assert report["certificate"]["status"] == "verified"
-        assert report["certificate"]["duality_gap"]["exact"] == "0"
+        assert checker.main([str(path), str(out)]) == 0, path.name
 
 
 def _seeded_specs(seed, count):
@@ -432,6 +447,165 @@ def _seeded_specs(seed, count):
             "p_family": [member() for _ in range(rng.randint(1, 2))],
             "q_family": [member() for _ in range(rng.randint(1, 3))],
         }
+
+
+NUDGE = F(1, 10**6)
+
+
+def _reports(tmp_path, command, specs):
+    """(spec, report) for each spec, run through ``robustnp COMMAND --json``."""
+    out, done = tmp_path / "report.json", []
+    for i, spec in enumerate(specs):
+        assert run([command, write_spec(tmp_path, spec, f"{i}.json"), "--json", out]) == EXIT_OK
+        done.append((spec, json.loads(out.read_text())))
+    return done
+
+
+@pytest.fixture(scope="module")
+def solve_reports(tmp_path_factory):
+    specs = [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
+    specs += _seeded_specs(2016, 200)
+    return _reports(tmp_path_factory.mktemp("solve"), "solve", specs)
+
+
+@pytest.fixture(scope="module")
+def np_reports(tmp_path_factory):
+    # The single-pair fixtures and seeded pairs, none with a tail.
+    fixtures = [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
+    pairs = [s for s in fixtures if len(s["p_family"]) == len(s["q_family"]) == 1]
+    pairs += [
+        dict(s, p_family=s["p_family"][:1], q_family=s["q_family"][:1])
+        for s in _seeded_specs(2017, 150)
+    ]
+    pairs = [s for s in pairs if not s.get("has_tail")]
+    return _reports(tmp_path_factory.mktemp("np"), "np", pairs)
+
+
+def test_checker_accepts_every_report(solve_reports, np_reports):
+    for spec, report in solve_reports:
+        checker.check_solve(spec, report)
+    for spec, report in np_reports:
+        checker.check_np(spec, report)
+    assert len(solve_reports) == 205 and len(np_reports) >= 40
+    # Both kinds of least level and of np dual are exercised.
+    assert {report["case"] for _, report in solve_reports} == {"LevelAttained", "LevelSlack"}
+    assert {report["kappa"]["exact"] == "0" for _, report in np_reports} == {True, False}
+
+
+def _rejects_each_nudge(check, spec, report, entries):
+    """Move each entry by +NUDGE and, where positive, by -NUDGE; count rejections.
+
+    ``entries`` holds (container, key, pattern): the rejection must match
+    ``pattern``, so each check is seen to fire on its own.
+    """
+    rejected = 0
+    for holder, key, pattern in entries:
+        kept = holder[key]
+        for delta in (NUDGE, -NUDGE) if F(kept["exact"]) > 0 else (NUDGE,):
+            holder[key] = _exact(F(kept["exact"]) + delta)
+            with pytest.raises(checker.ReportRejected, match=pattern):
+                check(spec, report)
+            rejected += 1
+        holder[key] = kept
+    check(spec, report)
+    return rejected
+
+
+def test_checker_rejects_nudged_solve_reports(solve_reports):
+    rejected = 0
+    for spec, report in solve_reports:
+        cert = report["certificate"]
+        u, v, w = report["q_weights"], cert["level_duals"], cert["box_duals"]
+        entries = [(report, "value", "^value: "), (report, "attained_level", "^attained_level: ")]
+        entries += [(u, j, "^q_weights: ") for j in range(len(u))]
+        entries += [(v, i, "^certificate: dual ") for i in range(len(v))]
+        entries += [(w, label, "^certificate: dual ") for label in w]
+        rejected += _rejects_each_nudge(checker.check_solve, spec, report, entries)
+        case = report["case"]
+        report["case"] = {"LevelSlack": "LevelAttained", "LevelAttained": "LevelSlack"}[case]
+        with pytest.raises(checker.ReportRejected, match="^case "):
+            checker.check_solve(spec, report)
+        report["case"] = case
+    assert rejected > 10 * len(solve_reports)
+
+
+def test_checker_rejects_nudged_np_reports(np_reports):
+    # A nudged kappa is not required to fail: where np_test fills a ratio
+    # class exactly (b = 0), every kappa up to the next ratio proves the
+    # same power.
+    for spec, report in np_reports:
+        _rejects_each_nudge(checker.check_np, spec, report, [(report, "power", "^power: ")])
+        kappa = report["kappa"]
+        report["kappa"] = _exact(-NUDGE)
+        with pytest.raises(checker.ReportRejected, match="negative"):
+            checker.check_np(spec, report)
+        report["kappa"] = kappa
+
+
+def _exact(v):
+    return {"exact": str(v), "decimal": "edited"}
+
+
+def test_checker_names_each_broken_claim(tmp_path):
+    # One report edit per check, each breaking that check first.
+    three = json.loads((FIXTURES / "three_atom.json").read_text())
+    dirac = json.loads((FIXTURES / "dirac.json").read_text())
+    (_, three_report), (_, dirac_report) = _reports(tmp_path, "solve", [three, dirac])
+    ((_, np_report),) = _reports(tmp_path, "np", [dirac])
+    assert three_report["certificate"]["box_duals"]["w1"]["exact"] == "3/4"
+
+    def off_least_level(report):
+        # Still optimal, but not at the least level that zero duals prove.
+        report["test"]["0"] = report["attained_level"] = _exact(F(1, 10))
+
+    solve_cases = [
+        (lambda r: r["test"].update(w3=_exact(-NUDGE)), "^test: a value lies outside"),
+        (lambda r: r["test"].update(zz=r["test"].pop("w3")), "^test: keys"),
+        (lambda r: r["problem"].update(alpha=_exact(F(1, 3))), "exceeds alpha"),
+        (lambda r: r["problem"].update(alpha=_exact(1)), "is not in"),
+        (lambda r: r["problem"].update(q_members=3), "^problem: "),
+        (lambda r: r["q_weights"].append(_exact(0)), "^q_weights: one weight"),
+        (lambda r: r["certificate"]["level_duals"].append(_exact(0)), "^level_duals: "),
+        (lambda r: r["certificate"].update(level_duals=[_exact(-NUDGE)]), "negative dual"),
+        (lambda r: r["q_alpha"].update(w3=_exact(NUDGE)), "^q_alpha: "),
+        # w is positive only on tight slots: moving mass from w1 to w3
+        # keeps the dual bound and breaks the row of w1.
+        (
+            lambda r: r["certificate"]["box_duals"].update(w1=_exact(F(1, 2)), w3=_exact(F(1, 4))),
+            "dual infeasible at w1",
+        ),
+        (lambda r: r["certificate"].update(duality_gap=_exact(NUDGE)), "duality_gap"),
+    ]
+    for edit, pattern in solve_cases + [(off_least_level, "the duals prove 0$")]:
+        spec, report = (dirac, dirac_report) if edit is off_least_level else (three, three_report)
+        bad = copy.deepcopy(report)
+        edit(bad)
+        with pytest.raises(checker.ReportRejected, match=pattern):
+            checker.check_solve(spec, bad)
+    for member, pattern in (({"zz": "1"}, "unknown labels"), ({"w1": "1/2"}, "no probability")):
+        with pytest.raises(checker.ReportRejected, match=pattern):
+            checker.check_solve(dict(three, q_family=three["q_family"] + [member]), three_report)
+
+    zero = {label: _exact(0) for label in np_report["test"]}
+    np_cases = [
+        (dirac, {"level_slack": not np_report["level_slack"]}, "^level_slack: "),
+        # Feasible but not optimal: kappa's bound is above its power.
+        (dirac, {"test": zero, "attained_level": _exact(0), "power": _exact(0)}, "kappa proves"),
+        (three, {}, "one charge per family"),
+    ]
+    for spec, edit, pattern in np_cases:
+        with pytest.raises(checker.ReportRejected, match=pattern):
+            checker.check_np(spec, dict(np_report, **edit))
+
+
+def test_checker_imports_only_the_standard_library():
+    tree = ast.parse(Path(checker.__file__).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = [a.name for node in imports if isinstance(node, ast.Import) for a in node.names]
+    names += [node.module for node in imports if isinstance(node, ast.ImportFrom)]
+    assert all(getattr(node, "level", 0) == 0 for node in imports)
+    assert names and all(name.split(".")[0] in sys.stdlib_module_names for name in names)
+    assert not any(name.startswith("robustnp") for name in names)
 
 
 def _counting(monkeypatch, name):

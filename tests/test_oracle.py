@@ -155,6 +155,16 @@ def test_np_oracle_four_atom():
     assert res.value == F(2, 5)
 
 
+def test_np_oracle_bound_names_its_own_keyword():
+    # The size bound's message advises raising max_vars; np_oracle takes it.
+    space = SampleSpace(tuple(f"a{i}" for i in range(7)), False)
+    p = Charge.from_mapping(space, {a: F(1, 7) for a in space.atoms})
+    q = Charge.from_mapping(space, {"a0": F(1, 2), "a1": F(1, 2)})
+    with pytest.raises(ValueError, match="raise max_vars"):
+        np_oracle(p, q, F(1, 7))
+    assert np_oracle(p, q, F(1, 7), max_vars=7).value == F(1, 2)
+
+
 # ---------------------------------------------------------------------------
 # beta_oracle
 
