@@ -41,6 +41,21 @@ def frac(value: RationalLike) -> Fraction:
     return _frac(value)
 
 
+def _digits(n: int) -> int:
+    """Decimal digits of an int n >= 1, found without ``str``."""
+    k = int(math.log10(n))  # floor(log10 n), give or take the float's rounding
+    return k + 1 + (n >= 10 ** (k + 1)) - (n < 10**k)
+
+
+def _show(v: Fraction) -> str:
+    """``str(v)`` for an error message, which must not fail on its number."""
+    try:
+        return str(v)
+    except ValueError:  # str refuses ints past sys.get_int_max_str_digits()
+        n, d = v.as_integer_ratio()
+        return f"a fraction too long to print ({_digits(abs(n))} digits over {_digits(d)})"
+
+
 @dataclass(frozen=True)
 class SampleSpace:
     """Ordered explicit atoms, optionally followed by a tail atom.
@@ -198,12 +213,12 @@ class SublinearExpectation:
         if self.role not in ("null", "alternative"):
             raise ValueError(f"role must be 'null' or 'alternative', got {self.role!r}")
         space = self.family[0].space
-        for c in self.family:
+        for i, c in enumerate(self.family):
             if c.space != space:
                 raise ValueError("all family members must share one sample space")
             if not c.is_probability:
                 raise ValueError(
-                    f"family members must be probability charges (total {c.total})"
+                    f"family member {i} is not a probability charge (total {_show(c.total)})"
                 )
 
     @property

@@ -35,6 +35,8 @@ from .charge_model import (
     Charge,
     SampleSpace,
     SublinearExpectation,
+    _digits,
+    _show,
     frac,
 )
 from .hypotheses import GENERATORS, hypothesis_report, truncation_sweep
@@ -55,24 +57,20 @@ EXIT_INPUT = 2
 EXIT_CERTIFICATE = 3
 
 
-class SpecError(ValueError):
-    """A problem file failed to parse or validate; message names the spot."""
-
-
 def _parse_rational(value, where: str) -> Fraction:
     if isinstance(value, float):
-        raise SpecError(
+        raise ValueError(
             f"{where}: floats are not exact, write the rational as a 'num/den' string"
         )
     try:
         return frac(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise SpecError(f"{where}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _parse_charge(space: SampleSpace, data, where: str) -> Charge:
     if not isinstance(data, dict):
-        raise SpecError(f"{where}: expected an object mapping atom labels to masses")
+        raise ValueError(f"{where}: expected an object mapping atom labels to masses")
     entries = dict(data)
     tail_raw = entries.pop("tail", 0)
     masses = {a: _parse_rational(v, f"{where}[{a!r}]") for a, v in entries.items()}
@@ -80,42 +78,31 @@ def _parse_charge(space: SampleSpace, data, where: str) -> Charge:
     try:
         charge = Charge.from_mapping(space, masses, tail)
     except (TypeError, ValueError) as exc:
-        raise SpecError(f"{where}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
     if not charge.is_probability:
-        try:
-            total = str(charge.total)
-        except ValueError:  # str refuses ints past sys.get_int_max_str_digits()
-            n, d = charge.total.as_integer_ratio()
-            total = f"a fraction too long to print ({_digits(n)} digits over {_digits(d)})"
-        raise SpecError(f"{where}: masses sum to {total}, expected 1")
+        raise ValueError(f"{where}: masses sum to {_show(charge.total)}, expected 1")
     return charge
-
-
-def _digits(n: int) -> int:
-    """Decimal digits of an int n >= 1, found without ``str``."""
-    k = int(math.log10(n))  # floor(log10 n), give or take the float's rounding
-    return k + 1 + (n >= 10 ** (k + 1)) - (n < 10**k)
 
 
 def parse_problem(data, alpha_override: "Fraction | None" = None) -> TestProblem:
     if not isinstance(data, dict):
-        raise SpecError("top level: expected a JSON object")
+        raise ValueError("top level: expected a JSON object")
     for key in ("atoms", "p_family", "q_family", "alpha"):
         if key not in data:
-            raise SpecError(f"top level: missing required key {key!r}")
+            raise ValueError(f"top level: missing required key {key!r}")
     atoms = data["atoms"]
     if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
-        raise SpecError("atoms: expected a list of strings")
+        raise ValueError("atoms: expected a list of strings")
     has_tail = data.get("has_tail", False)
     if not isinstance(has_tail, bool):
-        raise SpecError("has_tail: expected true or false")
+        raise ValueError("has_tail: expected true or false")
     try:
         space = SampleSpace(tuple(atoms), has_tail)
     except ValueError as exc:
-        raise SpecError(f"atoms: {exc}") from None
+        raise ValueError(f"atoms: {exc}") from None
     for side in ("p_family", "q_family"):
         if not isinstance(data[side], list) or not data[side]:
-            raise SpecError(f"{side}: expected a non-empty list of charges")
+            raise ValueError(f"{side}: expected a non-empty list of charges")
     p_members = tuple(
         _parse_charge(space, c, f"p_family[{i}]") for i, c in enumerate(data["p_family"])
     )
@@ -127,35 +114,32 @@ def parse_problem(data, alpha_override: "Fraction | None" = None) -> TestProblem
         if alpha_override is not None
         else _parse_rational(data["alpha"], "alpha")
     )
-    try:
-        return TestProblem(
-            space,
-            SublinearExpectation(p_members, "null"),
-            SublinearExpectation(q_members, "alternative"),
-            alpha,
-        )
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
+    return TestProblem(
+        space,
+        SublinearExpectation(p_members, "null"),
+        SublinearExpectation(q_members, "alternative"),
+        alpha,
+    )
 
 
 def load_problem(path: str, alpha_override: "Fraction | None" = None) -> TestProblem:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise SpecError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise SpecError(f"{path}: not UTF-8 text: {exc}") from None
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SpecError(
+        raise ValueError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     except ValueError as exc:
         # An integer literal past the int-to-str digit limit, for one.
-        raise SpecError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     except RecursionError:
-        raise SpecError(f"{path}: JSON nested too deeply to parse") from None
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
     return parse_problem(data, alpha_override)
 
 
@@ -164,7 +148,7 @@ def _rat(v: Fraction) -> dict:
     try:
         exact = str(v)
     except ValueError:  # str refuses ints past sys.get_int_max_str_digits()
-        raise SpecError(
+        raise ValueError(
             f"a reported value is a fraction too long to print ({_digits(abs(n))} digits "
             f"over {_digits(d)}); rerun with PYTHONINTMAXSTRDIGITS=0"
         ) from None
@@ -189,16 +173,13 @@ def _slot_obj(space: SampleSpace, values: "list[Fraction]") -> dict:
 
 
 def _representation_obj(prob: TestProblem, sol) -> dict:
-    if sol.lam == 0:
-        return {
-            "form": "none",
-            "reason": "the least favorable alternative mixture is purely finitely additive",
-        }
-    if sol.case is Case.LEVEL_ATTAINED:
-        try:
-            rep = verify_threshold_form(prob, sol)
-        except PureLeastFavorableError as exc:
-            return {"form": "none", "reason": str(exc)}
+    attained = sol.case is Case.LEVEL_ATTAINED
+    verify = verify_threshold_form if attained else verify_degenerate_form
+    try:
+        rep = verify(prob, sol)
+    except PureLeastFavorableError as exc:
+        return {"form": "none", "reason": str(exc)}
+    if attained:
         return {
             "form": "threshold",
             "verdict": rep.verdict,
@@ -213,7 +194,6 @@ def _representation_obj(prob: TestProblem, sol) -> dict:
             "precondition_grid": rep.precondition_grid,
             "level_c": _rat(sol.level_c),
         }
-    rep = verify_degenerate_form(prob, sol)
     return {
         "form": "degenerate",
         "verdict": rep.verdict,
@@ -258,7 +238,7 @@ def _emit(report: dict, json_out: "str | None") -> None:
         try:
             _write_over(json_out, text)
         except OSError as exc:
-            raise SpecError(f"--json {json_out}: {exc}") from None
+            raise ValueError(f"--json {json_out}: {exc}") from None
 
 
 def _parse_alpha_flag(raw: "str | None") -> "Fraction | None":
@@ -266,7 +246,7 @@ def _parse_alpha_flag(raw: "str | None") -> "Fraction | None":
         return None
     alpha = _parse_rational(raw, "--alpha")
     if not (0 < alpha < 1):
-        raise SpecError(f"--alpha: must lie strictly between 0 and 1, got {alpha}")
+        raise ValueError(f"--alpha: must lie strictly between 0 and 1, got {alpha}")
     return alpha
 
 
@@ -341,7 +321,7 @@ def cmd_solve(args) -> int:
 def cmd_np(args) -> int:
     prob = load_problem(args.spec, _parse_alpha_flag(args.alpha))
     if len(prob.p_family) != 1 or len(prob.q_family) != 1:
-        raise SpecError(
+        raise ValueError(
             "the np command needs exactly one charge per family, got "
             f"{len(prob.p_family)} and {len(prob.q_family)}"
         )
@@ -373,24 +353,24 @@ def _parse_sizes(raw: str) -> list[int]:
             lo_s, hi_s = raw.split(":", 1)
             lo, hi = int(lo_s), int(hi_s)
             if lo > hi:
-                raise SpecError(f"--sizes: empty range {raw!r}")
+                raise ValueError(f"--sizes: empty range {raw!r}")
             sizes = list(range(lo, hi + 1))
         else:
             sizes = [int(s) for s in raw.split(",") if s.strip()]
     except ValueError:
-        raise SpecError(
+        raise ValueError(
             f"--sizes: expected 'lo:hi' or comma separated integers, got {raw!r}"
         ) from None
     if not sizes:
-        raise SpecError("--sizes: no sizes given")
+        raise ValueError("--sizes: no sizes given")
     if any(n < 1 for n in sizes):
-        raise SpecError(f"--sizes: sizes must be at least 1, got {sizes}")
+        raise ValueError(f"--sizes: sizes must be at least 1, got {sizes}")
     return sizes
 
 
 def cmd_sweep(args) -> int:
     if args.generator not in GENERATORS:
-        raise SpecError(
+        raise ValueError(
             f"unknown generator {args.generator!r}; available: {sorted(GENERATORS)}"
         )
     alpha = _parse_alpha_flag(args.alpha) or Fraction(1, 2)
@@ -455,9 +435,6 @@ def main(argv: "list[str] | None" = None) -> int:
     handlers = {"solve": cmd_solve, "np": cmd_np, "sweep": cmd_sweep, "check": cmd_check}
     try:
         return handlers[args.command](args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except CertificateError as exc:
         print(f"certificate error: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE

@@ -32,10 +32,10 @@ from .charge_model import (
 class NpResult:
     """A most powerful level-alpha test for one pair of charges.
 
-    ``test`` equals 1 where q_i > kappa * p_i, ``b`` where q_i = kappa * p_i,
-    and 0 where q_i < kappa * p_i; ``b`` is a single constant and is used on
-    one ratio class only. ``attained_level`` is below ``alpha`` exactly when
-    ``level_slack`` is set.
+    ``test`` equals 1 where q_i > kappa * p_i, 0 where q_i < kappa * p_i, and
+    on the boundary q_i = kappa * p_i the constant ``b`` if p_i > 0 and 0 if
+    p_i = q_i = 0. ``attained_level`` is below ``alpha`` exactly when
+    ``level_slack`` is set, and then kappa = b = 0.
     """
 
     kappa: Fraction
@@ -85,7 +85,6 @@ def np_test(p: Charge, q: Charge, alpha: Fraction) -> NpResult:
     remaining = alpha
     kappa = ZERO
     b = ZERO
-    filled_out = True
     for ratio, idxs in _ratio_classes(p, q):
         if ratio == 0:
             break
@@ -99,14 +98,7 @@ def np_test(p: Charge, q: Charge, alpha: Fraction) -> NpResult:
         for i in idxs:
             values[i] = b
         kappa = ratio
-        remaining = ZERO
-        filled_out = False
         break
-    if filled_out and remaining > 0:
-        # The whole support of q is accepted and the budget is not spent;
-        # this is the slack situation and no randomization can buy power.
-        kappa = ZERO
-        b = ZERO
 
     test = TestFunction(space, tuple(values), ZERO)
     attained = expectation(p, test)

@@ -32,15 +32,10 @@ from .minimax import TestProblem
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Exact optimum with every optimal vertex that realized it.
-
-    ``enumeration_size`` counts the basic systems solved, which is a rough
-    effort measure and a regression tripwire for the enumeration itself.
-    """
+    """Exact optimum with every optimal vertex that realized it."""
 
     value: Fraction
     argmax_tests: tuple[TestFunction, ...]
-    enumeration_size: int
 
 
 def _bound(explicit: "int | None", default: int) -> int:
@@ -89,7 +84,7 @@ def vertex_enumerate(
     """
     nv = prob.space.n_slots
     limit_vars = _bound(max_vars, 6)
-    limit_family = max_family if max_family is not None else 4
+    limit_family = _bound(max_family, 4)
     if nv > limit_vars:
         raise ValueError(
             f"instance has {nv} variables, oracle bound is {limit_vars}; "
@@ -109,7 +104,6 @@ def vertex_enumerate(
     for a, b in combinations(range(len(q_rows)), 2):
         planes.append(([qa - qb for qa, qb in zip(q_rows[a], q_rows[b])], ZERO))
 
-    solved = 0
     best: "Fraction | None" = None
     winners: dict[tuple[Fraction, ...], None] = {}
     seen: set[tuple[Fraction, ...]] = set()
@@ -128,7 +122,6 @@ def vertex_enumerate(
                         if b != 0:
                             for r, c in enumerate(chosen):
                                 rhs[r] -= planes[c][0][pos]
-                    solved += 1
                     xfree = [
                         sum((inv[r][j] * rhs[j] for j in range(k)), ZERO)
                         for r in range(k)
@@ -159,7 +152,7 @@ def vertex_enumerate(
                         winners[key] = None
 
     tests = tuple(TestFunction.from_slots(prob.space, vec) for vec in sorted(winners))
-    return OracleResult(value=best, argmax_tests=tests, enumeration_size=solved)
+    return OracleResult(value=best, argmax_tests=tests)
 
 
 def np_oracle(

@@ -122,6 +122,20 @@ def test_family_requires_probabilities_and_common_space():
         SublinearExpectation((charge(s, F(1, 2), F(1, 2)),), "prosecution")
 
 
+def test_family_check_names_a_sum_too_long_to_print():
+    # Each mass prints, but their sum's denominator has 5001 digits, past
+    # the int-to-str limit: the message counts digits and names the member.
+    s = space_of(2)
+    n = 10**2500
+    long_sum = charge(s, F(1, n + 1), F(1, n + 3))
+    with pytest.raises(ValueError) as refused:
+        SublinearExpectation((charge(s, 1, 0), long_sum), "null")
+    assert str(refused.value) == (
+        "family member 1 is not a probability charge "
+        "(total a fraction too long to print (2501 digits over 5001))"
+    )
+
+
 # ---------------------------------------------------------------------------
 # expectations
 

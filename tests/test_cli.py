@@ -152,6 +152,38 @@ def test_alpha_override(tmp_path):
     assert run(["solve", FIXTURES / "dirac.json", "--alpha=-1/4"]) == EXIT_INPUT
 
 
+def test_alpha_out_of_range_in_the_spec_is_an_input_error(tmp_path, capsys):
+    # TestProblem's own ValueError reaches main unwrapped, with its text.
+    spec = write_spec(tmp_path, dict(SMALL, alpha="3/2"))
+    for command in ("solve", "check"):
+        assert run([command, spec]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: alpha must lie strictly between 0 and 1, got 3/2\n"
+
+
+def test_pure_tail_alternative_reports_no_representation(tmp_path, capsys):
+    # All of Q's mass is on the tail, so lam = 0: the verifiers' own guard
+    # supplies the reason, and there is no beta.
+    payload = {
+        "atoms": ["a", "b"],
+        "has_tail": True,
+        "p_family": [{"a": "1/2", "b": "1/2"}],
+        "q_family": [{"tail": "1"}],
+        "alpha": "1/3",
+    }
+    spec = write_spec(tmp_path, payload)
+    out = tmp_path / "report.json"
+    assert run(["solve", spec, "--json", out]) == EXIT_OK
+    reason = "the least favorable alternative mixture has no countably additive part"
+    assert f"representation: none ({reason})" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["representation"] == {"form": "none", "reason": reason}
+    assert report["lambda"] == {"exact": "0", "decimal": "0.0"}
+    assert report["beta"] is None
+    checker.check_solve(payload, report)
+
+
 def test_json_output_is_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     spec = write_spec(tmp_path, SMALL)

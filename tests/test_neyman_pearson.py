@@ -97,6 +97,21 @@ def test_run_out_keeps_slack():
     assert res.b == 0
 
 
+def test_null_atoms_get_zero_on_the_boundary():
+    # Atom c has p = q = 0, so q_c = kappa * p_c holds there too, but only
+    # the ratio class q/p = kappa is randomized with b; c gets 0.
+    space = SampleSpace(("a", "b", "c"), False)
+    p = charge_on(space, {"a": F(1, 2), "b": F(1, 2)})
+    q = charge_on(space, {"a": F(1, 4), "b": F(3, 4)})
+    res = np_test(p, q, F(1, 4))
+    assert res.kappa == F(3, 2)
+    assert res.b == F(1, 2)
+    assert res.test.atom_value == (F(0), F(1, 2), F(0))
+    assert res.attained_level == F(1, 4)
+    assert not res.level_slack
+    assert_threshold_consistent(p, q, res)
+
+
 def test_validation():
     space = SampleSpace(("a", "b"), False)
     c = charge_on(space, {"a": F(1, 2), "b": F(1, 2)})

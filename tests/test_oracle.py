@@ -126,6 +126,10 @@ def test_family_bound_enforced():
     with pytest.raises(ValueError, match="family"):
         vertex_enumerate(prob)
     assert vertex_enumerate(prob, max_family=5).value == F(1, 2)
+    # Every oracle bound is checked one way: a bound below 1 is refused.
+    for key, bound in (("max_vars", 0), ("max_family", 0), ("max_family", -2)):
+        with pytest.raises(ValueError, match=f"^size bound must be positive, got {bound}$"):
+            vertex_enumerate(prob, **{key: bound})
 
 
 # ---------------------------------------------------------------------------
