@@ -27,7 +27,6 @@ from .charge_model import (
     upper_expectation,
 )
 from .hypotheses import (
-    GENERATORS,
     HypothesisReport,
     check_continuity_from_above,
     check_h1,
@@ -67,7 +66,6 @@ __all__ = [
     "lower_expectation",
     "mix",
     "upper_expectation",
-    "GENERATORS",
     "HypothesisReport",
     "check_continuity_from_above",
     "check_h1",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .simplex import _frac, _scale
+from .simplex import _frac as frac, _scale
 
 TAIL_LABEL = "tail"
 
@@ -29,16 +29,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 RationalLike = Union[int, str, Fraction]
-
-
-def frac(value: RationalLike) -> Fraction:
-    """Coerce an int, a ``"num/den"`` string, or a Fraction to a Fraction.
-
-    Floats and bools raise ``TypeError``, a string in exponent notation
-    (``"1e-3"``) raises ``ValueError``. This is the package's one
-    coercion rule; :func:`robustnp.simplex.solve_lp` applies it too.
-    """
-    return _frac(value)
 
 
 def _digits(n: int) -> int:
@@ -127,8 +117,7 @@ class Charge:
         unknown = set(masses) - set(space.atoms)
         if unknown:
             raise ValueError(f"unknown atom labels: {sorted(unknown)}")
-        values = tuple(frac(masses.get(a, 0)) for a in space.atoms)
-        return cls(space, values, frac(tail))
+        return cls(space, tuple(masses.get(a, 0) for a in space.atoms), tail)
 
     @property
     def total(self) -> Fraction:

@@ -26,12 +26,14 @@ import math
 import os
 import stat
 import sys
+from dataclasses import asdict
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
 
 from .charge_model import (
+    TAIL_LABEL,
     Charge,
     SampleSpace,
     SublinearExpectation,
@@ -39,7 +41,7 @@ from .charge_model import (
     _show,
     frac,
 )
-from .hypotheses import GENERATORS, hypothesis_report, truncation_sweep
+from .hypotheses import hypothesis_report, nonexistence_problem, truncation_sweep
 from .minimax import (
     Case,
     CertificateError,
@@ -72,9 +74,9 @@ def _parse_charge(space: SampleSpace, data, where: str) -> Charge:
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected an object mapping atom labels to masses")
     entries = dict(data)
-    tail_raw = entries.pop("tail", 0)
+    tail_raw = entries.pop(TAIL_LABEL, 0)
     masses = {a: _parse_rational(v, f"{where}[{a!r}]") for a, v in entries.items()}
-    tail = _parse_rational(tail_raw, f"{where}['tail']")
+    tail = _parse_rational(tail_raw, f"{where}[{TAIL_LABEL!r}]")
     try:
         charge = Charge.from_mapping(space, masses, tail)
     except (TypeError, ValueError) as exc:
@@ -168,7 +170,7 @@ def _rat(v: Fraction) -> dict:
 
 def _slot_obj(space: SampleSpace, values: "list[Fraction]") -> dict:
     """Per-slot values (a test's or a charge's) keyed by atom label, then "tail"."""
-    labels = list(space.atoms) + (["tail"] if space.has_tail else [])
+    labels = list(space.atoms) + ([TAIL_LABEL] if space.has_tail else [])
     return {a: _rat(v) for a, v in zip(labels, values)}
 
 
@@ -200,18 +202,6 @@ def _representation_obj(prob: TestProblem, sol) -> dict:
         "lambda": _rat(sol.lam),
         "gamma_consistent": rep.gamma_consistent,
         "violations": list(rep.violations),
-    }
-
-
-def _hypotheses_obj(prob: TestProblem) -> dict:
-    """The structural checks as reported by both ``solve`` and ``check``."""
-    rep = hypothesis_report(prob)
-    return {
-        "h1": rep.h1,
-        "h3": rep.h3,
-        "continuity_p": rep.continuity_p,
-        "continuity_q": rep.continuity_q,
-        "witnesses": dict(rep.witnesses),
     }
 
 
@@ -279,7 +269,7 @@ def cmd_solve(args) -> int:
         "beta": None if beta is None else _rat(beta),
         "beta_criterion_matches_case": criterion,
         "representation": _representation_obj(prob, sol),
-        "hypotheses": _hypotheses_obj(prob),
+        "hypotheses": asdict(hypothesis_report(prob)),
         "certificate": {
             "level_duals": [_rat(vi) for vi in sol.certificate.level_duals],
             "box_duals": _slot_obj(prob.space, sol.certificate.box_duals),
@@ -291,7 +281,7 @@ def cmd_solve(args) -> int:
         + (" + tail" if prob.space.has_tail else "")
         + f", |P|={len(prob.p_family)}, |Q|={len(prob.q_family)}, alpha={prob.alpha}"
     )
-    print(f"value: {sol.gamma_alpha} ({float(sol.gamma_alpha)})")
+    print(f"value: {sol.gamma_alpha} ({report['value']['decimal']})")
     print(f"case: {sol.case.value}   attained level: {sol.attained_level}")
     print("test:")
     for a, v in zip(prob.space.atoms, sol.x_alpha.atom_value):
@@ -341,7 +331,7 @@ def cmd_np(args) -> int:
     for a, v in zip(prob.space.atoms, res.test.atom_value):
         print(f"  {a} = {v}")
     print(f"attained level: {res.attained_level} (slack: {res.level_slack})")
-    print(f"power: {res.power} ({float(res.power)})")
+    print(f"power: {res.power} ({report['power']['decimal']})")
     _emit(report, args.json_out)
     return EXIT_OK
 
@@ -352,8 +342,6 @@ def _parse_sizes(raw: str) -> list[int]:
         if ":" in raw:
             lo_s, hi_s = raw.split(":", 1)
             lo, hi = int(lo_s), int(hi_s)
-            if lo > hi:
-                raise ValueError(f"--sizes: empty range {raw!r}")
             sizes = list(range(lo, hi + 1))
         else:
             sizes = [int(s) for s in raw.split(",") if s.strip()]
@@ -361,6 +349,8 @@ def _parse_sizes(raw: str) -> list[int]:
         raise ValueError(
             f"--sizes: expected 'lo:hi' or comma separated integers, got {raw!r}"
         ) from None
+    if ":" in raw and lo > hi:
+        raise ValueError(f"--sizes: empty range {raw!r}")
     if not sizes:
         raise ValueError("--sizes: no sizes given")
     if any(n < 1 for n in sizes):
@@ -369,14 +359,13 @@ def _parse_sizes(raw: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
-    if args.generator not in GENERATORS:
+    if args.generator != "nonexistence":
         raise ValueError(
-            f"unknown generator {args.generator!r}; available: {sorted(GENERATORS)}"
+            f"unknown generator {args.generator!r}; available: ['nonexistence']"
         )
     alpha = _parse_alpha_flag(args.alpha) or Fraction(1, 2)
     sizes = _parse_sizes(args.sizes)
-    generator = partial(GENERATORS[args.generator], alpha=alpha)
-    rows = truncation_sweep(generator, sizes)
+    rows = truncation_sweep(partial(nonexistence_problem, alpha=alpha), sizes)
     monotone = all(b > a for (_, a), (_, b) in zip(rows, rows[1:]))
     if not monotone:
         print("warning: sweep values are not strictly increasing", file=sys.stderr)
@@ -387,15 +376,15 @@ def cmd_sweep(args) -> int:
         "strictly_increasing": monotone,
     }
     print(f"generator: {args.generator}   alpha: {alpha}")
-    for n, v in rows:
-        print(f"  N={n}: {v} ({float(v)})")
+    for row in report["rows"]:
+        print(f"  N={row['size']}: {row['value']['exact']} ({row['value']['decimal']})")
     _emit(report, args.json_out)
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
     prob = load_problem(args.spec, _parse_alpha_flag(args.alpha))
-    report = _hypotheses_obj(prob)
+    report = asdict(hypothesis_report(prob))
     print(f"h1: {report['h1']}")
     print(f"h3: {report['h3']}")
     print(f"continuity: P={report['continuity_p']} Q={report['continuity_q']}")
@@ -422,7 +411,7 @@ def _parser() -> argparse.ArgumentParser:
     common(sub.add_parser("solve", help="solve the worst-case testing problem"))
     common(sub.add_parser("np", help="classical single-pair test"))
     p_sweep = sub.add_parser("sweep", help="solve a generated family over sizes")
-    p_sweep.add_argument("generator", help=f"one of {sorted(GENERATORS)}")
+    p_sweep.add_argument("generator", help="one of ['nonexistence']")
     p_sweep.add_argument("--sizes", required=True, help="'lo:hi' or comma separated")
     p_sweep.add_argument("--alpha", help="level for the generated problems")
     p_sweep.add_argument("--json", dest="json_out", metavar="OUT")

@@ -136,11 +136,6 @@ def nonexistence_problem(n: int, alpha: Fraction = Fraction(1, 2)) -> TestProble
     )
 
 
-GENERATORS: dict[str, Callable[[int], TestProblem]] = {
-    "nonexistence": nonexistence_problem,
-}
-
-
 def truncation_sweep(
     generator: Callable[[int], TestProblem], sizes: Iterable[int]
 ) -> list[tuple[int, Fraction]]:

@@ -138,18 +138,17 @@ class DualCertificate:
                           <=  alpha * sum_i v_i + sum_k w_k
 
     bounds the worst-case power, using u >= 0 summing to 1, v >= 0,
-    w >= 0, and the slot-wise inequality sum_j u_j q_j <= sum_i v_i p_i + w
-    (whose slack is ``lower_box_duals``). ``duality_gap`` is the difference
-    between the right end of the chain and the claimed value, and must be
-    exactly zero. With the reported test feasible and its worst-case power
-    equal to the claimed value, a zero gap makes every link tight, so the
-    complementary slackness products are all zero with no further check.
+    w >= 0, and the slot-wise inequality sum_j u_j q_j <= sum_i v_i p_i + w.
+    ``duality_gap`` is the difference between the right end of the chain and
+    the claimed value, and must be exactly zero. With the reported test
+    feasible and its worst-case power equal to the claimed value, a zero gap
+    makes every link tight, so the complementary slackness products are all
+    zero with no further check.
     """
 
     q_constraint_duals: tuple[Fraction, ...]
     level_duals: tuple[Fraction, ...]
     box_duals: tuple[Fraction, ...]
-    lower_box_duals: tuple[Fraction, ...]
     duality_gap: Fraction
 
 
@@ -460,7 +459,6 @@ def _build_certificate(
         q_constraint_duals=tuple(u),
         level_duals=tuple(v),
         box_duals=tuple(w),
-        lower_box_duals=tuple(Fraction(val, den) if val else ZERO for val in slack),
         duality_gap=gap,
     )
 
@@ -656,8 +654,6 @@ def verify_threshold_form(prob: TestProblem, sol: Solution) -> RepresentationRep
         raise PureLeastFavorableError(
             "the least favorable alternative mixture has no countably additive part"
         )
-    if sol.p_alpha is None:
-        raise PureLeastFavorableError("no null-side mixture is available")
     tau = ONE - sol.p_alpha.tail_mass
     if tau == 0:
         raise PureLeastFavorableError(

@@ -89,6 +89,8 @@ def _frac(v) -> Fraction:
     that looks like 0.1 is not 1/10, and silently accepting it would poison
     every exact comparison later. So is exponent notation: the twelve
     characters ``"1e-999999999"`` would make a billion-digit denominator.
+    This is the package's one coercion rule: :func:`solve_lp` applies it,
+    and :mod:`robustnp.charge_model` exports it as ``frac``.
     """
     if isinstance(v, Fraction):
         return v

@@ -337,6 +337,19 @@ def test_decimal_below_float_range_is_read_off_the_integers(tmp_path):
     assert (rep["level_c"]["decimal"], rep["kappa_formula"]["decimal"]) == ("1e-400", "2e-400")
 
 
+def test_stdout_decimal_below_float_range_matches_the_report(tmp_path, capsys):
+    # With P = Q the value and the power equal alpha = 10^-400, which float()
+    # reads as 0.0; stdout must print the report's decimal, not the float.
+    t = 10**400
+    half = {"a": "1/2", "b": "1/2"}
+    spec = {"atoms": ["a", "b"], "p_family": [half], "q_family": [half], "alpha": f"1/{t}"}
+    path = write_spec(tmp_path, spec)
+    for command, prefix in [("solve", "value: "), ("np", "power: ")]:
+        assert run([command, path]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if ln.startswith(prefix)] == [f"{prefix}1/{t} (1e-400)"]
+
+
 def test_value_too_long_to_print_asks_for_the_digit_limit(tmp_path):
     # A valid spec whose value has a denominator past the int-to-str limit:
     # solve names the digit counts and the variable that lifts the limit,
@@ -418,9 +431,11 @@ def test_sweep_command(tmp_path, capsys):
     assert run(["sweep", "nonexistence", "--sizes", "0:2"]) == EXIT_INPUT
     capsys.readouterr()
     assert run(["sweep", "nonexistence", "--sizes", "3:1"]) == EXIT_INPUT
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: --sizes: empty range '3:1'\n"
     assert run(["sweep", "unknown_family", "--sizes", "1:2"]) == EXIT_INPUT
-    assert "unknown_family" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: unknown generator 'unknown_family'; available: ['nonexistence']\n"
+    )
 
 
 def test_check_command(tmp_path, capsys):
