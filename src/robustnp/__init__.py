@@ -9,9 +9,10 @@ Fraction end to end. The main entry points:
   certificate.
 * :func:`np_test` solves the classical single-pair problem by the
   likelihood ratio construction.
-* :func:`hypothesis_report` checks the structural conditions that the
-  representation results lean on.
-* :mod:`robustnp.oracle` brute-forces small instances for cross checks.
+* :func:`hypothesis_report` reads the structural conditions that the
+  representation results lean on off the two families' largest tail
+  masses.
+* :func:`vertex_enumerate` brute-forces small instances for cross checks.
 """
 
 from .charge_model import (
@@ -28,9 +29,6 @@ from .charge_model import (
 )
 from .hypotheses import (
     HypothesisReport,
-    check_continuity_from_above,
-    check_h1,
-    check_h3,
     hypothesis_report,
     nonexistence_problem,
     truncation_sweep,
@@ -50,7 +48,7 @@ from .minimax import (
     verify_threshold_form,
 )
 from .neyman_pearson import NpResult, np_test
-from .oracle import OracleResult, beta_oracle, np_oracle, vertex_enumerate
+from .oracle import OracleResult, vertex_enumerate
 from .simplex import LpSolution, solve_lp
 
 __version__ = "0.1.0"
@@ -67,9 +65,6 @@ __all__ = [
     "mix",
     "upper_expectation",
     "HypothesisReport",
-    "check_continuity_from_above",
-    "check_h1",
-    "check_h3",
     "hypothesis_report",
     "nonexistence_problem",
     "truncation_sweep",
@@ -88,8 +83,6 @@ __all__ = [
     "NpResult",
     "np_test",
     "OracleResult",
-    "beta_oracle",
-    "np_oracle",
     "vertex_enumerate",
     "LpSolution",
     "solve_lp",

@@ -273,7 +273,6 @@ def cmd_solve(args) -> int:
         "certificate": {
             "level_duals": [_rat(vi) for vi in sol.certificate.level_duals],
             "box_duals": _slot_obj(prob.space, sol.certificate.box_duals),
-            "duality_gap": _rat(sol.certificate.duality_gap),
         },
     }
     print(
@@ -383,7 +382,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    prob = load_problem(args.spec, _parse_alpha_flag(args.alpha))
+    prob = load_problem(args.spec)
     report = asdict(hypothesis_report(prob))
     print(f"h1: {report['h1']}")
     print(f"h3: {report['h3']}")
@@ -403,10 +402,11 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, alpha=True):
         p.add_argument("spec", help="path to a problem JSON file")
         p.add_argument("--json", dest="json_out", metavar="OUT", help="write a JSON report")
-        p.add_argument("--alpha", help="override the level, e.g. 1/3")
+        if alpha:
+            p.add_argument("--alpha", help="override the level, e.g. 1/3")
 
     common(sub.add_parser("solve", help="solve the worst-case testing problem"))
     common(sub.add_parser("np", help="classical single-pair test"))
@@ -415,7 +415,7 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--sizes", required=True, help="'lo:hi' or comma separated")
     p_sweep.add_argument("--alpha", help="level for the generated problems")
     p_sweep.add_argument("--json", dest="json_out", metavar="OUT")
-    common(sub.add_parser("check", help="run hypothesis checks only"))
+    common(sub.add_parser("check", help="run hypothesis checks only"), alpha=False)
     return parser
 
 

@@ -6,7 +6,7 @@ drops explicit atoms one by one while keeping the tail, and its limiting
 mass under any charge is exactly the charge's tail mass. Every other
 decreasing sequence is squeezed below that. Quantifiers over all
 sequences therefore collapse to statements about tail masses, which is
-what makes the checks below exact rather than sampled.
+what makes the report below exact rather than sampled.
 
 H2 (shaving a test x by 1/K strictly lowers its upper null expectation,
 for all K >= 1) holds at every test on this model, so it has no check.
@@ -34,9 +34,21 @@ from .minimax import TestProblem, solve_minimax
 class HypothesisReport:
     """Joint outcome of the structural checks H1, H3 and continuity from above.
 
-    Every False flag has an explanation under its own key in ``witnesses``.
-    H2 holds at every test on this model (see the module docstring), so
-    the report does not carry it.
+    Along the canonical shrinking events each family's limit is its
+    largest tail mass (see the module docstring), so every flag reads off
+    the two maxima:
+
+    * ``h1``: null limits vanish whenever alternative limits do not, which
+      holds iff one family is tail-free: either no alternative limit is
+      nonzero (vacuous) or every null limit is zero.
+    * ``h3``: neither family keeps full mass, so both maxima are below 1.
+    * ``continuity_p``, ``continuity_q``: every member of that family is
+      countably additive, so its maximum is 0.
+
+    Every False flag has an explanation under its own key in ``witnesses``,
+    naming the member that attains the maximum and its mass. H2 holds at
+    every test on this model (see the module docstring), so the report
+    does not carry it.
     """
 
     h1: bool
@@ -52,54 +64,26 @@ def _max_tail(family: SublinearExpectation) -> tuple[Fraction, int]:
     return best, masses.index(best)
 
 
-def check_h1(p_family: SublinearExpectation, q_family: SublinearExpectation) -> bool:
-    """Null limits vanish whenever alternative limits do not.
-
-    Along the canonical sequence the limits are the maximal tail masses,
-    so the condition holds iff one of the two families is tail-free:
-    either no alternative limit is nonzero (vacuous) or every null limit
-    is zero.
-    """
-    if p_family.space != q_family.space:
-        raise ValueError("families live on different sample spaces")
-    q_tail, _ = _max_tail(q_family)
-    p_tail, _ = _max_tail(p_family)
-    return q_tail == 0 or p_tail == 0
-
-
-def check_h3(p_family: SublinearExpectation, q_family: SublinearExpectation) -> bool:
-    """Neither family keeps full mass along events shrinking to nothing."""
-    if p_family.space != q_family.space:
-        raise ValueError("families live on different sample spaces")
-    return _max_tail(p_family)[0] < ONE and _max_tail(q_family)[0] < ONE
-
-
-def check_continuity_from_above(family: SublinearExpectation) -> bool:
-    """True iff every member is countably additive (no tail mass at all)."""
-    return _max_tail(family)[0] == 0
-
-
 def hypothesis_report(prob: TestProblem) -> HypothesisReport:
     """Run all checks for one problem and collect witnesses for failures."""
-    p_family, q_family = prob.p_family, prob.q_family
-    p_tail, pi = _max_tail(p_family)
-    q_tail, qi = _max_tail(q_family)
+    p_tail, pi = _max_tail(prob.p_family)
+    q_tail, qi = _max_tail(prob.q_family)
     null = f"null member {pi} keeps mass {p_tail}"
     alternative = f"alternative member {qi} keeps mass {q_tail}"
     canonical = "along the canonical shrinking events"
     shrinking = "along events shrinking to the empty set"
     witnesses: dict[str, str] = {}
 
-    h1 = check_h1(p_family, q_family)
+    h1 = q_tail == 0 or p_tail == 0
     if not h1:
         witnesses["h1"] = f"{canonical}, {alternative} while {null}"
-    h3 = check_h3(p_family, q_family)
+    h3 = p_tail < ONE and q_tail < ONE
     if not h3:
         witnesses["h3"] = f"{canonical}, {null if p_tail == ONE else alternative}"
-    continuity_p = check_continuity_from_above(p_family)
+    continuity_p = p_tail == 0
     if not continuity_p:
         witnesses["continuity_p"] = f"{null} {shrinking}"
-    continuity_q = check_continuity_from_above(q_family)
+    continuity_q = q_tail == 0
     if not continuity_q:
         witnesses["continuity_q"] = f"{alternative} {shrinking}"
 

@@ -139,8 +139,9 @@ class DualCertificate:
 
     bounds the worst-case power, using u >= 0 summing to 1, v >= 0,
     w >= 0, and the slot-wise inequality sum_j u_j q_j <= sum_i v_i p_i + w.
-    ``duality_gap`` is the difference between the right end of the chain and
-    the claimed value, and must be exactly zero. With the reported test
+    The gap between the right end of the chain and the claimed value is
+    checked to be exactly zero when the certificate is built, and is not
+    stored: anyone holding (u, v, w) recomputes it. With the reported test
     feasible and its worst-case power equal to the claimed value, a zero gap
     makes every link tight, so the complementary slackness products are all
     zero with no further check.
@@ -149,7 +150,6 @@ class DualCertificate:
     q_constraint_duals: tuple[Fraction, ...]
     level_duals: tuple[Fraction, ...]
     box_duals: tuple[Fraction, ...]
-    duality_gap: Fraction
 
 
 @dataclass(frozen=True)
@@ -459,7 +459,6 @@ def _build_certificate(
         q_constraint_duals=tuple(u),
         level_duals=tuple(v),
         box_duals=tuple(w),
-        duality_gap=gap,
     )
 
 
@@ -561,6 +560,7 @@ def _scan_threshold(
     tau_pc: Charge,
     lam_qc: Charge,
     x: TestFunction,
+    classes: list[tuple["Fraction | None", list[int]]],
 ) -> tuple[Fraction, dict[str, str], dict[str, Fraction], bool, tuple[str, ...]]:
     """Search for a cut kappa on the mass ratio q/p of lam_qc to tau_pc consistent with ``x``.
 
@@ -571,8 +571,8 @@ def _scan_threshold(
     with the fewest violations wins, ties broken toward fewer boundary
     atoms, then toward smaller kappa. The counts go class by class, walking
     kappa down from the top; only the winner's atoms are classified.
+    ``classes`` is ``_ratio_classes(tau_pc, lam_qc)``.
     """
-    classes = _ratio_classes(tau_pc, lam_qc)
     xs = x.atom_value
     not_one = [sum(xs[i] != ONE for i in idxs) for _, idxs in classes]
     not_zero = [sum(xs[i] != ZERO for i in idxs) for _, idxs in classes]
@@ -618,14 +618,17 @@ def _scan_threshold(
     return kappa, classification, b_values, not violations, tuple(violations)
 
 
-def _kappa_from_quantile(tau_pc: Charge, lam_qc: Charge, gamma_c: Fraction) -> Fraction:
+def _kappa_from_quantile(
+    classes: list[tuple["Fraction | None", list[int]]], lam_qc: Charge, gamma_c: Fraction
+) -> Fraction:
     """Smallest u >= 0 with lam_qc{u * q >= p} >= gamma_c, for p, q the masses of tau_pc, lam_qc.
 
-    It is 1/ratio at the first class of q/p whose mass brings lam_qc to
-    gamma_c, or 0 if the class where p vanishes already does.
+    ``classes`` is ``_ratio_classes(tau_pc, lam_qc)``. The answer is 1/ratio
+    at the first class of q/p whose mass brings lam_qc to gamma_c, or 0 if
+    the class where p vanishes already does.
     """
     mass = ZERO
-    for ratio, idxs in _ratio_classes(tau_pc, lam_qc):
+    for ratio, idxs in classes:
         mass += sum((lam_qc.atom_mass[i] for i in idxs), ZERO)
         if mass >= gamma_c:
             return ZERO if ratio is None else 1 / ratio
@@ -661,10 +664,11 @@ def verify_threshold_form(prob: TestProblem, sol: Solution) -> RepresentationRep
         )
     lam_qc = sol.q_alpha.atom_part()
     tau_pc = sol.p_alpha.atom_part()
+    classes = _ratio_classes(tau_pc, lam_qc)
     kappa, classification, b_values, verdict, violations = _scan_threshold(
-        prob.space, tau_pc, lam_qc, sol.x_alpha
+        prob.space, tau_pc, lam_qc, sol.x_alpha, classes
     )
-    kappa_formula = _kappa_from_quantile(tau_pc, lam_qc, sol.gamma_c)
+    kappa_formula = _kappa_from_quantile(classes, lam_qc, sol.gamma_c)
 
     supp = TestFunction(prob.space, tuple(ONE if m > 0 else ZERO for m in lam_qc.atom_mass))
     precondition_support = upper_expectation(prob.p_family, supp) >= prob.alpha

@@ -7,8 +7,8 @@ must accept the same solutions, report equal certificates and reject the
 same bad ones with the same message; the tests in ``test_minimax.py``
 compare them. The reference still tests the complementary slackness
 residuals, which the library leaves out because a zero duality gap already
-forces them to 0. It returns neither them nor the slot slacks, as the
-certificate has no field for them.
+forces them to 0. It returns neither them, the slot slacks nor the gap,
+as the certificate has no field for them.
 """
 
 from __future__ import annotations
@@ -118,5 +118,4 @@ def _build_certificate(
         q_constraint_duals=tuple(u),
         level_duals=tuple(v),
         box_duals=tuple(w),
-        duality_gap=gap,
     )

@@ -123,7 +123,6 @@ def check_solve(spec_data: dict, report: dict) -> None:
         _require(lhs <= rhs, f"certificate: dual infeasible at {label}: {lhs} > {rhs}")
     dual = alpha * sum(v) + sum(w)
     _require(dual == value, f"certificate: dual bound {dual} differs from value {value}")
-    _require(_rational(cert["duality_gap"]) == 0, "certificate: nonzero duality_gap")
 
     if any(v):
         least = alpha

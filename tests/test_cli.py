@@ -12,6 +12,7 @@ from pathlib import Path
 
 import _report_checker as checker
 import pytest
+from _oracle import np_oracle
 
 import robustnp
 import robustnp.minimax
@@ -74,7 +75,6 @@ def test_solve_three_atom_report(tmp_path, capsys):
             "w2": {"exact": "1/4", "decimal": "0.25"},
             "w3": {"exact": "0", "decimal": "0.0"},
         },
-        "duality_gap": {"exact": "0", "decimal": "0.0"},
     }
 
 
@@ -407,7 +407,7 @@ def test_np_command(tmp_path, capsys):
     assert report["power"]["exact"] == "1"
     prob = load_problem(str(spec))
     p, q = prob.p_family.family[0], prob.q_family.family[0]
-    assert F(report["power"]["exact"]) == robustnp.np_oracle(p, q, prob.alpha).value
+    assert F(report["power"]["exact"]) == np_oracle(p, q, prob.alpha).value
     checker.check_np(SMALL, report)
     capsys.readouterr()
 
@@ -451,6 +451,14 @@ def test_check_command(tmp_path, capsys):
         "witnesses": {},
     }
     assert "h2" not in capsys.readouterr().out
+
+
+def test_check_takes_no_alpha(capsys):
+    # The hypotheses never read alpha, so check has no flag to override it.
+    with pytest.raises(SystemExit) as refused:
+        run(["check", FIXTURES / "dirac.json", "--alpha", "1/3"])
+    assert refused.value.code == EXIT_INPUT
+    assert "unrecognized arguments: --alpha 1/3" in capsys.readouterr().err
 
 
 def test_exit_codes_are_distinct():
@@ -621,7 +629,6 @@ def test_checker_names_each_broken_claim(tmp_path):
             lambda r: r["certificate"]["box_duals"].update(w1=_exact(F(1, 2)), w3=_exact(F(1, 4))),
             "dual infeasible at w1",
         ),
-        (lambda r: r["certificate"].update(duality_gap=_exact(NUDGE)), "duality_gap"),
     ]
     for edit, pattern in solve_cases + [(off_least_level, "the duals prove 0$")]:
         spec, report = (dirac, dirac_report) if edit is off_least_level else (three, three_report)

@@ -12,9 +12,6 @@ from robustnp import (
     SublinearExpectation,
     TestFunction,
     TestProblem,
-    check_continuity_from_above,
-    check_h1,
-    check_h3,
     expectation,
     hypothesis_report,
     nonexistence_problem,
@@ -39,19 +36,26 @@ def fam(role, *charges):
     return SublinearExpectation(charges, role)
 
 
+def report(nulls, alternatives):
+    space = nulls[0].space
+    return hypothesis_report(
+        TestProblem(space, fam("null", *nulls), fam("alternative", *alternatives), F(1, 2))
+    )
+
+
 def test_h1_examples():
     space = tailed_space(3)
     pure = Charge(space, (F(0),) * 3, F(1))
     geo = geometric(space)
     ca = Charge(space, (F(1, 2), F(1, 4), F(1, 4)), F(0))
-    assert check_h1(fam("null", ca), fam("alternative", ca))
+    assert report([ca], [ca]).h1
     # Alternative limits vanish, so the implication holds with room to spare.
-    assert check_h1(fam("null", pure), fam("alternative", ca))
+    assert report([pure], [ca]).h1
     half_p = Charge(space, (F(1, 4), F(1, 4), F(0)), F(1, 2))
     half_q = Charge(space, (F(0), F(1, 4), F(1, 4)), F(1, 2))
-    assert not check_h1(fam("null", half_p), fam("alternative", half_q))
+    assert not report([half_p], [half_q]).h1
     # Geometric keeps tail mass, but the tail-free null side still vanishes.
-    assert check_h1(fam("null", ca), fam("alternative", geo))
+    assert report([ca], [geo]).h1
 
 
 def test_h2_examples():
@@ -85,9 +89,10 @@ def test_h3_examples():
     pure = Charge(space, (F(0), F(0)), F(1))
     t_half = Charge(space, (F(1, 4), F(1, 4)), F(1, 2))
     t_third = Charge(space, (F(1, 3), F(1, 3)), F(1, 3))
-    assert check_h3(fam("null", ca), fam("alternative", ca))
-    assert not check_h3(fam("null", pure), fam("alternative", ca))
-    assert check_h3(fam("null", t_half), fam("alternative", t_third))
+    assert report([ca], [ca]).h3
+    assert not report([pure], [ca]).h3
+    assert not report([ca], [pure]).h3
+    assert report([t_half], [t_third]).h3
 
 
 def test_continuity_examples():
@@ -95,9 +100,45 @@ def test_continuity_examples():
     ca = Charge(space, (F(1, 2), F(1, 2)), F(0))
     pure = Charge(space, (F(0), F(0)), F(1))
     quarter = Charge(space, (F(1, 2), F(1, 4)), F(1, 4))
-    assert check_continuity_from_above(fam("null", ca))
-    assert not check_continuity_from_above(fam("null", ca, pure))
-    assert not check_continuity_from_above(fam("null", quarter))
+    # Each family is read on its own side, whatever the other side holds.
+    for family, continuous in (([ca], True), ([ca, pure], False), ([quarter], False)):
+        assert report(family, [quarter]).continuity_p is continuous
+        assert report([quarter], family).continuity_q is continuous
+
+
+def test_flags_and_witnesses_read_off_the_largest_tail_masses():
+    # Each side's largest tail mass sits on a member other than the first:
+    # member 1 of the null family, member 2 of the alternative family.
+    space = tailed_space(2)
+
+    def member(tail):
+        return Charge(space, ((1 - tail) / 2, (1 - tail) / 2), tail)
+
+    masses = (F(0), F(1, 3), F(1))
+    shrinking = "along events shrinking to the empty set"
+    for p_tail in masses:
+        for q_tail in masses:
+            rep = report(
+                [member(p_tail / 2), member(p_tail)],
+                [member(F(0)), member(q_tail / 2), member(q_tail)],
+            )
+            null = f"null member 1 keeps mass {p_tail}"
+            alternative = f"alternative member 2 keeps mass {q_tail}"
+            assert rep.h1 is (q_tail == 0 or p_tail == 0)
+            assert rep.h3 is (p_tail < 1 and q_tail < 1)
+            assert rep.continuity_p is (p_tail == 0)
+            assert rep.continuity_q is (q_tail == 0)
+            want = {}
+            if not rep.h1:
+                want["h1"] = f"along the canonical shrinking events, {alternative} while {null}"
+            if not rep.h3:
+                side = null if p_tail == 1 else alternative
+                want["h3"] = f"along the canonical shrinking events, {side}"
+            if not rep.continuity_p:
+                want["continuity_p"] = f"{null} {shrinking}"
+            if not rep.continuity_q:
+                want["continuity_q"] = f"{alternative} {shrinking}"
+            assert rep.witnesses == want, (p_tail, q_tail)
 
 
 def test_single_countably_additive_family_passes_everything():
@@ -182,8 +223,8 @@ def test_continuity_implies_attainment():
             fam("alternative", *(member() for _ in range(rng.randint(1, 2)))),
             rng.choice([F(1, 4), F(1, 2), F(3, 4)]),
         )
-        assert check_continuity_from_above(prob.p_family)
-        assert check_continuity_from_above(prob.q_family)
+        rep = hypothesis_report(prob)
+        assert rep.continuity_p and rep.continuity_q
         sol = solve_minimax(prob)
         worst = min(expectation(q, sol.x_alpha) for q in prob.q_family.family)
         assert worst == sol.gamma_alpha

@@ -23,9 +23,9 @@ from robustnp import (
     SublinearExpectation,
     TestFunction,
     TestProblem,
-    check_h1,
     compute_beta,
     expectation,
+    hypothesis_report,
     kkt_certificate,
     lower_expectation,
     minimax,
@@ -100,7 +100,7 @@ def test_three_atom_certificate():
     prob = three_atom_problem()
     sol = solve_minimax(prob)
     cert = kkt_certificate(prob, sol)
-    assert cert.duality_gap == 0
+    assert prob.alpha * sum(cert.level_duals) + sum(cert.box_duals) == sol.gamma_alpha
     assert all(d >= 0 for d in cert.q_constraint_duals)
     assert all(d >= 0 for d in cert.level_duals)
     assert sum(cert.q_constraint_duals) == 1
@@ -158,14 +158,15 @@ def test_threshold_scan_and_quantile_match_the_brute_force_reference():
     verdicts = Counter()
     for _ in range(2000):
         space, tau_pc, lam_qc, x, gamma_c = _random_threshold_case(rng)
-        got = minimax._scan_threshold(space, tau_pc, lam_qc, x)
+        classes = minimax._ratio_classes(tau_pc, lam_qc)
+        got = minimax._scan_threshold(space, tau_pc, lam_qc, x, classes)
         dens = reference.densities(tau_pc, lam_qc)
         want = reference.scan_threshold(space, dens, x)
         assert got[:4] == want[:4]
         assert len(got[4]) == len(want[4])
         verdicts[got[3]] += 1
         if lam_qc.total:
-            assert minimax._kappa_from_quantile(tau_pc, lam_qc, gamma_c) == (
+            assert minimax._kappa_from_quantile(classes, lam_qc, gamma_c) == (
                 reference.kappa_from_quantile(lam_qc, dens, gamma_c)
             )
     assert min(verdicts[True], verdicts[False]) > 500, verdicts
@@ -178,8 +179,9 @@ def test_threshold_scan_names_the_masses_of_each_violation():
     tau_pc = Charge(space, (F(1, 4), F(1, 8), F(1, 4), F(0), F(0), F(3, 8)), F(0))
     lam_qc = Charge(space, (F(3, 8), F(3, 16), F(1, 4), F(3, 16), F(0), F(0)), F(0))
     x = TestFunction(space, (F(1, 2), F(1, 3), F(1, 2), F(3, 4), F(1, 3), F(0)))
+    classes = minimax._ratio_classes(tau_pc, lam_qc)
     kappa, classification, b_values, verdict, violations = minimax._scan_threshold(
-        space, tau_pc, lam_qc, x
+        space, tau_pc, lam_qc, x, classes
     )
     assert kappa == F(3, 2)
     assert classification == {
@@ -197,8 +199,8 @@ def test_threshold_scan_names_the_masses_of_each_violation():
         "atom 'd': q=3/16 > kappa*p=0 requires x=1, got 3/4",
     )
     # lam_qc puts 3/16 on d (ratio +infinity), then 9/16 on a and b (ratio 3/2).
-    assert minimax._kappa_from_quantile(tau_pc, lam_qc, F(1, 2)) == F(2, 3)
-    assert minimax._kappa_from_quantile(tau_pc, lam_qc, F(3, 16)) == 0
+    assert minimax._kappa_from_quantile(classes, lam_qc, F(1, 2)) == F(2, 3)
+    assert minimax._kappa_from_quantile(classes, lam_qc, F(3, 16)) == 0
 
 
 def test_dirac_slack_case():
@@ -353,7 +355,7 @@ def test_beta_without_h1_can_disagree():
         SublinearExpectation((q,), "alternative"),
         F(1, 2),
     )
-    assert not check_h1(prob.p_family, prob.q_family)
+    assert not hypothesis_report(prob).h1
     sol = solve_minimax(prob)
     assert sol.case is Case.LEVEL_ATTAINED
     qc = sol.q_alpha.atom_part()
@@ -469,7 +471,7 @@ def test_sum_split_with_tail():
         SublinearExpectation((q,), "alternative"),
         F(1, 2),
     )
-    assert check_h1(prob.p_family, prob.q_family)
+    assert hypothesis_report(prob).h1
     sol = solve_minimax(prob)
     assert sol.lam == F(1, 2)
     assert sol.gamma_alpha == sol.gamma_c + (1 - sol.lam)

@@ -4,12 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from _oracle import np_oracle
 
 from robustnp import (
     Charge,
     SampleSpace,
     expectation,
-    np_oracle,
     np_test,
 )
 

@@ -4,16 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from _oracle import beta_oracle, np_oracle
 
 from robustnp import (
     Charge,
     SampleSpace,
     SublinearExpectation,
     TestProblem,
-    beta_oracle,
     compute_beta,
     expectation,
-    np_oracle,
     vertex_enumerate,
 )
 
