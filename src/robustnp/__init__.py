@@ -9,6 +9,9 @@ Fraction end to end. The main entry points:
   certificate.
 * :func:`np_test` solves the classical single-pair problem by the
   likelihood ratio construction.
+* :func:`verify_threshold_form` checks an attained-case solution against
+  the ratio-cut form; the slack case's degenerate form needs no check, as
+  the certificate proves it.
 * :func:`hypothesis_report` reads the structural conditions that the
   representation results lean on off the two families' largest tail
   masses.
@@ -44,7 +47,6 @@ from .minimax import (
     compute_beta,
     kkt_certificate,
     solve_minimax,
-    verify_degenerate_form,
     verify_threshold_form,
 )
 from .neyman_pearson import NpResult, np_test
@@ -78,7 +80,6 @@ __all__ = [
     "compute_beta",
     "kkt_certificate",
     "solve_minimax",
-    "verify_degenerate_form",
     "verify_threshold_form",
     "NpResult",
     "np_test",

@@ -49,7 +49,6 @@ from .minimax import (
     TestProblem,
     compute_beta,
     solve_minimax,
-    verify_degenerate_form,
     verify_threshold_form,
 )
 from .neyman_pearson import np_test
@@ -175,33 +174,32 @@ def _slot_obj(space: SampleSpace, values: "list[Fraction]") -> dict:
 
 
 def _representation_obj(prob: TestProblem, sol) -> dict:
-    attained = sol.case is Case.LEVEL_ATTAINED
-    verify = verify_threshold_form if attained else verify_degenerate_form
+    if sol.case is Case.LEVEL_SLACK and sol.lam > 0:
+        # The certificate proves this form (see verify_threshold_form).
+        return {
+            "form": "degenerate",
+            "verdict": True,
+            "lambda": _rat(sol.lam),
+            "gamma_consistent": True,
+            "violations": [],
+        }
     try:
-        rep = verify(prob, sol)
+        rep = verify_threshold_form(prob, sol)
     except PureLeastFavorableError as exc:
         return {"form": "none", "reason": str(exc)}
-    if attained:
-        return {
-            "form": "threshold",
-            "verdict": rep.verdict,
-            "kappa": _rat(rep.kappa),
-            "kappa_formula": _rat(rep.kappa_formula),
-            "tau": _rat(rep.tau),
-            "lambda": _rat(rep.lam),
-            "classification": rep.classification,
-            "b_values": {a: _rat(v) for a, v in rep.b_values.items()},
-            "violations": list(rep.violations),
-            "precondition_support": rep.precondition_support,
-            "precondition_grid": rep.precondition_grid,
-            "level_c": _rat(sol.level_c),
-        }
     return {
-        "form": "degenerate",
+        "form": "threshold",
         "verdict": rep.verdict,
+        "kappa": _rat(rep.kappa),
+        "kappa_formula": _rat(rep.kappa_formula),
+        "tau": _rat(rep.tau),
         "lambda": _rat(sol.lam),
-        "gamma_consistent": rep.gamma_consistent,
+        "classification": rep.classification,
+        "b_values": {a: _rat(v) for a, v in rep.b_values.items()},
         "violations": list(rep.violations),
+        "precondition_support": rep.precondition_support,
+        "precondition_grid": rep.precondition_grid,
+        "level_c": _rat(sol.level_c),
     }
 
 

@@ -77,11 +77,9 @@ from .charge_model import (
     SampleSpace,
     SublinearExpectation,
     TestFunction,
-    expectation,
     frac,
     lower_expectation,
     mix,
-    upper_expectation,
 )
 from .neyman_pearson import _ratio_classes
 from .simplex import _scale, solve_lp
@@ -193,14 +191,13 @@ class Solution:
 
 @dataclass(frozen=True)
 class RepresentationReport:
-    """Outcome of checking a solution against a structural test form.
+    """Outcome of checking an attained-case solution against the threshold form.
 
-    ``form`` is ``"threshold"`` or ``"degenerate"``. ``classification``
-    maps each atom label to ``strict_accept``, ``strict_reject``,
-    ``boundary`` or ``base_null``; ``b_values`` lists the test's values on
-    the boundary atoms, where the form leaves them free. ``violations``
-    explains every atom where the test disagrees with the form, and
-    ``verdict`` is True when there are none.
+    ``classification`` maps each atom label to ``strict_accept``,
+    ``strict_reject``, ``boundary`` or ``base_null``; ``b_values`` lists
+    the test's values on the boundary atoms, where the form leaves them
+    free. ``violations`` explains every atom where the test disagrees with
+    the form, and ``verdict`` is True when there are none.
 
     The two cut points sit on reciprocal scales. With p and q the atom
     masses of tau_pc and lam_qc, the null and alternative mixtures'
@@ -208,22 +205,19 @@ class RepresentationReport:
     q > kappa * p and x = 0 where q < kappa * p. ``kappa_formula`` is the
     smallest u with lam_qc{u * q >= p} >= gamma_c, a cut on p/q, so its
     reciprocal is on kappa's scale. The density ratio dQ/dP is q/p against
-    any reference measure, so neither cut depends on one. The degenerate
-    form has no cut: ``kappa`` is 0 and ``kappa_formula`` is None.
+    any reference measure, so neither cut depends on one. ``tau`` is the
+    mass of tau_pc.
     """
 
-    form: str
     kappa: Fraction
-    kappa_formula: "Fraction | None"
-    tau: "Fraction | None"
-    lam: Fraction
+    kappa_formula: Fraction
+    tau: Fraction
     classification: dict[str, str]
     b_values: dict[str, Fraction]
     verdict: bool
     violations: tuple[str, ...]
-    precondition_support: "bool | None"
-    precondition_grid: "bool | None"
-    gamma_consistent: "bool | None"
+    precondition_support: bool
+    precondition_grid: bool
 
 
 def _slot_rows(prob: TestProblem) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
@@ -643,19 +637,29 @@ def verify_threshold_form(prob: TestProblem, sol: Solution) -> RepresentationRep
     both masses are 0 are unconstrained (``base_null``), as is the tail.
     Also reports the quantile form of the cut point and two renderings of
     the attained-case precondition: the support criterion (the support of
-    the alternative's countable part already uses up the level budget) and
-    the grid criterion (tightening the level by any positive amount
-    strictly cuts the best integral of the countable part), read exactly
-    from ``sol.level_c``.
+    the alternative's countable part already uses up the level budget,
+    that is beta <= 1 - alpha) and the grid criterion (tightening the level
+    by any positive amount strictly cuts the best integral of the countable
+    part), read exactly from ``sol.level_c``.
+
+    The slack case needs no check: its degenerate form, x = 1 wherever
+    lam_qc has mass, holds for every solution that carries a certificate.
+    LevelSlack means attained level < alpha, which the certificate allows
+    only with v = 0. Dual feasibility then gives sum_j u_j q_j <= w on
+    every slot, tail included, and summing over the slots gives 1 <= sum w.
+    The zero gap gives sum w = gamma <= 1, so gamma = 1 and w = q_alpha
+    slot by slot. So min_j E_{Q_j}[x_alpha] = 1 puts x_alpha = 1 on every
+    alternative member's support, supp(lam_qc) included, and
+    E_{lam_qc}[x_alpha] = lam.
     """
-    if sol.case is not Case.LEVEL_ATTAINED:
-        raise ValueError(
-            "threshold verification applies to the level-attained case; "
-            "use verify_degenerate_form for the slack case"
-        )
     if sol.lam == 0:
         raise PureLeastFavorableError(
             "the least favorable alternative mixture has no countably additive part"
+        )
+    if sol.case is not Case.LEVEL_ATTAINED:
+        raise ValueError(
+            "threshold verification applies to the level-attained case; "
+            "the slack case's degenerate form follows from the certificate"
         )
     tau = ONE - sol.p_alpha.tail_mass
     if tau == 0:
@@ -668,80 +672,18 @@ def verify_threshold_form(prob: TestProblem, sol: Solution) -> RepresentationRep
     kappa, classification, b_values, verdict, violations = _scan_threshold(
         prob.space, tau_pc, lam_qc, sol.x_alpha, classes
     )
-    kappa_formula = _kappa_from_quantile(classes, lam_qc, sol.gamma_c)
-
-    supp = TestFunction(prob.space, tuple(ONE if m > 0 else ZERO for m in lam_qc.atom_mass))
-    precondition_support = upper_expectation(prob.p_family, supp) >= prob.alpha
-    # The best countable integral V(a) at level a is concave and
-    # nondecreasing with V(alpha) = gamma_c, and level_c is the least level
-    # at which gamma_c is still reachable. So V(alpha - eps) < gamma_c for
-    # every eps > 0 exactly when level_c == alpha.
-    precondition_grid = sol.level_c == prob.alpha
-
+    # The grid criterion: the best countable integral V(a) at level a is
+    # concave and nondecreasing with V(alpha) = gamma_c, and level_c is the
+    # least level at which gamma_c is still reachable. So
+    # V(alpha - eps) < gamma_c for every eps > 0 exactly when level_c == alpha.
     return RepresentationReport(
-        form="threshold",
         kappa=kappa,
-        kappa_formula=kappa_formula,
+        kappa_formula=_kappa_from_quantile(classes, lam_qc, sol.gamma_c),
         tau=tau,
-        lam=sol.lam,
         classification=classification,
         b_values=b_values,
         verdict=verdict,
         violations=violations,
-        precondition_support=precondition_support,
-        precondition_grid=precondition_grid,
-        gamma_consistent=None,
-    )
-
-
-def verify_degenerate_form(prob: TestProblem, sol: Solution) -> RepresentationReport:
-    """Check the slack-case form: accept everywhere the countable part lives.
-
-    The form is stated against a reference measure K, with h the density
-    of lam_qc (the alternative mixture's countable part) against the
-    base (K + lam_qc) / 2, and asks x = 1 where h > 0. For every K the
-    base is positive wherever lam_qc is, so h > 0 exactly on lam_qc's
-    support: the form does not depend on K, which is what makes the slack
-    case degenerate. So an atom is ``strict_accept`` where lam_qc has mass
-    and ``boundary`` elsewhere. Also asserts gamma-consistency: the
-    solution's test integrates the countably additive part to its full
-    mass.
-    """
-    if sol.case is not Case.LEVEL_SLACK:
-        raise ValueError(
-            "degenerate verification applies to the level-slack case; "
-            "use verify_threshold_form for the attained case"
-        )
-    if sol.lam == 0:
-        raise PureLeastFavorableError(
-            "the least favorable alternative mixture has no countably additive part"
-        )
-    lam_qc = sol.q_alpha.atom_part()
-    classification: dict[str, str] = {}
-    b_values: dict[str, Fraction] = {}
-    violations: list[str] = []
-    for label, m, xv in zip(prob.space.atoms, lam_qc.atom_mass, sol.x_alpha.atom_value):
-        if m > 0:
-            classification[label] = "strict_accept"
-            if xv != ONE:
-                violations.append(
-                    f"atom {label!r}: countable part is positive, x must be 1, got {xv}"
-                )
-        else:
-            classification[label] = "boundary"
-            b_values[label] = xv
-    gamma_consistent = expectation(lam_qc, sol.x_alpha) == sol.lam
-    return RepresentationReport(
-        form="degenerate",
-        kappa=ZERO,
-        kappa_formula=None,
-        tau=None,
-        lam=sol.lam,
-        classification=classification,
-        b_values=b_values,
-        verdict=not violations,
-        violations=tuple(violations),
-        precondition_support=None,
-        precondition_grid=None,
-        gamma_consistent=gamma_consistent,
+        precondition_support=compute_beta(prob.p_family, lam_qc) <= ONE - prob.alpha,
+        precondition_grid=sol.level_c == prob.alpha,
     )

@@ -22,6 +22,17 @@ among optimal tests: some v_i > 0 forces E_{P_i}[y] = alpha on every
 optimal y, and v = 0 forces value 1, so every optimal y is 1 on the union S
 of the alternative supports and its level is at least max_i P_i(S).
 
+The ``representation`` object is checked against the same data, before
+the certificate, so that each of its claims is seen to fail on its own.
+lam is 1 minus the tail mass of ``q_alpha``, lam_qc the atom part of
+``q_alpha`` and tau_pc the atom part of the ``p_weights`` mixture of the
+null members. The form is "none" when lam = 0, "degenerate" in the slack
+case (the test is 1 on every atom of lam_qc, which the certificate also
+proves: there v = 0 and the value is 1), and otherwise "threshold", or
+"none" when tau_pc is zero. A threshold report's classification,
+boundary values, violation count and support precondition
+max_i P_i(supp lam_qc) >= alpha are rederived from its ``kappa``.
+
 An ``np`` report is checked from its ``kappa``: with w_k = max(q_k -
 kappa p_k, 0) and kappa >= 0, every test y with E_p[y] <= alpha has
 E_q[y] <= kappa * alpha + sum w, so a feasible test with that power is
@@ -92,6 +103,62 @@ def _feasible_test(spec: _Spec, report: dict, alpha: Fraction) -> tuple[list, Fr
     return x, attained
 
 
+def _check_representation(
+    spec: _Spec, report: dict, x: list, q_alpha: list, alpha: Fraction, attained: Fraction
+) -> None:
+    """Accept the ``representation`` object of a ``solve`` report, and its ``lambda``."""
+    n = len(spec.atoms)
+    lam = 1 - sum(q_alpha[n:])
+    _require(_rational(report["lambda"]) == lam, f"lambda: q_alpha has countable mass {lam}")
+    rep = report["representation"]
+    if lam == 0:
+        form = "none"
+    elif attained < alpha:
+        form = "degenerate"
+    else:
+        pw = [_rational(e) for e in report["p_weights"]]
+        _require(len(pw) == len(spec.p), "p_weights: one weight per null member expected")
+        _require(min(pw) >= 0 and sum(pw) == 1, f"p_weights: {pw} is not a probability vector")
+        tau_pc = [_dot(pw, col) for col in zip(*spec.p)][:n]
+        form = "threshold" if any(tau_pc) else "none"
+    _require(rep["form"] == form, f"representation.form {rep['form']}, the masses say {form}")
+    if form == "none":
+        return
+    _require(_rational(rep["lambda"]) == lam, f"representation.lambda: lam is {lam}")
+    if form == "degenerate":
+        # The form asks x = 1 wherever lam_qc has mass.
+        for label, xk, qk in zip(spec.atoms, x, q_alpha):
+            _require(xk == 1 or qk == 0, f"representation: test is {xk} on lam_qc's atom {label}")
+        _require(rep["verdict"] is True, "representation.verdict: the form holds")
+        _require(rep["gamma_consistent"] is True, "representation.gamma_consistent: it holds")
+        _require(rep["violations"] == [], "representation.violations: the form holds")
+        return
+    tau = sum(tau_pc)
+    _require(_rational(rep["tau"]) == tau, f"representation.tau: tau_pc has mass {tau}")
+    kappa = _rational(rep["kappa"])
+    _require(kappa >= 0, f"representation.kappa {kappa} is negative")
+    classes, boundary, broken = {}, {}, 0
+    for label, xk, pk, qk in zip(spec.atoms, x, tau_pc, q_alpha):
+        if pk == qk == 0:
+            classes[label] = "base_null"
+        elif qk > kappa * pk:
+            classes[label], broken = "strict_accept", broken + (xk != 1)
+        elif qk < kappa * pk:
+            classes[label], broken = "strict_reject", broken + (xk != 0)
+        else:
+            classes[label], boundary[label] = "boundary", xk
+    _require(rep["classification"] == classes, f"representation.classification: not {classes}")
+    b_values = {label: _rational(e) for label, e in rep["b_values"].items()}
+    _require(b_values == boundary, f"representation.b_values: the test gives {boundary}")
+    _require(len(rep["violations"]) == broken, f"representation.violations: kappa gives {broken}")
+    _require(rep["verdict"] == (broken == 0), f"representation.verdict: {broken} violations")
+    support = max(sum(pk for pk, qk in zip(p, q_alpha[:n]) if qk) for p in spec.p)
+    _require(
+        rep["precondition_support"] == (support >= alpha),
+        f"representation.precondition_support: max_i P_i(supp lam_qc) is {support}",
+    )
+
+
 def check_solve(spec_data: dict, report: dict) -> None:
     """Accept a ``solve`` report or raise :class:`ReportRejected`."""
     spec = _Spec(spec_data)
@@ -104,6 +171,8 @@ def check_solve(spec_data: dict, report: dict) -> None:
     alpha = _rational(problem["alpha"])
     _require(0 < alpha < 1, f"problem.alpha {alpha} is not in (0, 1)")
     x, attained = _feasible_test(spec, report, alpha)
+    q_alpha = spec.vector(report["q_alpha"], "q_alpha")
+    _check_representation(spec, report, x, q_alpha, alpha, attained)
     value = _rational(report["value"])
     power = min(_dot(q, x) for q in spec.q)
     _require(power == value, f"value: test's worst-case power is {power}, report says {value}")
@@ -117,7 +186,7 @@ def check_solve(spec_data: dict, report: dict) -> None:
     _require(min(u) >= 0 and sum(u) == 1, f"q_weights: {u} is not a probability vector")
     _require(min(v) >= 0 and min(w) >= 0, "certificate: a negative dual")
     mixture = [_dot(u, col) for col in zip(*spec.q)]
-    _require(spec.vector(report["q_alpha"], "q_alpha") == mixture, "q_alpha: not the u-mixture")
+    _require(q_alpha == mixture, "q_alpha: not the u-mixture")
     bound = [_dot(v, col) + wk for col, wk in zip(zip(*spec.p), w)]
     for label, lhs, rhs in zip(spec.labels, mixture, bound):
         _require(lhs <= rhs, f"certificate: dual infeasible at {label}: {lhs} > {rhs}")

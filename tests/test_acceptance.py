@@ -28,7 +28,6 @@ from robustnp import (
     solve_minimax,
     truncation_sweep,
     upper_expectation,
-    verify_degenerate_form,
     verify_threshold_form,
     vertex_enumerate,
 )
@@ -141,9 +140,12 @@ def test_criterion_02_dirac_degenerate(capfd):
             qc = sol.q_alpha.atom_part()
             beta = compute_beta(prob.p_family, qc)
             assert beta == 1 > 1 - alpha
-            rep = verify_degenerate_form(prob, sol)
-            assert rep.verdict
-            accept = {a for a, c in rep.classification.items() if c == "strict_accept"}
+            # The degenerate form accepts on the support of qc, and the
+            # test integrates qc to its full mass.
+            accept = {a for a, m in zip(prob.space.atoms, qc.atom_mass) if m > 0}
+            values = dict(zip(prob.space.atoms, sol.x_alpha.atom_value))
+            assert accept and all(values[a] == 1 for a in accept)
+            assert expectation(qc, sol.x_alpha) == sol.lam
             # The form does not depend on the reference K: against every K,
             # the density of qc is positive exactly on the accepted atoms,
             # also where K has a zero-mass atom (and both vanish there).
@@ -239,10 +241,34 @@ def test_criterion_07_representation_suite(capfd, batch200):
                     assert form.precondition_support == (beta <= 1 - prob.alpha)
                     attained_checked += 1
             elif sol.lam > 0:
-                assert verify_degenerate_form(prob, sol).verdict
+                values = sol.x_alpha.atom_value
+                assert all(x == 1 for x, m in zip(values, qc.atom_mass) if m > 0)
+                assert expectation(qc, sol.x_alpha) == sol.lam
                 slack_checked += 1
         assert attained_checked >= 20
         assert slack_checked >= 5
+
+
+def test_certificate_proves_the_slack_case_degenerate_form(batch200):
+    # Each step of the proof in verify_threshold_form's docstring, on every
+    # LevelSlack solution of the batch and of the fixtures: v = 0, so the
+    # slot rows give 1 <= sum w = gamma, so gamma = 1, w = q_alpha slot by
+    # slot, and the test is 1 wherever an alternative member has mass.
+    everything = [(p, s) for p, s, _ in batch200]
+    everything += [solved(path.stem) for path in sorted(FIXTURES.glob("*.json"))]
+    everything += [solved("dirac", alpha) for alpha in (F(1, 10), F(9, 10))]
+    slack = [(p, s) for p, s in everything if s.case is Case.LEVEL_SLACK]
+    for prob, sol in slack:
+        cert = sol.certificate
+        assert sol.attained_level < prob.alpha
+        assert not any(cert.level_duals)
+        assert sol.gamma_alpha == 1
+        assert list(cert.box_duals) == sol.q_alpha.slot_masses()
+        for q in prob.q_family.family:
+            for x, m in zip(sol.x_alpha.slot_values(), q.slot_masses()):
+                assert x == 1 or m == 0
+    assert len(slack) >= 15
+    assert any(p.space.has_tail and sol.q_alpha.tail_mass > 0 for p, sol in slack)
 
 
 def test_criterion_08_classical_pair(capfd):

@@ -575,13 +575,49 @@ def test_checker_rejects_nudged_solve_reports(solve_reports):
         entries += [(u, j, "^q_weights: ") for j in range(len(u))]
         entries += [(v, i, "^certificate: dual ") for i in range(len(v))]
         entries += [(w, label, "^certificate: dual ") for label in w]
+        rep = report["representation"]
+        if rep["form"] != "none":
+            entries.append((report, "lambda", "^lambda: "))
+            entries.append((rep, "lambda", "^representation.lambda: "))
+        if rep["form"] == "threshold":
+            entries.append((rep, "tau", "^representation.tau: "))
         rejected += _rejects_each_nudge(checker.check_solve, spec, report, entries)
+        rejected += _rejects_each_representation_edit(spec, report)
         case = report["case"]
         report["case"] = {"LevelSlack": "LevelAttained", "LevelAttained": "LevelSlack"}[case]
         with pytest.raises(checker.ReportRejected, match="^case "):
             checker.check_solve(spec, report)
         report["case"] = case
     assert rejected > 10 * len(solve_reports)
+
+
+def _rejects_each_representation_edit(spec, report):
+    """Flip the representation's flags and move one class or one test value; count rejections."""
+    rep = report["representation"]
+    if rep["form"] == "none":
+        return 0
+    edits = [(lambda r: r["representation"].update(verdict=not rep["verdict"]), "verdict")]
+    if rep["form"] == "threshold":
+        first, cls = next(iter(rep["classification"].items()))
+        moved = {first: "boundary" if cls != "boundary" else "strict_accept"}
+        edits.append(
+            (lambda r: r["representation"]["classification"].update(moved), "classification")
+        )
+    else:
+        edits.append(
+            (lambda r: r["representation"].update(gamma_consistent=False), "gamma_consistent")
+        )
+        # Below 1 on an atom of lam_qc. Where a null member charges that
+        # atom, the attained level no longer matches and fails first.
+        atom = next(a for a in spec["atoms"] if F(report["q_alpha"][a]["exact"]) > 0)
+        edits.append((lambda r: r["test"].update({atom: _exact(1 - NUDGE)}), None))
+    for edit, key in edits:
+        bad = copy.deepcopy(report)
+        edit(bad)
+        pattern = f"^representation.{key}: " if key else "^(representation: test|attained_level)"
+        with pytest.raises(checker.ReportRejected, match=pattern):
+            checker.check_solve(spec, bad)
+    return len(edits)
 
 
 def test_checker_rejects_nudged_np_reports(np_reports):
@@ -630,8 +666,40 @@ def test_checker_names_each_broken_claim(tmp_path):
             "dual infeasible at w1",
         ),
     ]
-    for edit, pattern in solve_cases + [(off_least_level, "the duals prove 0$")]:
-        spec, report = (dirac, dirac_report) if edit is off_least_level else (three, three_report)
+
+    def rep_edit(**changes):
+        return lambda r: r["representation"].update(changes)
+
+    solve_cases += [
+        (lambda r: r.update({"lambda": _exact(1 - NUDGE)}), "^lambda: "),
+        (rep_edit(form="degenerate"), "^representation.form degenerate, the masses say threshold"),
+        (rep_edit(form="none"), "^representation.form "),
+        (rep_edit(**{"lambda": _exact(1 - NUDGE)}), "^representation.lambda: "),
+        (rep_edit(tau=_exact(1 - NUDGE)), "^representation.tau: "),
+        (rep_edit(kappa=_exact(-NUDGE)), "^representation.kappa .* is negative"),
+        (rep_edit(verdict=False), "^representation.verdict: "),
+        (
+            lambda r: r["representation"]["classification"].update(w3="boundary"),
+            "^representation.classification: ",
+        ),
+        (lambda r: r["representation"]["b_values"].update(w1=_exact(1)), "^representation.b_val"),
+        (lambda r: r["representation"]["violations"].append("w1"), "^representation.violations"),
+        (rep_edit(precondition_support=False), "^representation.precondition_support: "),
+        (lambda r: r.update(p_weights=[_exact(F(1, 2))]), "^p_weights: "),
+    ]
+    # The dirac report is slack: its representation is the degenerate form.
+    dirac_cases = [
+        (off_least_level, "the duals prove 0$"),
+        (rep_edit(form="threshold"), "^representation.form threshold, the masses say degenerate"),
+        (rep_edit(verdict=False), "^representation.verdict: "),
+        (rep_edit(gamma_consistent=False), "^representation.gamma_consistent: "),
+        (rep_edit(violations=["1"]), "^representation.violations: "),
+        # P puts no mass on atom 1, so the attained level stays 0.
+        (lambda r: r["test"].update({"1": _exact(1 - NUDGE)}), "^representation: test is "),
+    ]
+    cases = [(three, three_report, *case) for case in solve_cases]
+    cases += [(dirac, dirac_report, *case) for case in dirac_cases]
+    for spec, report, edit, pattern in cases:
         bad = copy.deepcopy(report)
         edit(bad)
         with pytest.raises(checker.ReportRejected, match=pattern):

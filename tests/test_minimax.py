@@ -32,7 +32,6 @@ from robustnp import (
     solve_lp,
     solve_minimax,
     upper_expectation,
-    verify_degenerate_form,
     verify_threshold_form,
     vertex_enumerate,
 )
@@ -219,14 +218,16 @@ def test_dirac_slack_case():
         kkt_certificate(prob, higher)
     with pytest.raises(CertificateError, match="proves 0"):
         kkt_certificate(prob, dataclasses.replace(higher, attained_level=F(1, 4)))
-    rep = verify_degenerate_form(prob, sol)
-    assert rep.verdict
-    assert rep.form == "degenerate"
-    assert rep.gamma_consistent
-    assert compute_beta(prob.p_family, sol.q_alpha.atom_part()) == 1
+    # The degenerate form: x = 1 on the support of lam_qc, which the test
+    # integrates to its full mass.
+    qc = sol.q_alpha.atom_part()
+    assert all(x == 1 for x, m in zip(sol.x_alpha.atom_value, qc.atom_mass) if m > 0)
+    assert expectation(qc, sol.x_alpha) == sol.lam
+    assert compute_beta(prob.p_family, qc) == 1
     assert beta_criterion_check(prob, sol)
-    with pytest.raises(ValueError, match="level-slack"):
-        verify_degenerate_form(three_atom_problem(), solve_minimax(three_atom_problem()))
+    with pytest.raises(ValueError, match="level-attained") as raised:
+        verify_threshold_form(prob, sol)
+    assert not isinstance(raised.value, PureLeastFavorableError)
 
 
 def test_identical_singleton_boundary():
@@ -401,7 +402,9 @@ def test_random_instances_match_oracle():
         assert sol.gamma_alpha == sol.gamma_c + (1 - sol.lam)
         if sol.case is Case.LEVEL_SLACK:
             seen_slack += 1
-            assert verify_degenerate_form(prob, sol).verdict
+            qc = sol.q_alpha.atom_part()
+            assert all(x == 1 for x, m in zip(sol.x_alpha.atom_value, qc.atom_mass) if m > 0)
+            assert expectation(qc, sol.x_alpha) == sol.lam
         else:
             seen_attained += 1
         assert beta_criterion_check(prob, sol)
