@@ -173,7 +173,7 @@ def _slot_obj(space: SampleSpace, values: "list[Fraction]") -> dict:
     return {a: _rat(v) for a, v in zip(labels, values)}
 
 
-def _representation_obj(prob: TestProblem, sol) -> dict:
+def _representation_obj(prob: TestProblem, sol, beta: "Fraction | None") -> dict:
     if sol.case is Case.LEVEL_SLACK and sol.lam > 0:
         # The certificate proves this form (see verify_threshold_form).
         return {
@@ -197,7 +197,8 @@ def _representation_obj(prob: TestProblem, sol) -> dict:
         "classification": rep.classification,
         "b_values": {a: _rat(v) for a, v in rep.b_values.items()},
         "violations": list(rep.violations),
-        "precondition_support": rep.precondition_support,
+        # A threshold form has lam > 0, so cmd_solve has computed beta.
+        "precondition_support": beta <= 1 - prob.alpha,
         "precondition_grid": rep.precondition_grid,
         "level_c": _rat(sol.level_c),
     }
@@ -266,7 +267,7 @@ def cmd_solve(args) -> int:
         "p_weights": None if sol.p_weights is None else [_rat(wt) for wt in sol.p_weights],
         "beta": None if beta is None else _rat(beta),
         "beta_criterion_matches_case": criterion,
-        "representation": _representation_obj(prob, sol),
+        "representation": _representation_obj(prob, sol, beta),
         "hypotheses": asdict(hypothesis_report(prob)),
         "certificate": {
             "level_duals": [_rat(vi) for vi in sol.certificate.level_duals],

@@ -216,7 +216,6 @@ class RepresentationReport:
     b_values: dict[str, Fraction]
     verdict: bool
     violations: tuple[str, ...]
-    precondition_support: bool
     precondition_grid: bool
 
 
@@ -635,12 +634,11 @@ def verify_threshold_form(prob: TestProblem, sol: Solution) -> RepresentationRep
     The cut is on the ratio q/p of the atom masses of the alternative
     mixture's countably additive part to the null mixture's. Atoms where
     both masses are 0 are unconstrained (``base_null``), as is the tail.
-    Also reports the quantile form of the cut point and two renderings of
-    the attained-case precondition: the support criterion (the support of
-    the alternative's countable part already uses up the level budget,
-    that is beta <= 1 - alpha) and the grid criterion (tightening the level
-    by any positive amount strictly cuts the best integral of the countable
-    part), read exactly from ``sol.level_c``.
+    Also reports the quantile form of the cut point and the grid criterion
+    of the attained-case precondition (tightening the level by any positive
+    amount strictly cuts the best integral of the countable part), read
+    exactly from ``sol.level_c``. Its support criterion, beta <= 1 - alpha,
+    is :func:`compute_beta`'s to answer.
 
     The slack case needs no check: its degenerate form, x = 1 wherever
     lam_qc has mass, holds for every solution that carries a certificate.
@@ -684,6 +682,5 @@ def verify_threshold_form(prob: TestProblem, sol: Solution) -> RepresentationRep
         b_values=b_values,
         verdict=verdict,
         violations=violations,
-        precondition_support=compute_beta(prob.p_family, lam_qc) <= ONE - prob.alpha,
         precondition_grid=sol.level_c == prob.alpha,
     )

@@ -2,10 +2,13 @@
 
 This is a small dense implementation sized for the LPs built elsewhere in
 the package: a handful of variables and a few dozen rows. Each tableau row
-is a vector of Python ints over its own positive integer denominator, kept
-in lowest terms, so a pivot is integer multiply, subtract and one gcd per
-row it touches. `fractions.Fraction`s are built in two places only: where
-the inputs are coerced (``_frac``, which refuses floats, bools and
+is a vector of Python ints over its own positive integer denominator, so a
+pivot is integer multiply and subtract. The pivot row is put in lowest
+terms, but a row from an elimination only once its denominator passes
+``_REDUCE_BITS`` bits. Every sign test and ratio comparison below is
+invariant under a positive scaling of a row, so the deferral changes no
+pivot and no result. `fractions.Fraction`s are built in two places only:
+where the inputs are coerced (``_frac``, which refuses floats, bools and
 exponent strings), and for the nonzero entries of the result. The sign
 checks run on the scaled integers, and the optimal value is read off the
 cost row's right-hand side rather than summed as ``c . x``. Nothing is
@@ -22,15 +25,24 @@ ratio test has three kinds of candidate: a basic variable falling to 0, a
 bounded basic variable rising to its bound (complemented, then pivoted out
 at 0) and the entering variable's own bound (a flip, with no pivot).
 
-Bland's rule picks the entering column (smallest index with a negative
-reduced cost) and the candidate (smallest variable index among tied
-ratios, a flip counting as the entering index), which rules out cycling on
-the degenerate instances the testing problems like to produce. Each step
-is a Bland pivot of the same LP with explicit rows ``x_j + s_j = u_j``
-under the order ``x_0 < s_0 < x_1 < ... < slacks``: a flip
-is ``x_s`` entering for ``s_s``, a rise is ``s_B`` leaving, and at most one
-of each pair is nonbasic or a candidate. So the rule is finite (Bland
-1977). A flip with ``u_j > 0`` strictly improves the objective.
+Pricing. The entering column is the one with the most negative reduced
+cost, ties to the smaller index, except right after a step of length 0
+(the winning ratio was 0), when it is Bland's: the smallest index with a
+negative reduced cost. The candidate is always Bland's: the smallest
+variable index among tied ratios, a flip counting as the entering index.
+Each step is a pivot of the same LP with explicit rows ``x_j + s_j = u_j``
+under the order ``x_0 < s_0 < x_1 < ... < slacks``: a flip is ``x_s``
+entering for ``s_s``, a rise is ``s_B`` leaving, and at most one of each
+pair is nonbasic or a candidate.
+
+Termination. The entering reduced cost is negative, so a step of nonzero
+length strictly improves the objective (a flip with ``u_j > 0`` included),
+and no basis repeats across such steps. A run of steps of length 0 has at
+most one steepest-cost step, at its start; every later step of the run is
+a Bland pivot, and Bland's rule cannot cycle (Bland 1977, *Math. Oper.
+Res.* 2). Steepest-cost pricing alone can: Chvatal's example (*Linear
+Programming*, 1983, ch. 3) cycles under it, and ``tests/test_simplex.py``
+solves it.
 
 Conventions (documented once, relied on everywhere):
 
@@ -57,6 +69,10 @@ from typing import Sequence
 ZERO = Fraction(0)
 
 _MAX_PIVOTS = 200_000
+
+# A row from an elimination is divided by its gcd once its denominator has
+# more bits than this.
+_REDUCE_BITS = 256
 
 
 @dataclass(frozen=True)
@@ -125,8 +141,15 @@ def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
 def _eliminate(
     row: list[int], den: int, prow: list[int], pd: int, f: int
 ) -> tuple[list[int], int]:
-    """``row/den - (f/den) * prow/pd`` as integers over a positive denominator."""
-    return _reduce([a * pd - f * b for a, b in zip(row, prow)], den * pd)
+    """``row/den - (f/den) * prow/pd`` as integers over a positive denominator.
+
+    The result is reduced only once its denominator passes ``_REDUCE_BITS``.
+    """
+    row = [a * pd - f * b for a, b in zip(row, prow)]
+    den *= pd
+    if den.bit_length() > _REDUCE_BITS:
+        return _reduce(row, den)
+    return row, den
 
 
 def solve_lp(
@@ -151,11 +174,11 @@ def solve_lp(
     n_cols = n + m
 
     # The tableau: row r is the integer vector rows[r] over the positive
-    # denominator dens[r], in lowest terms, with row r's slack in column
-    # n + r, basic at the start. Row m is the reduced-cost row of the
-    # internal problem, min -c . x; the slacks cost 0, so it starts as -c,
-    # with right-hand side 0. Every step keeps its last entry at the value
-    # of c . x at the current basis, which is where the optimal value is read.
+    # denominator dens[r], with row r's slack in column n + r, basic at the
+    # start. Row m is the reduced-cost row of the internal problem,
+    # min -c . x; the slacks cost 0, so it starts as -c, with right-hand
+    # side 0. Every step keeps its last entry at the value of c . x at the
+    # current basis, which is where the optimal value is read.
     rows: list[list[int]] = []
     dens: list[int] = []
     for r in range(m):
@@ -213,9 +236,16 @@ def solve_lp(
         comp[j] = not comp[j]
 
     def run() -> str:
+        bland = False
         for _ in range(_MAX_PIVOTS):
             cost = rows[m]
-            enter = next((j for j in range(n_cols) if cost[j] < 0), -1)
+            # The cost row shares one positive denominator, so its integers
+            # compare as the reduced costs do.
+            if bland:
+                enter = next((j for j in range(n_cols) if cost[j] < 0), -1)
+            else:
+                lo = min(cost[:n_cols])
+                enter = cost.index(lo) if lo < 0 else -1
             if enter < 0:
                 return "optimal"
             # Candidate steps are ratios t_n / t_d with t_d > 0, compared
@@ -240,6 +270,7 @@ def solve_lp(
                     leave, key, best_n, best_d = r, basis[r], t_n, t_d
             if leave < 0:
                 return "unbounded"
+            bland = best_n == 0
             if leave == m:
                 complement(enter)
                 continue

@@ -1,8 +1,10 @@
 """The Fraction-tableau two-phase simplex, kept as a test reference.
 
 This is the original all-`Fraction` implementation of
-:func:`robustnp.simplex.solve_lp`, copied unchanged. The library's integer
-tableau makes the same pivots, so the two must return equal
+:func:`robustnp.simplex.solve_lp`, with the library's entering rule: the
+most negative reduced cost, ties to the smaller index, and Bland's
+smallest index right after a step whose winning ratio is 0. The library's
+integer tableau makes the same pivots, so the two must return equal
 :class:`~robustnp.simplex.LpSolution` values on every input; the tests in
 ``test_simplex.py`` compare them.
 """
@@ -130,13 +132,15 @@ def solve_lp(
 
     def run_phase(costs: list[Fraction], banned: frozenset[int]) -> tuple[str, list[Fraction]]:
         cbar = price(costs)
+        bland = False
         for _ in range(_MAX_PIVOTS):
             enter = -1
             for j in range(n_cols):
-                if j in banned:
+                if j in banned or cbar[j] >= 0:
                     continue
-                if cbar[j] < 0:
+                if enter < 0 or cbar[j] < cbar[enter]:
                     enter = j
+                if bland:
                     break
             if enter < 0:
                 return "optimal", cbar
@@ -153,6 +157,7 @@ def solve_lp(
                         leave = r
             if leave < 0:
                 return "unbounded", cbar
+            bland = best == 0
             pivot(leave, enter, cbar)
         raise RuntimeError("simplex did not terminate; this should be unreachable")
 

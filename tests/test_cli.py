@@ -99,12 +99,13 @@ def test_threshold_kappas_are_on_reciprocal_scales(tmp_path):
     assert run(["solve", FIXTURES / "intro_example.json", "--json", out]) == EXIT_OK
     rep = json.loads(out.read_text())["representation"]
     assert rep["form"] == "threshold" and rep["verdict"] is True
-    assert rep["kappa"]["exact"] == "261/128"
-    assert rep["kappa_formula"]["exact"] == "128/261"
+    # Which optimal null mixture the pivots reach decides the cut points;
+    # on either scale they name the same cut.
+    kappa, u = F(rep["kappa"]["exact"]), F(rep["kappa_formula"]["exact"])
+    assert kappa * u == 1
     prob = load_problem(str(FIXTURES / "intro_example.json"))
     sol = robustnp.solve_minimax(prob)
     lam_qc, tau_pc = sol.q_alpha.atom_part(), sol.p_alpha.atom_part()
-    kappa, u = F(261, 128), F(128, 261)
     sides = {1: "strict_accept", -1: "strict_reject", 0: "boundary"}
     masses = list(zip(tau_pc.atom_mass, lam_qc.atom_mass))
     for label, (p, q) in zip(prob.space.atoms, masses):

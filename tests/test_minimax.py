@@ -119,7 +119,7 @@ def test_three_atom_threshold_form():
         "w3": "strict_reject",
     }
     assert rep.b_values == {}
-    assert rep.precondition_support
+    assert compute_beta(prob.p_family, sol.q_alpha.atom_part()) <= 1 - prob.alpha
     assert rep.precondition_grid
     assert compute_beta(prob.p_family, sol.q_alpha.atom_part()) == F(1, 2)
     assert beta_criterion_check(prob, sol)
@@ -501,7 +501,7 @@ def test_grid_precondition_is_exact_on_a_flat_stretch():
     assert sol.level_c == F(1, 2) - delta
     rep = verify_threshold_form(prob, sol)
     assert rep.precondition_grid is False
-    assert rep.precondition_support is False
+    assert not compute_beta(prob.p_family, sol.q_alpha.atom_part()) <= 1 - prob.alpha
     assert solve_minimax(three_atom_problem()).level_c == F(1, 2)
 
 

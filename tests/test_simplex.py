@@ -62,7 +62,7 @@ def test_unbounded():
 
 
 def test_degenerate_vertex_terminates():
-    # Three planes through the same point; Bland's rule must not cycle.
+    # Three planes through the same point: the pivots at it must not cycle.
     sol = solve_lp(
         [1, 1],
         a_ub=[[1, 0], [0, 1], [1, 1]],
@@ -70,6 +70,21 @@ def test_degenerate_vertex_terminates():
     )
     assert sol.status == "optimal"
     assert sol.value == 2
+
+
+def test_steepest_pricing_falls_back_to_bland_on_chvatals_cycle():
+    # Chvatal (Linear Programming, 1983, ch. 3): from the slack basis the
+    # most negative reduced cost, with ties in the ratio test to the smaller
+    # index, returns to the start after six steps of length 0. Bland's rule
+    # after a step of length 0 breaks the cycle, with x1 <= 1 as a row or as
+    # a bound.
+    c = [10, -57, -9, -24]
+    a_ub = [[F(1, 2), F(-11, 2), F(-5, 2), 9], [F(1, 2), F(-3, 2), F(-1, 2), 1]]
+    for sol in (
+        solve_lp(c, a_ub + [[1, 0, 0, 0]], [0, 0, 1]),
+        solve_lp(c, a_ub, [0, 0], upper=[1, None, None, None]),
+    ):
+        assert (sol.status, sol.value, sol.x) == ("optimal", 1, (1, 0, 1, 0))
 
 
 def test_fractional_data_stays_exact():
