@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 from .simplex import _frac as frac, _scale
@@ -119,9 +120,11 @@ class Charge:
             raise ValueError(f"unknown atom labels: {sorted(unknown)}")
         return cls(space, tuple(masses.get(a, 0) for a in space.atoms), tail)
 
-    @property
+    @cached_property
     def total(self) -> Fraction:
-        return sum(self.atom_mass, self.tail_mass)
+        """The total mass, summed once in integers over a common denominator."""
+        masses, den = _scale([*self.atom_mass, self.tail_mass])
+        return Fraction(sum(masses), den)
 
     @property
     def is_probability(self) -> bool:
@@ -222,10 +225,11 @@ def expectation(charge: Charge, x: TestFunction) -> Fraction:
     """Integral of ``x`` against ``charge``, tail slot included."""
     if charge.space != x.space:
         raise ValueError("charge and test live on different sample spaces")
-    acc = charge.tail_mass * x.tail_value
-    for m, v in zip(charge.atom_mass, x.atom_value):
-        acc += m * v
-    return acc
+    # Sum in integers, the masses and the values each over their common
+    # denominator.
+    masses, dm = _scale([*charge.atom_mass, charge.tail_mass])
+    values, dv = _scale([*x.atom_value, x.tail_value])
+    return Fraction(sum([m * v for m, v in zip(masses, values) if m]), dm * dv)
 
 
 def upper_expectation(e: SublinearExpectation, x: TestFunction) -> Fraction:

@@ -147,14 +147,14 @@ def load_problem(path: str, alpha_override: "Fraction | None" = None) -> TestPro
 def _rat(v: Fraction) -> dict:
     n, d = v.as_integer_ratio()
     try:
-        exact = str(v)
+        exact = str(n) if d == 1 else f"{n}/{d}"  # str(v)
     except ValueError:  # str refuses ints past sys.get_int_max_str_digits()
         raise ValueError(
             f"a reported value is a fraction too long to print ({_digits(abs(n))} digits "
             f"over {_digits(d)}); rerun with PYTHONINTMAXSTRDIGITS=0"
         ) from None
     try:
-        f = float(v)
+        f = n / d  # float(v), correctly rounded
     except OverflowError:
         f = math.inf
     if v and not sys.float_info.min <= abs(f) < math.inf:
@@ -223,7 +223,8 @@ def _write_over(path: str, text: str) -> None:
 
 def _emit(report: dict, json_out: "str | None") -> None:
     if json_out:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        # One line: without indent, json.dumps runs its C encoder.
+        text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
         try:
             _write_over(json_out, text)
         except OSError as exc:

@@ -54,7 +54,7 @@ Conventions (documented once, relied on everywhere):
   and negate ``value``.
 * ``y_ub, y_upper >= 0``; ``y_upper`` prices the bound rows (0 where there
   is no bound), and ``value = b_ub . y_ub + upper . y_upper`` exactly.
-* ``reduced_costs = A^T y + y_upper - c >= 0``.
+* Dual feasibility: ``A^T y_ub + y_upper >= c``.
 * Complementary slackness holds exactly against the returned ``x``.
 """
 
@@ -94,7 +94,6 @@ class LpSolution:
     value: "Fraction | None" = None
     y_ub: "tuple[Fraction, ...] | None" = None
     y_eq: "tuple[Fraction, ...] | None" = None
-    reduced_costs: "tuple[Fraction, ...] | None" = None
     y_upper: "tuple[Fraction, ...] | None" = None
 
 
@@ -287,7 +286,6 @@ def solve_lp(
     for r in range(m):
         if basis[r] < n and (v := rows[r][n_cols]):
             x[basis[r]] = Fraction(v, dens[r])
-    reduced = [Fraction(v, cden) if v else ZERO for v in cost[:n]]
     # A complemented x_j sits at its bound, and its column's reduced cost
     # cbar' is -cbar_j: the bound row takes y_upper = cbar' and leaves x_j a
     # reduced cost of 0.
@@ -295,9 +293,8 @@ def solve_lp(
     for j in range(n):
         if comp[j]:
             x[j] = bound[j] - x[j] if x[j] else bound[j]
-            if reduced[j]:
-                y_upper[j] = reduced[j]
-                reduced[j] = ZERO
+            if cost[j]:
+                y_upper[j] = Fraction(cost[j], cden)
 
     # Row r's slack column (+e_r, cost 0) has the final reduced cost y_r;
     # complementing columns leaves y = c_B B^-1 unchanged.
@@ -309,6 +306,5 @@ def solve_lp(
         value=Fraction(cost[n_cols], cden),
         y_ub=y_ub,
         y_eq=(),
-        reduced_costs=tuple(reduced),
         y_upper=None if upper is None else tuple(y_upper),
     )

@@ -223,5 +223,4 @@ def solve_lp(
         value=value,
         y_ub=tuple(y_ub_out),
         y_eq=tuple(y_eq_out),
-        reduced_costs=tuple(cbar[:n]),
     )

@@ -286,6 +286,12 @@ def test_upper_is_member_max(data):
     fam, (x,) = data
     assert upper_expectation(fam, x) == max(expectation(c, x) for c in fam.family)
     assert lower_expectation(fam, x) == min(expectation(c, x) for c in fam.family)
+    # The integer sums against Fraction sums, on the members and on a charge
+    # whose masses are x's values: mixed denominators, any total, a tail if
+    # the space has one.
+    for c in (*fam.family, Charge(fam.space, x.atom_value, x.tail_value)):
+        assert expectation(c, x) == sum(m * v for m, v in zip(c.slot_masses(), x.slot_values()))
+        assert c.total == sum(c.slot_masses())
 
 
 @given(_space_charge_tests(n_tests=2))

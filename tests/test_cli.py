@@ -186,12 +186,20 @@ def test_pure_tail_alternative_reports_no_representation(tmp_path, capsys):
 
 
 def test_json_output_is_deterministic(tmp_path):
+    # Every command writes one line with sorted keys and no whitespace.
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     spec = write_spec(tmp_path, SMALL)
-    assert run(["solve", spec, "--json", a]) == EXIT_OK
-    assert run(["solve", spec, "--json", b]) == EXIT_OK
-    assert a.read_bytes() == b.read_bytes()
-    assert a.read_text().endswith("\n")
+    for argv in (
+        ["solve", spec],
+        ["np", spec],
+        ["sweep", "nonexistence", "--sizes", "1:3"],
+        ["check", spec],
+    ):
+        assert run([*argv, "--json", a]) == EXIT_OK
+        assert run([*argv, "--json", b]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+        text = a.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_json_report_replaces_a_longer_file(tmp_path):
