@@ -22,12 +22,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence, Union
 
-from .simplex import _frac as frac, _scale
+from .simplex import ONE, ZERO, _frac as frac, _scale
 
 TAIL_LABEL = "tail"
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 RationalLike = Union[int, str, Fraction]
 

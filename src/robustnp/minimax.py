@@ -27,11 +27,14 @@ the epigraph's certificate leaves them open:
    countable program, x0 is feasible, (v, w without its tail entry) is
    dual feasible, and complementary slackness holds on every atom; when it
    also holds on the tail slot (no tail, x0[tail] = 0 or
-   sum_i v_i p_i[tail] = 0), gamma_c = gamma - w_tail with no solve. If
-   the level duals v* certifying gamma_c have s = sum v* > 0, weak duality
-   puts the countable value at any level a < alpha at most
-   gamma_c - (alpha - a) s, so level_c = alpha and v*/s is an optimal
-   auxiliary dual; only s = 0 runs the auxiliary program.
+   sum_i v_i p_i[tail] = 0), gamma_c = gamma - w_tail with no solve. So it
+   never runs under H1: a tail-free P has every p_i[tail] = 0, and with a
+   tail-free Q, x0[tail] > 0 makes the tail's row, which reads
+   0 <= sum_i v_i p_i[tail] + w_tail, tight. If the level duals v*
+   certifying gamma_c have s = sum v* > 0, weak duality puts the countable
+   value at any level a < alpha at most gamma_c - (alpha - a) s, so
+   level_c = alpha and v*/s is an optimal auxiliary dual; only s = 0 runs
+   the auxiliary program.
 
 One layout, "max t : t <= E_r[x] on the t rows, E_c[x] <= cap_c on the
 cap rows, 0 <= x <= 1", serves steps 1, 3 and 4. The epigraph has the
@@ -649,6 +652,13 @@ def verify_threshold_form(prob: TestProblem, sol: Solution) -> RepresentationRep
     slot by slot. So min_j E_{Q_j}[x_alpha] = 1 puts x_alpha = 1 on every
     alternative member's support, supp(lam_qc) included, and
     E_{lam_qc}[x_alpha] = lam.
+
+    Nor does the attained case's verdict where ``_countable_value`` did not
+    run (always, under H1). With kappa = sum v the null mixture is v/kappa
+    (the auxiliary program's if kappa = 0), and complementary slackness puts
+    x_alpha at 1 where lam_qc > kappa * tau_pc (there w > 0) and at 0 where
+    lam_qc < kappa * tau_pc (the slot row is slack), as one of the scan's
+    candidates cuts. The countable program's duals need not, so the scan stays.
     """
     if sol.lam == 0:
         raise PureLeastFavorableError(

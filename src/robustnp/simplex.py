@@ -18,38 +18,37 @@ checks. Every right-hand side must be nonnegative, so the slack basis
 x = 0 is feasible and there is one phase: the callers write their
 programs in that form.
 
-Bounds ``x_j <= u_j`` stay out of the tableau (Dantzig's upper-bounding
-technique): a variable at its bound is complemented, ``x_j = u_j - x_j'``,
-by negating its column and moving ``u_j a_j`` into the right-hand side. The
-ratio test has three kinds of candidate: a basic variable falling to 0, a
-bounded basic variable rising to its bound (complemented, then pivoted out
-at 0) and the entering variable's own bound (a flip, with no pivot).
+Bounds ``x_j <= 1`` stay out of the tableau (Dantzig's upper-bounding
+technique): a variable at its bound is complemented, ``x_j = 1 - x_j'``, by
+negating its column and subtracting it from the right-hand side, so no row
+denominator changes outside a pivot. The ratio test's candidates are a basic
+variable falling to 0, a boxed one rising to 1 (complemented, then pivoted
+out at 0) and the entering variable's own bound (a flip of length 1).
 
 Pricing. The entering column is the one with the most negative reduced
 cost, ties to the smaller index, except right after a step of length 0
 (the winning ratio was 0), when it is Bland's: the smallest index with a
 negative reduced cost. The candidate is always Bland's: the smallest
 variable index among tied ratios, a flip counting as the entering index.
-Each step is a pivot of the same LP with explicit rows ``x_j + s_j = u_j``
+Each step is a pivot of the same LP with explicit rows ``x_j + s_j = 1``
 under the order ``x_0 < s_0 < x_1 < ... < slacks``: a flip is ``x_s``
 entering for ``s_s``, a rise is ``s_B`` leaving, and at most one of each
 pair is nonbasic or a candidate.
 
 Termination. The entering reduced cost is negative, so a step of nonzero
-length strictly improves the objective (a flip with ``u_j > 0`` included),
-and no basis repeats across such steps. A run of steps of length 0 has at
-most one steepest-cost step, at its start; every later step of the run is
-a Bland pivot, and Bland's rule cannot cycle (Bland 1977, *Math. Oper.
-Res.* 2). Steepest-cost pricing alone can: Chvatal's example (*Linear
-Programming*, 1983, ch. 3) cycles under it, and ``tests/test_simplex.py``
-solves it.
+length, every flip included, strictly improves the objective, and no basis
+repeats across such steps. A run of steps of length 0 has at most one
+steepest-cost step, at its start; every later step of the run is a Bland
+pivot, and Bland's rule cannot cycle (Bland 1977, *Math. Oper. Res.* 2).
+Steepest-cost pricing alone can: Chvatal's example (*Linear Programming*,
+1983, ch. 3) cycles under it, and ``tests/test_simplex.py`` solves it.
 
 Conventions (documented once, relied on everywhere):
 
 * Problems maximize ``c . x`` subject to ``a_ub x <= b_ub`` with
-  ``b_ub >= 0`` (a negative entry raises ``ValueError``) and
-  ``0 <= x <= upper``; ``upper`` holds a nonnegative rational or ``None``
-  (no bound) per variable. With ``upper=None`` the pivots are those of the
+  ``b_ub >= 0`` and ``0 <= x <= upper``; ``upper`` holds ``1`` (boxed at 1)
+  or ``None`` (free) per variable. Any other entry, or a negative ``b_ub``,
+  raises ``ValueError``. With ``upper=None`` the pivots are those of the
   unbounded simplex and ``y_upper`` is ``None``. To minimize, pass ``-c``
   and negate ``value``.
 * ``y_ub, y_upper >= 0``; ``y_upper`` prices the bound rows (0 where there
@@ -67,6 +66,7 @@ from fractions import Fraction
 from typing import Sequence
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 _MAX_PIVOTS = 200_000
 
@@ -111,7 +111,7 @@ def _frac(v) -> Fraction:
         return v
     if isinstance(v, bool):
         raise TypeError(f"refusing bool as a rational value: {v!r}")
-    if isinstance(v, str) and re.search(r"[\d.][eE][-+]?\d", v):
+    if isinstance(v, str) and ("e" in v or "E" in v) and re.search(r"[\d.][eE][-+]?\d", v):
         raise ValueError(f"refusing exponent notation in {v!r}; write 'num/den'")
     if isinstance(v, (int, str)):
         return Fraction(v)
@@ -186,14 +186,16 @@ def solve_lp(
             raise ValueError("b_ub must be nonnegative, so that the slack basis is feasible")
         rows.append(scaled[:n] + [den if i == r else 0 for i in range(m)] + scaled[n:])
         dens.append(den)
-    bound: "list[Fraction | None]" = [None] * n_cols
+    # boxed[j]: x_j <= 1. The slacks are free.
+    boxed = [False] * n_cols
     if upper is not None:
         if len(upper) != n:
             raise ValueError(f"upper has {len(upper)} entries, expected {n}")
-        bound[:n] = [None if u is None else _frac(u) for u in upper]
-        if any(u is not None and u.numerator < 0 for u in bound):
-            raise ValueError("upper bounds must be nonnegative")
-    # comp[j]: column j holds the complement u_j - x_j rather than x_j.
+        for u in upper:
+            if u is not None and u is not ONE and (f := _frac(u)) != 1:
+                raise ValueError(f"upper entries must be 1 or None, got {f}")
+        boxed[:n] = [u is not None for u in upper]
+    # comp[j]: column j holds the complement 1 - x_j rather than x_j.
     comp = [False] * n
     basis = list(range(n, n_cols))
     cost, cden = _scale(c_raw)
@@ -216,22 +218,12 @@ def solve_lp(
         basis[r] = j
 
     def complement(j: int) -> None:
-        # Substitute x_j = u_j - x_j' in every row. For a basic x_j only its
+        # Substitute x_j = 1 - x_j' in every row. For a basic x_j only its
         # own row changes, and the pivot that follows takes x_j' out at 0.
-        p, q = bound[j].numerator, bound[j].denominator
-        for i in range(m + 1):
-            row = rows[i]
-            a = row[j]
-            if not a:
-                continue
-            if q == 1:
-                row[n_cols] -= a * p
+        for row in rows:
+            if a := row[j]:
+                row[n_cols] -= a
                 row[j] = -a
-            else:
-                row = [v * q for v in row]
-                row[n_cols] -= a * p
-                row[j] = -a * q
-                rows[i], dens[i] = _reduce(row, dens[i] * q)
         comp[j] = not comp[j]
 
     def run() -> str:
@@ -252,15 +244,14 @@ def solve_lp(
             # the entering variable's own bound.
             leave = key = -1
             best_n = best_d = 0
-            if (u := bound[enter]) is not None:
-                leave, key, best_n, best_d = m, enter, u.numerator, u.denominator
+            if boxed[enter]:
+                leave, key, best_n, best_d = m, enter, 1, 1
             for r in range(m):
                 a = rows[r][enter]
                 if a > 0:  # falls to 0 at b_r / a_r; the row denominators cancel
                     t_n, t_d = rows[r][n_cols], a
-                elif a < 0 and (u := bound[basis[r]]) is not None:  # rises to u
-                    t_n = u.numerator * dens[r] - u.denominator * rows[r][n_cols]
-                    t_d = -a * u.denominator
+                elif a < 0 and boxed[basis[r]]:  # rises to 1 at (d_r - b_r) / -a_r
+                    t_n, t_d = dens[r] - rows[r][n_cols], -a
                 else:
                     continue
                 if leave < 0 or t_n * best_d < best_n * t_d or (
@@ -286,13 +277,13 @@ def solve_lp(
     for r in range(m):
         if basis[r] < n and (v := rows[r][n_cols]):
             x[basis[r]] = Fraction(v, dens[r])
-    # A complemented x_j sits at its bound, and its column's reduced cost
+    # A complemented x_j sits at its bound 1, and its column's reduced cost
     # cbar' is -cbar_j: the bound row takes y_upper = cbar' and leaves x_j a
     # reduced cost of 0.
     y_upper = [ZERO] * n
     for j in range(n):
         if comp[j]:
-            x[j] = bound[j] - x[j] if x[j] else bound[j]
+            x[j] = ONE - x[j] if x[j] else ONE
             if cost[j]:
                 y_upper[j] = Fraction(cost[j], cden)
 

@@ -31,11 +31,13 @@ from robustnp import (
     verify_threshold_form,
     vertex_enumerate,
 )
+from robustnp import minimax
 from robustnp.cli import load_problem
 from robustnp.hypotheses import nonexistence_problem
 from robustnp.minimax import TestProblem
 
 from _oracle import np_oracle
+from test_minimax import _degenerate_problem
 
 F = Fraction
 
@@ -269,6 +271,66 @@ def test_certificate_proves_the_slack_case_degenerate_form(batch200):
                 assert x == 1 or m == 0
     assert len(slack) >= 15
     assert any(p.space.has_tail and sol.q_alpha.tail_mass > 0 for p, sol in slack)
+
+
+def _solve_spying_on_the_countable_program(problems):
+    """``(prob, sol, ran)`` per problem: ``ran`` if the solve called ``_countable_value``."""
+    calls = []
+    real = minimax._countable_value
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    out = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(minimax, "_countable_value", spy)
+        for prob in problems:
+            calls.clear()
+            out.append((prob, solve_minimax(prob), bool(calls)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def countable_runs(batch200):
+    rng = random.Random(1977)
+    problems = [p for p, _, _ in batch200]
+    problems += [_degenerate_problem(rng) for _ in range(200)]
+    problems += [solved(path.stem)[0] for path in sorted(FIXTURES.glob("*.json"))]
+    return _solve_spying_on_the_countable_program(problems)
+
+
+def test_the_countable_program_never_runs_under_h1(countable_runs):
+    # solve_minimax's step 4: a tail-free P has every p_i[tail] = 0, and
+    # with a tail-free Q, x0[tail] > 0 forces sum_i v_i p_i[tail] = 0.
+    h1 = [ran for prob, _, ran in countable_runs if hypothesis_report(prob).h1]
+    assert len(h1) >= 250
+    assert not any(h1)
+    prob = nonexistence_problem(5)
+    assert not hypothesis_report(prob).h1
+    assert _solve_spying_on_the_countable_program([prob])[0][2]
+
+
+def test_certificate_proves_the_threshold_verdict_where_the_countable_program_did_not_run(
+    countable_runs,
+):
+    # verify_threshold_form's docstring: with kappa = sum v, complementary
+    # slackness puts x_alpha at 1 where lam_qc > kappa * tau_pc and at 0 where
+    # lam_qc < kappa * tau_pc, so the scan finds a cut with no violation.
+    checked = zero = 0
+    for prob, sol, ran in countable_runs:
+        if ran or sol.lam == 0 or sol.case is not Case.LEVEL_ATTAINED:
+            continue
+        kappa = sum(sol.certificate.level_duals)
+        lam_qc, tau_pc = sol.q_alpha.atom_part(), sol.p_alpha.atom_part()
+        for q, p, x in zip(lam_qc.atom_mass, tau_pc.atom_mass, sol.x_alpha.atom_value):
+            assert x == 1 or q <= kappa * p
+            assert x == 0 or q >= kappa * p
+        if tau_pc.total > 0:
+            assert verify_threshold_form(prob, sol).verdict
+            checked += 1
+            zero += kappa == 0
+    assert checked >= 250 and zero >= 5
 
 
 def test_criterion_08_classical_pair(capfd):

@@ -252,19 +252,8 @@ def test_integer_tableau_matches_fraction_reference():
 
 
 def _random_bounds(rng, n):
-    """One upper bound per variable: None, 0, an integer or a rational."""
-
-    def one():
-        kind = rng.random()
-        if kind < 0.4:
-            return None
-        if kind < 0.5:
-            return F(0)
-        if kind < 0.75:
-            return F(rng.randint(1, 3))
-        return F(rng.randint(1, 7), rng.choice([2, 3, 5]))
-
-    return [one() for _ in range(n)]
+    """One upper bound per variable: None or 1, the only bounds solve_lp takes."""
+    return [None if rng.random() < 0.4 else F(1) for _ in range(n)]
 
 
 def _dot(a, b):
@@ -274,7 +263,7 @@ def _dot(a, b):
 def test_upper_bounds_match_explicit_rows():
     rng = random.Random(1955)
     statuses = {"optimal": 0, "unbounded": 0}
-    degenerate = zero = rational = none = 0
+    degenerate = none = 0
     for _ in range(1000):
         c, a_ub, b_ub, sense = _random_lp(rng)
         n = len(c)
@@ -290,8 +279,6 @@ def test_upper_bounds_match_explicit_rows():
         assert sol.status == ref.status
         statuses[sol.status] += 1
         degenerate += F(0) in b_ub
-        zero += F(0) in upper
-        rational += any(u is not None and u.denominator > 1 for u in upper)
         none += None in upper
         if sol.status != "optimal":
             assert sol.x is None and sol.y_upper is None
@@ -313,7 +300,7 @@ def test_upper_bounds_match_explicit_rows():
         for row, b, y in zip(a_ub, b_ub, sol.y_ub):
             assert y * (b - _dot(row, sol.x)) == 0
     assert statuses["optimal"] >= 500 and statuses["unbounded"] >= 15
-    assert min(degenerate, zero, rational, none) >= 100
+    assert min(degenerate, none) >= 100
 
 
 def test_upper_bound_flip_and_validation():
@@ -322,14 +309,19 @@ def test_upper_bound_flip_and_validation():
     assert (sol.x, sol.value, sol.y_ub, sol.y_upper) == ((1, 1), 2, (), (1, 1))
     assert _reduced_costs(sol, [1, 1], []) == [0, 0]
     # x1 enters at 1/2 on the row; x2 then lifts it to its bound 1, and the
-    # row's slack lifts x2 to its bound 2: two basic variables rise and leave.
-    sol = solve_lp([1, 2], a_ub=[[1, -1]], b_ub=[F(1, 2)], upper=[1, 2])
-    assert (sol.x, sol.value, sol.y_ub, sol.y_upper) == ((1, 2), 5, (0,), (1, 2))
+    # row's slack lifts x2 to its bound 1: two basic variables rise and leave.
+    sol = solve_lp([2, 1], a_ub=[[1, -1]], b_ub=[F(1, 2)], upper=[1, 1])
+    assert (sol.x, sol.value, sol.y_ub, sol.y_upper) == ((1, 1), 3, (0,), (2, 1))
     assert solve_lp([-1], upper=None).y_upper is None
     with pytest.raises(ValueError):
         solve_lp([1, 2], upper=[1])
-    with pytest.raises(ValueError):
-        solve_lp([1], upper=[F(-1, 2)])
+    # Every bound is 1: the callers box tests in [0, 1] or leave a variable free.
+    for bad in (0, 2, F(1, 2), "1/2", F(-1, 2)):
+        with pytest.raises(ValueError, match=f"upper entries must be 1 or None, got {F(bad)}$"):
+            solve_lp([1], upper=[bad])
+    for one in (1, "1", "2/2", F(1), F(2, 2)):
+        sol = solve_lp([1, 1], [[1, 1]], [F(3, 2)], upper=[one, None])
+        assert (sol.x, sol.value, sol.y_ub, sol.y_upper) == ((1, F(1, 2)), F(3, 2), (1,), (0, 0))
 
 
 def test_floats_and_bools_are_refused():
@@ -341,22 +333,24 @@ def test_floats_and_bools_are_refused():
             args = dict(good, **{key: value})
             with pytest.raises(TypeError, match="refusing"):
                 solve_lp(args["c"], args["a_ub"], args["b_ub"], upper=args["upper"])
-    sol = solve_lp([1], [[1]], ["1/10"], upper=[F(1, 5)])
+    sol = solve_lp([1], [[1]], ["1/10"], upper=["1"])
     assert (sol.x, sol.value) == ((F(1, 10),), F(1, 10))
 
 
 def test_sign_checks_on_every_input_form():
-    # The right-hand side is checked on its scaled integer and upper on its
-    # numerator: every form of a negative value is refused, and 0 is not.
+    # The right-hand side is checked on its scaled integer: every form of a
+    # negative value is refused, and 0 is not. Neither is a bound other than 1.
     for neg in (-1, "-1/3", F(-1, 3), F(-1, 10**30)):
         with pytest.raises(ValueError, match="b_ub must be nonnegative"):
             solve_lp([1, 1], [[1, 2], [F(1, 7), 1]], [1, neg])
-        with pytest.raises(ValueError, match="upper bounds must be nonnegative"):
+        with pytest.raises(ValueError, match="upper entries must be 1 or None"):
             solve_lp([1, 1], [[1, 1]], [1], upper=[None, neg])
     for zero in (0, "0", "0/5", F(0)):
-        sol = solve_lp([1, 1], [[1, 2], [F(1, 7), 1]], [1, zero], upper=[zero, None])
+        with pytest.raises(ValueError, match="upper entries must be 1 or None, got 0$"):
+            solve_lp([1, 1], [[1, 1]], [1], upper=[zero, None])
+        sol = solve_lp([1, 1], [[1, 2], [F(1, 7), 1]], [1, zero], upper=[1, None])
         assert (sol.status, sol.x, sol.value) == ("optimal", (0, 0), 0)
-        assert (sol.y_ub, sol.y_upper) == ((0, 1), (F(6, 7), 0))
+        assert (sol.y_ub, sol.y_upper) == ((0, 7), (0, 0))
 
 
 def test_value_read_off_the_tableau_matches_both_sums():
