@@ -11,8 +11,9 @@ Problem files are JSON with exact rationals as "num/den" strings:
       "alpha": "1/3"
     }
 
-The key "tail" inside a charge holds its tail mass and is therefore
-reserved as an atom label. Floats are rejected: exactness is the point.
+Any other top-level key is refused. The key "tail" inside a charge holds
+its tail mass and is therefore reserved as an atom label. Floats are
+rejected: exactness is the point.
 
 Exit codes: 0 success, 2 input problem or unwritable --json path, 3
 internal failure (certificate or solver).
@@ -85,9 +86,15 @@ def _parse_charge(space: SampleSpace, data, where: str) -> Charge:
     return charge
 
 
+_SPEC_KEYS = ("atoms", "has_tail", "p_family", "q_family", "alpha", "description")
+
+
 def parse_problem(data, alpha_override: "Fraction | None" = None) -> TestProblem:
     if not isinstance(data, dict):
         raise ValueError("top level: expected a JSON object")
+    for key in data:
+        if key not in _SPEC_KEYS:
+            raise ValueError(f"top level: unknown key {key!r}; expected {', '.join(_SPEC_KEYS)}")
     for key in ("atoms", "p_family", "q_family", "alpha"):
         if key not in data:
             raise ValueError(f"top level: missing required key {key!r}")

@@ -1,39 +1,44 @@
 """Exact simplex over rationals from the slack basis, with dual extraction.
 
 This is a small dense implementation sized for the LPs built elsewhere in
-the package: a handful of variables and a few dozen rows. Each tableau row
-is a vector of Python ints over its own positive integer denominator, so a
-pivot is integer multiply and subtract. The pivot row is put in lowest
-terms, but a row from an elimination only once its denominator passes
-``_REDUCE_BITS`` bits. Every sign test and ratio comparison below is
-invariant under a positive scaling of a row, so the deferral changes no
-pivot and no result. `fractions.Fraction`s are built in two places only:
-where the inputs are coerced (``_frac``, which refuses floats, bools and
-exponent strings), and for the nonzero entries of the result. The sign
-checks run on the scaled integers, and the optimal value is read off the
-cost row's right-hand side rather than summed as ``c . x``. Nothing is
-rounded, so "optimal" means optimal, not optimal up to a tolerance, and
-the duals returned here can be used in exact complementary slackness
-checks. Every right-hand side must be nonnegative, so the slack basis
-x = 0 is feasible and there is one phase: the callers write their
+the package: a handful of variables and a few dozen rows. The tableau is
+Python ints over one positive denominator d, the basis determinant up to
+sign, and a pivot is fraction-free (Edmonds 1967, *J. Res. NBS* 71B;
+Bareiss 1968, *Math. Comp.* 22): every other row becomes
+``(p * row - row[j] * pivot_row) // d``, an exact division, and d becomes
+the pivot p. So every entry is a minor of the scaled input, bounded by
+Hadamard's bound, with no gcd taken. Each ``a_ub`` row is scaled by the
+least common denominator of its entries, and its slack has coefficient 1
+in that scaled row, so the slack basis starts at d = 1; the right-hand
+sides share one more denominator. `fractions.Fraction`s are built in two
+places only: where the inputs are coerced (``_frac``, which refuses
+floats, bools and exponent strings), and for the nonzero entries of the
+result. The sign checks run on the integers, and the optimal value is
+read off the cost row's right-hand side rather than summed as ``c . x``.
+Nothing is rounded, so "optimal" means optimal, not optimal up to a
+tolerance, and the duals returned here can be used in exact complementary
+slackness checks. Every right-hand side must be nonnegative, so the slack
+basis x = 0 is feasible and there is one phase: the callers write their
 programs in that form.
 
 Bounds ``x_j <= 1`` stay out of the tableau (Dantzig's upper-bounding
 technique): a variable at its bound is complemented, ``x_j = 1 - x_j'``, by
-negating its column and subtracting it from the right-hand side, so no row
-denominator changes outside a pivot. The ratio test's candidates are a basic
-variable falling to 0, a boxed one rising to 1 (complemented, then pivoted
-out at 0) and the entering variable's own bound (a flip of length 1).
+negating its column and subtracting it, times the right-hand sides'
+denominator, from the right-hand side, so d changes only at a pivot. The
+ratio test's candidates are a basic variable falling to 0, a boxed one
+rising to 1 (complemented, then pivoted out at 0) and the entering
+variable's own bound (a flip of length 1).
 
 Pricing. The entering column is the one with the most negative reduced
-cost, ties to the smaller index, except right after a step of length 0
-(the winning ratio was 0), when it is Bland's: the smallest index with a
-negative reduced cost. The candidate is always Bland's: the smallest
-variable index among tied ratios, a flip counting as the entering index.
-Each step is a pivot of the same LP with explicit rows ``x_j + s_j = 1``
-under the order ``x_0 < s_0 < x_1 < ... < slacks``: a flip is ``x_s``
-entering for ``s_s``, a rise is ``s_B`` leaving, and at most one of each
-pair is nonbasic or a candidate.
+cost as the tableau holds it, ties to the smaller index, so a slack is
+priced in its scaled row: at its row's dual over the row's scale. Right
+after a step of length 0 (the winning ratio was 0) it is Bland's instead:
+the smallest index with a negative reduced cost. The candidate is always
+Bland's: the smallest variable index among tied ratios, a flip counting as
+the entering index. Each step is a pivot of the same LP with explicit rows
+``x_j + s_j = 1`` under the order ``x_0 < s_0 < x_1 < ... < slacks``: a
+flip is ``x_s`` entering for ``s_s``, a rise is ``s_B`` leaving, and at
+most one of each pair is nonbasic or a candidate.
 
 Termination. The entering reduced cost is negative, so a step of nonzero
 length, every flip included, strictly improves the objective, and no basis
@@ -69,11 +74,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 _MAX_PIVOTS = 200_000
-
-# A row from an elimination is divided by its gcd once its denominator has
-# more bits than this.
-_REDUCE_BITS = 256
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -128,29 +128,6 @@ def _scale(values: list[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
 
-def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
-    """``row/den`` in lowest terms."""
-    g = math.gcd(den, *row)
-    if g > 1:
-        row = [v // g for v in row]
-        den //= g
-    return row, den
-
-
-def _eliminate(
-    row: list[int], den: int, prow: list[int], pd: int, f: int
-) -> tuple[list[int], int]:
-    """``row/den - (f/den) * prow/pd`` as integers over a positive denominator.
-
-    The result is reduced only once its denominator passes ``_REDUCE_BITS``.
-    """
-    row = [a * pd - f * b for a, b in zip(row, prow)]
-    den *= pd
-    if den.bit_length() > _REDUCE_BITS:
-        return _reduce(row, den)
-    return row, den
-
-
 def solve_lp(
     c: Sequence[Fraction],
     a_ub: "Sequence[Sequence[Fraction]] | None" = None,
@@ -172,20 +149,22 @@ def solve_lp(
     m = len(body)
     n_cols = n + m
 
-    # The tableau: row r is the integer vector rows[r] over the positive
-    # denominator dens[r], with row r's slack in column n + r, basic at the
-    # start. Row m is the reduced-cost row of the internal problem,
-    # min -c . x; the slacks cost 0, so it starts as -c, with right-hand
-    # side 0. Every step keeps its last entry at the value of c . x at the
-    # current basis, which is where the optimal value is read.
+    # The tableau: integer rows over the denominator d. Row r is a_ub row r
+    # times scales[r], the lcm of its entries' denominators, with its slack
+    # (coefficient 1) in column n + r, basic at the start, so d = 1. The
+    # last column holds the right-hand sides times rden. Row m is the
+    # reduced-cost row of the internal problem, min -c . x, times cden; it
+    # starts as -c, and its last entry holds c . x at the current basis.
+    rden = math.lcm(*(b.denominator for b in rhs))
     rows: list[list[int]] = []
-    dens: list[int] = []
+    scales: list[int] = []
     for r in range(m):
-        scaled, den = _scale(body[r] + [rhs[r]])
-        if scaled[n] < 0:
+        scaled, scale = _scale(body[r])
+        b = rhs[r].numerator * (rden // rhs[r].denominator) * scale
+        if b < 0:
             raise ValueError("b_ub must be nonnegative, so that the slack basis is feasible")
-        rows.append(scaled[:n] + [den if i == r else 0 for i in range(m)] + scaled[n:])
-        dens.append(den)
+        rows.append(scaled + [0] * r + [1] + [0] * (m - r - 1) + [b])
+        scales.append(scale)
     # boxed[j]: x_j <= 1. The slacks are free.
     boxed = [False] * n_cols
     if upper is not None:
@@ -200,29 +179,32 @@ def solve_lp(
     basis = list(range(n, n_cols))
     cost, cden = _scale(c_raw)
     rows.append([-v for v in cost] + [0] * (m + 1))
-    dens.append(cden)
+    d = 1
 
     def pivot(r: int, j: int) -> None:
+        nonlocal d
         prow = rows[r]
-        pd = prow[j]
-        if pd < 0:
-            prow = [-v for v in prow]
-            pd = -pd
-        prow, pd = _reduce(prow, pd)
-        rows[r], dens[r] = prow, pd
+        p = prow[j]
+        if p < 0:
+            prow = rows[r] = [-v for v in prow]
+            p = -p
         for i in range(m + 1):
             if i != r:
-                f = rows[i][j]
-                if f:
-                    rows[i], dens[i] = _eliminate(rows[i], dens[i], prow, pd, f)
+                row = rows[i]
+                if f := row[j]:
+                    rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+                elif p != d:
+                    rows[i] = [p * a // d for a in row]
+        d = p
         basis[r] = j
 
     def complement(j: int) -> None:
         # Substitute x_j = 1 - x_j' in every row. For a basic x_j only its
-        # own row changes, and the pivot that follows takes x_j' out at 0.
+        # own row changes, and the pivot that follows negates that row and
+        # takes x_j' out at 0.
         for row in rows:
             if a := row[j]:
-                row[n_cols] -= a
+                row[n_cols] -= a * rden
                 row[j] = -a
         comp[j] = not comp[j]
 
@@ -230,8 +212,9 @@ def solve_lp(
         bland = False
         for _ in range(_MAX_PIVOTS):
             cost = rows[m]
-            # The cost row shares one positive denominator, so its integers
-            # compare as the reduced costs do.
+            # The cost row has one positive denominator, so its integers
+            # compare as the reduced costs do, with each slack priced in its
+            # scaled row.
             if bland:
                 enter = next((j for j in range(n_cols) if cost[j] < 0), -1)
             else:
@@ -239,19 +222,20 @@ def solve_lp(
                 enter = cost.index(lo) if lo < 0 else -1
             if enter < 0:
                 return "optimal"
-            # Candidate steps are ratios t_n / t_d with t_d > 0, compared
-            # crosswise, ties to the smaller variable index; row m stands for
-            # the entering variable's own bound.
+            # Candidate steps are ratios t_n / (t_d * rden) with t_d > 0,
+            # compared crosswise, ties to the smaller variable index; row m
+            # stands for the entering variable's own bound.
             leave = key = -1
             best_n = best_d = 0
             if boxed[enter]:
-                leave, key, best_n, best_d = m, enter, 1, 1
+                leave, key, best_n, best_d = m, enter, rden, 1
+            top = d * rden
             for r in range(m):
                 a = rows[r][enter]
-                if a > 0:  # falls to 0 at b_r / a_r; the row denominators cancel
+                if a > 0:  # falls to 0 at b_r / a_r
                     t_n, t_d = rows[r][n_cols], a
-                elif a < 0 and boxed[basis[r]]:  # rises to 1 at (d_r - b_r) / -a_r
-                    t_n, t_d = dens[r] - rows[r][n_cols], -a
+                elif a < 0 and boxed[basis[r]]:  # rises to 1 at (d * rden - b_r) / -a_r
+                    t_n, t_d = top - rows[r][n_cols], -a
                 else:
                     continue
                 if leave < 0 or t_n * best_d < best_n * t_d or (
@@ -271,12 +255,13 @@ def solve_lp(
 
     if run() == "unbounded":
         return LpSolution("unbounded")
-    cost, cden = rows[m], dens[m]
+    cost = rows[m]
+    yden = d * cden
 
     x = [ZERO] * n
     for r in range(m):
         if basis[r] < n and (v := rows[r][n_cols]):
-            x[basis[r]] = Fraction(v, dens[r])
+            x[basis[r]] = Fraction(v, d * rden)
     # A complemented x_j sits at its bound 1, and its column's reduced cost
     # cbar' is -cbar_j: the bound row takes y_upper = cbar' and leaves x_j a
     # reduced cost of 0.
@@ -285,16 +270,19 @@ def solve_lp(
         if comp[j]:
             x[j] = ONE - x[j] if x[j] else ONE
             if cost[j]:
-                y_upper[j] = Fraction(cost[j], cden)
+                y_upper[j] = Fraction(cost[j], yden)
 
-    # Row r's slack column (+e_r, cost 0) has the final reduced cost y_r;
-    # complementing columns leaves y = c_B B^-1 unchanged.
-    y_ub = tuple(Fraction(v, cden) if v else ZERO for v in cost[n:n_cols])
+    # Row r's slack column (+e_r, cost 0) has the final reduced cost of the
+    # scaled row's dual, y_r / scales[r]; complementing columns leaves
+    # y = c_B B^-1 unchanged.
+    y_ub = tuple(
+        Fraction(s * v, yden) if v else ZERO for s, v in zip(scales, cost[n:n_cols])
+    )
 
     return LpSolution(
         status="optimal",
         x=tuple(x),
-        value=Fraction(cost[n_cols], cden),
+        value=Fraction(cost[n_cols], yden * rden),
         y_ub=y_ub,
         y_eq=(),
         y_upper=None if upper is None else tuple(y_upper),

@@ -3,14 +3,17 @@
 This is the original all-`Fraction` implementation of
 :func:`robustnp.simplex.solve_lp`, with the library's entering rule: the
 most negative reduced cost, ties to the smaller index, and Bland's
-smallest index right after a step whose winning ratio is 0. The library's
-integer tableau makes the same pivots, so the two must return equal
-:class:`~robustnp.simplex.LpSolution` values on every input; the tests in
-``test_simplex.py`` compare them.
+smallest index right after a step whose winning ratio is 0. An ``a_ub``
+row's slack is priced at its reduced cost over the least common
+denominator of the row's entries, the scale the library's tableau gives
+that row. The library's integer tableau makes the same pivots, so the two
+must return equal :class:`~robustnp.simplex.LpSolution` values on every
+input; the tests in ``test_simplex.py`` compare them.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -80,6 +83,12 @@ def solve_lp(
             col += 1
     n_cols = col
     art_cols = frozenset(art_col.values())
+    # The library scales a ub row by the least common denominator L of its
+    # entries, so it prices that row's slack at cbar / L.
+    weight = [ONE] * n_cols
+    for r, (kind, orig, _) in enumerate(meta):
+        if kind == "ub":
+            weight[slack_col[r]] = Fraction(1, math.lcm(*(v.denominator for v in rows_ub[orig])))
 
     tableau: list[list[Fraction]] = []
     basis: list[int] = []
@@ -138,7 +147,7 @@ def solve_lp(
             for j in range(n_cols):
                 if j in banned or cbar[j] >= 0:
                     continue
-                if enter < 0 or cbar[j] < cbar[enter]:
+                if enter < 0 or cbar[j] * weight[j] < cbar[enter] * weight[enter]:
                     enter = j
                 if bland:
                     break

@@ -163,6 +163,21 @@ def test_alpha_out_of_range_in_the_spec_is_an_input_error(tmp_path, capsys):
         assert captured.err == "error: alpha must lie strictly between 0 and 1, got 3/2\n"
 
 
+def test_unknown_top_level_key_is_an_input_error(tmp_path, capsys):
+    # A misspelt "has_tail" must not be solved as a tail-free problem.
+    expected = "atoms, has_tail, p_family, q_family, alpha, description"
+    spec = write_spec(tmp_path, dict(SMALL, has_tial=True))
+    for command in ("solve", "np", "check"):
+        assert run([command, spec]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: top level: unknown key 'has_tial'; expected {expected}\n"
+    with pytest.raises(ValueError, match="unknown key 'Alpha'"):
+        parse_problem(dict(SMALL, Alpha="1/2"))
+    # The optional keys are accepted.
+    assert run(["solve", write_spec(tmp_path, dict(SMALL, description="text"))]) == EXIT_OK
+
+
 def test_pure_tail_alternative_reports_no_representation(tmp_path, capsys):
     # All of Q's mass is on the tail, so lam = 0: the verifiers' own guard
     # supplies the reason, and there is no beta.

@@ -251,6 +251,35 @@ def test_integer_tableau_matches_fraction_reference():
     assert degenerate >= 30 and big >= 30
 
 
+def test_scaled_slack_pricing_and_the_shared_rhs_denominator_match_the_reference():
+    # Draw 1510 of _random_lp(random.Random(2016)): its pivots differ
+    # between pricing a slack at its reduced cost and at that cost over its
+    # row's scale, 3, 2, 1 and 6 here.
+    c = [F(-2), F(-1), F(-2, 3), F(-2)]
+    a_ub = [[F(-1, 3), F(1), F(-1), F(2)], [F(2), F(0), F(-2), F(0)],
+            [F(1), F(0), F(2), F(0)], [F(0), F(1, 3), F(1, 2), F(-2, 3)]]
+    b_ub = [F(1), F(3), F(7, 2), F(1, 4)]
+    assert _in_sense(c, a_ub, b_ub, "min") == fraction_solve_lp(c, a_ub, b_ub, sense="min")
+    # Row scales 2, 3 and 2; the right-hand sides' denominators 5, 7 and 11
+    # are coprime to them.
+    c = [F(3), F(2), F(1), F(-1, 2)]
+    a_ub = [[F(1, 2), F(1), F(1, 2), F(0)], [F(1), F(1, 3), F(2, 3), F(-1, 3)],
+            [F(-1, 2), F(1, 2), F(1), F(1, 2)]]
+    b_ub = [F(7, 5), F(9, 7), F(3, 11)]
+    for sense in ("max", "min"):
+        sol = _in_sense(c, a_ub, b_ub, sense)
+        assert sol == fraction_solve_lp(c, a_ub, b_ub, sense=sense)
+    assert sol.x == (0, 0, 0, F(6, 11))
+    # Under x <= 1, x1 ends at its bound: a complement moves the right-hand
+    # sides by multiples of their shared denominator.
+    sol = solve_lp(c, a_ub, b_ub, upper=[1] * 4)
+    box = [[F(int(j == k)) for j in range(4)] for k in range(4)]
+    ref = fraction_solve_lp(c, a_ub + box, b_ub + [F(1)] * 4, sense="max")
+    assert (sol.x, sol.value) == (ref.x, ref.value) == ((1, F(9, 10), 0, F(3, 70)), F(669, 140))
+    assert sol.y_ub + sol.y_upper == ref.y_ub
+    assert sol.y_upper == (F(3, 4), 0, 0, 0)
+
+
 def _random_bounds(rng, n):
     """One upper bound per variable: None or 1, the only bounds solve_lp takes."""
     return [None if rng.random() < 0.4 else F(1) for _ in range(n)]
