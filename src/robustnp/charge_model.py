@@ -118,9 +118,14 @@ class Charge:
         return cls(space, tuple(masses.get(a, 0) for a in space.atoms), tail)
 
     @cached_property
+    def scaled(self) -> tuple[list[int], int]:
+        """The slot masses, tail last (0 with no tail), as ``(integers, their denominator)``."""
+        return _scale([*self.atom_mass, self.tail_mass])
+
+    @cached_property
     def total(self) -> Fraction:
         """The total mass, summed once in integers over a common denominator."""
-        masses, den = _scale([*self.atom_mass, self.tail_mass])
+        masses, den = self.scaled
         return Fraction(sum(masses), den)
 
     @property
@@ -167,6 +172,11 @@ class TestFunction:
             raise ValueError("tail value on a space without a tail atom")
         if tail.numerator < 0 or tail.numerator > tail.denominator:
             raise ValueError("test values must lie in [0, 1]")
+
+    @cached_property
+    def scaled(self) -> tuple[list[int], int]:
+        """The slot values, tail last (0 with no tail), as ``(integers, their denominator)``."""
+        return _scale([*self.atom_value, self.tail_value])
 
     @classmethod
     def from_slots(cls, space: SampleSpace, values: Sequence[Fraction]) -> "TestFunction":
@@ -222,10 +232,7 @@ def expectation(charge: Charge, x: TestFunction) -> Fraction:
     """Integral of ``x`` against ``charge``, tail slot included."""
     if charge.space != x.space:
         raise ValueError("charge and test live on different sample spaces")
-    # Sum in integers, the masses and the values each over their common
-    # denominator.
-    masses, dm = _scale([*charge.atom_mass, charge.tail_mass])
-    values, dv = _scale([*x.atom_value, x.tail_value])
+    (masses, dm), (values, dv) = charge.scaled, x.scaled
     return Fraction(sum([m * v for m, v in zip(masses, values) if m]), dm * dv)
 
 
@@ -254,15 +261,18 @@ def mix(charges: Sequence[Charge], weights: Sequence[RationalLike]) -> Charge:
     for c in charges:
         if c.space != space:
             raise ValueError("all charges must share one sample space")
-    # Sum in integers, each charge's masses over their common denominator.
-    rows = [_scale([*c.atom_mass, c.tail_mass]) for c in charges]
-    scaled, dw = _scale(ws)
-    den = math.lcm(*[d for _, d in rows])
-    acc = [0] * (space.n_atoms + 1)
-    for a, (masses, d) in zip(scaled, rows):
-        if a:
-            f = a * (den // d)
-            acc = [s + f * m if m else s for s, m in zip(acc, masses)]
-    den *= dw
+    acc, den = _mixed(charges, *_scale(ws))
     out = [Fraction(s, den) if s else ZERO for s in acc]
     return Charge(space, tuple(out[:-1]), out[-1])
+
+
+def _mixed(charges: Sequence[Charge], weights: list[int], den: int) -> tuple[list[int], int]:
+    """The slots of sum_i (weights[i] / den) c_i, tail last, as integers over one denominator."""
+    lcm = math.lcm(*[c.scaled[1] for c in charges])
+    acc = [0] * (charges[0].space.n_atoms + 1)
+    for a, c in zip(weights, charges):
+        if a:
+            masses, d = c.scaled
+            f = a * (lcm // d)
+            acc = [s + f * m if m else s for s, m in zip(acc, masses)]
+    return acc, lcm * den

@@ -68,7 +68,6 @@ of the alternative supports, and the least attained level is max_i P_i(S).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -80,9 +79,12 @@ from .charge_model import (
     SampleSpace,
     SublinearExpectation,
     TestFunction,
+    _mixed,
+    expectation,
     frac,
     lower_expectation,
     mix,
+    upper_expectation,
 )
 from .neyman_pearson import _ratio_classes
 from .simplex import _scale, solve_lp
@@ -290,10 +292,8 @@ def _lift_dual_support(prob: TestProblem, p_rows, q_rows, gamma: Fraction, u, v,
     that some optimal dual charges.
     """
     mq, mp = len(q_rows), len(p_rows)
-    cand = [
-        j for j, q in enumerate(q_rows)
-        if u[j] == 0 and sum((a * b for a, b in zip(q, x0) if a), ZERO) == gamma
-    ]
+    x, qs = TestFunction.from_slots(prob.space, x0), prob.q_family.family
+    cand = [j for j in range(mq) if u[j] == 0 and expectation(qs[j], x) == gamma]
     if not cand:
         return u, v, w
     nv = prob.space.n_slots
@@ -364,16 +364,8 @@ def _null_side_mixture(prob: TestProblem, p_rows, lam_qc: Charge, lam, gamma_c):
     return mix(prob.p_family.family, weights), weights, ONE - res.value
 
 
-def _cmp(num: int, den: int, f: Fraction) -> int:
-    """Sign of num/den - f, for den > 0."""
-    lhs, rhs = num * f.denominator, f.numerator * den
-    return (lhs > rhs) - (lhs < rhs)
-
-
 def _build_certificate(
     prob: TestProblem,
-    p_rows,
-    q_rows,
     x: TestFunction,
     gamma: Fraction,
     attained: Fraction,
@@ -384,70 +376,52 @@ def _build_certificate(
 ) -> DualCertificate:
     """Recompute feasibility, the duality gap and the case split exactly.
 
-    The arithmetic runs on integers: the test, each member row and each
-    multiplier vector are kept over their least common denominator, and a
-    ``Fraction`` is built only for a reported value or an error message.
+    The multipliers are checked as integers over their least common
+    denominators, and the levels, the power and the mixtures' slot sums
+    come from the integer forms of the charge model, so a ``Fraction`` is
+    built only for an expectation, a reported value or an error message.
     """
-    nv = prob.space.n_slots
-    if len(u) != len(prob.q_family) or len(v) != len(prob.p_family) or len(w) != nv:
+    nv, ps, qs = prob.space.n_slots, prob.p_family.family, prob.q_family.family
+    if len(u) != len(qs) or len(v) != len(ps) or len(w) != nv:
         raise CertificateError("certificate has the wrong shape for this problem")
     (us, du), (vs, dv), (ws, dw) = _scale(u), _scale(v), _scale(w)
     if any(val < 0 for val in us + vs + ws):
         raise CertificateError("dual multipliers must be nonnegative")
     if sum(us) != du:
         raise CertificateError(f"alternative weights sum to {sum(u, ZERO)}, expected 1")
-    xs, dx = _scale(x.slot_values())
-    q_sc, p_sc = [_scale(q) for q in q_rows], [_scale(p) for p in p_rows]
-    # E_C[x] as (numerator, denominator) for every member C.
-    q_vals = [(sum(m * xk for m, xk in zip(qs, xs) if m), dq * dx) for qs, dq in q_sc]
-    p_vals = [(sum(m * xk for m, xk in zip(ps, xs) if m), dp * dx) for ps, dp in p_sc]
-    for i, (num, den) in enumerate(p_vals):
-        if _cmp(num, den, prob.alpha) > 0:
+    levels = [expectation(p, x) for p in ps]
+    for i, val in enumerate(levels):
+        if val > prob.alpha:
             raise CertificateError(
-                f"test exceeds level: null member {i} integrates to "
-                f"{Fraction(num, den)} > {prob.alpha}"
+                f"test exceeds level: null member {i} integrates to {val} > {prob.alpha}"
             )
-    if min(_cmp(num, den, gamma) for num, den in q_vals) != 0:
-        power = min(Fraction(num, den) for num, den in q_vals)
+    if (power := min(expectation(q, x) for q in qs)) != gamma:
         raise CertificateError(f"worst-case power of the test is {power}, claimed {gamma}")
-    # slack_k = (sum_i v_i p_i + w - sum_j u_j q_j)[k], as integers over den.
-    lq, lp = math.lcm(*[d for _, d in q_sc]), math.lcm(*[d for _, d in p_sc])
-    den = math.lcm(du * lq, dv * lp, dw)
-    fq, fp = den // (du * lq), den // (dv * lp)
-    slack = [wk * (den // dw) for wk in ws]
-    for vi, (ps, d) in zip(vs, p_sc):
-        if vi:
-            f = vi * fp * (lp // d)
-            slack = [s + f * m if m else s for s, m in zip(slack, ps)]
-    for uj, (qs, d) in zip(us, q_sc):
-        if uj:
-            f = uj * fq * (lq // d)
-            slack = [s - f * m if m else s for s, m in zip(slack, qs)]
-    for k, val in enumerate(slack):
-        if val < 0:
-            lhs = sum((uj * q[k] for uj, q in zip(u, q_rows)), ZERO)
+    # sum_j u_j q_j <= sum_i v_i p_i + w slot by slot, cross-multiplied.
+    (qm, dq), (pm, dp) = _mixed(qs, us, du), _mixed(ps, vs, dv)
+    fq, fp, fw = dp * dw, dq * dw, dq * dp
+    for k, (a, b, c) in enumerate(zip(qm, pm, ws)):
+        if a * fq > b * fp + c * fw:
             raise CertificateError(
-                f"dual infeasible at slot {k}: mixture mass {lhs} exceeds "
-                f"{lhs + Fraction(val, den)}"
+                f"dual infeasible at slot {k}: mixture mass {Fraction(a, dq)} exceeds "
+                f"{Fraction(b, dp) + Fraction(c, dw)}"
             )
     gap = prob.alpha * Fraction(sum(vs), dv) + Fraction(sum(ws), dw) - gamma
     if gap != 0:
         raise CertificateError(f"duality gap is {gap}, expected 0")
     # (u, v, w) and x are optimal now, so v fixes the least level (see Solution).
     if any(vs):
-        least = [(prob.alpha.numerator, prob.alpha.denominator)]
-    else:
-        support = [k for k in range(nv) if any(qs[k] for qs, _ in q_sc)]
-        least = [(sum(ps[k] for k in support), d) for ps, d in p_sc]
-    if max(_cmp(num, d, attained) for num, d in least) != 0:
+        least = prob.alpha
+    else:  # the indicator of the union of the alternative supports, tail last
+        on = [ONE if any(col) else ZERO for col in zip(*[q.scaled[0] for q in qs])]
+        least = upper_expectation(prob.p_family, TestFunction(prob.space, on[:-1], on[-1]))
+    if least != attained:
         raise CertificateError(
-            f"claimed attained level {attained}, the certificate proves "
-            f"{max(Fraction(num, d) for num, d in least)}"
+            f"claimed attained level {attained}, the certificate proves {least}"
         )
-    if max(_cmp(num, d, attained) for num, d in p_vals) != 0:
+    if max(levels) != attained:
         raise CertificateError(
-            f"test reaches level {max(Fraction(num, d) for num, d in p_vals)}, "
-            f"claimed attained level {attained}"
+            f"test reaches level {max(levels)}, claimed attained level {attained}"
         )
     if case is not (Case.LEVEL_SLACK if attained < prob.alpha else Case.LEVEL_ATTAINED):
         raise CertificateError(f"case {case.value} disagrees with attained level {attained}")
@@ -491,9 +465,7 @@ def solve_minimax(prob: TestProblem) -> Solution:
             p_alpha = mix(prob.p_family.family, p_weights)
         else:
             p_alpha, p_weights, level_c = _null_side_mixture(prob, p_rows, lam_qc, lam, gamma_c)
-    certificate = _build_certificate(
-        prob, p_rows, q_rows, x_alpha, gamma, attained, case, u, v, w
-    )
+    certificate = _build_certificate(prob, x_alpha, gamma, attained, case, u, v, w)
     return Solution(
         x_alpha=x_alpha,
         gamma_alpha=gamma,
@@ -521,15 +493,8 @@ def kkt_certificate(prob: TestProblem, sol: Solution) -> DualCertificate:
     """
     cert = sol.certificate
     return _build_certificate(
-        prob,
-        *_slot_rows(prob),
-        sol.x_alpha,
-        sol.gamma_alpha,
-        sol.attained_level,
-        sol.case,
-        list(cert.q_constraint_duals),
-        list(cert.level_duals),
-        list(cert.box_duals),
+        prob, sol.x_alpha, sol.gamma_alpha, sol.attained_level, sol.case,
+        list(cert.q_constraint_duals), list(cert.level_duals), list(cert.box_duals),
     )
 
 

@@ -33,6 +33,15 @@ proves: there v = 0 and the value is 1), and otherwise "threshold", or
 boundary values, violation count and support precondition
 max_i P_i(supp lam_qc) >= alpha are rederived from its ``kappa``.
 
+The fields that read off the spec's masses alone are recomputed. beta is
+min_i P_i of the atoms outside supp lam_qc, plus the tail, and
+``beta_criterion_matches_case`` says whether beta > 1 - alpha exactly when
+the case is LevelSlack; both are null when lam = 0. The ``hypotheses``
+flags read off the largest tail masses p_tail and q_tail of the two
+families: h1 is p_tail = 0 or q_tail = 0, h3 is p_tail < 1 and q_tail < 1,
+and ``continuity_p`` and ``continuity_q`` are p_tail = 0 and q_tail = 0.
+``witnesses`` has one key for each False flag.
+
 An ``np`` report is checked from its ``kappa``: with w_k = max(q_k -
 kappa p_k, 0) and kappa >= 0, every test y with E_p[y] <= alpha has
 E_q[y] <= kappa * alpha + sum w, so a feasible test with that power is
@@ -40,7 +49,10 @@ optimal.
 
     python tests/_report_checker.py SPEC REPORT
 
-exits 0 when the report is accepted and 1, with the reason, when not.
+exits 0 when the report is accepted and 1, with the reason, when not. A
+missing field, or one of the wrong JSON type, is a rejection that names
+the field: a ``check`` report given as REPORT is rejected with
+``problem: missing``. A file that cannot be read as JSON exits 2.
 """
 
 from __future__ import annotations
@@ -60,43 +72,85 @@ def _require(ok: bool, why: str) -> None:
         raise ReportRejected(why)
 
 
-def _rational(entry) -> Fraction:
+def _number(value, what: str) -> Fraction:
+    """A rational written as a JSON int or a "num/den" string."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ReportRejected(f"{what}: not a rational number")
+
+
+class _Fields(dict):
+    """A JSON object whose missing or mistyped fields are named when read.
+
+    ``path`` is the object's own name followed by a dot ("" for a report).
+    """
+
+    def __init__(self, obj, path: str = ""):
+        _require(isinstance(obj, dict), f"{path[:-1] or 'report'}: not an object")
+        super().__init__(obj)
+        self.path = path
+
+    def __missing__(self, key):
+        raise ReportRejected(f"{self.path}{key}: missing")
+
+    def obj(self, key: str) -> "_Fields":
+        return _Fields(self[key], f"{self.path}{key}.")
+
+    def array(self, key: str) -> list:
+        _require(isinstance(self[key], list), f"{self.path}{key}: not a list")
+        return self[key]
+
+    def rational(self, key: str) -> Fraction:
+        return _rational(self[key], self.path + key)
+
+    def rationals(self, key: str) -> list[Fraction]:
+        return [_rational(e, f"{self.path}{key}[{i}]") for i, e in enumerate(self.array(key))]
+
+
+def _rational(entry, what: str) -> Fraction:
     """A report rational: an object whose "exact" string is "num/den"."""
-    return Fraction(entry["exact"])
+    return _number(_Fields(entry, what + ".")["exact"], what)
 
 
 class _Spec:
     """A problem spec's slot labels and members as Fraction vectors."""
 
     def __init__(self, spec: dict):
-        self.atoms = list(spec["atoms"])
+        spec = _Fields(spec, "spec.")
+        self.atoms = spec.array("atoms")
         self.has_tail = bool(spec.get("has_tail", False))
         self.labels = self.atoms + (["tail"] if self.has_tail else [])
-        self.alpha = Fraction(spec["alpha"])
-        self.p = [self._slots(c) for c in spec["p_family"]]
-        self.q = [self._slots(c) for c in spec["q_family"]]
+        self.alpha = _number(spec["alpha"], "spec.alpha")
+        self.p, self.q = (
+            [self._slots(c, f"spec.{name}[{i}]") for i, c in enumerate(spec.array(name))]
+            for name in ("p_family", "q_family")
+        )
 
-    def _slots(self, charge: dict) -> list[Fraction]:
+    def _slots(self, charge, what: str) -> list[Fraction]:
+        charge = _Fields(charge, what + ".")
         _require(set(charge) <= set(self.labels), f"spec: unknown labels in {charge}")
-        slots = [Fraction(charge.get(label, 0)) for label in self.labels]
+        slots = [_number(charge.get(label, 0), charge.path + label) for label in self.labels]
         _require(sum(slots) == 1 and min(slots) >= 0, f"spec: {charge} is no probability")
         return slots
 
-    def vector(self, obj: dict, what: str) -> list[Fraction]:
+    def vector(self, obj: _Fields) -> list[Fraction]:
         """A report's per-slot object, keyed by label, as a slot vector."""
-        _require(sorted(obj) == sorted(self.labels), f"{what}: keys {sorted(obj)}")
-        return [_rational(obj[label]) for label in self.labels]
+        _require(sorted(obj) == sorted(self.labels), f"{obj.path[:-1]}: keys {sorted(obj)}")
+        return [obj.rational(label) for label in self.labels]
 
 
 def _dot(a: list[Fraction], b: list[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def _feasible_test(spec: _Spec, report: dict, alpha: Fraction) -> tuple[list, Fraction]:
+def _feasible_test(spec: _Spec, report: _Fields, alpha: Fraction) -> tuple[list, Fraction]:
     """The reported test as a vector, after checking its range and level."""
-    x = spec.vector(report["test"], "test")
+    x = spec.vector(report.obj("test"))
     _require(all(0 <= xk <= 1 for xk in x), "test: a value lies outside [0, 1]")
-    attained = _rational(report["attained_level"])
+    attained = report.rational("attained_level")
     level = max(_dot(p, x) for p in spec.p)
     _require(level == attained, f"attained_level: test reaches {level}, report says {attained}")
     _require(attained <= alpha, f"attained_level {attained} exceeds alpha {alpha}")
@@ -104,19 +158,19 @@ def _feasible_test(spec: _Spec, report: dict, alpha: Fraction) -> tuple[list, Fr
 
 
 def _check_representation(
-    spec: _Spec, report: dict, x: list, q_alpha: list, alpha: Fraction, attained: Fraction
+    spec: _Spec, report: _Fields, x: list, q_alpha: list, alpha: Fraction, attained: Fraction
 ) -> None:
     """Accept the ``representation`` object of a ``solve`` report, and its ``lambda``."""
     n = len(spec.atoms)
     lam = 1 - sum(q_alpha[n:])
-    _require(_rational(report["lambda"]) == lam, f"lambda: q_alpha has countable mass {lam}")
-    rep = report["representation"]
+    _require(report.rational("lambda") == lam, f"lambda: q_alpha has countable mass {lam}")
+    rep = report.obj("representation")
     if lam == 0:
         form = "none"
     elif attained < alpha:
         form = "degenerate"
     else:
-        pw = [_rational(e) for e in report["p_weights"]]
+        pw = report.rationals("p_weights")
         _require(len(pw) == len(spec.p), "p_weights: one weight per null member expected")
         _require(min(pw) >= 0 and sum(pw) == 1, f"p_weights: {pw} is not a probability vector")
         tau_pc = [_dot(pw, col) for col in zip(*spec.p)][:n]
@@ -124,18 +178,18 @@ def _check_representation(
     _require(rep["form"] == form, f"representation.form {rep['form']}, the masses say {form}")
     if form == "none":
         return
-    _require(_rational(rep["lambda"]) == lam, f"representation.lambda: lam is {lam}")
+    _require(rep.rational("lambda") == lam, f"representation.lambda: lam is {lam}")
     if form == "degenerate":
         # The form asks x = 1 wherever lam_qc has mass.
         for label, xk, qk in zip(spec.atoms, x, q_alpha):
             _require(xk == 1 or qk == 0, f"representation: test is {xk} on lam_qc's atom {label}")
         _require(rep["verdict"] is True, "representation.verdict: the form holds")
         _require(rep["gamma_consistent"] is True, "representation.gamma_consistent: it holds")
-        _require(rep["violations"] == [], "representation.violations: the form holds")
+        _require(rep.array("violations") == [], "representation.violations: the form holds")
         return
     tau = sum(tau_pc)
-    _require(_rational(rep["tau"]) == tau, f"representation.tau: tau_pc has mass {tau}")
-    kappa = _rational(rep["kappa"])
+    _require(rep.rational("tau") == tau, f"representation.tau: tau_pc has mass {tau}")
+    kappa = rep.rational("kappa")
     _require(kappa >= 0, f"representation.kappa {kappa} is negative")
     classes, boundary, broken = {}, {}, 0
     for label, xk, pk, qk in zip(spec.atoms, x, tau_pc, q_alpha):
@@ -148,9 +202,11 @@ def _check_representation(
         else:
             classes[label], boundary[label] = "boundary", xk
     _require(rep["classification"] == classes, f"representation.classification: not {classes}")
-    b_values = {label: _rational(e) for label, e in rep["b_values"].items()}
+    reported = rep.obj("b_values")
+    b_values = {label: reported.rational(label) for label in reported}
     _require(b_values == boundary, f"representation.b_values: the test gives {boundary}")
-    _require(len(rep["violations"]) == broken, f"representation.violations: kappa gives {broken}")
+    broken_ok = len(rep.array("violations")) == broken
+    _require(broken_ok, f"representation.violations: kappa gives {broken}")
     _require(rep["verdict"] == (broken == 0), f"representation.verdict: {broken} violations")
     support = max(sum(pk for pk, qk in zip(p, q_alpha[:n]) if qk) for p in spec.p)
     _require(
@@ -159,28 +215,64 @@ def _check_representation(
     )
 
 
+def _check_masses(
+    spec: _Spec, report: _Fields, q_alpha: list, alpha: Fraction, attained: Fraction
+) -> None:
+    """Accept ``beta``, ``beta_criterion_matches_case`` and ``hypotheses``."""
+    n = len(spec.atoms)
+    if not any(q_alpha[:n]):
+        _require(report["beta"] is None, "beta: lam is 0, so beta is null")
+        _require(
+            report["beta_criterion_matches_case"] is None,
+            "beta_criterion_matches_case: lam is 0, so it is null",
+        )
+    else:
+        # The atoms outside supp lam_qc, and the tail.
+        unseen = [not qk for qk in q_alpha[:n]] + [True] * (len(spec.labels) - n)
+        beta = min(sum(pk for pk, s in zip(p, unseen) if s) for p in spec.p)
+        _require(report.rational("beta") == beta, f"beta: the masses give {beta}")
+        matches = (attained < alpha) == (beta > 1 - alpha)
+        _require(
+            report["beta_criterion_matches_case"] is matches,
+            f"beta_criterion_matches_case: beta {beta} and the attained level give {matches}",
+        )
+    p_tail, q_tail = (max(sum(c[n:]) for c in family) for family in (spec.p, spec.q))
+    flags = {
+        "h1": p_tail == 0 or q_tail == 0,
+        "h3": p_tail < 1 and q_tail < 1,
+        "continuity_p": p_tail == 0,
+        "continuity_q": q_tail == 0,
+    }
+    hyp = report.obj("hypotheses")
+    for key, flag in flags.items():
+        _require(hyp[key] is flag, f"hypotheses.{key}: tail masses {p_tail}, {q_tail} give {flag}")
+    false = sorted(key for key, flag in flags.items() if not flag)
+    witnesses = sorted(hyp.obj("witnesses"))
+    _require(witnesses == false, f"hypotheses.witnesses: keys {witnesses}, false flags {false}")
+
+
 def check_solve(spec_data: dict, report: dict) -> None:
     """Accept a ``solve`` report or raise :class:`ReportRejected`."""
-    spec = _Spec(spec_data)
-    problem = report["problem"]
+    spec, report = _Spec(spec_data), _Fields(report)
+    problem = report.obj("problem")
     _require(
         (problem["atoms"], problem["has_tail"], problem["p_members"], problem["q_members"])
         == (spec.atoms, spec.has_tail, len(spec.p), len(spec.q)),
         "problem: does not describe the spec",
     )
-    alpha = _rational(problem["alpha"])
+    alpha = problem.rational("alpha")
     _require(0 < alpha < 1, f"problem.alpha {alpha} is not in (0, 1)")
     x, attained = _feasible_test(spec, report, alpha)
-    q_alpha = spec.vector(report["q_alpha"], "q_alpha")
+    q_alpha = spec.vector(report.obj("q_alpha"))
     _check_representation(spec, report, x, q_alpha, alpha, attained)
-    value = _rational(report["value"])
+    value = report.rational("value")
     power = min(_dot(q, x) for q in spec.q)
     _require(power == value, f"value: test's worst-case power is {power}, report says {value}")
 
-    cert = report["certificate"]
-    u = [_rational(e) for e in report["q_weights"]]
-    v = [_rational(e) for e in cert["level_duals"]]
-    w = spec.vector(cert["box_duals"], "certificate.box_duals")
+    cert = report.obj("certificate")
+    u = report.rationals("q_weights")
+    v = cert.rationals("level_duals")
+    w = spec.vector(cert.obj("box_duals"))
     _require(len(u) == len(spec.q), "q_weights: one weight per alternative member expected")
     _require(len(v) == len(spec.p), "level_duals: one dual per null member expected")
     _require(min(u) >= 0 and sum(u) == 1, f"q_weights: {u} is not a probability vector")
@@ -201,6 +293,7 @@ def check_solve(spec_data: dict, report: dict) -> None:
     _require(attained == least, f"attained_level {attained}, the duals prove {least}")
     case = "LevelSlack" if attained < alpha else "LevelAttained"
     _require(report["case"] == case, f"case {report['case']}, the levels say {case}")
+    _check_masses(spec, report, q_alpha, alpha, attained)
 
 
 def check_np(spec_data: dict, report: dict, alpha: "Fraction | None" = None) -> None:
@@ -208,15 +301,15 @@ def check_np(spec_data: dict, report: dict, alpha: "Fraction | None" = None) -> 
 
     ``alpha`` is the spec's unless given, as it is under ``np --alpha``.
     """
-    spec = _Spec(spec_data)
+    spec, report = _Spec(spec_data), _Fields(report)
     _require(len(spec.p) == len(spec.q) == 1, "spec: np needs one charge per family")
     (p,), (q,) = spec.p, spec.q
     alpha = spec.alpha if alpha is None else Fraction(alpha)
     x, attained = _feasible_test(spec, report, alpha)
-    power = _rational(report["power"])
+    power = report.rational("power")
     _require(_dot(q, x) == power, f"power: test reaches {_dot(q, x)}, report says {power}")
     _require(report["level_slack"] == (attained < alpha), "level_slack: disagrees with level")
-    kappa = _rational(report["kappa"])
+    kappa = report.rational("kappa")
     _require(kappa >= 0, f"kappa {kappa} is negative")
     dual = kappa * alpha + sum(max(qk - kappa * pk, 0) for pk, qk in zip(p, q))
     _require(dual == power, f"power {power} is not the bound {dual} that kappa proves")
@@ -226,9 +319,14 @@ def main(argv: "list[str]") -> int:
     if len(argv) != 2:
         print("usage: _report_checker.py SPEC REPORT", file=sys.stderr)
         return 2
-    spec, report = (json.loads(Path(path).read_text(encoding="utf-8")) for path in argv)
     try:
-        (check_np if "kappa" in report else check_solve)(spec, report)
+        spec, report = (json.loads(Path(path).read_text(encoding="utf-8")) for path in argv)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        is_np = isinstance(report, dict) and "kappa" in report
+        (check_np if is_np else check_solve)(spec, report)
     except ReportRejected as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 1

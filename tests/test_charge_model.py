@@ -341,6 +341,25 @@ def test_atom_part_and_tail_mass_round_trip(data):
         assert mix([c.atom_part(), tail_part(c)], [1, 1]) == c
 
 
+_weights = st.one_of(
+    st.just(F(0)), st.builds(F, st.integers(0, 9), st.sampled_from([1, 2, 5, 7, 12]))
+)
+
+
+@given(_space_charge_tests(), st.data())
+def test_mix_matches_the_fraction_sum(data, draw):
+    # mix sums in integers, as the certificate's slot check does; slot by
+    # slot it must equal the Fraction sum. The members get a charge with x's
+    # values as masses (mixed denominators, any total) and weights with
+    # mixed denominators, zeros included.
+    fam, (x,) = data
+    members = [*fam.family, Charge(fam.space, x.atom_value, x.tail_value)]
+    weights = [draw.draw(_weights) for _ in members]
+    slots = [c.slot_masses() for c in members]
+    want = [sum((w * m[k] for w, m in zip(weights, slots)), F(0)) for k in range(len(slots[0]))]
+    assert mix(members, weights).slot_masses() == want
+
+
 def test_sign_and_range_checks_see_tiny_excesses():
     # The checks read numerators and denominators; a step of 10^-30 past
     # either end of the range must still be caught.

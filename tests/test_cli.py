@@ -605,14 +605,38 @@ def test_checker_rejects_nudged_solve_reports(solve_reports):
             entries.append((rep, "lambda", "^representation.lambda: "))
         if rep["form"] == "threshold":
             entries.append((rep, "tau", "^representation.tau: "))
+        if report["beta"] is not None:
+            entries.append((report, "beta", "^beta: "))
         rejected += _rejects_each_nudge(checker.check_solve, spec, report, entries)
         rejected += _rejects_each_representation_edit(spec, report)
+        rejected += _rejects_each_mass_edit(spec, report)
         case = report["case"]
         report["case"] = {"LevelSlack": "LevelAttained", "LevelAttained": "LevelSlack"}[case]
         with pytest.raises(checker.ReportRejected, match="^case "):
             checker.check_solve(spec, report)
         report["case"] = case
     assert rejected > 10 * len(solve_reports)
+
+
+def _rejects_each_mass_edit(spec, report):
+    """Flip the beta criterion and each hypothesis flag, and edit beta and the witnesses."""
+    criterion = report["beta_criterion_matches_case"]
+    edits = [({"beta_criterion_matches_case": not criterion}, "beta_criterion_matches_case")]
+    if report["beta"] is None:
+        edits.append(({"beta": _exact(0)}, "beta"))
+    hyp = report["hypotheses"]
+    witnesses = hyp["witnesses"]
+    for key in ("h1", "h3", "continuity_p", "continuity_q"):
+        edits.append(({"hypotheses": dict(hyp, **{key: not hyp[key]})}, f"hypotheses.{key}"))
+        # A witness for a flag that holds, or none for one that fails.
+        moved = {k: text for k, text in witnesses.items() if k != key}
+        if key not in witnesses:
+            moved[key] = "edited"
+        edits.append(({"hypotheses": dict(hyp, witnesses=moved)}, "hypotheses.witnesses"))
+    for edit, key in edits:
+        with pytest.raises(checker.ReportRejected, match=f"^{key}: "):
+            checker.check_solve(spec, dict(report, **edit))
+    return len(edits)
 
 
 def _rejects_each_representation_edit(spec, report):
@@ -742,6 +766,83 @@ def test_checker_names_each_broken_claim(tmp_path):
     for spec, edit, pattern in np_cases:
         with pytest.raises(checker.ReportRejected, match=pattern):
             checker.check_np(spec, dict(np_report, **edit))
+
+
+def test_checker_names_a_missing_or_mistyped_field(tmp_path, capsys):
+    # A report that lacks a field or holds one of the wrong JSON type is a
+    # rejection naming the field, never a KeyError or TypeError.
+    three = json.loads((FIXTURES / "three_atom.json").read_text())
+    dirac = json.loads((FIXTURES / "dirac.json").read_text())
+    ((_, report),) = _reports(tmp_path, "solve", [three])
+    ((_, np_report),) = _reports(tmp_path, "np", [dirac])
+    assert report["representation"]["form"] == "threshold"
+
+    solve_cases = [
+        (lambda r: r.pop("value"), "value: missing"),
+        (lambda r: r.update(value="1"), "value: not an object"),
+        (lambda r: r["value"].pop("exact"), "value.exact: missing"),
+        (lambda r: r["value"].update(exact="1/0"), "value: not a rational number"),
+        (lambda r: r["problem"]["alpha"].update(exact=None), "problem.alpha: not a rational"),
+        (lambda r: r["problem"].pop("p_members"), "problem.p_members: missing"),
+        (lambda r: r.update(test=[]), "test: not an object"),
+        (lambda r: r["test"].update(w2={"exact": True}), "test.w2: not a rational number"),
+        (lambda r: r.update(q_weights={}), "q_weights: not a list"),
+        (lambda r: r["q_weights"].__setitem__(0, 1), r"q_weights\[0\]: not an object"),
+        (lambda r: r["certificate"].pop("box_duals"), "certificate.box_duals: missing"),
+        (lambda r: r["certificate"].update(level_duals="0"), "certificate.level_duals: not a list"),
+        (lambda r: r["representation"].pop("kappa"), "representation.kappa: missing"),
+        (lambda r: r["representation"].update(violations=0), "representation.violations: not a"),
+        (lambda r: r["representation"].update(b_values=[]), "representation.b_values: not an"),
+        (lambda r: r.pop("hypotheses"), "hypotheses: missing"),
+        (lambda r: r["hypotheses"].update(witnesses=[]), "hypotheses.witnesses: not an object"),
+        (lambda r: r.pop("beta"), "beta: missing"),
+    ]
+    for edit, message in solve_cases:
+        bad = copy.deepcopy(report)
+        edit(bad)
+        with pytest.raises(checker.ReportRejected, match=f"^{message}"):
+            checker.check_solve(three, bad)
+    for bad, message in (({}, "problem: missing"), ([report], "report: not an object")):
+        with pytest.raises(checker.ReportRejected, match=f"^{message}$"):
+            checker.check_solve(three, bad)
+    for edit, message in ((lambda r: r.pop("power"), "power: missing"),
+                          (lambda r: r.update(kappa="0"), "kappa: not an object")):
+        bad = copy.deepcopy(np_report)
+        edit(bad)
+        with pytest.raises(checker.ReportRejected, match=f"^{message}$"):
+            checker.check_np(dirac, bad)
+    # The spec's fields are named too.
+    spec_cases = [
+        ({k: v for k, v in three.items() if k != "atoms"}, "spec.atoms: missing"),
+        (dict(three, p_family={}), "spec.p_family: not a list"),
+        (dict(three, q_family=[{"w1": "x"}]), r"spec.q_family\[0\].w1: not a rational number"),
+    ]
+    for spec, message in spec_cases:
+        with pytest.raises(checker.ReportRejected, match=f"^{message}$"):
+            checker.check_solve(spec, report)
+
+    # From the command line: exit 1 with the field named, as for any
+    # rejection; a check report is not a solve report. A file that is not
+    # JSON is an input error, exit 2.
+    spec_path = write_spec(tmp_path, three, "three.json")
+    check_report = tmp_path / "check.json"
+    assert run(["check", spec_path, "--json", check_report]) == EXIT_OK
+    (tmp_path / "a.json").write_text('{"a": 1}')
+    (tmp_path / "bad.json").write_text("{")
+    capsys.readouterr()
+    for name, code, err in (
+        ("a.json", 1, "rejected: problem: missing\n"),
+        ("check.json", 1, "rejected: problem: missing\n"),
+        ("bad.json", 2, "error: "),
+    ):
+        assert checker.main([str(spec_path), str(tmp_path / name)]) == code, name
+        assert capsys.readouterr().err.startswith(err), name
+    script = Path(checker.__file__)
+    done = subprocess.run(
+        [sys.executable, str(script), str(spec_path), str(tmp_path / "a.json")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", "rejected: problem: missing\n")
 
 
 def test_checker_imports_only_the_standard_library():

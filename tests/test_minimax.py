@@ -11,6 +11,7 @@ from pathlib import Path
 
 import _reference_threshold as reference
 import pytest
+from hypothesis import given, settings, strategies as st
 from _fraction_certificate import kkt_certificate as fraction_certificate
 from _fraction_simplex import solve_lp as fraction_solve_lp
 
@@ -986,3 +987,63 @@ def test_every_lp_starts_from_the_slack_basis_and_the_lift_finds_the_face_suppor
         assert s >= 1
         assert prob.alpha * sum(v) / s + sum(w) / s == sol.gamma_alpha
     assert min(seen.values()) >= 10 and len(seen) == 7, seen
+
+
+@st.composite
+def _permuted_problems(draw):
+    """A problem from 3x1x2 to 40x10x10 (atoms x |P| x |Q|) and a permutation of each axis.
+
+    The masses are small integers normalised, so ratios tie often. Up to
+    20x5x5, Q may also repeat a member or take one from P, as in the
+    degenerate instances above; at 40x10x10 such a copy makes the lift's
+    LP take from 3 to 71 s, so that cell draws plain members.
+    """
+    n, mp, mq = draw(st.sampled_from([(3, 1, 2), (6, 2, 6), (12, 3, 3), (20, 5, 5), (40, 10, 10)]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    prob = _ladder_problem(rng, n, mp, mq, has_tail=draw(st.booleans()))
+    p_fam, q_fam = prob.p_family.family, list(prob.q_family.family)
+    if n <= 20 and draw(st.booleans()):
+        q_fam[rng.randrange(mq)] = rng.choice(p_fam + tuple(q_fam))
+    prob = TestProblem(
+        prob.space, prob.p_family, SublinearExpectation(tuple(q_fam), "alternative"), prob.alpha
+    )
+    perms = [draw(st.permutations(range(k))) for k in (n, mp, mq)]
+    return prob, perms
+
+
+def _permuted(prob, atoms, p_order, q_order):
+    """``prob`` with its atoms, null members and alternative members reordered."""
+    space = SampleSpace(tuple(prob.space.atoms[i] for i in atoms), prob.space.has_tail)
+
+    def moved(c):
+        return Charge(space, tuple(c.atom_mass[i] for i in atoms), c.tail_mass)
+
+    p_fam = tuple(moved(prob.p_family.family[i]) for i in p_order)
+    q_fam = tuple(moved(prob.q_family.family[j]) for j in q_order)
+    return TestProblem(
+        space,
+        SublinearExpectation(p_fam, "null"),
+        SublinearExpectation(q_fam, "alternative"),
+        prob.alpha,
+    )
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(_permuted_problems())
+def test_permutations_leave_the_value_level_case_and_support_in_place(drawn):
+    # Past the oracle's 6 variables: permuting the atoms, the null members
+    # or the alternative members is a relabelling, so the value, the least
+    # attained level and the case stay exactly the same, and the maximal
+    # support of q_weights moves with the alternative members.
+    prob, (atoms, p_order, q_order) = drawn
+    sol = solve_minimax(prob)
+    support = [w > 0 for w in sol.q_weights]
+    identity = [list(range(k)) for k in (len(atoms), len(p_order), len(q_order))]
+    for axis, perm in enumerate((atoms, p_order, q_order)):
+        orders = list(identity)
+        orders[axis] = perm
+        moved = solve_minimax(_permuted(prob, *orders))
+        assert (moved.gamma_alpha, moved.attained_level, moved.case) == (
+            sol.gamma_alpha, sol.attained_level, sol.case
+        ), axis
+        assert [w > 0 for w in moved.q_weights] == [support[j] for j in orders[2]], axis
