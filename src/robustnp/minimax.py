@@ -255,10 +255,10 @@ def _solve_epigraph(prob: TestProblem, p_rows, q_rows):
     if res.status != "optimal":
         raise RuntimeError(f"epigraph program ended {res.status}; it is always solvable")
     u, v, w = list(res.y_ub[:mq]), list(res.y_ub[mq:]), list(res.y_upper[:-1])
-    return res.value, u, v, w, list(res.x[:-1])
+    return res.value, u, v, w, TestFunction.from_slots(prob.space, res.x[:-1])
 
 
-def _lift_dual_support(prob: TestProblem, p_rows, q_rows, gamma: Fraction, u, v, w, x0):
+def _lift_dual_support(prob: TestProblem, gamma: Fraction, u, v, w, x0: TestFunction):
     """Widen the dual point to charge every member that some optimal dual charges.
 
     Only a member with u_j = 0 whose row is tight at the optimal test x0 is
@@ -290,35 +290,40 @@ def _lift_dual_support(prob: TestProblem, p_rows, q_rows, gamma: Fraction, u, v,
     candidate. A positive value gives s >= 1, and the average of (u, v, w)
     and the point divided by s lies on the face and charges every member
     that some optimal dual charges.
+
+    In u, slot row k would be scaled by the lcm of every member's
+    denominator, and a fraction-free tableau entry is a minor of the scaled
+    input (Bareiss 1968): they reached 3000 bits at 40x10x10. So the LP is
+    in u'_j = u_j / den_j and v'_i = v_i / den_i, for den a member's
+    ``scaled`` denominator: slot row k holds the members' integers, the gap
+    row -gamma den_j and alpha den_i, and candidate row t_j - den_j u'_j <= 0.
     """
-    mq, mp = len(q_rows), len(p_rows)
-    x, qs = TestFunction.from_slots(prob.space, x0), prob.q_family.family
-    cand = [j for j in range(mq) if u[j] == 0 and expectation(qs[j], x) == gamma]
+    qs, ps = prob.q_family.family, prob.p_family.family
+    cand = [j for j, q in enumerate(qs) if u[j] == 0 and expectation(q, x0) == gamma]
     if not cand:
         return u, v, w
-    nv = prob.space.n_slots
-    n_face, nc = mq + mp + nv, len(cand)
-    # Over (u, v, w, t): a row per slot, the gap row, a row per candidate.
+    mq, mp, nv, nc = len(qs), len(ps), prob.space.n_slots, len(cand)
+    n_face, dens = mq + mp + nv, [c.scaled[1] for c in qs + ps]
+    # Over (u', v', w, t): a row per slot, the gap row, a row per candidate.
     face_a = [
-        [q[k] for q in q_rows] + [-p[k] for p in p_rows]
-        + [-ONE if i == k else ZERO for i in range(nv)] + [ZERO] * nc
+        [q.scaled[0][k] for q in qs] + [-p.scaled[0][k] for p in ps]
+        + [-1 if i == k else 0 for i in range(nv)] + [0] * nc
         for k in range(nv)
     ]
-    face_a.append([-gamma] * mq + [prob.alpha] * mp + [ONE] * nv + [ZERO] * nc)
+    gap = [d * (prob.alpha if j >= mq else -gamma) for j, d in enumerate(dens)]
+    face_a.append(gap + [1] * nv + [0] * nc)
     for r, j in enumerate(cand):
-        row = [ZERO] * (n_face + nc)
-        row[j], row[n_face + r] = -ONE, ONE
+        row = [0] * (n_face + nc)
+        row[j], row[n_face + r] = -dens[j], 1
         face_a.append(row)
-    res = solve_lp(
-        [ZERO] * n_face + [ONE] * nc, face_a, [ZERO] * len(face_a),
-        upper=[None] * n_face + [ONE] * nc,
-    )
+    res = solve_lp([ZERO] * n_face + [ONE] * nc, face_a, [ZERO] * len(face_a),
+                   upper=[None] * n_face + [ONE] * nc)
     if res.status != "optimal":
         raise RuntimeError(f"dual face program ended {res.status}")
     if res.value == 0:
         return u, v, w
-    s = sum(res.x[:mq], ZERO)
-    avg = [(a + b / s) / 2 for a, b in zip(u + v + w, res.x)]
+    s = sum((d * a for d, a in zip(dens, res.x[:mq])), ZERO)
+    avg = [(a + d * b / s) / 2 for a, b, d in zip(u + v + w, res.x, dens + [1] * nv)]
     return avg[:mq], avg[mq : mq + mp], avg[mq + mp :]
 
 
@@ -425,11 +430,7 @@ def _build_certificate(
         )
     if case is not (Case.LEVEL_SLACK if attained < prob.alpha else Case.LEVEL_ATTAINED):
         raise CertificateError(f"case {case.value} disagrees with attained level {attained}")
-    return DualCertificate(
-        q_constraint_duals=tuple(u),
-        level_duals=tuple(v),
-        box_duals=tuple(w),
-    )
+    return DualCertificate(tuple(u), tuple(v), tuple(w))
 
 
 def solve_minimax(prob: TestProblem) -> Solution:
@@ -441,7 +442,7 @@ def solve_minimax(prob: TestProblem) -> Solution:
     """
     p_rows, q_rows = _slot_rows(prob)
     gamma, u0, v0, w0, x0 = _solve_epigraph(prob, p_rows, q_rows)
-    u, v, w = _lift_dual_support(prob, p_rows, q_rows, gamma, u0, v0, w0, x0)
+    u, v, w = _lift_dual_support(prob, gamma, u0, v0, w0, x0)
     if sum(u, ZERO) != ONE:
         raise RuntimeError(
             f"interior dual point has alternative weights summing to {sum(u, ZERO)}"
@@ -455,9 +456,8 @@ def solve_minimax(prob: TestProblem) -> Solution:
         gamma_c, p_alpha, p_weights, level_c = ZERO, None, None, None
     else:
         # Step 4's shortcuts, argued in the module docstring.
-        has_tail = prob.space.has_tail
-        if not has_tail or x0[-1] == 0 or not any(vi and p[-1] for vi, p in zip(v, p_rows)):
-            gamma_c, v_c = gamma - (w[-1] if has_tail else ZERO), v
+        if x0.tail_value == 0 or not any(vi and p[-1] for vi, p in zip(v, p_rows)):
+            gamma_c, v_c = gamma - (w[-1] if x0.tail_value else ZERO), v
         else:
             gamma_c, v_c = _countable_value(prob, p_rows, lam_qc)
         if (s := sum(v_c, ZERO)) > 0:

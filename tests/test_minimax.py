@@ -11,7 +11,7 @@ from pathlib import Path
 
 import _reference_threshold as reference
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from _fraction_certificate import kkt_certificate as fraction_certificate
 from _fraction_simplex import solve_lp as fraction_solve_lp
 
@@ -30,6 +30,7 @@ from robustnp import (
     kkt_certificate,
     lower_expectation,
     minimax,
+    mix,
     solve_lp,
     solve_minimax,
     upper_expectation,
@@ -693,6 +694,15 @@ def _ladder_problem(rng, n, mp, mq, has_tail=True):
     )
 
 
+def _copied_problem(seed):
+    """A 40x10x10 ladder problem whose Q has one member replaced by a copy of a P member."""
+    rng = random.Random(seed)
+    prob = _ladder_problem(rng, 40, 10, 10, has_tail=seed % 2 == 0)
+    q_fam = list(prob.q_family.family)
+    q_fam[rng.randrange(10)] = rng.choice(prob.p_family.family)
+    return dataclasses.replace(prob, q_family=SublinearExpectation(tuple(q_fam), "alternative"))
+
+
 def _auxiliary_dual_value(prob, p_weights, lam_qc, gamma_c):
     """Best auxiliary dual objective with the level multipliers ``p_weights``.
 
@@ -982,33 +992,76 @@ def test_every_lp_starts_from_the_slack_basis_and_the_lift_finds_the_face_suppor
             seen["lift of value 0"] += 1
             continue
         seen["lift of positive value"] += 1
-        u, v, w = res.x[:mq], res.x[mq : mq + mp], res.x[mq + mp : n_all]
+        # The lift solves for u_j / den_j and v_i / den_i, den the members' scale.
+        u = [c.scaled[1] * a for c, a in zip(prob.q_family.family, res.x[:mq])]
+        v = [c.scaled[1] * a for c, a in zip(prob.p_family.family, res.x[mq : mq + mp])]
+        w = res.x[mq + mp : n_all]
         s = sum(u)
         assert s >= 1
         assert prob.alpha * sum(v) / s + sum(w) / s == sol.gamma_alpha
     assert min(seen.values()) >= 10 and len(seen) == 7, seen
 
 
-@st.composite
-def _permuted_problems(draw):
-    """A problem from 3x1x2 to 40x10x10 (atoms x |P| x |Q|) and a permutation of each axis.
+def test_the_lift_writes_its_slot_rows_in_the_members_integers(monkeypatch):
+    # The lift's LP is over u_j / den_j and v_i / den_i, den a member's
+    # scale, so each slot row holds the members' scaled integers as ints and
+    # solve_lp scales it by 1, not by the lcm of every member's denominator.
+    # Over that lcm, the two copied 40x10x10 instances below took 2 s and
+    # 6 s on a 2-vCPU Xeon; over the members' integers, 0.2 s each.
+    lifts = []
 
-    The masses are small integers normalised, so ratios tie often. Up to
-    20x5x5, Q may also repeat a member or take one from P, as in the
-    degenerate instances above; at 40x10x10 such a copy makes the lift's
-    LP take from 3 to 71 s, so that cell draws plain members.
+    def recording(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_lift_dual_support":
+            lifts.append(args[1])
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(minimax, "solve_lp", recording)
+    rng = random.Random(1985)
+    problems = [_degenerate_problem(rng) for _ in range(40)] + [_copied_problem(s) for s in (0, 2)]
+    lifted = []
+    for prob in problems:
+        lifts.clear()
+        sol = solve_minimax(prob)
+        kkt_certificate(prob, sol)
+        lifted.append(bool(lifts))
+        if not lifts:
+            continue
+        (a_ub,) = lifts
+        qs, ps, nv = prob.q_family.family, prob.p_family.family, prob.space.n_slots
+        mq, dens = len(qs), [c.scaled[1] for c in qs + ps]
+        for k, row in enumerate(a_ub[:nv]):
+            assert all(type(e) is int for e in row)
+            assert row[: len(dens)] == [q.scaled[0][k] for q in qs] + [-p.scaled[0][k] for p in ps]
+        gamma, alpha = sol.gamma_alpha, prob.alpha
+        assert a_ub[nv][: len(dens)] == [-gamma * d for d in dens[:mq]] + [alpha * d for d in dens[mq:]]
+        for row in a_ub[nv + 1 :]:
+            (j,) = [j for j, e in enumerate(row[:mq]) if e]
+            assert row[j] == -dens[j] and sorted(row) == [-dens[j]] + [0] * (len(row) - 2) + [1]
+    assert lifted[-2:] == [True, True] and sum(lifted) >= 10, lifted
+
+
+def _drawn_problem(draw):
+    """A problem from 3x1x2 to 40x10x10 (atoms x |P| x |Q|), with or without a tail.
+
+    The masses are small integers normalised, so ratios tie often. Q may
+    also repeat a member or take one from P, as in the degenerate
+    instances above.
     """
     n, mp, mq = draw(st.sampled_from([(3, 1, 2), (6, 2, 6), (12, 3, 3), (20, 5, 5), (40, 10, 10)]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     prob = _ladder_problem(rng, n, mp, mq, has_tail=draw(st.booleans()))
     p_fam, q_fam = prob.p_family.family, list(prob.q_family.family)
-    if n <= 20 and draw(st.booleans()):
+    if draw(st.booleans()):
         q_fam[rng.randrange(mq)] = rng.choice(p_fam + tuple(q_fam))
-    prob = TestProblem(
-        prob.space, prob.p_family, SublinearExpectation(tuple(q_fam), "alternative"), prob.alpha
-    )
-    perms = [draw(st.permutations(range(k))) for k in (n, mp, mq)]
-    return prob, perms
+    return dataclasses.replace(prob, q_family=SublinearExpectation(tuple(q_fam), "alternative"))
+
+
+@st.composite
+def _permuted_problems(draw):
+    """A drawn problem (see ``_drawn_problem``) and a permutation of each axis."""
+    prob = _drawn_problem(draw)
+    sizes = (prob.space.n_atoms, len(prob.p_family), len(prob.q_family))
+    return prob, [draw(st.permutations(range(k))) for k in sizes]
 
 
 def _permuted(prob, atoms, p_order, q_order):
@@ -1047,3 +1100,71 @@ def test_permutations_leave_the_value_level_case_and_support_in_place(drawn):
             sol.gamma_alpha, sol.attained_level, sol.case
         ), axis
         assert [w > 0 for w in moved.q_weights] == [support[j] for j in orders[2]], axis
+
+
+@st.composite
+def _extended_problems(draw):
+    """A drawn problem, an atom to split, and a mixture and a place for it in each family."""
+    prob = _drawn_problem(draw)
+    mixtures = []
+    for fam in (prob.p_family.family, prob.q_family.family):
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(fam), max_size=len(fam))
+                       .filter(any))
+        mixtures.append((weights, draw(st.integers(0, len(fam)))))
+    return prob, draw(st.integers(0, prob.space.n_atoms - 1)), mixtures
+
+
+def _split(prob, k):
+    """``prob`` with atom k split in two, each half carrying half of every member's mass on k."""
+    atoms = prob.space.atoms
+    space = SampleSpace(atoms[: k + 1] + (f"{atoms[k]}s",) + atoms[k + 1 :], prob.space.has_tail)
+
+    def halved(c):
+        m = c.atom_mass
+        return Charge(space, m[:k] + (m[k] / 2, m[k] / 2) + m[k + 1 :], c.tail_mass)
+
+    return TestProblem(
+        space,
+        SublinearExpectation(tuple(map(halved, prob.p_family.family)), "null"),
+        SublinearExpectation(tuple(map(halved, prob.q_family.family)), "alternative"),
+        prob.alpha,
+    )
+
+
+def _with_mixture(prob, side, weights, at):
+    """``prob`` with the mixture of one family's members by ``weights`` inserted at ``at``."""
+    family = getattr(prob, side)
+    fam = list(family.family)
+    fam.insert(at, mix(fam, [F(wt, sum(weights)) for wt in weights]))
+    return dataclasses.replace(prob, **{side: SublinearExpectation(tuple(fam), family.role)})
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(_extended_problems())
+@example((_copied_problem(0), 17, (([1] * 10, 10), ([1, 0, 2, 0, 0, 0, 0, 0, 0, 3], 5))))
+def test_splits_and_mixtures_leave_the_value_level_case_and_support_in_place(drawn):
+    # Past the oracle's 6 variables. Splitting an atom in two halves maps
+    # tests onto tests with the same integrals (x_k = the halves' average).
+    # A mixture of P members never integrates above the largest member, and
+    # a mixture of Q members never below the smallest, so neither moves the
+    # worst-case level or power of any test. So the value, the least
+    # attained level and the case stay exactly the same. A dual point of
+    # the extended problem maps onto one of the original with the mixture's
+    # weight spread over its members, so the maximal support of q_weights
+    # stays in place, and a Q mixture is charged exactly when every member
+    # it weighs is.
+    prob, k, ((p_weights, p_at), (q_weights, q_at)) = drawn
+    sol = solve_minimax(prob)
+    support = [w > 0 for w in sol.q_weights]
+    q_support = list(support)
+    q_support.insert(q_at, all(s for s, wt in zip(support, q_weights) if wt))
+    for name, moved, want in (
+        ("split", _split(prob, k), support),
+        ("P mixture", _with_mixture(prob, "p_family", p_weights, p_at), support),
+        ("Q mixture", _with_mixture(prob, "q_family", q_weights, q_at), q_support),
+    ):
+        other = solve_minimax(moved)
+        assert (other.gamma_alpha, other.attained_level, other.case) == (
+            sol.gamma_alpha, sol.attained_level, sol.case
+        ), name
+        assert [w > 0 for w in other.q_weights] == want, name
