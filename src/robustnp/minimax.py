@@ -49,8 +49,11 @@ part) reach a target, written in complements y = 1 - x and s = 1 - t
 The target is gamma <= 1 or gamma_c <= lam, so every right-hand side is
 nonnegative and y = 0, s = 0 is a feasible slack basis, where the simplex
 starts. At the optimum s = 1 - level >= 1 - alpha > 0 is basic, so its
-reduced cost is 0 and the level-row duals sum to exactly 1: they are the
-null mixture's weights as they stand. The dual face program of step 2 is
+reduced cost is 0 and the level-row multipliers sum to exactly 1: they are
+the null mixture's weights as they stand. Each row of the layout holds one
+charge's ``scaled`` integers, as ints over its denominator den, so the
+simplex takes it as it is and its dual comes back over den; a stage reads
+the multiplier as den times the dual. The dual face program of step 2 is
 the transpose of the epigraph program, written as a cone (see
 `_lift_dual_support`), so its right-hand sides are 0 and it starts from
 the slack basis too. The test box goes to the simplex as variable bounds;
@@ -224,37 +227,33 @@ class RepresentationReport:
     precondition_grid: bool
 
 
-def _slot_rows(prob: TestProblem) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """The null and alternative members' masses in slot order."""
-    return (
-        [p.slot_masses() for p in prob.p_family.family],
-        [q.slot_masses() for q in prob.q_family.family],
-    )
-
-
 def _epigraph_program(t_rows, cap_rows, caps):
     """max t : t <= E_r[x] for r in t_rows, E_c[x] <= cap_c for c in cap_rows, 0 <= x <= 1.
 
-    Returns ``(c, a_ub, b_ub, upper)`` over (x, t); the t rows come first,
-    so the row duals split in that order, and the box is the bounds
-    ``upper``, whose duals are w. With ``caps`` nonnegative, x = 0, t = 0
-    is a feasible basis.
+    The rows are charges, each written as ints over its ``scaled``
+    denominator den: a t row reads den t - ints . x <= 0 and a cap row
+    ints . x <= cap_c den, the scale ``solve_lp`` would pick for the
+    masses, so a row's dual comes back over den. Returns ``(c, a_ub, b_ub,
+    upper)`` over (x, t); the t rows come first, so the row duals split in
+    that order, and the box is the bounds ``upper``, whose duals are w.
+    With ``caps`` nonnegative, x = 0, t = 0 is a feasible basis.
     """
-    nv = len(t_rows[0])
-    a_ub = [[-val if val else ZERO for val in r] + [ONE] for r in t_rows]
-    a_ub += [list(r) + [ZERO] for r in cap_rows]
-    b_ub = [ZERO] * len(t_rows) + list(caps)
-    return [ZERO] * nv + [ONE], a_ub, b_ub, [ONE] * nv + [None]
+    nv = t_rows[0].space.n_slots
+    a_ub = [[-m for m in r.scaled[0][:nv]] + [r.scaled[1]] for r in t_rows]
+    a_ub += [r.scaled[0][:nv] + [0] for r in cap_rows]
+    b_ub = [ZERO] * len(t_rows) + [cap * r.scaled[1] for r, cap in zip(cap_rows, caps)]
+    return [0] * nv + [1], a_ub, b_ub, [ONE] * nv + [None]
 
 
-def _solve_epigraph(prob: TestProblem, p_rows, q_rows):
+def _solve_epigraph(prob: TestProblem):
     """Max worst-case power via the epigraph LP: value, duals (u, v, w), test x0."""
-    mq = len(q_rows)
-    c, a_ub, b_ub, upper = _epigraph_program(q_rows, p_rows, [prob.alpha] * len(p_rows))
+    qs, ps = prob.q_family.family, prob.p_family.family
+    c, a_ub, b_ub, upper = _epigraph_program(qs, ps, [prob.alpha] * len(ps))
     res = solve_lp(c, a_ub, b_ub, upper=upper)
     if res.status != "optimal":
         raise RuntimeError(f"epigraph program ended {res.status}; it is always solvable")
-    u, v, w = list(res.y_ub[:mq]), list(res.y_ub[mq:]), list(res.y_upper[:-1])
+    duals = [m.scaled[1] * y for m, y in zip(qs + ps, res.y_ub)]
+    u, v, w = duals[: len(qs)], duals[len(qs) :], list(res.y_upper[:-1])
     return res.value, u, v, w, TestFunction.from_slots(prob.space, res.x[:-1])
 
 
@@ -316,7 +315,7 @@ def _lift_dual_support(prob: TestProblem, gamma: Fraction, u, v, w, x0: TestFunc
         row = [0] * (n_face + nc)
         row[j], row[n_face + r] = -dens[j], 1
         face_a.append(row)
-    res = solve_lp([ZERO] * n_face + [ONE] * nc, face_a, [ZERO] * len(face_a),
+    res = solve_lp([0] * n_face + [1] * nc, face_a, [ZERO] * len(face_a),
                    upper=[None] * n_face + [ONE] * nc)
     if res.status != "optimal":
         raise RuntimeError(f"dual face program ended {res.status}")
@@ -327,9 +326,10 @@ def _lift_dual_support(prob: TestProblem, gamma: Fraction, u, v, w, x0: TestFunc
     return avg[:mq], avg[mq : mq + mp], avg[mq + mp :]
 
 
-def _min_attained_level(prob: TestProblem, p_rows, q_rows, gamma: Fraction):
+def _min_attained_level(prob: TestProblem, gamma: Fraction):
     """Among optimal tests, minimize the worst-case null level (in complements)."""
-    c, a_ub, b_ub, upper = _epigraph_program(p_rows, q_rows, [ONE - gamma] * len(q_rows))
+    qs = prob.q_family.family
+    c, a_ub, b_ub, upper = _epigraph_program(prob.p_family.family, qs, [ONE - gamma] * len(qs))
     res = solve_lp(c, a_ub, b_ub, upper=upper)
     if res.status != "optimal":
         raise RuntimeError(f"level program ended {res.status}")
@@ -337,17 +337,22 @@ def _min_attained_level(prob: TestProblem, p_rows, q_rows, gamma: Fraction):
     return TestFunction.from_slots(prob.space, x), ONE - res.value
 
 
-def _countable_value(prob: TestProblem, p_rows, lam_qc: Charge):
-    """Best integral of the countably additive part at level alpha, with the level duals."""
-    b_ub = [prob.alpha] * len(p_rows)
-    upper = [ONE] * prob.space.n_slots
-    res = solve_lp(lam_qc.slot_masses(), p_rows, b_ub, upper=upper)
+def _countable_value(prob: TestProblem, lam_qc: Charge):
+    """Best integral of the countably additive part at level alpha, with the level duals.
+
+    Its rows are the null members' integers, as the epigraph's cap rows,
+    and its objective is ``lam_qc``'s, so the value comes back times
+    ``lam_qc``'s den and row i's dual times that den over member i's.
+    """
+    ps, nv, (lam, den) = prob.p_family.family, prob.space.n_slots, lam_qc.scaled
+    b_ub = [prob.alpha * p.scaled[1] for p in ps]
+    res = solve_lp(lam[:nv], [p.scaled[0][:nv] for p in ps], b_ub, upper=[ONE] * nv)
     if res.status != "optimal":
         raise RuntimeError(f"countable part program ended {res.status}")
-    return res.value, list(res.y_ub)
+    return res.value / den, [p.scaled[1] * y / den for p, y in zip(ps, res.y_ub)]
 
 
-def _null_side_mixture(prob: TestProblem, p_rows, lam_qc: Charge, lam, gamma_c):
+def _null_side_mixture(prob: TestProblem, lam_qc: Charge, lam, gamma_c):
     """Null mixture from the auxiliary program's level-side duals.
 
     The auxiliary program minimizes the worst-case null level over tests
@@ -356,12 +361,12 @@ def _null_side_mixture(prob: TestProblem, p_rows, lam_qc: Charge, lam, gamma_c):
     docstring) and define the mixture. Returns the mixture, its weights and
     the program's value. ``lam`` is the total mass of ``lam_qc``.
     """
-    lam_row = lam_qc.slot_masses()
-    c, a_ub, b_ub, upper = _epigraph_program(p_rows, [lam_row], [lam - gamma_c])
+    ps = prob.p_family.family
+    c, a_ub, b_ub, upper = _epigraph_program(ps, [lam_qc], [lam - gamma_c])
     res = solve_lp(c, a_ub, b_ub, upper=upper)
     if res.status != "optimal":
         raise RuntimeError(f"auxiliary level program ended {res.status}")
-    weights = res.y_ub[: len(p_rows)]
+    weights = tuple(p.scaled[1] * y for p, y in zip(ps, res.y_ub))
     if (total := sum(weights, ZERO)) != ONE:
         raise RuntimeError(
             f"level duals of the auxiliary program sum to {total}, expected 1"
@@ -440,15 +445,10 @@ def solve_minimax(prob: TestProblem) -> Solution:
     certificate fails its exact recomputation, which would mean a bug in
     the pipeline rather than a property of the instance.
     """
-    p_rows, q_rows = _slot_rows(prob)
-    gamma, u0, v0, w0, x0 = _solve_epigraph(prob, p_rows, q_rows)
+    gamma, u0, v0, w0, x0 = _solve_epigraph(prob)
     u, v, w = _lift_dual_support(prob, gamma, u0, v0, w0, x0)
-    if sum(u, ZERO) != ONE:
-        raise RuntimeError(
-            f"interior dual point has alternative weights summing to {sum(u, ZERO)}"
-        )
     q_alpha = mix(prob.q_family.family, u)
-    x_alpha, attained = _min_attained_level(prob, p_rows, q_rows, gamma)
+    x_alpha, attained = _min_attained_level(prob, gamma)
     case = Case.LEVEL_SLACK if attained < prob.alpha else Case.LEVEL_ATTAINED
     lam = ONE - q_alpha.tail_mass
     lam_qc = q_alpha.atom_part()
@@ -456,15 +456,16 @@ def solve_minimax(prob: TestProblem) -> Solution:
         gamma_c, p_alpha, p_weights, level_c = ZERO, None, None, None
     else:
         # Step 4's shortcuts, argued in the module docstring.
-        if x0.tail_value == 0 or not any(vi and p[-1] for vi, p in zip(v, p_rows)):
+        ps = prob.p_family.family
+        if x0.tail_value == 0 or not any(vi and p.tail_mass for vi, p in zip(v, ps)):
             gamma_c, v_c = gamma - (w[-1] if x0.tail_value else ZERO), v
         else:
-            gamma_c, v_c = _countable_value(prob, p_rows, lam_qc)
+            gamma_c, v_c = _countable_value(prob, lam_qc)
         if (s := sum(v_c, ZERO)) > 0:
             p_weights, level_c = tuple(vi / s for vi in v_c), prob.alpha
-            p_alpha = mix(prob.p_family.family, p_weights)
+            p_alpha = mix(ps, p_weights)
         else:
-            p_alpha, p_weights, level_c = _null_side_mixture(prob, p_rows, lam_qc, lam, gamma_c)
+            p_alpha, p_weights, level_c = _null_side_mixture(prob, lam_qc, lam, gamma_c)
     certificate = _build_certificate(prob, x_alpha, gamma, attained, case, u, v, w)
     return Solution(
         x_alpha=x_alpha,

@@ -10,11 +10,15 @@ the pivot p. So every entry is a minor of the scaled input, bounded by
 Hadamard's bound, with no gcd taken. Each ``a_ub`` row is scaled by the
 least common denominator of its entries, and its slack has coefficient 1
 in that scaled row, so the slack basis starts at d = 1; the right-hand
-sides share one more denominator. `fractions.Fraction`s are built in two
-places only: where the inputs are coerced (``_frac``, which refuses
-floats, bools and exponent strings), and for the nonzero entries of the
-result. The sign checks run on the integers, and the optimal value is
-read off the cost row's right-hand side rather than summed as ``c . x``.
+sides share one more denominator. A row of ``a_ub``, or ``c``, whose
+entries are all ints is its own integer form at scale 1 and is taken as
+it is; the callers in :mod:`robustnp.minimax` write their rows that way,
+from the charges' ``scaled`` integers. Any other row is coerced entry by
+entry (``_frac``, which refuses floats, bools and exponent strings) and
+scaled, and the right-hand sides always are. Those coercions and the
+nonzero entries of the result are the only `fractions.Fraction`s built.
+The sign checks run on the integers, and the optimal value is read off
+the cost row's right-hand side rather than summed as ``c . x``.
 Nothing is rounded, so "optimal" means optimal, not optimal up to a
 tolerance, and the duals returned here can be used in exact complementary
 slackness checks. Every right-hand side must be nonnegative, so the slack
@@ -128,6 +132,13 @@ def _scale(values: list[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
 
+def _int_row(row) -> tuple[list[int], int]:
+    """``_scale`` of a row, taking a row of ints (``type(v) is int``, so no bool) as it is."""
+    if set(map(type, row)) <= {int}:
+        return list(row), 1
+    return _scale([_frac(v) for v in row])
+
+
 def solve_lp(
     c: Sequence[Fraction],
     a_ub: "Sequence[Sequence[Fraction]] | None" = None,
@@ -135,15 +146,15 @@ def solve_lp(
     *,
     upper: "Sequence[Fraction | None] | None" = None,
 ) -> LpSolution:
-    c_raw = [_frac(v) for v in c]
-    n = len(c_raw)
+    cost, cden = _int_row(c)
+    n = len(cost)
     if n == 0:
         raise ValueError("need at least one variable")
-    body = [[_frac(v) for v in row] for row in (a_ub or [])]
+    body = [_int_row(row) for row in (a_ub or [])]
     rhs = [_frac(v) for v in (b_ub or [])]
     if len(body) != len(rhs):
         raise ValueError("a_ub and b_ub disagree on the number of rows")
-    for row in body:
+    for row, _ in body:
         if len(row) != n:
             raise ValueError(f"constraint row has {len(row)} entries, expected {n}")
     m = len(body)
@@ -158,8 +169,7 @@ def solve_lp(
     rden = math.lcm(*(b.denominator for b in rhs))
     rows: list[list[int]] = []
     scales: list[int] = []
-    for r in range(m):
-        scaled, scale = _scale(body[r])
+    for r, (scaled, scale) in enumerate(body):
         b = rhs[r].numerator * (rden // rhs[r].denominator) * scale
         if b < 0:
             raise ValueError("b_ub must be nonnegative, so that the slack basis is feasible")
@@ -177,7 +187,6 @@ def solve_lp(
     # comp[j]: column j holds the complement 1 - x_j rather than x_j.
     comp = [False] * n
     basis = list(range(n, n_cols))
-    cost, cden = _scale(c_raw)
     rows.append([-v for v in cost] + [0] * (m + 1))
     d = 1
 

@@ -26,8 +26,15 @@ from robustnp.minimax import (
     DualCertificate,
     Solution,
     TestProblem,
-    _slot_rows,
 )
+
+
+def slot_rows(prob: TestProblem) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """The null and alternative members' masses in slot order, as ``Fraction`` rows."""
+    return (
+        [p.slot_masses() for p in prob.p_family.family],
+        [q.slot_masses() for q in prob.q_family.family],
+    )
 
 
 def kkt_certificate(prob: TestProblem, sol: Solution) -> DualCertificate:
@@ -35,7 +42,7 @@ def kkt_certificate(prob: TestProblem, sol: Solution) -> DualCertificate:
     cert = sol.certificate
     return _build_certificate(
         prob,
-        *_slot_rows(prob),
+        *slot_rows(prob),
         sol.x_alpha,
         sol.gamma_alpha,
         sol.attained_level,

@@ -12,7 +12,7 @@ from pathlib import Path
 import _reference_threshold as reference
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from _fraction_certificate import kkt_certificate as fraction_certificate
+from _fraction_certificate import kkt_certificate as fraction_certificate, slot_rows
 from _fraction_simplex import solve_lp as fraction_solve_lp
 
 from robustnp import (
@@ -538,7 +538,7 @@ def _max_on_dual_face(prob, gamma, c):
     simplex: (u, v, w) >= 0 with sum u >= 1, sum_j u_j q_j <= sum_i v_i p_i
     + w slot by slot, and dual objective alpha * sum v + sum w = gamma.
     """
-    p_rows, q_rows = minimax._slot_rows(prob)
+    p_rows, q_rows = slot_rows(prob)
     mq, mp, nv = len(q_rows), len(p_rows), prob.space.n_slots
     a_ub = [[F(-1)] * mq + [F(0)] * (mp + nv)]
     b_ub = [F(-1)]
@@ -750,11 +750,10 @@ def test_certificate_shortcuts_match_the_lps_they_replace(monkeypatch):
         ran["no tail"] += not prob.space.has_tail
         for stage, label in (("_countable_value", "countable"), ("_null_side_mixture", "null side")):
             ran[label if stage in stage_calls else f"{label} skipped"] += 1
-        p_rows, _ = minimax._slot_rows(prob)
         lam_qc = sol.q_alpha.atom_part()
-        gamma_c, _ = minimax._countable_value(prob, p_rows, lam_qc)
+        gamma_c, _ = minimax._countable_value(prob, lam_qc)
         assert sol.gamma_c == gamma_c
-        _, _, level_c = minimax._null_side_mixture(prob, p_rows, lam_qc, sol.lam, gamma_c)
+        _, _, level_c = minimax._null_side_mixture(prob, lam_qc, sol.lam, gamma_c)
         assert sol.level_c == level_c
         assert all(m >= 0 for m in sol.p_weights)
         assert sum(sol.p_weights) == 1
@@ -904,7 +903,7 @@ def test_level_programs_match_the_min_form_reference():
     rng = random.Random(1605)
     for prob in _level_corpus(rng):
         sol = solve_minimax(prob)
-        p_rows, q_rows = minimax._slot_rows(prob)
+        p_rows, q_rows = slot_rows(prob)
         assert sol.attained_level == _min_form_level(p_rows, q_rows, sol.gamma_alpha)
         if sol.lam:
             lam_row = sol.q_alpha.atom_part().slot_masses()
@@ -926,7 +925,7 @@ def test_level_programs_start_feasible_and_their_level_duals_sum_to_1(monkeypatc
     for prob in _level_corpus(random.Random(1605)):
         calls.clear()
         solve_minimax(prob)
-        mp = len(prob.p_family)
+        dens = [p.scaled[1] for p in prob.p_family.family]
         for stage, args, kwargs, res in calls:
             if stage not in ("_min_attained_level", "_null_side_mixture"):
                 continue
@@ -935,7 +934,9 @@ def test_level_programs_start_feasible_and_their_level_duals_sum_to_1(monkeypatc
             assert kwargs == {"upper": [F(1)] * (len(c) - 1) + [None]}
             assert all(b >= 0 for b in b_ub)
             assert res.status == "optimal"
-            assert sum(res.y_ub[:mp]) == 1
+            # Each level row is written over its member's den, so its dual
+            # comes back over den.
+            assert sum(d * y for d, y in zip(dens, res.y_ub)) == 1
     assert seen["_min_attained_level"] == 216 and seen["_null_side_mixture"] >= 56, seen
 
 
@@ -969,7 +970,7 @@ def test_every_lp_starts_from_the_slack_basis_and_the_lift_finds_the_face_suppor
             assert all(b >= 0 for b in args[2]), stage
         epigraph = calls[0][3]
         assert calls[0][0] == "_solve_epigraph" and epigraph.value == sol.gamma_alpha
-        _, q_rows = minimax._slot_rows(prob)
+        _, q_rows = slot_rows(prob)
         x0 = epigraph.x[:-1]
         candidates = [
             j for j, q in enumerate(q_rows)
@@ -1038,6 +1039,60 @@ def test_the_lift_writes_its_slot_rows_in_the_members_integers(monkeypatch):
             (j,) = [j for j, e in enumerate(row[:mq]) if e]
             assert row[j] == -dens[j] and sorted(row) == [-dens[j]] + [0] * (len(row) - 2) + [1]
     assert lifted[-2:] == [True, True] and sum(lifted) >= 10, lifted
+
+
+def test_every_program_of_the_chain_writes_its_rows_in_the_members_integers(monkeypatch):
+    # The epigraph, level, countable and null-side programs write each row
+    # from one charge's scaled integers, as ints, so solve_lp takes it as it
+    # is. Divided by the charge's den it is the row in masses: solved that
+    # way, the LP has the same point and value, and each row's dual is den
+    # times the integer row's.
+    calls = []
+
+    def recording(*args, **kwargs):
+        res = solve_lp(*args, **kwargs)
+        calls.append((sys._getframe(1).f_code.co_name, args, kwargs, res))
+        return res
+
+    monkeypatch.setattr(minimax, "solve_lp", recording)
+    rng = random.Random(2016)
+    cells = [(6, 2, 2), (8, 2, 2), (12, 3, 3), (6, 2, 6)]
+    problems = [_ladder_problem(rng, *rng.choice(cells), has_tail=rng.random() < 0.7)
+                for _ in range(40)]
+    problems += [_degenerate_problem(rng) for _ in range(40)]
+    problems += [nonexistence_problem(n, F(1, 3)) for n in (1, 7, 30)]
+    seen = Counter()
+    for prob in problems:
+        calls.clear()
+        sol = solve_minimax(prob)
+        kkt_certificate(prob, sol)
+        ps, qs, nv = prob.p_family.family, prob.q_family.family, prob.space.n_slots
+        lam_qc = sol.q_alpha.atom_part()
+        # The t rows come first, then the cap rows; the countable program has cap rows only.
+        layouts = {
+            "_solve_epigraph": (qs, ps),
+            "_min_attained_level": (ps, qs),
+            "_countable_value": ((), ps),
+            "_null_side_mixture": (ps, (lam_qc,)),
+        }
+        for stage, (c, a_ub, b_ub), kwargs, res in calls:
+            if stage == "_lift_dual_support":
+                continue
+            seen[stage] += 1
+            t_rows, cap_rows = layouts[stage]
+            want_c = lam_qc.scaled[0][:nv] if stage == "_countable_value" else [0] * nv + [1]
+            assert c == want_c and all(type(e) is int for e in c), stage
+            tail = [] if stage == "_countable_value" else [0]
+            want = [[-e for e in m.scaled[0][:nv]] + [m.scaled[1]] for m in t_rows]
+            want += [m.scaled[0][:nv] + tail for m in cap_rows]
+            assert a_ub == want and all(type(e) is int for row in a_ub for e in row), stage
+            dens = [m.scaled[1] for m in t_rows + cap_rows]
+            ref = solve_lp(c, [[F(e, d) for e in row] for row, d in zip(a_ub, dens)],
+                           [b / d for b, d in zip(b_ub, dens)], **kwargs)
+            assert (ref.x, ref.value, ref.y_upper) == (res.x, res.value, res.y_upper), stage
+            assert ref.y_ub == tuple(d * y for d, y in zip(dens, res.y_ub)), stage
+    assert min(seen[s] for s in ("_countable_value", "_null_side_mixture")) >= 5, seen
+    assert seen["_solve_epigraph"] == seen["_min_attained_level"] == len(problems), seen
 
 
 def _drawn_problem(draw):

@@ -1,6 +1,7 @@
 """Exact simplex: known LPs, sign conventions, duals, degenerate cases."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -364,6 +365,45 @@ def test_floats_and_bools_are_refused():
                 solve_lp(args["c"], args["a_ub"], args["b_ub"], upper=args["upper"])
     sol = solve_lp([1], [[1]], ["1/10"], upper=["1"])
     assert (sol.x, sol.value) == ((F(1, 10),), F(1, 10))
+
+
+def test_integer_rows_are_taken_as_they_are():
+    # A row of ints is its own integer form at scale 1. Write each row and
+    # c over the lcm k of its denominators, as the minimax programs write a
+    # charge over its den: the tableau is the same, so x and y_upper do not
+    # move, value is k_c times the Fraction form's, and each row's dual is
+    # k_c / k times its dual.
+    rng = random.Random(1968)
+    optimal = 0
+    for _ in range(300):
+        c, a_ub, b_ub, _sense = _random_lp(rng)
+        upper = _random_bounds(rng, len(c))
+        ks = [math.lcm(*(v.denominator for v in row)) for row in a_ub]
+        kc = math.lcm(*(v.denominator for v in c))
+        rows = [[int(v * k) for v in row] for row, k in zip(a_ub, ks)]
+        ref = solve_lp(c, a_ub, b_ub, upper=upper)
+        got = solve_lp([int(v * kc) for v in c], rows, [b * k for b, k in zip(b_ub, ks)],
+                       upper=upper)
+        assert got.status == ref.status
+        if got.status != "optimal":
+            continue
+        optimal += 1
+        assert (got.x, got.value) == (ref.x, kc * ref.value)
+        assert got.y_ub == tuple(kc * y / k for y, k in zip(ref.y_ub, ks))
+        assert got.y_upper == tuple(kc * y for y in ref.y_upper)
+    assert optimal >= 200
+
+
+def test_a_bool_or_float_among_ints_is_refused():
+    # The check for a row of ints reads type(v) is int, so True (an int
+    # subclass) sends its row to the coercion, which refuses it.
+    for bad in (True, False, 1.0, 0.5):
+        with pytest.raises(TypeError, match="refusing"):
+            solve_lp([1, 2], [[1, 1], [2, bad]], [1, 1])
+        with pytest.raises(TypeError, match="refusing"):
+            solve_lp([1, bad], [[1, 1]], [1])
+        with pytest.raises(TypeError, match="refusing"):
+            solve_lp([bad, 1], [[1, 1]], [1], upper=[1, None])
 
 
 def test_sign_checks_on_every_input_form():
