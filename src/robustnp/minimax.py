@@ -333,7 +333,7 @@ def _min_attained_level(prob: TestProblem, gamma: Fraction):
     res = solve_lp(c, a_ub, b_ub, upper=upper)
     if res.status != "optimal":
         raise RuntimeError(f"level program ended {res.status}")
-    x = [ONE - y for y in res.x[: prob.space.n_slots]]
+    x = [ONE - y if y else ONE for y in res.x[: prob.space.n_slots]]
     return TestFunction.from_slots(prob.space, x), ONE - res.value
 
 

@@ -42,15 +42,22 @@ Bland's: the smallest variable index among tied ratios, a flip counting as
 the entering index. Each step is a pivot of the same LP with explicit rows
 ``x_j + s_j = 1`` under the order ``x_0 < s_0 < x_1 < ... < slacks``: a
 flip is ``x_s`` entering for ``s_s``, a rise is ``s_B`` leaving, and at
-most one of each pair is nonbasic or a candidate.
+most one of each pair is nonbasic or a candidate. A flip negates its own
+column and moves only the right-hand sides, so no other reduced cost
+changes: from the second flip of a run on, the entering columns come off
+one heap of (reduced cost, index) over the negative costs, in the order
+the scan would take them, and an empty heap means optimal. A pivot drops
+the heap, so pricing a run of k flips costs O(n + k log n), not O(k n).
 
 Termination. The entering reduced cost is negative, so a step of nonzero
 length, every flip included, strictly improves the objective, and no basis
 repeats across such steps. A run of steps of length 0 has at most one
 steepest-cost step, at its start; every later step of the run is a Bland
 pivot, and Bland's rule cannot cycle (Bland 1977, *Math. Oper. Res.* 2).
-Steepest-cost pricing alone can: Chvatal's example (*Linear Programming*,
-1983, ch. 3) cycles under it, and ``tests/test_simplex.py`` solves it.
+A flip has length 1, so the heap never prices a Bland step, and it picks
+the steps the scan would. Steepest-cost pricing alone can cycle: Chvatal's
+example (*Linear Programming*, 1983, ch. 3) does under it, and
+``tests/test_simplex.py`` solves it.
 
 Conventions (documented once, relied on everywhere):
 
@@ -68,6 +75,7 @@ Conventions (documented once, relied on everywhere):
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass
@@ -218,7 +226,8 @@ def solve_lp(
         comp[j] = not comp[j]
 
     def run() -> str:
-        bland = False
+        bland = flipped = False
+        heap = None
         for _ in range(_MAX_PIVOTS):
             cost = rows[m]
             # The cost row has one positive denominator, so its integers
@@ -226,6 +235,8 @@ def solve_lp(
             # scaled row.
             if bland:
                 enter = next((j for j in range(n_cols) if cost[j] < 0), -1)
+            elif heap is not None:
+                enter = heapq.heappop(heap)[1] if heap else -1
             else:
                 lo = min(cost[:n_cols])
                 enter = cost.index(lo) if lo < 0 else -1
@@ -256,7 +267,13 @@ def solve_lp(
             bland = best_n == 0
             if leave == m:
                 complement(enter)
+                # A flip changes no other reduced cost: see Pricing above.
+                if flipped and heap is None:
+                    heap = [(v, j) for j, v in enumerate(cost[:n_cols]) if v < 0]
+                    heapq.heapify(heap)
+                flipped = True
                 continue
+            flipped, heap = False, None
             if rows[leave][enter] < 0:
                 complement(basis[leave])
             pivot(leave, enter)

@@ -13,7 +13,9 @@ from robustnp import (
     TestFunction,
     TestProblem,
     expectation,
+    hypotheses,
     hypothesis_report,
+    kkt_certificate,
     nonexistence_problem,
     solve_minimax,
     truncation_sweep,
@@ -201,6 +203,22 @@ def test_sweep_closed_form():
     for bad in (2.7, True, "3"):
         with pytest.raises(TypeError, match="sizes must be ints"):
             truncation_sweep(nonexistence_problem, [bad])
+
+
+def test_sweep_closed_form_through_long_streaks_of_flips(monkeypatch):
+    # At n = 1000 and 2000 nearly every simplex step of the epigraph is a
+    # flip of a slot at its bound 1: streaks of about n flips.
+    solved = []
+
+    def solve_and_keep(prob):
+        solved.append((prob, solve_minimax(prob)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(hypotheses, "solve_minimax", solve_and_keep)
+    rows = truncation_sweep(nonexistence_problem, [1000, 2000])
+    assert rows == [(n, 1 - F(1, 2) / 2**n) for n in (1000, 2000)]
+    for prob, sol in solved:
+        kkt_certificate(prob, sol)
 
 
 def test_continuity_implies_attainment():

@@ -1,6 +1,7 @@
 """Exact simplex: known LPs, sign conventions, duals, degenerate cases."""
 
 import dataclasses
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 from _fraction_simplex import solve_lp as fraction_solve_lp
 
+from robustnp import minimax, nonexistence_problem
 from robustnp.simplex import LpSolution, solve_lp
 
 F = Fraction
@@ -313,24 +315,93 @@ def test_upper_bounds_match_explicit_rows():
         if sol.status != "optimal":
             assert sol.x is None and sol.y_upper is None
             continue
-        assert sol.value == sign * ref.value == _dot(cost, sol.x)
-        # Primal feasibility, bounds included.
-        assert all(0 <= xj and (u is None or xj <= u) for xj, u in zip(sol.x, upper))
-        assert all(_dot(row, sol.x) <= b for row, b in zip(a_ub, b_ub))
-        # Duals are nonnegative; unbounded variables get 0.
-        assert all(y >= 0 for y in sol.y_ub + sol.y_upper)
-        assert all(y == 0 for y, u in zip(sol.y_upper, upper) if u is None)
-        bounded = [u or F(0) for u in upper]
-        assert _dot(b_ub, sol.y_ub) + _dot(bounded, sol.y_upper) == sol.value
-        # Dual feasibility and complementary slackness on every column.
-        for j, rc in enumerate(_reduced_costs(sol, cost, a_ub)):
-            assert rc >= 0
-            assert sol.x[j] * rc == 0
-            assert sol.y_upper[j] * (bounded[j] - sol.x[j]) == 0
-        for row, b, y in zip(a_ub, b_ub, sol.y_ub):
-            assert y * (b - _dot(row, sol.x)) == 0
+        assert sol.value == sign * ref.value
+        _check_kkt(sol, cost, a_ub, b_ub, upper)
     assert statuses["optimal"] >= 500 and statuses["unbounded"] >= 15
     assert min(degenerate, none) >= 100
+
+
+def _check_kkt(sol, cost, a_ub, b_ub, upper):
+    """Exact optimality of ``sol`` for max ``cost . x`` under ``a_ub``, ``b_ub`` and ``upper``."""
+    assert sol.value == _dot(cost, sol.x)
+    # Primal feasibility, bounds included.
+    assert all(0 <= xj and (u is None or xj <= u) for xj, u in zip(sol.x, upper))
+    assert all(_dot(row, sol.x) <= b for row, b in zip(a_ub, b_ub))
+    # Duals are nonnegative; unbounded variables get 0.
+    assert all(y >= 0 for y in sol.y_ub + sol.y_upper)
+    assert all(y == 0 for y, u in zip(sol.y_upper, upper) if u is None)
+    bounded = [u or F(0) for u in upper]
+    assert _dot(b_ub, sol.y_ub) + _dot(bounded, sol.y_upper) == sol.value
+    # Dual feasibility and complementary slackness on every column.
+    for j, rc in enumerate(_reduced_costs(sol, cost, a_ub)):
+        assert rc >= 0
+        assert sol.x[j] * rc == 0
+        assert sol.y_upper[j] * (bounded[j] - sol.x[j]) == 0
+    for row, b, y in zip(a_ub, b_ub, sol.y_ub):
+        assert y * (b - _dot(row, sol.x)) == 0
+
+
+def test_a_streak_of_flips_takes_tied_columns_in_index_order():
+    # max sum x with sum x <= k + 1/2 and x <= 1: every reduced cost is -1,
+    # so each column flips in index order until column k enters the row at
+    # 1/2. From its second flip on, a streak is priced from a heap, which
+    # must break the ties as min and index do.
+    for n in range(1, 13):
+        for k in range(n):
+            sol = solve_lp([1] * n, [[1] * n], [F(2 * k + 1, 2)], upper=[1] * n)
+            assert sol.x == (1,) * k + (F(1, 2),) + (0,) * (n - k - 1)
+            assert (sol.value, sol.y_ub, sol.y_upper) == (F(2 * k + 1, 2), (1,), (0,) * n)
+
+
+def test_flip_heavy_lps_match_explicit_box_rows():
+    # 20 to 60 boxed columns with tied costs and one to three loose rows:
+    # most steps are flips, in long streaks. The reference writes the box
+    # as rows and takes no flip; its pivots are checked against the
+    # Fraction reference above, which is too slow at this size.
+    rng = random.Random(5865)
+    streaks = 0
+    for _ in range(300):
+        n = rng.randint(20, 60)
+        cost = [F(rng.choice([-1, 0, 1, 2, 2, 3])) for _ in range(n)]
+        a_ub = [[F(rng.randint(-1, 3), rng.choice([1, 1, 2])) for _ in range(n)]
+                for _ in range(rng.randint(1, 3))]
+        b_ub = [F(rng.randint(n // 4, n), rng.choice([1, 2])) for _ in a_ub]
+        upper = [F(1)] * n
+        sol = solve_lp(cost, a_ub, b_ub, upper=upper)
+        box = [[int(j == k) for j in range(n)] for k in range(n)]
+        ref = solve_lp(cost, a_ub + box, b_ub + upper)
+        assert sol.status == ref.status == "optimal"
+        assert sol.value == ref.value
+        _check_kkt(sol, cost, a_ub, b_ub, upper)
+        streaks += sum(x == 1 for x in sol.x) >= 10
+    assert streaks >= 250
+
+
+def test_a_streak_of_flips_can_end_unbounded():
+    # x0, x1 and x2 flip in a streak at cost -2, then the free x3 enters
+    # at -1 with no row to stop it.
+    for a_ub, b_ub in (([], []), ([[1, 1, 1, -1]], [5])):
+        assert solve_lp([2, 2, 2, 1], a_ub, b_ub, upper=[1, 1, 1, None]).status == "unbounded"
+        box = [[int(j == k) for j in range(4)] for k in range(3)]
+        ref = fraction_solve_lp([2, 2, 2, 1], a_ub + box, b_ub + [1] * 3, sense="max")
+        assert ref.status == "unbounded"
+
+
+def test_a_streak_of_flips_is_priced_from_one_heap(monkeypatch):
+    # nonexistence_problem(56)'s epigraph boxes 57 slots, and its steps are
+    # nearly all flips: after the second, every entering column comes off
+    # the heap rather than out of a scan of the whole cost row.
+    popped = []
+    real = heapq.heappop
+
+    def spy(heap):
+        popped.append(real(heap))
+        return popped[-1]
+
+    monkeypatch.setattr(heapq, "heappop", spy)
+    value = minimax._solve_epigraph(nonexistence_problem(56))[0]
+    assert value == 1 - F(1, 2) / 2**56
+    assert len(popped) >= 50
 
 
 def test_upper_bound_flip_and_validation():
