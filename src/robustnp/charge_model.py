@@ -119,8 +119,8 @@ class Charge:
 
     @cached_property
     def scaled(self) -> tuple[list[int], int]:
-        """The slot masses, tail last (0 with no tail), as ``(integers, their denominator)``."""
-        return _scale([*self.atom_mass, self.tail_mass])
+        """:meth:`slot_masses` as ``(integers, their denominator)``: one entry per slot."""
+        return _scale(self.slot_masses())
 
     @cached_property
     def total(self) -> Fraction:
@@ -175,8 +175,8 @@ class TestFunction:
 
     @cached_property
     def scaled(self) -> tuple[list[int], int]:
-        """The slot values, tail last (0 with no tail), as ``(integers, their denominator)``."""
-        return _scale([*self.atom_value, self.tail_value])
+        """:meth:`slot_values` as ``(integers, their denominator)``: one entry per slot."""
+        return _scale(self.slot_values())
 
     @classmethod
     def from_slots(cls, space: SampleSpace, values: Sequence[Fraction]) -> "TestFunction":
@@ -263,13 +263,13 @@ def mix(charges: Sequence[Charge], weights: Sequence[RationalLike]) -> Charge:
             raise ValueError("all charges must share one sample space")
     acc, den = _mixed(charges, *_scale(ws))
     out = [Fraction(s, den) if s else ZERO for s in acc]
-    return Charge(space, tuple(out[:-1]), out[-1])
+    return Charge(space, tuple(out[: space.n_atoms]), out[-1] if space.has_tail else ZERO)
 
 
 def _mixed(charges: Sequence[Charge], weights: list[int], den: int) -> tuple[list[int], int]:
-    """The slots of sum_i (weights[i] / den) c_i, tail last, as integers over one denominator."""
+    """The slots of sum_i (weights[i] / den) c_i, as ``scaled`` lays them out: ints over one den."""
     lcm = math.lcm(*[c.scaled[1] for c in charges])
-    acc = [0] * (charges[0].space.n_atoms + 1)
+    acc = [0] * charges[0].space.n_slots
     for a, c in zip(weights, charges):
         if a:
             masses, d = c.scaled

@@ -27,7 +27,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import cache, partial
@@ -117,17 +117,14 @@ def parse_problem(data, alpha_override: "Fraction | None" = None) -> TestProblem
     q_members = tuple(
         _parse_charge(space, c, f"q_family[{i}]") for i, c in enumerate(data["q_family"])
     )
-    alpha = (
-        alpha_override
-        if alpha_override is not None
-        else _parse_rational(data["alpha"], "alpha")
-    )
-    return TestProblem(
+    # The spec's own alpha is checked even when a flag overrides it.
+    prob = TestProblem(
         space,
         SublinearExpectation(p_members, "null"),
         SublinearExpectation(q_members, "alternative"),
-        alpha,
+        _parse_rational(data["alpha"], "alpha"),
     )
+    return prob if alpha_override is None else replace(prob, alpha=alpha_override)
 
 
 def load_problem(path: str, alpha_override: "Fraction | None" = None) -> TestProblem:

@@ -36,7 +36,7 @@ the epigraph's certificate leaves them open:
    level_c = alpha and v*/s is an optimal auxiliary dual; only s = 0 runs
    the auxiliary program.
 
-One layout, "max t : t <= E_r[x] on the t rows, E_c[x] <= cap_c on the
+One layout, "max t : t <= E_r[x] on the t rows, E_c[x] <= cap on the
 cap rows, 0 <= x <= 1", serves steps 1, 3 and 4. The epigraph has the
 alternative members as t rows and the null members, capped at alpha, as
 cap rows. Steps 3 and 4 swap the families: they minimize the level t
@@ -227,28 +227,28 @@ class RepresentationReport:
     precondition_grid: bool
 
 
-def _epigraph_program(t_rows, cap_rows, caps):
-    """max t : t <= E_r[x] for r in t_rows, E_c[x] <= cap_c for c in cap_rows, 0 <= x <= 1.
+def _epigraph_program(t_rows, cap_rows, cap):
+    """max t : t <= E_r[x] for r in t_rows, E_c[x] <= cap for c in cap_rows, 0 <= x <= 1.
 
     The rows are charges, each written as ints over its ``scaled``
     denominator den: a t row reads den t - ints . x <= 0 and a cap row
-    ints . x <= cap_c den, the scale ``solve_lp`` would pick for the
+    ints . x <= cap den, the scale ``solve_lp`` would pick for the
     masses, so a row's dual comes back over den. Returns ``(c, a_ub, b_ub,
     upper)`` over (x, t); the t rows come first, so the row duals split in
     that order, and the box is the bounds ``upper``, whose duals are w.
-    With ``caps`` nonnegative, x = 0, t = 0 is a feasible basis.
+    With ``cap`` nonnegative, x = 0, t = 0 is a feasible basis.
     """
     nv = t_rows[0].space.n_slots
-    a_ub = [[-m for m in r.scaled[0][:nv]] + [r.scaled[1]] for r in t_rows]
-    a_ub += [r.scaled[0][:nv] + [0] for r in cap_rows]
-    b_ub = [ZERO] * len(t_rows) + [cap * r.scaled[1] for r, cap in zip(cap_rows, caps)]
+    a_ub = [[-m for m in r.scaled[0]] + [r.scaled[1]] for r in t_rows]
+    a_ub += [r.scaled[0] + [0] for r in cap_rows]
+    b_ub = [ZERO] * len(t_rows) + [cap * r.scaled[1] for r in cap_rows]
     return [0] * nv + [1], a_ub, b_ub, [ONE] * nv + [None]
 
 
 def _solve_epigraph(prob: TestProblem):
     """Max worst-case power via the epigraph LP: value, duals (u, v, w), test x0."""
     qs, ps = prob.q_family.family, prob.p_family.family
-    c, a_ub, b_ub, upper = _epigraph_program(qs, ps, [prob.alpha] * len(ps))
+    c, a_ub, b_ub, upper = _epigraph_program(qs, ps, prob.alpha)
     res = solve_lp(c, a_ub, b_ub, upper=upper)
     if res.status != "optimal":
         raise RuntimeError(f"epigraph program ended {res.status}; it is always solvable")
@@ -329,7 +329,7 @@ def _lift_dual_support(prob: TestProblem, gamma: Fraction, u, v, w, x0: TestFunc
 def _min_attained_level(prob: TestProblem, gamma: Fraction):
     """Among optimal tests, minimize the worst-case null level (in complements)."""
     qs = prob.q_family.family
-    c, a_ub, b_ub, upper = _epigraph_program(prob.p_family.family, qs, [ONE - gamma] * len(qs))
+    c, a_ub, b_ub, upper = _epigraph_program(prob.p_family.family, qs, ONE - gamma)
     res = solve_lp(c, a_ub, b_ub, upper=upper)
     if res.status != "optimal":
         raise RuntimeError(f"level program ended {res.status}")
@@ -346,7 +346,7 @@ def _countable_value(prob: TestProblem, lam_qc: Charge):
     """
     ps, nv, (lam, den) = prob.p_family.family, prob.space.n_slots, lam_qc.scaled
     b_ub = [prob.alpha * p.scaled[1] for p in ps]
-    res = solve_lp(lam[:nv], [p.scaled[0][:nv] for p in ps], b_ub, upper=[ONE] * nv)
+    res = solve_lp(lam, [p.scaled[0] for p in ps], b_ub, upper=[ONE] * nv)
     if res.status != "optimal":
         raise RuntimeError(f"countable part program ended {res.status}")
     return res.value / den, [p.scaled[1] * y / den for p, y in zip(ps, res.y_ub)]
@@ -358,11 +358,11 @@ def _null_side_mixture(prob: TestProblem, lam_qc: Charge, lam, gamma_c):
     The auxiliary program minimizes the worst-case null level over tests
     whose integral against the countably additive part reaches gamma_c. In
     its complemented form the level rows' multipliers sum to 1 (module
-    docstring) and define the mixture. Returns the mixture, its weights and
-    the program's value. ``lam`` is the total mass of ``lam_qc``.
+    docstring) and are the mixture's weights. Returns the weights and the
+    program's value. ``lam`` is the total mass of ``lam_qc``.
     """
     ps = prob.p_family.family
-    c, a_ub, b_ub, upper = _epigraph_program(ps, [lam_qc], [lam - gamma_c])
+    c, a_ub, b_ub, upper = _epigraph_program(ps, [lam_qc], lam - gamma_c)
     res = solve_lp(c, a_ub, b_ub, upper=upper)
     if res.status != "optimal":
         raise RuntimeError(f"auxiliary level program ended {res.status}")
@@ -371,27 +371,22 @@ def _null_side_mixture(prob: TestProblem, lam_qc: Charge, lam, gamma_c):
         raise RuntimeError(
             f"level duals of the auxiliary program sum to {total}, expected 1"
         )
-    return mix(prob.p_family.family, weights), weights, ONE - res.value
+    return weights, ONE - res.value
 
 
-def _build_certificate(
-    prob: TestProblem,
-    x: TestFunction,
-    gamma: Fraction,
-    attained: Fraction,
-    case: Case,
-    u: "list[Fraction]",
-    v: "list[Fraction]",
-    w: "list[Fraction]",
-) -> DualCertificate:
-    """Recompute feasibility, the duality gap and the case split exactly.
+def _build_certificate(prob: TestProblem, sol: Solution) -> DualCertificate:
+    """Recompute the feasibility, duality gap and case split of ``sol`` exactly.
 
     The multipliers are checked as integers over their least common
     denominators, and the levels, the power and the mixtures' slot sums
     come from the integer forms of the charge model, so a ``Fraction`` is
     built only for an expectation, a reported value or an error message.
+    Returns ``sol.certificate`` once it has passed.
     """
     nv, ps, qs = prob.space.n_slots, prob.p_family.family, prob.q_family.family
+    x, gamma, attained = sol.x_alpha, sol.gamma_alpha, sol.attained_level
+    cert = sol.certificate
+    u, v, w = cert.q_constraint_duals, cert.level_duals, cert.box_duals
     if len(u) != len(qs) or len(v) != len(ps) or len(w) != nv:
         raise CertificateError("certificate has the wrong shape for this problem")
     (us, du), (vs, dv), (ws, dw) = _scale(u), _scale(v), _scale(w)
@@ -422,9 +417,9 @@ def _build_certificate(
     # (u, v, w) and x are optimal now, so v fixes the least level (see Solution).
     if any(vs):
         least = prob.alpha
-    else:  # the indicator of the union of the alternative supports, tail last
+    else:  # the indicator of the union of the alternative supports
         on = [ONE if any(col) else ZERO for col in zip(*[q.scaled[0] for q in qs])]
-        least = upper_expectation(prob.p_family, TestFunction(prob.space, on[:-1], on[-1]))
+        least = upper_expectation(prob.p_family, TestFunction.from_slots(prob.space, on))
     if least != attained:
         raise CertificateError(
             f"claimed attained level {attained}, the certificate proves {least}"
@@ -433,9 +428,9 @@ def _build_certificate(
         raise CertificateError(
             f"test reaches level {max(levels)}, claimed attained level {attained}"
         )
-    if case is not (Case.LEVEL_SLACK if attained < prob.alpha else Case.LEVEL_ATTAINED):
-        raise CertificateError(f"case {case.value} disagrees with attained level {attained}")
-    return DualCertificate(tuple(u), tuple(v), tuple(w))
+    if sol.case is not (Case.LEVEL_SLACK if attained < prob.alpha else Case.LEVEL_ATTAINED):
+        raise CertificateError(f"case {sol.case.value} disagrees with attained level {attained}")
+    return cert
 
 
 def solve_minimax(prob: TestProblem) -> Solution:
@@ -463,11 +458,10 @@ def solve_minimax(prob: TestProblem) -> Solution:
             gamma_c, v_c = _countable_value(prob, lam_qc)
         if (s := sum(v_c, ZERO)) > 0:
             p_weights, level_c = tuple(vi / s for vi in v_c), prob.alpha
-            p_alpha = mix(ps, p_weights)
         else:
-            p_alpha, p_weights, level_c = _null_side_mixture(prob, lam_qc, lam, gamma_c)
-    certificate = _build_certificate(prob, x_alpha, gamma, attained, case, u, v, w)
-    return Solution(
+            p_weights, level_c = _null_side_mixture(prob, lam_qc, lam, gamma_c)
+        p_alpha = mix(ps, p_weights)
+    sol = Solution(
         x_alpha=x_alpha,
         gamma_alpha=gamma,
         attained_level=attained,
@@ -479,8 +473,10 @@ def solve_minimax(prob: TestProblem) -> Solution:
         p_alpha=p_alpha,
         p_weights=p_weights,
         level_c=level_c,
-        certificate=certificate,
+        certificate=DualCertificate(tuple(u), tuple(v), tuple(w)),
     )
+    _build_certificate(prob, sol)
+    return sol
 
 
 def kkt_certificate(prob: TestProblem, sol: Solution) -> DualCertificate:
@@ -492,11 +488,7 @@ def kkt_certificate(prob: TestProblem, sol: Solution) -> DualCertificate:
     problem data, and no LP is solved. Any exact violation raises
     :class:`CertificateError`.
     """
-    cert = sol.certificate
-    return _build_certificate(
-        prob, sol.x_alpha, sol.gamma_alpha, sol.attained_level, sol.case,
-        list(cert.q_constraint_duals), list(cert.level_duals), list(cert.box_duals),
-    )
+    return _build_certificate(prob, sol)
 
 
 def compute_beta(p_family: SublinearExpectation, q_countable: Charge) -> Fraction:
@@ -640,11 +632,10 @@ def verify_threshold_form(prob: TestProblem, sol: Solution) -> RepresentationRep
         raise PureLeastFavorableError(
             "the least favorable null mixture has no countably additive part"
         )
-    lam_qc = sol.q_alpha.atom_part()
-    tau_pc = sol.p_alpha.atom_part()
-    classes = _ratio_classes(tau_pc, lam_qc)
+    # The cuts read only the atom masses: the mixtures' countable parts.
+    classes = _ratio_classes(sol.p_alpha, sol.q_alpha)
     kappa, classification, b_values, verdict, violations = _scan_threshold(
-        prob.space, tau_pc, lam_qc, sol.x_alpha, classes
+        prob.space, sol.p_alpha, sol.q_alpha, sol.x_alpha, classes
     )
     # The grid criterion: the best countable integral V(a) at level a is
     # concave and nondecreasing with V(alpha) = gamma_c, and level_c is the
@@ -652,7 +643,7 @@ def verify_threshold_form(prob: TestProblem, sol: Solution) -> RepresentationRep
     # V(alpha - eps) < gamma_c for every eps > 0 exactly when level_c == alpha.
     return RepresentationReport(
         kappa=kappa,
-        kappa_formula=_kappa_from_quantile(classes, lam_qc, sol.gamma_c),
+        kappa_formula=_kappa_from_quantile(classes, sol.q_alpha, sol.gamma_c),
         tau=tau,
         classification=classification,
         b_values=b_values,

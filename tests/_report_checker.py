@@ -31,7 +31,12 @@ case (the test is 1 on every atom of lam_qc, which the certificate also
 proves: there v = 0 and the value is 1), and otherwise "threshold", or
 "none" when tau_pc is zero. A threshold report's classification,
 boundary values, violation count and support precondition
-max_i P_i(supp lam_qc) >= alpha are rederived from its ``kappa``.
+max_i P_i(supp lam_qc) >= alpha are rederived from its ``kappa``. Its
+``kappa_formula`` is recomputed as the least u >= 0 with
+lam_qc{u q >= p} >= gamma_c, for p and q the atom masses of tau_pc and
+lam_qc and gamma_c the reported one, and its ``precondition_grid`` must
+read ``level_c == alpha`` for the reported ``level_c``. gamma_c and
+level_c themselves are not yet checked.
 
 The fields that read off the spec's masses alone are recomputed. beta is
 min_i P_i of the atoms outside supp lam_qc, plus the tail, and
@@ -212,6 +217,22 @@ def _check_representation(
     _require(
         rep["precondition_support"] == (support >= alpha),
         f"representation.precondition_support: max_i P_i(supp lam_qc) is {support}",
+    )
+    # kappa_formula is the least u >= 0 with lam_qc{u q >= p} >= gamma_c,
+    # for p, q the masses of tau_pc, lam_qc: walk the ratios p/q up from 0.
+    gamma_c, formula, mass = report.rational("gamma_c"), Fraction(0), Fraction(0)
+    for ratio, qk in sorted((pk / qk, qk) for pk, qk in zip(tau_pc, q_alpha) if qk):
+        if mass >= gamma_c:
+            break
+        formula, mass = ratio, mass + qk
+    _require(
+        mass >= gamma_c and rep.rational("kappa_formula") == formula,
+        f"representation.kappa_formula: the masses and gamma_c give {formula}",
+    )
+    level_c = rep.rational("level_c")
+    _require(
+        rep["precondition_grid"] is (level_c == alpha),
+        f"representation.precondition_grid: level_c is {level_c}, alpha {alpha}",
     )
 
 

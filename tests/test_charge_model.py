@@ -1,11 +1,15 @@
 """Charges, test functions, expectations and the decomposition."""
 
+import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
+from test_minimax import _degenerate_problem
 
+import robustnp
 from robustnp import (
     Charge,
     SampleSpace,
@@ -16,8 +20,11 @@ from robustnp import (
     lower_expectation,
     mix,
     solve_lp,
+    solve_minimax,
     upper_expectation,
 )
+from robustnp.cli import load_problem
+from robustnp.simplex import _scale
 
 F = Fraction
 
@@ -358,6 +365,38 @@ def test_mix_matches_the_fraction_sum(data, draw):
     slots = [c.slot_masses() for c in members]
     want = [sum((w * m[k] for w, m in zip(weights, slots)), F(0)) for k in range(len(slots[0]))]
     assert mix(members, weights).slot_masses() == want
+
+
+def _assert_slot_layout(obj):
+    """``scaled`` is ``_scale`` of the slot vector: a tail entry only if the space has one."""
+    slots = obj.slot_values() if isinstance(obj, TestFunction) else obj.slot_masses()
+    assert len(obj.scaled[0]) == obj.space.n_slots
+    assert obj.scaled == _scale(slots)
+
+
+def test_scaled_has_one_entry_per_slot():
+    tailed = space_of(2, has_tail=True)
+    for obj in (
+        P3, Q1, mix([P3, Q2], [F(1, 3), F(2, 3)]), tf(THREE, F(1, 2), 0, 1),
+        charge(tailed, F(1, 4), F(1, 4), tail=F(1, 2)), charge(tailed, 0, 1),
+        mix([charge(tailed, 0, 0, tail=1), charge(tailed, 1, 0)], [F(1, 2), F(1, 2)]),
+        tf(tailed, 1, F(1, 3), tail=F(2, 5)), tf(tailed, 0, 0),
+    ):
+        _assert_slot_layout(obj)
+
+
+def test_solving_leaves_every_members_scaled_list_as_it_was():
+    # The LPs get the members' cached scaled lists themselves as rows and
+    # as the countable program's objective, so solve_lp must leave them be.
+    fixtures = sorted((Path(robustnp.__file__).parent / "fixtures").glob("*.json"))
+    problems = [load_problem(str(p)) for p in fixtures]
+    rng = random.Random(2016)
+    problems += [_degenerate_problem(rng) for _ in range(20)]
+    for prob in problems:
+        members = (*prob.p_family.family, *prob.q_family.family)
+        sol = solve_minimax(prob)
+        for obj in (*members, sol.x_alpha, sol.q_alpha, sol.q_alpha.atom_part()):
+            _assert_slot_layout(obj)
 
 
 def test_sign_and_range_checks_see_tiny_excesses():

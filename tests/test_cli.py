@@ -163,6 +163,20 @@ def test_alpha_out_of_range_in_the_spec_is_an_input_error(tmp_path, capsys):
         assert captured.err == "error: alpha must lie strictly between 0 and 1, got 3/2\n"
 
 
+def test_the_specs_alpha_is_checked_under_the_alpha_flag(tmp_path, capsys):
+    # --alpha overrides the level, but a spec whose own alpha is malformed
+    # still exits 2, with the message it gets without the flag.
+    floats = "error: alpha: floats are not exact, write the rational as a 'num/den' string\n"
+    out_of_range = "error: alpha must lie strictly between 0 and 1, got 7\n"
+    for alpha, err in ((0.3, floats), ("7", out_of_range)):
+        spec = write_spec(tmp_path, dict(SMALL, alpha=alpha))
+        for command in ("solve", "np"):
+            for flags in ([], ["--alpha", "1/3"]):
+                assert run([command, spec, *flags]) == EXIT_INPUT, (alpha, command, flags)
+                captured = capsys.readouterr()
+                assert (captured.out, captured.err) == ("", err), (alpha, command, flags)
+
+
 def test_unknown_top_level_key_is_an_input_error(tmp_path, capsys):
     # A misspelt "has_tail" must not be solved as a tail-free problem.
     expected = "atoms, has_tail, p_family, q_family, alpha, description"
@@ -605,6 +619,7 @@ def test_checker_rejects_nudged_solve_reports(solve_reports):
             entries.append((rep, "lambda", "^representation.lambda: "))
         if rep["form"] == "threshold":
             entries.append((rep, "tau", "^representation.tau: "))
+            entries.append((rep, "kappa_formula", "^representation.kappa_formula: "))
         if report["beta"] is not None:
             entries.append((report, "beta", "^beta: "))
         rejected += _rejects_each_nudge(checker.check_solve, spec, report, entries)
@@ -650,6 +665,10 @@ def _rejects_each_representation_edit(spec, report):
         moved = {first: "boundary" if cls != "boundary" else "strict_accept"}
         edits.append(
             (lambda r: r["representation"]["classification"].update(moved), "classification")
+        )
+        grid = not rep["precondition_grid"]
+        edits.append(
+            (lambda r: r["representation"].update(precondition_grid=grid), "precondition_grid")
         )
     else:
         edits.append(

@@ -753,7 +753,7 @@ def test_certificate_shortcuts_match_the_lps_they_replace(monkeypatch):
         lam_qc = sol.q_alpha.atom_part()
         gamma_c, _ = minimax._countable_value(prob, lam_qc)
         assert sol.gamma_c == gamma_c
-        _, _, level_c = minimax._null_side_mixture(prob, lam_qc, sol.lam, gamma_c)
+        _, level_c = minimax._null_side_mixture(prob, lam_qc, sol.lam, gamma_c)
         assert sol.level_c == level_c
         assert all(m >= 0 for m in sol.p_weights)
         assert sum(sol.p_weights) == 1
