@@ -60,13 +60,13 @@ the slack basis too. The test box goes to the simplex as variable bounds;
 its multipliers w come back as the bound duals, and only the dual face
 program carries them, as identity columns.
 
-Every solution carries a dual certificate whose residuals are recomputed
-exactly, in integers; a nonzero residual raises instead of warning. The same check
-settles the case split with no LP. Complementary slackness gives
+`solve_minimax` returns a solution only once `kkt_certificate` has rechecked
+its dual certificate exactly, in integers; a nonzero residual raises. The
+same check settles the case split with no LP. Complementary slackness gives
 v_i (alpha - E_{P_i}[x]) = 0 for every optimal test x, so some v_i > 0 means
 every optimal test spends alpha. If v = 0, summing the dual rows over the
-slots gives 1 <= sum w = gamma, so every optimal test is 1 on the union S
-of the alternative supports, and the least attained level is max_i P_i(S).
+slots gives 1 <= sum w = gamma, so every optimal test is 1 on the union S of
+the alternative supports, and the least attained level is max_i P_i(S).
 """
 
 from __future__ import annotations
@@ -245,13 +245,18 @@ def _epigraph_program(t_rows, cap_rows, cap):
     return [0] * nv + [1], a_ub, b_ub, [ONE] * nv + [None]
 
 
+def _optimal(res, what: str):
+    """``res`` if the LP ended optimal; every program of the chain is solvable."""
+    if res.status != "optimal":
+        raise RuntimeError(f"{what} ended {res.status}; it is always solvable")
+    return res
+
+
 def _solve_epigraph(prob: TestProblem):
     """Max worst-case power via the epigraph LP: value, duals (u, v, w), test x0."""
     qs, ps = prob.q_family.family, prob.p_family.family
     c, a_ub, b_ub, upper = _epigraph_program(qs, ps, prob.alpha)
-    res = solve_lp(c, a_ub, b_ub, upper=upper)
-    if res.status != "optimal":
-        raise RuntimeError(f"epigraph program ended {res.status}; it is always solvable")
+    res = _optimal(solve_lp(c, a_ub, b_ub, upper=upper), "epigraph program")
     duals = [m.scaled[1] * y for m, y in zip(qs + ps, res.y_ub)]
     u, v, w = duals[: len(qs)], duals[len(qs) :], list(res.y_upper[:-1])
     return res.value, u, v, w, TestFunction.from_slots(prob.space, res.x[:-1])
@@ -315,10 +320,8 @@ def _lift_dual_support(prob: TestProblem, gamma: Fraction, u, v, w, x0: TestFunc
         row = [0] * (n_face + nc)
         row[j], row[n_face + r] = -dens[j], 1
         face_a.append(row)
-    res = solve_lp([0] * n_face + [1] * nc, face_a, [ZERO] * len(face_a),
-                   upper=[None] * n_face + [ONE] * nc)
-    if res.status != "optimal":
-        raise RuntimeError(f"dual face program ended {res.status}")
+    res = _optimal(solve_lp([0] * n_face + [1] * nc, face_a, [ZERO] * len(face_a),
+                            upper=[None] * n_face + [ONE] * nc), "dual face program")
     if res.value == 0:
         return u, v, w
     s = sum((d * a for d, a in zip(dens, res.x[:mq])), ZERO)
@@ -330,9 +333,7 @@ def _min_attained_level(prob: TestProblem, gamma: Fraction):
     """Among optimal tests, minimize the worst-case null level (in complements)."""
     qs = prob.q_family.family
     c, a_ub, b_ub, upper = _epigraph_program(prob.p_family.family, qs, ONE - gamma)
-    res = solve_lp(c, a_ub, b_ub, upper=upper)
-    if res.status != "optimal":
-        raise RuntimeError(f"level program ended {res.status}")
+    res = _optimal(solve_lp(c, a_ub, b_ub, upper=upper), "level program")
     x = [ONE - y if y else ONE for y in res.x[: prob.space.n_slots]]
     return TestFunction.from_slots(prob.space, x), ONE - res.value
 
@@ -346,9 +347,8 @@ def _countable_value(prob: TestProblem, lam_qc: Charge):
     """
     ps, nv, (lam, den) = prob.p_family.family, prob.space.n_slots, lam_qc.scaled
     b_ub = [prob.alpha * p.scaled[1] for p in ps]
-    res = solve_lp(lam, [p.scaled[0] for p in ps], b_ub, upper=[ONE] * nv)
-    if res.status != "optimal":
-        raise RuntimeError(f"countable part program ended {res.status}")
+    res = _optimal(solve_lp(lam, [p.scaled[0] for p in ps], b_ub, upper=[ONE] * nv),
+                   "countable part program")
     return res.value / den, [p.scaled[1] * y / den for p, y in zip(ps, res.y_ub)]
 
 
@@ -363,9 +363,7 @@ def _null_side_mixture(prob: TestProblem, lam_qc: Charge, lam, gamma_c):
     """
     ps = prob.p_family.family
     c, a_ub, b_ub, upper = _epigraph_program(ps, [lam_qc], lam - gamma_c)
-    res = solve_lp(c, a_ub, b_ub, upper=upper)
-    if res.status != "optimal":
-        raise RuntimeError(f"auxiliary level program ended {res.status}")
+    res = _optimal(solve_lp(c, a_ub, b_ub, upper=upper), "auxiliary level program")
     weights = tuple(p.scaled[1] * y for p, y in zip(ps, res.y_ub))
     if (total := sum(weights, ZERO)) != ONE:
         raise RuntimeError(
@@ -374,14 +372,17 @@ def _null_side_mixture(prob: TestProblem, lam_qc: Charge, lam, gamma_c):
     return weights, ONE - res.value
 
 
-def _build_certificate(prob: TestProblem, sol: Solution) -> DualCertificate:
+def kkt_certificate(prob: TestProblem, sol: Solution) -> DualCertificate:
     """Recompute the feasibility, duality gap and case split of ``sol`` exactly.
 
-    The multipliers are checked as integers over their least common
-    denominators, and the levels, the power and the mixtures' slot sums
-    come from the integer forms of the charge model, so a ``Fraction`` is
-    built only for an expectation, a reported value or an error message.
-    Returns ``sol.certificate`` once it has passed.
+    Nothing is trusted from the stored certificate but the multipliers
+    themselves, and no LP is solved; :func:`solve_minimax` runs this check
+    once on every solution it returns. The multipliers are checked as
+    integers over their least common denominators, and the levels, the
+    power and the mixtures' slot sums come from the integer forms of the
+    charge model, so a ``Fraction`` is built only for an expectation, a
+    reported value or an error message. Returns ``sol.certificate`` once it
+    has passed; any exact violation raises :class:`CertificateError`.
     """
     nv, ps, qs = prob.space.n_slots, prob.p_family.family, prob.q_family.family
     x, gamma, attained = sol.x_alpha, sol.gamma_alpha, sol.attained_level
@@ -475,20 +476,8 @@ def solve_minimax(prob: TestProblem) -> Solution:
         level_c=level_c,
         certificate=DualCertificate(tuple(u), tuple(v), tuple(w)),
     )
-    _build_certificate(prob, sol)
+    kkt_certificate(prob, sol)
     return sol
-
-
-def kkt_certificate(prob: TestProblem, sol: Solution) -> DualCertificate:
-    """Re-derive the certificate for ``sol`` with every residual recomputed.
-
-    Nothing is trusted from the stored certificate except the multipliers
-    themselves; feasibility, the duality gap (which settles complementary
-    slackness), the attained level and the case split are rebuilt from the
-    problem data, and no LP is solved. Any exact violation raises
-    :class:`CertificateError`.
-    """
-    return _build_certificate(prob, sol)
 
 
 def compute_beta(p_family: SublinearExpectation, q_countable: Charge) -> Fraction:

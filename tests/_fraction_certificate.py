@@ -1,18 +1,19 @@
 """The Fraction certificate check, kept as a test reference.
 
 This is the original all-`Fraction` body of
-:func:`robustnp.minimax._build_certificate`. The library now splits the
-same checks between itself and the charge model: it checks the signs and
-the sums of u, v and w on each vector's integers over its least common
+:func:`robustnp.minimax.kkt_certificate`. The library now splits the same
+checks between itself and the charge model: it checks the signs and the
+sums of u, v and w on each vector's integers over its least common
 denominator, takes the levels and the power from
 :func:`robustnp.charge_model.expectation`, and compares the two mixtures
 slot by slot on the integer sums of ``charge_model._mixed``, which
 :func:`robustnp.charge_model.mix` also uses. So the two must accept the
 same solutions, report equal certificates and reject the same bad ones
-with the same message; the tests in ``test_minimax.py`` compare them. The reference still tests the complementary slackness
-residuals, which the library leaves out because a zero duality gap already
-forces them to 0. It returns neither them, the slot slacks nor the gap,
-as the certificate has no field for them.
+with the same message; the tests in ``test_minimax.py`` compare them. The
+reference still tests the complementary slackness residuals, which the
+library leaves out because a zero duality gap already forces them to 0.
+It returns neither them, the slot slacks nor the gap, as the certificate
+has no field for them.
 """
 
 from __future__ import annotations

@@ -35,8 +35,24 @@ max_i P_i(supp lam_qc) >= alpha are rederived from its ``kappa``. Its
 ``kappa_formula`` is recomputed as the least u >= 0 with
 lam_qc{u q >= p} >= gamma_c, for p and q the atom masses of tau_pc and
 lam_qc and gamma_c the reported one, and its ``precondition_grid`` must
-read ``level_c == alpha`` for the reported ``level_c``. gamma_c and
-level_c themselves are not yet checked.
+read ``level_c == alpha`` for the reported ``level_c``.
+
+gamma_c, the best E_{lam_qc}[y] over tests y with E_{P_i}[y] <= alpha for
+all i, is checked once the certificate has passed. The reported test is
+such a y, and (v, w without its tail entry) is dual feasible for that
+program with objective value - w_tail, so
+
+    E_{lam_qc}[test] <= gamma_c <= value - w_tail,
+
+and gamma_c = 0 when lam = 0. Setting y to 0 on the tail loses nothing,
+and such a y has E_{tau_pc}[y] <= alpha for every mixture of the null
+members. So the Neyman-Pearson value of (tau_pc, lam_qc) at alpha, found
+by filling y down the ratio lam_qc/tau_pc, is at least gamma_c, and the
+``p_weights`` are least favorable when it equals gamma_c, which is required.
+Where the two bounds meet and sum v > 0, (v, w) certifies gamma_c, and
+weak duality caps the countable value at any level a < alpha by
+gamma_c - (alpha - a) sum v, so a threshold report's ``level_c`` must be
+alpha.
 
 The fields that read off the spec's masses alone are recomputed. beta is
 min_i P_i of the atoms outside supp lam_qc, plus the tail, and
@@ -162,6 +178,23 @@ def _feasible_test(spec: _Spec, report: _Fields, alpha: Fraction) -> tuple[list,
     return x, attained
 
 
+def _tau_pc(spec: _Spec, report: _Fields) -> list[Fraction]:
+    """The atom masses of the ``p_weights`` mixture of the null members."""
+    pw = report.rationals("p_weights")
+    _require(len(pw) == len(spec.p), "p_weights: one weight per null member expected")
+    _require(min(pw) >= 0 and sum(pw) == 1, f"p_weights: {pw} is not a probability vector")
+    return [_dot(pw, col) for col in zip(*spec.p)][: len(spec.atoms)]
+
+
+def _np_value(p: list[Fraction], q: list[Fraction], alpha: Fraction) -> Fraction:
+    """max E_q[y] over y in [0, 1] with E_p[y] <= alpha: fill y down the ratio q/p."""
+    power, budget = Fraction(0), alpha
+    for _, pk, qk in sorted((pk / qk, pk, qk) for pk, qk in zip(p, q) if qk):
+        take = min(1, budget / pk) if pk else 1
+        power, budget = power + take * qk, budget - take * pk
+    return power
+
+
 def _check_representation(
     spec: _Spec, report: _Fields, x: list, q_alpha: list, alpha: Fraction, attained: Fraction
 ) -> None:
@@ -175,10 +208,7 @@ def _check_representation(
     elif attained < alpha:
         form = "degenerate"
     else:
-        pw = report.rationals("p_weights")
-        _require(len(pw) == len(spec.p), "p_weights: one weight per null member expected")
-        _require(min(pw) >= 0 and sum(pw) == 1, f"p_weights: {pw} is not a probability vector")
-        tau_pc = [_dot(pw, col) for col in zip(*spec.p)][:n]
+        tau_pc = _tau_pc(spec, report)
         form = "threshold" if any(tau_pc) else "none"
     _require(rep["form"] == form, f"representation.form {rep['form']}, the masses say {form}")
     if form == "none":
@@ -234,6 +264,33 @@ def _check_representation(
         rep["precondition_grid"] is (level_c == alpha),
         f"representation.precondition_grid: level_c is {level_c}, alpha {alpha}",
     )
+
+
+def _check_countable(
+    spec: _Spec, report: _Fields, x: list, q_alpha: list, v: list, w: list, alpha: Fraction
+) -> None:
+    """Accept ``gamma_c``, ``p_weights`` and ``level_c`` once the certificate has passed."""
+    n = len(spec.atoms)
+    lam_qc, gamma_c = q_alpha[:n], report.rational("gamma_c")
+    if not any(lam_qc):
+        _require(gamma_c == 0, f"gamma_c: lam is 0, so gamma_c is 0, not {gamma_c}")
+        return
+    # The test is feasible, and (v, w without its tail entry) is dual
+    # feasible for the countable program, with objective value - w_tail.
+    low, high = _dot(lam_qc, x), report.rational("value") - sum(w[n:])
+    _require(low <= gamma_c <= high, f"gamma_c: {gamma_c} lies outside [{low}, {high}]")
+    best = _np_value(_tau_pc(spec, report), lam_qc, alpha)
+    _require(
+        gamma_c == best,
+        f"gamma_c: {gamma_c}, but the p_weights mixture and lam_qc have Neyman-Pearson value {best}",
+    )
+    rep = report.obj("representation")
+    if low == high and any(v) and rep["form"] == "threshold":
+        level_c = rep.rational("level_c")
+        _require(
+            level_c == alpha,
+            f"representation.level_c: {level_c}, but (v, w) certify gamma_c, so it is {alpha}",
+        )
 
 
 def _check_masses(
@@ -315,6 +372,7 @@ def check_solve(spec_data: dict, report: dict) -> None:
     case = "LevelSlack" if attained < alpha else "LevelAttained"
     _require(report["case"] == case, f"case {report['case']}, the levels say {case}")
     _check_masses(spec, report, q_alpha, alpha, attained)
+    _check_countable(spec, report, x, q_alpha, v, w, alpha)
 
 
 def check_np(spec_data: dict, report: dict, alpha: "Fraction | None" = None) -> None:

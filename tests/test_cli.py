@@ -5,6 +5,7 @@ import copy
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -605,7 +606,7 @@ def _rejects_each_nudge(check, spec, report, entries):
 
 
 def test_checker_rejects_nudged_solve_reports(solve_reports):
-    rejected = 0
+    rejected = countable = 0
     for spec, report in solve_reports:
         cert = report["certificate"]
         u, v, w = report["q_weights"], cert["level_duals"], cert["box_duals"]
@@ -625,12 +626,45 @@ def test_checker_rejects_nudged_solve_reports(solve_reports):
         rejected += _rejects_each_nudge(checker.check_solve, spec, report, entries)
         rejected += _rejects_each_representation_edit(spec, report)
         rejected += _rejects_each_mass_edit(spec, report)
+        # kappa_formula is read off gamma_c, so it may be the first to fail.
+        gamma_c = [(report, "gamma_c", "^(gamma_c|representation.kappa_formula): ")]
+        countable += _rejects_each_nudge(checker.check_solve, spec, report, gamma_c)
+        countable += _rejects_countable_edits(spec, report)
         case = report["case"]
         report["case"] = {"LevelSlack": "LevelAttained", "LevelAttained": "LevelSlack"}[case]
         with pytest.raises(checker.ReportRejected, match="^case "):
             checker.check_solve(spec, report)
         report["case"] = case
     assert rejected > 10 * len(solve_reports)
+    assert countable > 2 * len(solve_reports)
+
+
+def _rejects_countable_edits(spec, report):
+    """Move weight between two null members, and lower level_c below alpha; count rejections.
+
+    Either edit may leave a report that is still right: p_weights need not
+    be the only least favorable null weights, and level_c is proved to be
+    alpha only where the level duals certify gamma_c.
+    """
+    edits = []
+    weights = [F(e["exact"]) for e in report["p_weights"] or ()]
+    if len(weights) > 1:
+        i = weights.index(max(weights))
+        weights[i] -= NUDGE
+        weights[(i + 1) % len(weights)] += NUDGE
+        edits.append({"p_weights": [_exact(wt) for wt in weights]})
+    rep = report["representation"]
+    if rep.get("precondition_grid"):
+        level_c = _exact(F(rep["level_c"]["exact"]) - NUDGE)
+        edits.append({"representation": dict(rep, level_c=level_c, precondition_grid=False)})
+    rejected = 0
+    for edit in edits:
+        try:
+            checker.check_solve(spec, dict(report, **edit))
+        except checker.ReportRejected as exc:
+            assert re.match(r"(gamma_c|representation\.\w+): ", str(exc)), exc
+            rejected += 1
+    return rejected
 
 
 def _rejects_each_mass_edit(spec, report):
@@ -910,7 +944,7 @@ def test_solve_runs_no_lp_beyond_solve_minimax(tmp_path, monkeypatch, capsys):
 def test_solve_builds_the_certificate_once(tmp_path, monkeypatch, capsys):
     # solve_minimax checks the certificate, case split included; the
     # command reports that check and does not repeat it.
-    calls = _counting(monkeypatch, "_build_certificate")
+    calls = _counting(monkeypatch, "kkt_certificate")
     for spec in _fixtures_and_seeded_specs(tmp_path):
         calls.clear()
         assert run(["solve", spec, "--json", tmp_path / "report.json"]) == EXIT_OK

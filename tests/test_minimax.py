@@ -19,6 +19,7 @@ from robustnp import (
     Case,
     CertificateError,
     Charge,
+    LpSolution,
     PureLeastFavorableError,
     SampleSpace,
     SublinearExpectation,
@@ -37,7 +38,7 @@ from robustnp import (
     verify_threshold_form,
     vertex_enumerate,
 )
-from robustnp.cli import load_problem
+from robustnp.cli import load_problem, main as cli_main
 from robustnp.hypotheses import nonexistence_problem
 
 F = Fraction
@@ -723,13 +724,29 @@ def _auxiliary_dual_value(prob, p_weights, lam_qc, gamma_c):
     )
 
 
+def _neyman_pearson_value(p, q, alpha):
+    """max sum_k q_k y_k over y in [0, 1] with sum_k p_k y_k <= alpha.
+
+    The greedy fill: y = 1 down the ratio q/p, atoms with p = 0 first, and
+    the part of alpha left over on the next atom.
+    """
+    value, left = F(0), alpha
+    for _, pk, qk in sorted((pk / qk, pk, qk) for pk, qk in zip(p, q) if qk > 0):
+        share = min(F(1), left / pk) if pk else F(1)
+        value, left = value + share * qk, left - share * pk
+    return value
+
+
 def test_certificate_shortcuts_match_the_lps_they_replace(monkeypatch):
     # gamma_c and level_c read off the epigraph's certificate equal what the
     # countable and auxiliary programs return, and p_weights is an exact
-    # optimal auxiliary dual either way.
+    # optimal auxiliary dual either way. The pair is least favorable:
+    # gamma_c is the Neyman-Pearson value of the countable parts of the two
+    # mixtures at alpha.
     rng = random.Random(1956)
     cells = [(6, 2, 2), (8, 2, 2), (12, 3, 3), (6, 2, 6)]
-    problems = [_ladder_problem(rng, *rng.choice(cells)) for _ in range(60)]
+    problems = [load_problem(str(path)) for path in sorted(FIXTURES.glob("*.json"))]
+    problems += [_ladder_problem(rng, *rng.choice(cells)) for _ in range(60)]
     problems += [_ladder_problem(rng, *rng.choice(cells), has_tail=False) for _ in range(20)]
     problems += [_degenerate_problem(rng) for _ in range(40)]
     problems += [_stress_problem(rng) for _ in range(60)]
@@ -740,7 +757,7 @@ def test_certificate_shortcuts_match_the_lps_they_replace(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(minimax, name, spy)
     ran = {"countable": 0, "countable skipped": 0, "null side": 0, "null side skipped": 0,
-           "no tail": 0}
+           "no tail": 0, "below lam": 0}
     for prob in problems:
         stage_calls.clear()
         sol = solve_minimax(prob)
@@ -758,6 +775,12 @@ def test_certificate_shortcuts_match_the_lps_they_replace(monkeypatch):
         assert all(m >= 0 for m in sol.p_weights)
         assert sum(sol.p_weights) == 1
         assert _auxiliary_dual_value(prob, sol.p_weights, lam_qc, sol.gamma_c) == sol.level_c
+        tau_pc = [
+            sum((m * p.atom_mass[k] for m, p in zip(sol.p_weights, prob.p_family.family)), F(0))
+            for k in range(prob.space.n_atoms)
+        ]
+        assert _neyman_pearson_value(tau_pc, lam_qc.atom_mass, prob.alpha) == sol.gamma_c
+        ran["below lam"] += sol.gamma_c < sol.lam
     assert min(ran.values()) >= 10, ran
 
 
@@ -799,6 +822,38 @@ def test_lp_count_per_solve(monkeypatch):
         calls = _lp_stages(monkeypatch, nonexistence_problem(n, F(1, 3)))[0]
         assert calls == ["_solve_epigraph", "_min_attained_level", "_countable_value",
                          "_null_side_mixture"]
+
+
+def test_each_stage_names_its_program_when_its_lp_fails(monkeypatch, capsys):
+    # solve_lp fails for one stage at a time, picked by the calling function.
+    intro = load_problem(str(FIXTURES / "intro_example.json"))
+    lifting = _degenerate_problem(random.Random(1985))
+    deep = nonexistence_problem(3, F(1, 3))
+    stages = [
+        ("_solve_epigraph", intro, "epigraph program"),
+        ("_lift_dual_support", lifting, "dual face program"),
+        ("_min_attained_level", intro, "level program"),
+        ("_countable_value", deep, "countable part program"),
+        ("_null_side_mixture", deep, "auxiliary level program"),
+    ]
+
+    def failing_in(stage):
+        def fake(*args, **kwargs):
+            if sys._getframe(1).f_code.co_name == stage:
+                return LpSolution("unbounded")
+            return solve_lp(*args, **kwargs)
+        return fake
+
+    for stage, prob, what in stages:
+        monkeypatch.setattr(minimax, "solve_lp", failing_in(stage))
+        with pytest.raises(RuntimeError) as failed:
+            solve_minimax(prob)
+        assert type(failed.value) is RuntimeError, stage
+        assert str(failed.value) == f"{what} ended unbounded; it is always solvable"
+    # An internal error exits 3 with the stage's message and no traceback.
+    assert cli_main(["solve", str(FIXTURES / "nonexistence.json")]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: auxiliary level program ended unbounded; it is always solvable\n"
 
 
 def _level_corpus(rng):
