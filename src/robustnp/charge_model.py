@@ -22,11 +22,18 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence, Union
 
-from .simplex import ONE, ZERO, _frac as frac, _scale
+from .simplex import ONE, ZERO, _frac as frac
 
 TAIL_LABEL = "tail"
 
 RationalLike = Union[int, str, Fraction]
+
+
+def _scale(values: list[Fraction]) -> tuple[list[int], int]:
+    """Integers over the least common denominator of ``values``."""
+    dens = [v.denominator for v in values]
+    den = math.lcm(*dens)
+    return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
 
 def _digits(n: int) -> int:

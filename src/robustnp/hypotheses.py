@@ -105,6 +105,8 @@ def nonexistence_problem(n: int, alpha: Fraction = Fraction(1, 2)) -> TestProble
     truncation is 1 - (1 - alpha) / 2^n: increasing in n, supremum 1,
     never 1, which is the finite shadow of the non-existence phenomenon.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"truncation size must be an int, got {n!r} ({type(n).__name__})")
     if n < 1:
         raise ValueError(f"truncation size must be at least 1, got {n}")
     alpha = frac(alpha)

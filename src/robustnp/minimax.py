@@ -83,6 +83,7 @@ from .charge_model import (
     SublinearExpectation,
     TestFunction,
     _mixed,
+    _scale,
     expectation,
     frac,
     lower_expectation,
@@ -90,7 +91,7 @@ from .charge_model import (
     upper_expectation,
 )
 from .neyman_pearson import _ratio_classes
-from .simplex import _scale, solve_lp
+from .simplex import solve_lp
 
 
 class CertificateError(RuntimeError):
@@ -232,11 +233,10 @@ def _epigraph_program(t_rows, cap_rows, cap):
 
     The rows are charges, each written as ints over its ``scaled``
     denominator den: a t row reads den t - ints . x <= 0 and a cap row
-    ints . x <= cap den, the scale ``solve_lp`` would pick for the
-    masses, so a row's dual comes back over den. Returns ``(c, a_ub, b_ub,
-    upper)`` over (x, t); the t rows come first, so the row duals split in
-    that order, and the box is the bounds ``upper``, whose duals are w.
-    With ``cap`` nonnegative, x = 0, t = 0 is a feasible basis.
+    ints . x <= cap den, so a row's dual comes back over den. It returns
+    ``(c, a_ub, b_ub, upper)`` over (x, t), t rows first, so the row duals
+    split in that order; the box is the bounds ``upper``, whose duals are
+    w. With ``cap`` nonnegative, x = 0, t = 0 is a feasible basis.
     """
     nv = t_rows[0].space.n_slots
     a_ub = [[-m for m in r.scaled[0]] + [r.scaled[1]] for r in t_rows]
@@ -300,7 +300,8 @@ def _lift_dual_support(prob: TestProblem, gamma: Fraction, u, v, w, x0: TestFunc
     input (Bareiss 1968): they reached 3000 bits at 40x10x10. So the LP is
     in u'_j = u_j / den_j and v'_i = v_i / den_i, for den a member's
     ``scaled`` denominator: slot row k holds the members' integers, the gap
-    row -gamma den_j and alpha den_i, and candidate row t_j - den_j u'_j <= 0.
+    row -gamma den_j, alpha den_i and 1 per w_k over the lcm of their
+    denominators, and candidate row t_j - den_j u'_j <= 0.
     """
     qs, ps = prob.q_family.family, prob.p_family.family
     cand = [j for j, q in enumerate(qs) if u[j] == 0 and expectation(q, x0) == gamma]
@@ -315,7 +316,7 @@ def _lift_dual_support(prob: TestProblem, gamma: Fraction, u, v, w, x0: TestFunc
         for k in range(nv)
     ]
     gap = [d * (prob.alpha if j >= mq else -gamma) for j, d in enumerate(dens)]
-    face_a.append(gap + [1] * nv + [0] * nc)
+    face_a.append(_scale(gap + [1] * nv + [0] * nc)[0])
     for r, j in enumerate(cand):
         row = [0] * (n_face + nc)
         row[j], row[n_face + r] = -dens[j], 1
@@ -373,7 +374,7 @@ def _null_side_mixture(prob: TestProblem, lam_qc: Charge, lam, gamma_c):
 
 
 def kkt_certificate(prob: TestProblem, sol: Solution) -> DualCertificate:
-    """Recompute the feasibility, duality gap and case split of ``sol`` exactly.
+    """Recompute the feasibility, duality gap, case split and u-mixture of ``sol`` exactly.
 
     Nothing is trusted from the stored certificate but the multipliers
     themselves, and no LP is solved; :func:`solve_minimax` runs this check
@@ -431,6 +432,14 @@ def kkt_certificate(prob: TestProblem, sol: Solution) -> DualCertificate:
         )
     if sol.case is not (Case.LEVEL_SLACK if attained < prob.alpha else Case.LEVEL_ATTAINED):
         raise CertificateError(f"case {sol.case.value} disagrees with attained level {attained}")
+    # q_weights is u, q_alpha is sum_j u_j Q_j (qm / dq) and lam its countable mass.
+    if sol.q_weights != u:
+        raise CertificateError("q_weights are not the certificate's alternative weights")
+    if sol.q_alpha.space != prob.space or any(f.numerator * dq != m * f.denominator
+                                              for f, m in zip(sol.q_alpha.slot_masses(), qm)):
+        raise CertificateError("q_alpha is not the mixture of the alternatives under q_weights")
+    if sol.lam != (lam := ONE - sol.q_alpha.tail_mass):
+        raise CertificateError(f"lam is {sol.lam}, expected 1 - q_alpha's tail mass = {lam}")
     return cert
 
 

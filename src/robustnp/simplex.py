@@ -1,29 +1,26 @@
 """Exact simplex over rationals from the slack basis, with dual extraction.
 
 This is a small dense implementation sized for the LPs built elsewhere in
-the package: a handful of variables and a few dozen rows. The tableau is
-Python ints over one positive denominator d, the basis determinant up to
-sign, and a pivot is fraction-free (Edmonds 1967, *J. Res. NBS* 71B;
-Bareiss 1968, *Math. Comp.* 22): every other row becomes
+the package: a handful of variables and a few dozen rows. ``c`` and every
+``a_ub`` row are lists of ints (``type(v) is int``, so no bool); any other
+entry raises ``TypeError``. The callers in :mod:`robustnp.minimax` write
+their rows from the charges' ``scaled`` integers. The right-hand sides are
+rationals, coerced by ``_frac`` (which refuses floats, bools and exponent
+strings) and put over one shared denominator. The tableau is Python ints
+over one positive denominator d, the basis determinant up to sign, and a
+pivot is fraction-free (Edmonds 1967, *J. Res. NBS* 71B; Bareiss 1968,
+*Math. Comp.* 22): every other row becomes
 ``(p * row - row[j] * pivot_row) // d``, an exact division, and d becomes
-the pivot p. So every entry is a minor of the scaled input, bounded by
-Hadamard's bound, with no gcd taken. Each ``a_ub`` row is scaled by the
-least common denominator of its entries, and its slack has coefficient 1
-in that scaled row, so the slack basis starts at d = 1; the right-hand
-sides share one more denominator. A row of ``a_ub``, or ``c``, whose
-entries are all ints is its own integer form at scale 1 and is taken as
-it is; the callers in :mod:`robustnp.minimax` write their rows that way,
-from the charges' ``scaled`` integers. Any other row is coerced entry by
-entry (``_frac``, which refuses floats, bools and exponent strings) and
-scaled, and the right-hand sides always are. Those coercions and the
-nonzero entries of the result are the only `fractions.Fraction`s built.
-The sign checks run on the integers, and the optimal value is read off
-the cost row's right-hand side rather than summed as ``c . x``.
-Nothing is rounded, so "optimal" means optimal, not optimal up to a
-tolerance, and the duals returned here can be used in exact complementary
-slackness checks. Every right-hand side must be nonnegative, so the slack
-basis x = 0 is feasible and there is one phase: the callers write their
-programs in that form.
+the pivot p. So every entry is a minor of the input rows as given, bounded
+by Hadamard's bound, with no gcd taken; each slack has coefficient 1, so
+the slack basis starts at d = 1. Those coercions and the nonzero entries
+of the result are the only `fractions.Fraction`s built. The sign checks
+run on the integers, and the optimal value is read off the cost row's
+right-hand side rather than summed as ``c . x``. Nothing is rounded, so
+"optimal" means optimal, not optimal up to a tolerance, and the duals
+returned here can be used in exact complementary slackness checks. Every
+right-hand side must be nonnegative, so the slack basis x = 0 is feasible
+and there is one phase: the callers write their programs in that form.
 
 Bounds ``x_j <= 1`` stay out of the tableau (Dantzig's upper-bounding
 technique): a variable at its bound is complemented, ``x_j = 1 - x_j'``, by
@@ -34,20 +31,19 @@ rising to 1 (complemented, then pivoted out at 0) and the entering
 variable's own bound (a flip of length 1).
 
 Pricing. The entering column is the one with the most negative reduced
-cost as the tableau holds it, ties to the smaller index, so a slack is
-priced in its scaled row: at its row's dual over the row's scale. Right
-after a step of length 0 (the winning ratio was 0) it is Bland's instead:
-the smallest index with a negative reduced cost. The candidate is always
-Bland's: the smallest variable index among tied ratios, a flip counting as
-the entering index. Each step is a pivot of the same LP with explicit rows
-``x_j + s_j = 1`` under the order ``x_0 < s_0 < x_1 < ... < slacks``: a
-flip is ``x_s`` entering for ``s_s``, a rise is ``s_B`` leaving, and at
-most one of each pair is nonbasic or a candidate. A flip negates its own
-column and moves only the right-hand sides, so no other reduced cost
-changes: from the second flip of a run on, the entering columns come off
-one heap of (reduced cost, index) over the negative costs, in the order
-the scan would take them, and an empty heap means optimal. A pivot drops
-the heap, so pricing a run of k flips costs O(n + k log n), not O(k n).
+cost, ties to the smaller index. Right after a step of length 0 (the
+winning ratio was 0) it is Bland's instead: the smallest index with a
+negative reduced cost. The candidate is always Bland's: the smallest
+variable index among tied ratios, a flip counting as the entering index.
+Each step is a pivot of the same LP with explicit rows ``x_j + s_j = 1``
+under the order ``x_0 < s_0 < x_1 < ... < slacks``: a flip is ``x_s``
+entering for ``s_s``, a rise is ``s_B`` leaving, and at most one of each
+pair is nonbasic or a candidate. A flip negates its own column and moves
+only the right-hand sides, so no other reduced cost changes: from the
+second flip of a run on, the entering columns come off one heap of
+(reduced cost, index) over the negative costs, in the order the scan would
+take them, and an empty heap means optimal. A pivot drops the heap, so
+pricing a run of k flips costs O(n + k log n), not O(k n).
 
 Termination. The entering reduced cost is negative, so a step of nonzero
 length, every flip included, strictly improves the objective, and no basis
@@ -133,56 +129,46 @@ def _frac(v) -> Fraction:
     )
 
 
-def _scale(values: list[Fraction]) -> tuple[list[int], int]:
-    """Integers over the least common denominator of ``values``."""
-    dens = [v.denominator for v in values]
-    den = math.lcm(*dens)
-    return [v.numerator * (den // d) for v, d in zip(values, dens)], den
-
-
-def _int_row(row) -> tuple[list[int], int]:
-    """``_scale`` of a row, taking a row of ints (``type(v) is int``, so no bool) as it is."""
-    if set(map(type, row)) <= {int}:
-        return list(row), 1
-    return _scale([_frac(v) for v in row])
+def _ints(row, name: str) -> list[int]:
+    """``row`` as a list once every entry is an int (``type(v) is int``, so no bool)."""
+    if (types := set(map(type, row))) <= {int}:
+        return list(row)
+    bad = ", ".join(sorted(t.__name__ for t in types - {int}))
+    raise TypeError(f"{name} takes ints, not {bad}")
 
 
 def solve_lp(
-    c: Sequence[Fraction],
-    a_ub: "Sequence[Sequence[Fraction]] | None" = None,
+    c: Sequence[int],
+    a_ub: "Sequence[Sequence[int]] | None" = None,
     b_ub: "Sequence[Fraction] | None" = None,
     *,
     upper: "Sequence[Fraction | None] | None" = None,
 ) -> LpSolution:
-    cost, cden = _int_row(c)
+    cost = _ints(c, "c")
     n = len(cost)
     if n == 0:
         raise ValueError("need at least one variable")
-    body = [_int_row(row) for row in (a_ub or [])]
+    body = [_ints(row, "a_ub") for row in (a_ub or [])]
     rhs = [_frac(v) for v in (b_ub or [])]
     if len(body) != len(rhs):
         raise ValueError("a_ub and b_ub disagree on the number of rows")
-    for row, _ in body:
+    for row in body:
         if len(row) != n:
             raise ValueError(f"constraint row has {len(row)} entries, expected {n}")
     m = len(body)
     n_cols = n + m
 
-    # The tableau: integer rows over the denominator d. Row r is a_ub row r
-    # times scales[r], the lcm of its entries' denominators, with its slack
-    # (coefficient 1) in column n + r, basic at the start, so d = 1. The
-    # last column holds the right-hand sides times rden. Row m is the
-    # reduced-cost row of the internal problem, min -c . x, times cden; it
-    # starts as -c, and its last entry holds c . x at the current basis.
+    # The tableau: integer rows over the denominator d. Row r is a_ub row r,
+    # its slack (coefficient 1, basic at the start, so d = 1) in column n + r
+    # and its right-hand side times rden last. Row m is the reduced-cost row
+    # of min -c . x: it starts as -c, and ends with c . x at the basis.
     rden = math.lcm(*(b.denominator for b in rhs))
     rows: list[list[int]] = []
-    scales: list[int] = []
-    for r, (scaled, scale) in enumerate(body):
-        b = rhs[r].numerator * (rden // rhs[r].denominator) * scale
+    for r, row in enumerate(body):
+        b = rhs[r].numerator * (rden // rhs[r].denominator)
         if b < 0:
             raise ValueError("b_ub must be nonnegative, so that the slack basis is feasible")
-        rows.append(scaled + [0] * r + [1] + [0] * (m - r - 1) + [b])
-        scales.append(scale)
+        rows.append(row + [0] * r + [1] + [0] * (m - r - 1) + [b])
     # boxed[j]: x_j <= 1. The slacks are free.
     boxed = [False] * n_cols
     if upper is not None:
@@ -231,8 +217,7 @@ def solve_lp(
         for _ in range(_MAX_PIVOTS):
             cost = rows[m]
             # The cost row has one positive denominator, so its integers
-            # compare as the reduced costs do, with each slack priced in its
-            # scaled row.
+            # compare as the reduced costs do.
             if bland:
                 enter = next((j for j in range(n_cols) if cost[j] < 0), -1)
             elif heap is not None:
@@ -282,7 +267,6 @@ def solve_lp(
     if run() == "unbounded":
         return LpSolution("unbounded")
     cost = rows[m]
-    yden = d * cden
 
     x = [ZERO] * n
     for r in range(m):
@@ -296,19 +280,16 @@ def solve_lp(
         if comp[j]:
             x[j] = ONE - x[j] if x[j] else ONE
             if cost[j]:
-                y_upper[j] = Fraction(cost[j], yden)
+                y_upper[j] = Fraction(cost[j], d)
 
-    # Row r's slack column (+e_r, cost 0) has the final reduced cost of the
-    # scaled row's dual, y_r / scales[r]; complementing columns leaves
-    # y = c_B B^-1 unchanged.
-    y_ub = tuple(
-        Fraction(s * v, yden) if v else ZERO for s, v in zip(scales, cost[n:n_cols])
-    )
+    # Row r's slack column (+e_r, cost 0) has the final reduced cost y_r;
+    # complementing columns leaves y = c_B B^-1 unchanged.
+    y_ub = tuple(Fraction(v, d) if v else ZERO for v in cost[n:n_cols])
 
     return LpSolution(
         status="optimal",
         x=tuple(x),
-        value=Fraction(cost[n_cols], yden * rden),
+        value=Fraction(cost[n_cols], d * rden),
         y_ub=y_ub,
         y_eq=(),
         y_upper=None if upper is None else tuple(y_upper),

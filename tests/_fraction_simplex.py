@@ -5,10 +5,13 @@ This is the original all-`Fraction` implementation of
 most negative reduced cost, ties to the smaller index, and Bland's
 smallest index right after a step whose winning ratio is 0. An ``a_ub``
 row's slack is priced at its reduced cost over the least common
-denominator of the row's entries, the scale the library's tableau gives
-that row. The library's integer tableau makes the same pivots, so the two
+denominator L of the row's entries. The library takes only rows of ints,
+and ``_scaled_rows.solve_scaled`` hands it each rational row times its L,
+where the slack's price is exactly that: so the library on the scaled rows
+makes the same pivots as this reference on the rational ones, and the two
 must return equal :class:`~robustnp.simplex.LpSolution` values on every
-input; the tests in ``test_simplex.py`` compare them.
+input once the duals are mapped back; the tests in ``test_simplex.py``
+compare them.
 """
 
 from __future__ import annotations
@@ -83,8 +86,8 @@ def solve_lp(
             col += 1
     n_cols = col
     art_cols = frozenset(art_col.values())
-    # The library scales a ub row by the least common denominator L of its
-    # entries, so it prices that row's slack at cbar / L.
+    # The library, given a ub row times the least common denominator L of
+    # its entries, prices that row's slack at cbar / L.
     weight = [ONE] * n_cols
     for r, (kind, orig, _) in enumerate(meta):
         if kind == "ub":

@@ -24,7 +24,7 @@ from robustnp import (
     upper_expectation,
 )
 from robustnp.cli import load_problem
-from robustnp.simplex import _scale
+from robustnp.charge_model import _scale
 
 F = Fraction
 
@@ -73,7 +73,8 @@ def test_frac_refuses_floats_and_bools():
 
 def test_frac_refuses_exponent_notation():
     # Fraction("1e-999999999") would build a billion-digit denominator;
-    # the refusal comes first, in frac and in solve_lp alike.
+    # the refusal comes first, in frac and in solve_lp's b_ub alike. c and
+    # a_ub take ints only, so there any string is refused by its type.
     for literal in ("1e-3", "2E5", "1.e+2", "1e-999999999"):
         with pytest.raises(ValueError, match=re.escape(f"exponent notation in '{literal}'")):
             frac(literal)
@@ -81,8 +82,10 @@ def test_frac_refuses_exponent_notation():
     for literal in ("three", "none", "1/3e"):
         with pytest.raises(ValueError, match="Invalid literal"):
             frac(literal)
-    with pytest.raises(ValueError, match="exponent notation in '1e-3'"):
+    with pytest.raises(TypeError, match="^c takes ints, not str$"):
         solve_lp(["1e-3"], [[1]], [1])
+    with pytest.raises(TypeError, match="^a_ub takes ints, not str$"):
+        solve_lp([1], [["1e-3"]], [1])
     with pytest.raises(ValueError, match="exponent notation in '1e0'"):
         solve_lp([1], [[1]], ["1e0"], upper=[1])
 

@@ -185,6 +185,10 @@ def test_nonexistence_problem_shape():
     assert alt.tail_mass == F(1, 8)
     with pytest.raises(ValueError, match="at least 1"):
         nonexistence_problem(0)
+    # A bool is not the size 1, and a float is refused before range sees it.
+    for bad in (True, 2.0):
+        with pytest.raises(TypeError, match="truncation size must be an int"):
+            nonexistence_problem(bad)
 
 
 def test_sweep_closed_form():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import math
 import random
 import re
 import sys
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from _fraction_certificate import kkt_certificate as fraction_certificate, slot_rows
 from _fraction_simplex import solve_lp as fraction_solve_lp
+from _scaled_rows import solve_scaled
 
 from robustnp import (
     Case,
@@ -305,12 +307,16 @@ def _support_problem(rng, shift):
 def test_certificate_rejects_a_nudged_case_level_or_value():
     # The certificate decides the case and the attained level exactly, so a
     # flipped case, or the level or the value moved by a rational step far
-    # below every input denominator, must each be rejected.
+    # below every input denominator, must each be rejected. So must a least
+    # favorable alternative mixture that is not the certificate's: weight
+    # moved between two members in q_weights, another member as q_alpha
+    # with its own countable mass as lam, or lam moved by a step.
     rng = random.Random(2011)
     problems = [three_atom_problem(), dirac_problem()]
     problems += [_support_problem(rng, shift) for shift in (F(-1, 16), F(0), F(1, 16))
                  for _ in range(30)]
-    kinds = {"gamma < 1": 0, "gamma = 1, slack": 0, "gamma = 1, attained, v = 0": 0}
+    kinds = {"gamma < 1": 0, "gamma = 1, slack": 0, "gamma = 1, attained, v = 0": 0,
+             "moved q_weights": 0, "another q_alpha": 0}
     for prob in filter(None, problems):
         sol = solve_minimax(prob)
         kkt_certificate(prob, sol)
@@ -322,10 +328,21 @@ def test_certificate_rejects_a_nudged_case_level_or_value():
             kinds["gamma = 1, attained, v = 0"] += 1
         flipped = Case.LEVEL_SLACK if sol.case is Case.LEVEL_ATTAINED else Case.LEVEL_ATTAINED
         wrong = [dataclasses.replace(sol, case=flipped)]
-        for field in ("attained_level", "gamma_alpha"):
+        for field in ("attained_level", "gamma_alpha", "lam"):
             value = getattr(sol, field)
             step = F(1, 2**64 * value.denominator)
             wrong += [dataclasses.replace(sol, **{field: value + d}) for d in (step, -step)]
+        u = list(sol.q_weights)
+        if len(u) > 1:
+            i = u.index(max(u))
+            step = F(1, 2**64 * u[i].denominator)
+            u[i], u[i - 1] = u[i] - step, u[i - 1] + step
+            wrong.append(dataclasses.replace(sol, q_weights=tuple(u)))
+            kinds["moved q_weights"] += 1
+        for q in prob.q_family.family:
+            if q != sol.q_alpha:
+                wrong.append(dataclasses.replace(sol, q_alpha=q, lam=1 - q.tail_mass))
+                kinds["another q_alpha"] += 1
         for bad in wrong:
             with pytest.raises(CertificateError):
                 kkt_certificate(prob, bad)
@@ -874,8 +891,11 @@ def _outcome(check, prob, sol):
         return f"CertificateError: {exc}"
 
 
-def _nudged(rng, sol):
-    """Solutions with one field or multiplier moved by a small rational step."""
+def _nudged(rng, sol, qs):
+    """Solutions with one field or multiplier moved by a small rational step.
+
+    ``qs`` are the alternative members, one of which may stand in for ``q_alpha``.
+    """
     cert = sol.certificate
     step = F(1, 2**70)
     xv = sol.x_alpha.slot_values()
@@ -905,6 +925,15 @@ def _nudged(rng, sol):
         moved[b] += step
         out.append(with_duals(box_duals=tuple(moved)))
     out.append(with_duals(box_duals=tuple(w[:-1])))
+    # The least favorable alternative mixture against the same u: weight
+    # moved between two members, another member as q_alpha with its own
+    # countable mass as lam, and lam moved by a step.
+    if len(u) > 1:
+        out.append(dataclasses.replace(sol, q_weights=(u[0] - step, u[1] + step, *u[2:])))
+    other = next((q for q in qs if q != sol.q_alpha), None)
+    if other is not None:
+        out.append(dataclasses.replace(sol, q_alpha=other, lam=1 - other.tail_mass))
+    out.append(dataclasses.replace(sol, lam=sol.lam + step))
     return out
 
 
@@ -916,7 +945,7 @@ def test_integer_certificate_matches_the_fraction_reference():
     for prob in _level_corpus(rng):
         sol = solve_minimax(prob)
         assert kkt_certificate(prob, sol) == fraction_certificate(prob, sol) == sol.certificate
-        for bad in _nudged(rng, sol):
+        for bad in _nudged(rng, sol, prob.q_family.family):
             got = _outcome(kkt_certificate, prob, bad)
             assert got == _outcome(fraction_certificate, prob, bad)
             seen[re.sub(r"-?\d+(/\d+)?", "#", got) if isinstance(got, str) else "accepted"] += 1
@@ -935,6 +964,9 @@ def test_integer_certificate_matches_the_fraction_reference():
         "test reaches level #, claimed attained level #",
         "case LevelSlack disagrees with attained level #",
         "case LevelAttained disagrees with attained level #",
+        "q_weights are not the certificate's alternative weights",
+        "q_alpha is not the mixture of the alternatives under q_weights",
+        "lam is #, expected # - q_alpha's tail mass = #",
     )}, seen
 
 
@@ -1060,8 +1092,9 @@ def test_every_lp_starts_from_the_slack_basis_and_the_lift_finds_the_face_suppor
 
 def test_the_lift_writes_its_slot_rows_in_the_members_integers(monkeypatch):
     # The lift's LP is over u_j / den_j and v_i / den_i, den a member's
-    # scale, so each slot row holds the members' scaled integers as ints and
-    # solve_lp scales it by 1, not by the lcm of every member's denominator.
+    # scale, so each slot row holds the members' scaled integers as ints,
+    # not the lcm of every member's denominator. The gap row is rational,
+    # so it goes to solve_lp as ints over the lcm of its denominators.
     # Over that lcm, the two copied 40x10x10 instances below took 2 s and
     # 6 s on a 2-vCPU Xeon; over the members' integers, 0.2 s each.
     lifts = []
@@ -1089,7 +1122,10 @@ def test_the_lift_writes_its_slot_rows_in_the_members_integers(monkeypatch):
             assert all(type(e) is int for e in row)
             assert row[: len(dens)] == [q.scaled[0][k] for q in qs] + [-p.scaled[0][k] for p in ps]
         gamma, alpha = sol.gamma_alpha, prob.alpha
-        assert a_ub[nv][: len(dens)] == [-gamma * d for d in dens[:mq]] + [alpha * d for d in dens[mq:]]
+        gap = [-gamma * d for d in dens[:mq]] + [alpha * d for d in dens[mq:]] + [F(1)] * nv
+        scale = math.lcm(*(e.denominator for e in gap))
+        assert all(type(e) is int for e in a_ub[nv])
+        assert a_ub[nv] == [int(e * scale) for e in gap] + [0] * (len(a_ub[nv]) - len(gap))
         for row in a_ub[nv + 1 :]:
             (j,) = [j for j, e in enumerate(row[:mq]) if e]
             assert row[j] == -dens[j] and sorted(row) == [-dens[j]] + [0] * (len(row) - 2) + [1]
@@ -1100,8 +1136,9 @@ def test_every_program_of_the_chain_writes_its_rows_in_the_members_integers(monk
     # The epigraph, level, countable and null-side programs write each row
     # from one charge's scaled integers, as ints, so solve_lp takes it as it
     # is. Divided by the charge's den it is the row in masses: solved that
-    # way, the LP has the same point and value, and each row's dual is den
-    # times the integer row's.
+    # way, through solve_scaled, the LP has the same point and value, and
+    # each row's dual is den times the integer row's. The Fraction
+    # reference, with the bounds written as rows, reaches the same value.
     calls = []
 
     def recording(*args, **kwargs):
@@ -1142,10 +1179,15 @@ def test_every_program_of_the_chain_writes_its_rows_in_the_members_integers(monk
             want += [m.scaled[0][:nv] + tail for m in cap_rows]
             assert a_ub == want and all(type(e) is int for row in a_ub for e in row), stage
             dens = [m.scaled[1] for m in t_rows + cap_rows]
-            ref = solve_lp(c, [[F(e, d) for e in row] for row, d in zip(a_ub, dens)],
-                           [b / d for b, d in zip(b_ub, dens)], **kwargs)
+            masses = [[F(e, d) for e in row] for row, d in zip(a_ub, dens)]
+            caps = [b / d for b, d in zip(b_ub, dens)]
+            ref = solve_scaled(c, masses, caps, **kwargs)
             assert (ref.x, ref.value, ref.y_upper) == (res.x, res.value, res.y_upper), stage
             assert ref.y_ub == tuple(d * y for d, y in zip(dens, res.y_ub)), stage
+            box = [[int(j == k) for j in range(len(c))]
+                   for k, u in enumerate(kwargs["upper"]) if u is not None]
+            ref = fraction_solve_lp(c, masses + box, caps + [1] * len(box), sense="max")
+            assert ref.value == res.value, stage
     assert min(seen[s] for s in ("_countable_value", "_null_side_mixture")) >= 5, seen
     assert seen["_solve_epigraph"] == seen["_min_attained_level"] == len(problems), seen
 

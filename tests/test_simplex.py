@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 from _fraction_simplex import solve_lp as fraction_solve_lp
+from _scaled_rows import solve_scaled
 
 from robustnp import minimax, nonexistence_problem
 from robustnp.simplex import LpSolution, solve_lp
@@ -92,14 +93,14 @@ def test_steepest_pricing_falls_back_to_bland_on_chvatals_cycle():
     c = [10, -57, -9, -24]
     a_ub = [[F(1, 2), F(-11, 2), F(-5, 2), 9], [F(1, 2), F(-3, 2), F(-1, 2), 1]]
     for sol in (
-        solve_lp(c, a_ub + [[1, 0, 0, 0]], [0, 0, 1]),
-        solve_lp(c, a_ub, [0, 0], upper=[1, None, None, None]),
+        solve_scaled(c, a_ub + [[1, 0, 0, 0]], [0, 0, 1]),
+        solve_scaled(c, a_ub, [0, 0], upper=[1, None, None, None]),
     ):
         assert (sol.status, sol.value, sol.x) == ("optimal", 1, (1, 0, 1, 0))
 
 
 def test_fractional_data_stays_exact():
-    sol = solve_lp(
+    sol = solve_scaled(
         [F(1, 3), F(1, 7)],
         a_ub=[[F(2, 5), F(1, 5)]],
         b_ub=[F(1, 9)],
@@ -140,7 +141,7 @@ def test_random_lps_satisfy_strong_duality():
         b_ub = [F(rng.randint(0, 4)) for _ in range(m)]
         # A box keeps everything bounded, and x = 0 is feasible.
         box = [[F(1) if j == i else F(0) for j in range(n)] for i in range(n)]
-        sol = solve_lp(c, a_ub=a_ub + box, b_ub=b_ub + [F(5)] * n)
+        sol = solve_scaled(c, a_ub=a_ub + box, b_ub=b_ub + [F(5)] * n)
         assert sol.status == "optimal"
         solved += 1
         primal = sum((ci * xi for ci, xi in zip(c, sol.x)), F(0))
@@ -170,7 +171,7 @@ def test_matches_floating_point_solver():
         b_ub = [F(rng.randint(0, 4)) for _ in range(m)]
         box = [[F(1) if j == i else F(0) for j in range(n)] for i in range(n)]
         # linprog minimizes c . x; solve_lp maximizes -c . x.
-        sol = solve_lp([-v for v in c], a_ub=a_ub + box, b_ub=b_ub + [F(3)] * n)
+        sol = solve_scaled([-v for v in c], a_ub=a_ub + box, b_ub=b_ub + [F(3)] * n)
         ref = scipy_opt.linprog(
             [float(v) for v in c],
             A_ub=[[float(v) for v in row] for row in a_ub + box],
@@ -232,8 +233,8 @@ def _in_sense(c, a_ub, b_ub, sense):
     and ``x``, with ``value`` and the duals negated.
     """
     if sense == "max":
-        return solve_lp(c, a_ub, b_ub)
-    sol = solve_lp([-v for v in c], a_ub, b_ub)
+        return solve_scaled(c, a_ub, b_ub)
+    sol = solve_scaled([-v for v in c], a_ub, b_ub)
     if sol.status != "optimal":
         return sol
     return dataclasses.replace(sol, value=-sol.value, y_ub=tuple(-y for y in sol.y_ub))
@@ -275,7 +276,7 @@ def test_scaled_slack_pricing_and_the_shared_rhs_denominator_match_the_reference
     assert sol.x == (0, 0, 0, F(6, 11))
     # Under x <= 1, x1 ends at its bound: a complement moves the right-hand
     # sides by multiples of their shared denominator.
-    sol = solve_lp(c, a_ub, b_ub, upper=[1] * 4)
+    sol = solve_scaled(c, a_ub, b_ub, upper=[1] * 4)
     box = [[F(int(j == k)) for j in range(4)] for k in range(4)]
     ref = fraction_solve_lp(c, a_ub + box, b_ub + [F(1)] * 4, sense="max")
     assert (sol.x, sol.value) == (ref.x, ref.value) == ((1, F(9, 10), 0, F(3, 70)), F(669, 140))
@@ -303,7 +304,7 @@ def test_upper_bounds_match_explicit_rows():
         # A "min" draw solves min c . x as max -c . x.
         sign = 1 if sense == "max" else -1
         cost = [sign * v for v in c]
-        sol = solve_lp(cost, a_ub, b_ub, upper=upper)
+        sol = solve_scaled(cost, a_ub, b_ub, upper=upper)
         box = [[F(int(j == k)) for j in range(n)] for k in range(n) if upper[k] is not None]
         ref = fraction_solve_lp(
             c, a_ub + box, b_ub + [u for u in upper if u is not None], sense=sense
@@ -367,9 +368,9 @@ def test_flip_heavy_lps_match_explicit_box_rows():
                 for _ in range(rng.randint(1, 3))]
         b_ub = [F(rng.randint(n // 4, n), rng.choice([1, 2])) for _ in a_ub]
         upper = [F(1)] * n
-        sol = solve_lp(cost, a_ub, b_ub, upper=upper)
+        sol = solve_scaled(cost, a_ub, b_ub, upper=upper)
         box = [[int(j == k) for j in range(n)] for k in range(n)]
-        ref = solve_lp(cost, a_ub + box, b_ub + upper)
+        ref = solve_scaled(cost, a_ub + box, b_ub + upper)
         assert sol.status == ref.status == "optimal"
         assert sol.value == ref.value
         _check_kkt(sol, cost, a_ub, b_ub, upper)
@@ -426,24 +427,30 @@ def test_upper_bound_flip_and_validation():
 
 
 def test_floats_and_bools_are_refused():
-    # solve_lp coerces as charge_model.frac does: 0.1 is not 1/10.
+    # b_ub and upper are coerced as charge_model.frac does: 0.1 is not 1/10.
+    # c and a_ub take ints only, so a Fraction or a "num/den" string is
+    # refused there too, with the argument named.
     good = {"c": [1], "a_ub": [[1]], "b_ub": [1], "upper": [1]}
-    for bad in (0.1, 1.0, True, False):
+    for bad in (0.1, 1.0, True, False, F(1, 2), "1/2"):
         for key, value in (("c", [bad]), ("a_ub", [[bad]]), ("b_ub", [bad]),
                            ("upper", [bad])):
+            if key in ("b_ub", "upper") and isinstance(bad, (F, str)):
+                continue
             args = dict(good, **{key: value})
-            with pytest.raises(TypeError, match="refusing"):
+            match = f"^{key} takes ints, not " if key in ("c", "a_ub") else "refusing"
+            with pytest.raises(TypeError, match=match):
                 solve_lp(args["c"], args["a_ub"], args["b_ub"], upper=args["upper"])
     sol = solve_lp([1], [[1]], ["1/10"], upper=["1"])
     assert (sol.x, sol.value) == ((F(1, 10),), F(1, 10))
 
 
 def test_integer_rows_are_taken_as_they_are():
-    # A row of ints is its own integer form at scale 1. Write each row and
-    # c over the lcm k of its denominators, as the minimax programs write a
-    # charge over its den: the tableau is the same, so x and y_upper do not
-    # move, value is k_c times the Fraction form's, and each row's dual is
-    # k_c / k times its dual.
+    # The tableau is the rows of ints as given. Write each row and c over
+    # the lcm k of its denominators, as the minimax programs write a charge
+    # over its den and as solve_scaled does: then x and y_upper are those of
+    # the rational program, value is k_c times its value, and each row's
+    # dual is k_c / k times its dual. This pins solve_scaled's mapping back,
+    # which the tests above compare with the Fraction reference.
     rng = random.Random(1968)
     optimal = 0
     for _ in range(300):
@@ -452,7 +459,7 @@ def test_integer_rows_are_taken_as_they_are():
         ks = [math.lcm(*(v.denominator for v in row)) for row in a_ub]
         kc = math.lcm(*(v.denominator for v in c))
         rows = [[int(v * k) for v in row] for row, k in zip(a_ub, ks)]
-        ref = solve_lp(c, a_ub, b_ub, upper=upper)
+        ref = solve_scaled(c, a_ub, b_ub, upper=upper)
         got = solve_lp([int(v * kc) for v in c], rows, [b * k for b, k in zip(b_ub, ks)],
                        upper=upper)
         assert got.status == ref.status
@@ -467,13 +474,14 @@ def test_integer_rows_are_taken_as_they_are():
 
 def test_a_bool_or_float_among_ints_is_refused():
     # The check for a row of ints reads type(v) is int, so True (an int
-    # subclass) sends its row to the coercion, which refuses it.
-    for bad in (True, False, 1.0, 0.5):
-        with pytest.raises(TypeError, match="refusing"):
+    # subclass) is refused, and so is a Fraction, even one equal to an int.
+    for bad in (True, False, 1.0, 0.5, F(1, 2), F(2), "1/2"):
+        name = type(bad).__name__
+        with pytest.raises(TypeError, match=f"^a_ub takes ints, not {name}$"):
             solve_lp([1, 2], [[1, 1], [2, bad]], [1, 1])
-        with pytest.raises(TypeError, match="refusing"):
+        with pytest.raises(TypeError, match=f"^c takes ints, not {name}$"):
             solve_lp([1, bad], [[1, 1]], [1])
-        with pytest.raises(TypeError, match="refusing"):
+        with pytest.raises(TypeError, match=f"^c takes ints, not {name}$"):
             solve_lp([bad, 1], [[1, 1]], [1], upper=[1, None])
 
 
@@ -482,13 +490,15 @@ def test_sign_checks_on_every_input_form():
     # negative value is refused, and 0 is not. Neither is a bound other than 1.
     for neg in (-1, "-1/3", F(-1, 3), F(-1, 10**30)):
         with pytest.raises(ValueError, match="b_ub must be nonnegative"):
-            solve_lp([1, 1], [[1, 2], [F(1, 7), 1]], [1, neg])
+            solve_scaled([1, 1], [[1, 2], [F(1, 7), 1]], [1, neg])
+        with pytest.raises(ValueError, match="b_ub must be nonnegative"):
+            solve_lp([1, 1], [[1, 2], [1, 7]], [1, neg])
         with pytest.raises(ValueError, match="upper entries must be 1 or None"):
             solve_lp([1, 1], [[1, 1]], [1], upper=[None, neg])
     for zero in (0, "0", "0/5", F(0)):
         with pytest.raises(ValueError, match="upper entries must be 1 or None, got 0$"):
             solve_lp([1, 1], [[1, 1]], [1], upper=[zero, None])
-        sol = solve_lp([1, 1], [[1, 2], [F(1, 7), 1]], [1, zero], upper=[1, None])
+        sol = solve_scaled([1, 1], [[1, 2], [F(1, 7), 1]], [1, zero], upper=[1, None])
         assert (sol.status, sol.x, sol.value) == ("optimal", (0, 0), 0)
         assert (sol.y_ub, sol.y_upper) == ((0, 7), (0, 0))
 
@@ -505,7 +515,7 @@ def test_value_read_off_the_tableau_matches_both_sums():
         # Both max c . x and min c . x, as max -c . x.
         for sign in (1, -1):
             cost = [sign * v for v in c]
-            sol = solve_lp(cost, a_ub, b_ub, upper=upper)
+            sol = solve_scaled(cost, a_ub, b_ub, upper=upper)
             if sol.status != "optimal":
                 continue
             optimal[sign] += 1
