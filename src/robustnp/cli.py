@@ -339,13 +339,13 @@ def cmd_np(args) -> int:
     return EXIT_OK
 
 
-def _parse_sizes(raw: str) -> list[int]:
+def _parse_sizes(raw: str) -> "range | list[int]":
     raw = raw.strip()
     try:
         if ":" in raw:
             lo_s, hi_s = raw.split(":", 1)
             lo, hi = int(lo_s), int(hi_s)
-            sizes = list(range(lo, hi + 1))
+            sizes = range(lo, hi + 1)  # checked on its ends, never listed
         else:
             sizes = [int(s) for s in raw.split(",") if s.strip()]
     except ValueError:
@@ -356,8 +356,8 @@ def _parse_sizes(raw: str) -> list[int]:
         raise ValueError(f"--sizes: empty range {raw!r}")
     if not sizes:
         raise ValueError("--sizes: no sizes given")
-    if any(n < 1 for n in sizes):
-        raise ValueError(f"--sizes: sizes must be at least 1, got {sizes}")
+    if (lo if ":" in raw else min(sizes)) < 1:
+        raise ValueError(f"--sizes: sizes must be at least 1, got {raw!r}")
     return sizes
 
 

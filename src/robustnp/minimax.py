@@ -170,17 +170,18 @@ class Solution:
     ``gamma_alpha`` 1 and ``attained_level`` max_i P_i(S), for S the union
     of the alternative supports, and the case is LevelSlack exactly when
     that is below alpha. ``q_alpha`` is the least favorable alternative
-    mixture (weights in ``q_weights``), ``lam`` the weight of its countably
-    additive part, and ``gamma_c`` the best power against that part alone.
-    ``p_alpha`` is the null-side mixture, with weights ``p_weights`` from
-    an optimal dual of the auxiliary program, and ``level_c`` that program's
-    value: the smallest worst-case null level at which a test still
-    integrates the countably additive part to ``gamma_c``. When the level
-    duals certifying ``gamma_c`` have a positive sum, ``level_c`` is alpha
-    and ``p_weights`` are those duals normalized, with no solve; otherwise
-    they are the program's level-row multipliers, which sum to 1. So also
-    at ``level_c == 0``, where every mixture is an optimal dual, they are
-    the multipliers of the final basis, not a fixed choice. All three are
+    mixture, ``lam`` the weight of its countably additive part, and
+    ``gamma_c`` the best power against that part alone; its weights
+    ``q_weights`` are the certificate's u. The null-side mixture's weights
+    ``p_weights`` come from an optimal dual of the auxiliary program, and
+    :func:`verify_threshold_form`, its one reader, mixes it; ``level_c`` is
+    that program's value: the smallest worst-case null level at which a test
+    still integrates the countably additive part to ``gamma_c``. When the
+    level duals certifying ``gamma_c`` have a positive sum, ``level_c`` is
+    alpha and ``p_weights`` are those duals normalized, with no solve;
+    otherwise they are the program's level-row multipliers, which sum to 1.
+    So also at ``level_c == 0``, where every mixture is an optimal dual, they
+    are the multipliers of the final basis, not a fixed choice. Both are
     ``None`` when ``lam == 0`` and the auxiliary program is vacuous.
     """
 
@@ -189,13 +190,18 @@ class Solution:
     attained_level: Fraction
     case: Case
     q_alpha: Charge
-    q_weights: tuple[Fraction, ...]
-    lam: Fraction
     gamma_c: Fraction
-    p_alpha: "Charge | None"
     p_weights: "tuple[Fraction, ...] | None"
     level_c: "Fraction | None"
     certificate: DualCertificate
+
+    @property
+    def q_weights(self) -> tuple[Fraction, ...]:
+        return self.certificate.q_constraint_duals
+
+    @property
+    def lam(self) -> Fraction:
+        return ONE - self.q_alpha.tail_mass
 
 
 @dataclass(frozen=True)
@@ -432,14 +438,10 @@ def kkt_certificate(prob: TestProblem, sol: Solution) -> DualCertificate:
         )
     if sol.case is not (Case.LEVEL_SLACK if attained < prob.alpha else Case.LEVEL_ATTAINED):
         raise CertificateError(f"case {sol.case.value} disagrees with attained level {attained}")
-    # q_weights is u, q_alpha is sum_j u_j Q_j (qm / dq) and lam its countable mass.
-    if sol.q_weights != u:
-        raise CertificateError("q_weights are not the certificate's alternative weights")
+    # q_alpha is sum_j u_j Q_j, which is qm / dq.
     if sol.q_alpha.space != prob.space or any(f.numerator * dq != m * f.denominator
                                               for f, m in zip(sol.q_alpha.slot_masses(), qm)):
         raise CertificateError("q_alpha is not the mixture of the alternatives under q_weights")
-    if sol.lam != (lam := ONE - sol.q_alpha.tail_mass):
-        raise CertificateError(f"lam is {sol.lam}, expected 1 - q_alpha's tail mass = {lam}")
     return cert
 
 
@@ -458,7 +460,7 @@ def solve_minimax(prob: TestProblem) -> Solution:
     lam = ONE - q_alpha.tail_mass
     lam_qc = q_alpha.atom_part()
     if lam == 0:
-        gamma_c, p_alpha, p_weights, level_c = ZERO, None, None, None
+        gamma_c, p_weights, level_c = ZERO, None, None
     else:
         # Step 4's shortcuts, argued in the module docstring.
         ps = prob.p_family.family
@@ -470,17 +472,13 @@ def solve_minimax(prob: TestProblem) -> Solution:
             p_weights, level_c = tuple(vi / s for vi in v_c), prob.alpha
         else:
             p_weights, level_c = _null_side_mixture(prob, lam_qc, lam, gamma_c)
-        p_alpha = mix(ps, p_weights)
     sol = Solution(
         x_alpha=x_alpha,
         gamma_alpha=gamma,
         attained_level=attained,
         case=case,
         q_alpha=q_alpha,
-        q_weights=tuple(u),
-        lam=lam,
         gamma_c=gamma_c,
-        p_alpha=p_alpha,
         p_weights=p_weights,
         level_c=level_c,
         certificate=DualCertificate(tuple(u), tuple(v), tuple(w)),
@@ -625,15 +623,16 @@ def verify_threshold_form(prob: TestProblem, sol: Solution) -> RepresentationRep
             "threshold verification applies to the level-attained case; "
             "the slack case's degenerate form follows from the certificate"
         )
-    tau = ONE - sol.p_alpha.tail_mass
+    p_alpha = mix(prob.p_family.family, sol.p_weights)
+    tau = ONE - p_alpha.tail_mass
     if tau == 0:
         raise PureLeastFavorableError(
             "the least favorable null mixture has no countably additive part"
         )
     # The cuts read only the atom masses: the mixtures' countable parts.
-    classes = _ratio_classes(sol.p_alpha, sol.q_alpha)
+    classes = _ratio_classes(p_alpha, sol.q_alpha)
     kappa, classification, b_values, verdict, violations = _scan_threshold(
-        prob.space, sol.p_alpha, sol.q_alpha, sol.x_alpha, classes
+        prob.space, p_alpha, sol.q_alpha, sol.x_alpha, classes
     )
     # The grid criterion: the best countable integral V(a) at level a is
     # concave and nondecreasing with V(alpha) = gamma_c, and level_c is the

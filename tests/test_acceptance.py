@@ -24,6 +24,7 @@ from robustnp import (
     hypothesis_report,
     kkt_certificate,
     lower_expectation,
+    mix,
     np_test,
     solve_minimax,
     truncation_sweep,
@@ -236,7 +237,7 @@ def test_criterion_07_representation_suite(capfd, batch200):
             if sol.case is Case.LEVEL_ATTAINED:
                 rep = hypothesis_report(prob)
                 structural = rep.h1 and rep.h3
-                if structural and sol.lam > 0 and sol.p_alpha is not None:
+                if structural and sol.lam > 0 and sol.p_weights is not None:
                     form = verify_threshold_form(prob, sol)
                     assert form.verdict, (prob, form.violations)
                     # The support criterion holds in the attained case.
@@ -322,7 +323,8 @@ def test_certificate_proves_the_threshold_verdict_where_the_countable_program_di
         if ran or sol.lam == 0 or sol.case is not Case.LEVEL_ATTAINED:
             continue
         kappa = sum(sol.certificate.level_duals)
-        lam_qc, tau_pc = sol.q_alpha.atom_part(), sol.p_alpha.atom_part()
+        p_alpha = mix(prob.p_family.family, sol.p_weights)
+        lam_qc, tau_pc = sol.q_alpha.atom_part(), p_alpha.atom_part()
         for q, p, x in zip(lam_qc.atom_mass, tau_pc.atom_mass, sol.x_alpha.atom_value):
             assert x == 1 or q <= kappa * p
             assert x == 0 or q >= kappa * p

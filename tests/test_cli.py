@@ -106,7 +106,8 @@ def test_threshold_kappas_are_on_reciprocal_scales(tmp_path):
     assert kappa * u == 1
     prob = load_problem(str(FIXTURES / "intro_example.json"))
     sol = robustnp.solve_minimax(prob)
-    lam_qc, tau_pc = sol.q_alpha.atom_part(), sol.p_alpha.atom_part()
+    p_alpha = robustnp.mix(prob.p_family.family, sol.p_weights)
+    lam_qc, tau_pc = sol.q_alpha.atom_part(), p_alpha.atom_part()
     sides = {1: "strict_accept", -1: "strict_reject", 0: "boundary"}
     masses = list(zip(tau_pc.atom_mass, lam_qc.atom_mass))
     for label, (p, q) in zip(prob.space.atoms, masses):
@@ -467,8 +468,10 @@ def test_sweep_command(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "13/16" in text
 
-    assert run(["sweep", "nonexistence", "--sizes", "0:2"]) == EXIT_INPUT
-    capsys.readouterr()
+    # A range is checked on its ends, so a huge one is refused at once.
+    for sizes in ("0:2", "0:1000000000000"):
+        assert run(["sweep", "nonexistence", "--sizes", sizes]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: --sizes: sizes must be at least 1, got {sizes!r}\n"
     assert run(["sweep", "nonexistence", "--sizes", "3:1"]) == EXIT_INPUT
     assert capsys.readouterr().err == "error: --sizes: empty range '3:1'\n"
     assert run(["sweep", "unknown_family", "--sizes", "1:2"]) == EXIT_INPUT

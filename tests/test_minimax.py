@@ -95,8 +95,8 @@ def test_three_atom_solution():
     assert sol.q_alpha.atom_mass == (F(3, 4), F(1, 4), F(0))
     assert sol.lam == 1
     assert sol.gamma_c == 1
-    assert sol.p_alpha is not None
-    assert sol.p_alpha.atom_mass == (F(1, 4), F(1, 4), F(1, 2))
+    assert sol.p_weights is not None
+    assert mix(prob.p_family.family, sol.p_weights).atom_mass == (F(1, 4), F(1, 4), F(1, 2))
     kkt_certificate(prob, sol)
 
 
@@ -308,15 +308,17 @@ def test_certificate_rejects_a_nudged_case_level_or_value():
     # The certificate decides the case and the attained level exactly, so a
     # flipped case, or the level or the value moved by a rational step far
     # below every input denominator, must each be rejected. So must a least
-    # favorable alternative mixture that is not the certificate's: weight
-    # moved between two members in q_weights, another member as q_alpha
-    # with its own countable mass as lam, or lam moved by a step.
+    # favorable alternative mixture q_alpha that is not the u-mixture: weight
+    # moved between two distinct members in the certificate's u, or another
+    # member as q_alpha. Its weights q_weights, its countable mass lam and the
+    # null mixture p_alpha are not stored, so no solution carries a copy of
+    # them that could disagree.
     rng = random.Random(2011)
     problems = [three_atom_problem(), dirac_problem()]
     problems += [_support_problem(rng, shift) for shift in (F(-1, 16), F(0), F(1, 16))
                  for _ in range(30)]
     kinds = {"gamma < 1": 0, "gamma = 1, slack": 0, "gamma = 1, attained, v = 0": 0,
-             "moved q_weights": 0, "another q_alpha": 0}
+             "moved u": 0, "another q_alpha": 0}
     for prob in filter(None, problems):
         sol = solve_minimax(prob)
         kkt_certificate(prob, sol)
@@ -328,24 +330,29 @@ def test_certificate_rejects_a_nudged_case_level_or_value():
             kinds["gamma = 1, attained, v = 0"] += 1
         flipped = Case.LEVEL_SLACK if sol.case is Case.LEVEL_ATTAINED else Case.LEVEL_ATTAINED
         wrong = [dataclasses.replace(sol, case=flipped)]
-        for field in ("attained_level", "gamma_alpha", "lam"):
+        for field in ("attained_level", "gamma_alpha"):
             value = getattr(sol, field)
             step = F(1, 2**64 * value.denominator)
             wrong += [dataclasses.replace(sol, **{field: value + d}) for d in (step, -step)]
-        u = list(sol.q_weights)
-        if len(u) > 1:
-            i = u.index(max(u))
+        u, qs = list(sol.q_weights), prob.q_family.family
+        i = u.index(max(u))
+        if len(u) > 1 and qs[i] != qs[i - 1]:
             step = F(1, 2**64 * u[i].denominator)
             u[i], u[i - 1] = u[i] - step, u[i - 1] + step
-            wrong.append(dataclasses.replace(sol, q_weights=tuple(u)))
-            kinds["moved q_weights"] += 1
-        for q in prob.q_family.family:
+            cert = dataclasses.replace(sol.certificate, q_constraint_duals=tuple(u))
+            wrong.append(dataclasses.replace(sol, certificate=cert))
+            kinds["moved u"] += 1
+        for q in qs:
             if q != sol.q_alpha:
-                wrong.append(dataclasses.replace(sol, q_alpha=q, lam=1 - q.tail_mass))
+                wrong.append(dataclasses.replace(sol, q_alpha=q))
                 kinds["another q_alpha"] += 1
         for bad in wrong:
             with pytest.raises(CertificateError):
                 kkt_certificate(prob, bad)
+        for field, value in (("q_weights", sol.q_weights), ("lam", sol.lam),
+                             ("p_alpha", sol.q_alpha)):
+            with pytest.raises(TypeError):
+                dataclasses.replace(sol, **{field: value})
     assert min(kinds.values()) >= 5, kinds
 
 
@@ -925,15 +932,10 @@ def _nudged(rng, sol, qs):
         moved[b] += step
         out.append(with_duals(box_duals=tuple(moved)))
     out.append(with_duals(box_duals=tuple(w[:-1])))
-    # The least favorable alternative mixture against the same u: weight
-    # moved between two members, another member as q_alpha with its own
-    # countable mass as lam, and lam moved by a step.
-    if len(u) > 1:
-        out.append(dataclasses.replace(sol, q_weights=(u[0] - step, u[1] + step, *u[2:])))
+    # Another member as the least favorable alternative mixture, against the same u.
     other = next((q for q in qs if q != sol.q_alpha), None)
     if other is not None:
-        out.append(dataclasses.replace(sol, q_alpha=other, lam=1 - other.tail_mass))
-    out.append(dataclasses.replace(sol, lam=sol.lam + step))
+        out.append(dataclasses.replace(sol, q_alpha=other))
     return out
 
 
@@ -964,9 +966,7 @@ def test_integer_certificate_matches_the_fraction_reference():
         "test reaches level #, claimed attained level #",
         "case LevelSlack disagrees with attained level #",
         "case LevelAttained disagrees with attained level #",
-        "q_weights are not the certificate's alternative weights",
         "q_alpha is not the mixture of the alternatives under q_weights",
-        "lam is #, expected # - q_alpha's tail mass = #",
     )}, seen
 
 
