@@ -180,13 +180,7 @@ def _slot_obj(space: SampleSpace, values: "list[Fraction]") -> dict:
 def _representation_obj(prob: TestProblem, sol, beta: "Fraction | None") -> dict:
     if sol.case is Case.LEVEL_SLACK and sol.lam > 0:
         # The certificate proves this form (see verify_threshold_form).
-        return {
-            "form": "degenerate",
-            "verdict": True,
-            "lambda": _rat(sol.lam),
-            "gamma_consistent": True,
-            "violations": [],
-        }
+        return {"form": "degenerate", "verdict": True, "violations": []}
     try:
         rep = verify_threshold_form(prob, sol)
     except PureLeastFavorableError as exc:
@@ -197,7 +191,6 @@ def _representation_obj(prob: TestProblem, sol, beta: "Fraction | None") -> dict
         "kappa": _rat(rep.kappa),
         "kappa_formula": _rat(rep.kappa_formula),
         "tau": _rat(rep.tau),
-        "lambda": _rat(sol.lam),
         "classification": rep.classification,
         "b_values": {a: _rat(v) for a, v in rep.b_values.items()},
         "violations": list(rep.violations),
@@ -244,12 +237,17 @@ def _parse_alpha_flag(raw: "str | None") -> "Fraction | None":
     return alpha
 
 
-def cmd_solve(args) -> int:
+def _print_test(test: dict) -> None:
+    print("test:")
+    for label, v in test.items():
+        print(f"  {label} = {v['exact']}")
+
+
+def cmd_solve(args) -> dict:
     prob = load_problem(args.spec, _parse_alpha_flag(args.alpha))
     # solve_minimax has already checked the certificate, case split included.
     sol = solve_minimax(prob)
-    beta = None
-    criterion = None
+    beta = criterion = None
     if sol.lam > 0:
         beta = compute_beta(prob.p_family, sol.q_alpha.atom_part())
         criterion = (sol.case is Case.LEVEL_SLACK) == (beta > 1 - prob.alpha)
@@ -279,22 +277,20 @@ def cmd_solve(args) -> int:
             "box_duals": _slot_obj(prob.space, sol.certificate.box_duals),
         },
     }
+    # Every line below is read off the report, so stdout and --json agree.
+    pb, value = report["problem"], report["value"]
     print(
-        f"problem: {len(prob.space.atoms)} atoms"
-        + (" + tail" if prob.space.has_tail else "")
-        + f", |P|={len(prob.p_family)}, |Q|={len(prob.q_family)}, alpha={prob.alpha}"
+        f"problem: {len(pb['atoms'])} atoms" + (" + tail" if pb["has_tail"] else "")
+        + f", |P|={pb['p_members']}, |Q|={pb['q_members']}, alpha={pb['alpha']['exact']}"
     )
-    print(f"value: {sol.gamma_alpha} ({report['value']['decimal']})")
-    print(f"case: {sol.case.value}   attained level: {sol.attained_level}")
-    print("test:")
-    for a, v in zip(prob.space.atoms, sol.x_alpha.atom_value):
-        print(f"  {a} = {v}")
-    if prob.space.has_tail:
-        print(f"  tail = {sol.x_alpha.tail_value}")
-    print(f"q_weights: {', '.join(str(wt) for wt in sol.q_weights)}")
-    print(f"lambda: {sol.lam}   gamma_c: {sol.gamma_c}")
-    if beta is not None:
-        print(f"beta: {beta}   criterion matches case: {criterion}")
+    print(f"value: {value['exact']} ({value['decimal']})")
+    print(f"case: {report['case']}   attained level: {report['attained_level']['exact']}")
+    _print_test(report["test"])
+    print(f"q_weights: {', '.join(wt['exact'] for wt in report['q_weights'])}")
+    print(f"lambda: {report['lambda']['exact']}   gamma_c: {report['gamma_c']['exact']}")
+    if report["beta"] is not None:
+        matches = report["beta_criterion_matches_case"]
+        print(f"beta: {report['beta']['exact']}   criterion matches case: {matches}")
     rep = report["representation"]
     if rep["form"] == "none":
         print(f"representation: none ({rep['reason']})")
@@ -307,11 +303,10 @@ def cmd_solve(args) -> int:
         f"continuity=({hyp['continuity_p']}, {hyp['continuity_q']})"
     )
     print("certificate: verified (duality gap 0)")
-    _emit(report, args.json_out)
-    return EXIT_OK
+    return report
 
 
-def cmd_np(args) -> int:
+def cmd_np(args) -> dict:
     prob = load_problem(args.spec, _parse_alpha_flag(args.alpha))
     if len(prob.p_family) != 1 or len(prob.q_family) != 1:
         raise ValueError(
@@ -329,14 +324,12 @@ def cmd_np(args) -> int:
         "power": _rat(res.power),
         "level_slack": res.level_slack,
     }
-    print(f"kappa: {res.kappa}   b: {res.b}")
-    print("test:")
-    for a, v in zip(prob.space.atoms, res.test.atom_value):
-        print(f"  {a} = {v}")
-    print(f"attained level: {res.attained_level} (slack: {res.level_slack})")
-    print(f"power: {res.power} ({report['power']['decimal']})")
-    _emit(report, args.json_out)
-    return EXIT_OK
+    level, power = report["attained_level"], report["power"]
+    print(f"kappa: {report['kappa']['exact']}   b: {report['b']['exact']}")
+    _print_test(report["test"])
+    print(f"attained level: {level['exact']} (slack: {report['level_slack']})")
+    print(f"power: {power['exact']} ({power['decimal']})")
+    return report
 
 
 def _parse_sizes(raw: str) -> "range | list[int]":
@@ -361,7 +354,7 @@ def _parse_sizes(raw: str) -> "range | list[int]":
     return sizes
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> dict:
     if args.generator != "nonexistence":
         raise ValueError(
             f"unknown generator {args.generator!r}; available: ['nonexistence']"
@@ -378,14 +371,13 @@ def cmd_sweep(args) -> int:
         "rows": [{"size": n, "value": _rat(v)} for n, v in rows],
         "strictly_increasing": monotone,
     }
-    print(f"generator: {args.generator}   alpha: {alpha}")
+    print(f"generator: {args.generator}   alpha: {report['alpha']['exact']}")
     for row in report["rows"]:
         print(f"  N={row['size']}: {row['value']['exact']} ({row['value']['decimal']})")
-    _emit(report, args.json_out)
-    return EXIT_OK
+    return report
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> dict:
     prob = load_problem(args.spec)
     report = asdict(hypothesis_report(prob))
     print(f"h1: {report['h1']}")
@@ -393,8 +385,7 @@ def cmd_check(args) -> int:
     print(f"continuity: P={report['continuity_p']} Q={report['continuity_q']}")
     for key, text in report["witnesses"].items():
         print(f"witness[{key}]: {text}")
-    _emit(report, args.json_out)
-    return EXIT_OK
+    return report
 
 
 @cache
@@ -427,7 +418,8 @@ def main(argv: "list[str] | None" = None) -> int:
     args = _parser().parse_args(argv)
     handlers = {"solve": cmd_solve, "np": cmd_np, "sweep": cmd_sweep, "check": cmd_check}
     try:
-        return handlers[args.command](args)
+        _emit(handlers[args.command](args), args.json_out)
+        return EXIT_OK
     except CertificateError as exc:
         print(f"certificate error: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE

@@ -395,9 +395,12 @@ def kkt_certificate(prob: TestProblem, sol: Solution) -> DualCertificate:
     x, gamma, attained = sol.x_alpha, sol.gamma_alpha, sol.attained_level
     cert = sol.certificate
     u, v, w = cert.q_constraint_duals, cert.level_duals, cert.box_duals
-    if len(u) != len(qs) or len(v) != len(ps) or len(w) != nv:
+    if len(u) != len(qs) or len(v) != len(ps) or len(w) != nv or x.space != prob.space:
         raise CertificateError("certificate has the wrong shape for this problem")
-    (us, du), (vs, dv), (ws, dw) = _scale(u), _scale(v), _scale(w)
+    try:
+        (us, du), (vs, dv), (ws, dw) = _scale(u), _scale(v), _scale(w)
+    except AttributeError:  # a multiplier with no numerator and denominator
+        raise CertificateError("dual multipliers must be rationals") from None
     if any(val < 0 for val in us + vs + ws):
         raise CertificateError("dual multipliers must be nonnegative")
     if sum(us) != du:
@@ -614,6 +617,8 @@ def verify_threshold_form(prob: TestProblem, sol: Solution) -> RepresentationRep
     lam_qc < kappa * tau_pc (the slot row is slack), as one of the scan's
     candidates cuts. The countable program's duals need not, so the scan stays.
     """
+    if sol.x_alpha.space != prob.space or sol.q_alpha.space != prob.space:
+        raise ValueError("charge and test live on different sample spaces")
     if sol.lam == 0:
         raise PureLeastFavorableError(
             "the least favorable alternative mixture has no countably additive part"

@@ -213,13 +213,11 @@ def _check_representation(
     _require(rep["form"] == form, f"representation.form {rep['form']}, the masses say {form}")
     if form == "none":
         return
-    _require(rep.rational("lambda") == lam, f"representation.lambda: lam is {lam}")
     if form == "degenerate":
         # The form asks x = 1 wherever lam_qc has mass.
         for label, xk, qk in zip(spec.atoms, x, q_alpha):
             _require(xk == 1 or qk == 0, f"representation: test is {xk} on lam_qc's atom {label}")
         _require(rep["verdict"] is True, "representation.verdict: the form holds")
-        _require(rep["gamma_consistent"] is True, "representation.gamma_consistent: it holds")
         _require(rep.array("violations") == [], "representation.violations: the form holds")
         return
     tau = sum(tau_pc)

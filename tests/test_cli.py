@@ -86,9 +86,10 @@ def test_solve_dirac_degenerate(tmp_path):
     assert report["case"] == "LevelSlack"
     assert report["attained_level"]["exact"] == "0"
     rep = report["representation"]
+    # The keys it shares with the threshold form, and no copy of lambda.
+    assert sorted(rep) == ["form", "verdict", "violations"]
     assert rep["form"] == "degenerate"
     assert rep["verdict"] is True
-    assert rep["gamma_consistent"] is True
     assert rep["violations"] == []
 
 
@@ -390,6 +391,55 @@ def test_stdout_decimal_below_float_range_matches_the_report(tmp_path, capsys):
         assert [ln for ln in lines if ln.startswith(prefix)] == [f"{prefix}1/{t} (1e-400)"]
 
 
+def test_stdout_is_read_off_the_report(tmp_path, capsys):
+    # solve and np print each number as their --json report writes it, and
+    # the test block lists the report's test slot by slot, the tail included.
+    tail_pair = {
+        "atoms": ["a", "b"],
+        "has_tail": True,
+        "p_family": [{"a": "1/2", "b": "1/2"}],
+        "q_family": [{"a": "1/4", "b": "3/4"}],
+        "alpha": "1/3",
+    }
+    specs = [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
+    specs += [*_seeded_specs(1606, 40), tail_pair]
+    tail_mass = "error: tail mass present; this construction needs countably additive charges\n"
+    out, seen = tmp_path / "report.json", set()
+    for spec in specs:
+        # np takes one charge per family, the first of each, and refuses tail mass.
+        pair = dict(spec, p_family=spec["p_family"][:1], q_family=spec["q_family"][:1])
+        for command, payload in (("solve", spec), ("np", pair)):
+            code = run([command, write_spec(tmp_path, payload), "--json", out])
+            text, err = capsys.readouterr()
+            if code == EXIT_INPUT and err == tail_mass:
+                continue
+            assert code == EXIT_OK, (command, payload, err)
+            report = json.loads(out.read_text())
+            # The report's keys are sorted; stdout lists the slots in order.
+            slots = payload["atoms"] + (["tail"] if payload.get("has_tail") else [])
+            block = re.search(r"^test:\n((?:  .*\n)*)", text, re.M).group(1)
+            assert block.splitlines() == [f"  {a} = {report['test'][a]['exact']}" for a in slots]
+            seen.add((command, "tail" in slots))
+            value = report["value" if command == "solve" else "power"]
+            if command == "solve":
+                rep, weights = report["representation"], report["q_weights"]
+                lines = [
+                    f"value: {value['exact']} ({value['decimal']})",
+                    f"q_weights: {', '.join(wt['exact'] for wt in weights)}",
+                    f"lambda: {report['lambda']['exact']}   gamma_c: {report['gamma_c']['exact']}",
+                ]
+                if rep["form"] == "threshold":
+                    lines.append(f"representation: threshold verdict={rep['verdict']} "
+                                 f"kappa={rep['kappa']['exact']}")
+            else:
+                lines = [
+                    f"kappa: {report['kappa']['exact']}   b: {report['b']['exact']}",
+                    f"power: {value['exact']} ({value['decimal']})",
+                ]
+            assert set(lines) <= set(text.splitlines()), (command, spec)
+    assert seen == {("solve", False), ("solve", True), ("np", False), ("np", True)}
+
+
 def test_value_too_long_to_print_asks_for_the_digit_limit(tmp_path):
     # A valid spec whose value has a denominator past the int-to-str limit:
     # solve names the digit counts and the variable that lifts the limit,
@@ -620,7 +670,6 @@ def test_checker_rejects_nudged_solve_reports(solve_reports):
         rep = report["representation"]
         if rep["form"] != "none":
             entries.append((report, "lambda", "^lambda: "))
-            entries.append((rep, "lambda", "^representation.lambda: "))
         if rep["form"] == "threshold":
             entries.append((rep, "tau", "^representation.tau: "))
             entries.append((rep, "kappa_formula", "^representation.kappa_formula: "))
@@ -708,9 +757,6 @@ def _rejects_each_representation_edit(spec, report):
             (lambda r: r["representation"].update(precondition_grid=grid), "precondition_grid")
         )
     else:
-        edits.append(
-            (lambda r: r["representation"].update(gamma_consistent=False), "gamma_consistent")
-        )
         # Below 1 on an atom of lam_qc. Where a null member charges that
         # atom, the attained level no longer matches and fails first.
         atom = next(a for a in spec["atoms"] if F(report["q_alpha"][a]["exact"]) > 0)
@@ -778,7 +824,6 @@ def test_checker_names_each_broken_claim(tmp_path):
         (lambda r: r.update({"lambda": _exact(1 - NUDGE)}), "^lambda: "),
         (rep_edit(form="degenerate"), "^representation.form degenerate, the masses say threshold"),
         (rep_edit(form="none"), "^representation.form "),
-        (rep_edit(**{"lambda": _exact(1 - NUDGE)}), "^representation.lambda: "),
         (rep_edit(tau=_exact(1 - NUDGE)), "^representation.tau: "),
         (rep_edit(kappa=_exact(-NUDGE)), "^representation.kappa .* is negative"),
         (rep_edit(verdict=False), "^representation.verdict: "),
@@ -796,7 +841,6 @@ def test_checker_names_each_broken_claim(tmp_path):
         (off_least_level, "the duals prove 0$"),
         (rep_edit(form="threshold"), "^representation.form threshold, the masses say degenerate"),
         (rep_edit(verdict=False), "^representation.verdict: "),
-        (rep_edit(gamma_consistent=False), "^representation.gamma_consistent: "),
         (rep_edit(violations=["1"]), "^representation.violations: "),
         # P puts no mass on atom 1, so the attained level stays 0.
         (lambda r: r["test"].update({"1": _exact(1 - NUDGE)}), "^representation: test is "),

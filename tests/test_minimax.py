@@ -304,6 +304,11 @@ def _support_problem(rng, shift):
     )
 
 
+def _relabelled(space):
+    """A copy of ``space`` with every atom renamed: as many slots, another space."""
+    return SampleSpace(tuple(a + "'" for a in space.atoms), space.has_tail)
+
+
 def test_certificate_rejects_a_nudged_case_level_or_value():
     # The certificate decides the case and the attained level exactly, so a
     # flipped case, or the level or the value moved by a rational step far
@@ -312,9 +317,12 @@ def test_certificate_rejects_a_nudged_case_level_or_value():
     # moved between two distinct members in the certificate's u, or another
     # member as q_alpha. Its weights q_weights, its countable mass lam and the
     # null mixture p_alpha are not stored, so no solution carries a copy of
-    # them that could disagree.
+    # them that could disagree. A test on a relabelled copy of the space and
+    # float box duals are refused with CertificateError too, not with the
+    # ValueError or AttributeError that reading them would raise.
     rng = random.Random(2011)
-    problems = [three_atom_problem(), dirac_problem()]
+    problems = [three_atom_problem(), dirac_problem(),
+                load_problem(str(FIXTURES / "intro_example.json"))]
     problems += [_support_problem(rng, shift) for shift in (F(-1, 16), F(0), F(1, 16))
                  for _ in range(30)]
     kinds = {"gamma < 1": 0, "gamma = 1, slack": 0, "gamma = 1, attained, v = 0": 0,
@@ -346,6 +354,11 @@ def test_certificate_rejects_a_nudged_case_level_or_value():
             if q != sol.q_alpha:
                 wrong.append(dataclasses.replace(sol, q_alpha=q))
                 kinds["another q_alpha"] += 1
+        moved_x = TestFunction.from_slots(_relabelled(prob.space), sol.x_alpha.slot_values())
+        floats = tuple(float(wk) for wk in sol.certificate.box_duals)
+        float_cert = dataclasses.replace(sol.certificate, box_duals=floats)
+        wrong.append(dataclasses.replace(sol, x_alpha=moved_x))
+        wrong.append(dataclasses.replace(sol, certificate=float_cert))
         for bad in wrong:
             with pytest.raises(CertificateError):
                 kkt_certificate(prob, bad)
@@ -354,6 +367,21 @@ def test_certificate_rejects_a_nudged_case_level_or_value():
             with pytest.raises(TypeError):
                 dataclasses.replace(sol, **{field: value})
     assert min(kinds.values()) >= 5, kinds
+
+
+def test_threshold_form_refuses_a_solution_on_another_space():
+    # A test or an alternative mixture on a relabelled copy of the space
+    # has as many slots, so reading it by position would give a report.
+    for prob in (three_atom_problem(), load_problem(str(FIXTURES / "intro_example.json"))):
+        sol = solve_minimax(prob)
+        assert verify_threshold_form(prob, sol).verdict
+        space, x, q = _relabelled(prob.space), sol.x_alpha, sol.q_alpha
+        for bad in (
+            dataclasses.replace(sol, x_alpha=TestFunction.from_slots(space, x.slot_values())),
+            dataclasses.replace(sol, q_alpha=Charge(space, q.atom_mass, q.tail_mass)),
+        ):
+            with pytest.raises(ValueError, match="^charge and test live on different sample"):
+                verify_threshold_form(prob, bad)
 
 
 def test_beta_criterion_needs_countable_part():
