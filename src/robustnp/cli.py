@@ -177,7 +177,7 @@ def _slot_obj(space: SampleSpace, values: "list[Fraction]") -> dict:
     return {a: _rat(v) for a, v in zip(labels, values)}
 
 
-def _representation_obj(prob: TestProblem, sol, beta: "Fraction | None") -> dict:
+def _representation_obj(prob: TestProblem, sol) -> dict:
     if sol.case is Case.LEVEL_SLACK and sol.lam > 0:
         # The certificate proves this form (see verify_threshold_form).
         return {"form": "degenerate", "verdict": True, "violations": []}
@@ -194,8 +194,6 @@ def _representation_obj(prob: TestProblem, sol, beta: "Fraction | None") -> dict
         "classification": rep.classification,
         "b_values": {a: _rat(v) for a, v in rep.b_values.items()},
         "violations": list(rep.violations),
-        # A threshold form has lam > 0, so cmd_solve has computed beta.
-        "precondition_support": beta <= 1 - prob.alpha,
         "precondition_grid": rep.precondition_grid,
         "level_c": _rat(sol.level_c),
     }
@@ -219,7 +217,7 @@ def _write_over(path: str, text: str) -> None:
 
 
 def _emit(report: dict, json_out: "str | None") -> None:
-    if json_out:
+    if json_out is not None:
         # One line: without indent, json.dumps runs its C encoder.
         text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
         try:
@@ -270,7 +268,7 @@ def cmd_solve(args) -> dict:
         "p_weights": None if sol.p_weights is None else [_rat(wt) for wt in sol.p_weights],
         "beta": None if beta is None else _rat(beta),
         "beta_criterion_matches_case": criterion,
-        "representation": _representation_obj(prob, sol, beta),
+        "representation": _representation_obj(prob, sol),
         "hypotheses": asdict(hypothesis_report(prob)),
         "certificate": {
             "level_duals": [_rat(vi) for vi in sol.certificate.level_duals],
@@ -355,10 +353,6 @@ def _parse_sizes(raw: str) -> "range | list[int]":
 
 
 def cmd_sweep(args) -> dict:
-    if args.generator != "nonexistence":
-        raise ValueError(
-            f"unknown generator {args.generator!r}; available: ['nonexistence']"
-        )
     alpha = _parse_alpha_flag(args.alpha) or Fraction(1, 2)
     sizes = _parse_sizes(args.sizes)
     rows = truncation_sweep(partial(nonexistence_problem, alpha=alpha), sizes)
@@ -366,12 +360,11 @@ def cmd_sweep(args) -> dict:
     if not monotone:
         print("warning: sweep values are not strictly increasing", file=sys.stderr)
     report = {
-        "generator": args.generator,
         "alpha": _rat(alpha),
         "rows": [{"size": n, "value": _rat(v)} for n, v in rows],
         "strictly_increasing": monotone,
     }
-    print(f"generator: {args.generator}   alpha: {report['alpha']['exact']}")
+    print(f"alpha: {report['alpha']['exact']}")
     for row in report["rows"]:
         print(f"  N={row['size']}: {row['value']['exact']} ({row['value']['decimal']})")
     return report
@@ -405,8 +398,7 @@ def _parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("solve", help="solve the worst-case testing problem"))
     common(sub.add_parser("np", help="classical single-pair test"))
-    p_sweep = sub.add_parser("sweep", help="solve a generated family over sizes")
-    p_sweep.add_argument("generator", help="one of ['nonexistence']")
+    p_sweep = sub.add_parser("sweep", help="solve nonexistence_problem(n) over sizes n")
     p_sweep.add_argument("--sizes", required=True, help="'lo:hi' or comma separated")
     p_sweep.add_argument("--alpha", help="level for the generated problems")
     p_sweep.add_argument("--json", dest="json_out", metavar="OUT")

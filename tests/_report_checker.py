@@ -30,8 +30,7 @@ null members. The form is "none" when lam = 0, "degenerate" in the slack
 case (the test is 1 on every atom of lam_qc, which the certificate also
 proves: there v = 0 and the value is 1), and otherwise "threshold", or
 "none" when tau_pc is zero. A threshold report's classification,
-boundary values, violation count and support precondition
-max_i P_i(supp lam_qc) >= alpha are rederived from its ``kappa``. Its
+boundary values and violation count are rederived from its ``kappa``. Its
 ``kappa_formula`` is recomputed as the least u >= 0 with
 lam_qc{u q >= p} >= gamma_c, for p and q the atom masses of tau_pc and
 lam_qc and gamma_c the reported one, and its ``precondition_grid`` must
@@ -66,7 +65,8 @@ and ``continuity_p`` and ``continuity_q`` are p_tail = 0 and q_tail = 0.
 An ``np`` report is checked from its ``kappa``: with w_k = max(q_k -
 kappa p_k, 0) and kappa >= 0, every test y with E_p[y] <= alpha has
 E_q[y] <= kappa * alpha + sum w, so a feasible test with that power is
-optimal.
+optimal. Its ``b`` is the test's value on every atom with p_k > 0 and
+q_k = kappa p_k, and 0 when there is no such atom.
 
     python tests/_report_checker.py SPEC REPORT
 
@@ -241,11 +241,6 @@ def _check_representation(
     broken_ok = len(rep.array("violations")) == broken
     _require(broken_ok, f"representation.violations: kappa gives {broken}")
     _require(rep["verdict"] == (broken == 0), f"representation.verdict: {broken} violations")
-    support = max(sum(pk for pk, qk in zip(p, q_alpha[:n]) if qk) for p in spec.p)
-    _require(
-        rep["precondition_support"] == (support >= alpha),
-        f"representation.precondition_support: max_i P_i(supp lam_qc) is {support}",
-    )
     # kappa_formula is the least u >= 0 with lam_qc{u q >= p} >= gamma_c,
     # for p, q the masses of tau_pc, lam_qc: walk the ratios p/q up from 0.
     gamma_c, formula, mass = report.rational("gamma_c"), Fraction(0), Fraction(0)
@@ -390,6 +385,10 @@ def check_np(spec_data: dict, report: dict, alpha: "Fraction | None" = None) -> 
     _require(kappa >= 0, f"kappa {kappa} is negative")
     dual = kappa * alpha + sum(max(qk - kappa * pk, 0) for pk, qk in zip(p, q))
     _require(dual == power, f"power {power} is not the bound {dual} that kappa proves")
+    b = report.rational("b")
+    # The test on the atoms with p > 0 and q = kappa p, or 0 when there are none.
+    on_cut = {xk for xk, pk, qk in zip(x, p, q) if pk and qk == kappa * pk} or {Fraction(0)}
+    _require(on_cut == {b}, f"b: {b}, but the test's boundary values are {sorted(map(str, on_cut))}")
 
 
 def main(argv: "list[str]") -> int:

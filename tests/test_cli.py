@@ -67,8 +67,13 @@ def test_solve_three_atom_report(tmp_path, capsys):
     assert report["lambda"]["exact"] == "1"
     assert report["beta"]["exact"] == "1/2"
     assert report["beta_criterion_matches_case"] is True
-    assert report["representation"]["form"] == "threshold"
-    assert report["representation"]["verdict"] is True
+    rep = report["representation"]
+    assert sorted(rep) == [
+        "b_values", "classification", "form", "kappa", "kappa_formula",
+        "level_c", "precondition_grid", "tau", "verdict", "violations",
+    ]
+    assert rep["form"] == "threshold"
+    assert rep["verdict"] is True
     assert report["certificate"] == {
         "level_duals": [{"exact": "0", "decimal": "0.0"}],
         "box_duals": {
@@ -224,7 +229,7 @@ def test_json_output_is_deterministic(tmp_path):
     for argv in (
         ["solve", spec],
         ["np", spec],
-        ["sweep", "nonexistence", "--sizes", "1:3"],
+        ["sweep", "--sizes", "1:3"],
         ["check", spec],
     ):
         assert run([*argv, "--json", a]) == EXIT_OK
@@ -476,14 +481,16 @@ def test_value_too_long_to_print_asks_for_the_digit_limit(tmp_path):
 
 def test_unwritable_json_path_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path, SMALL)
-    out = tmp_path / "no_such_dir" / "out.json"
-    for argv in (
-        ["solve", spec, "--json", out],
-        ["np", spec, "--json", out],
-        ["check", spec, "--json", out],
-        ["sweep", "nonexistence", "--sizes", "1:2", "--json", out],
-        ["solve", spec, "--json", tmp_path],
-    ):
+    # An empty path is a path that cannot be written, not an absent flag.
+    argvs = [["solve", spec, "--json", tmp_path]]
+    for out in (tmp_path / "no_such_dir" / "out.json", ""):
+        argvs += [
+            ["solve", spec, "--json", out],
+            ["np", spec, "--json", out],
+            ["check", spec, "--json", out],
+            ["sweep", "--sizes", "1:2", "--json", out],
+        ]
+    for argv in argvs:
         assert run(argv) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: --json ") and err.count("\n") == 1
@@ -508,26 +515,28 @@ def test_np_command(tmp_path, capsys):
 
 def test_sweep_command(tmp_path, capsys):
     out = tmp_path / "sweep.json"
-    assert run(["sweep", "nonexistence", "--sizes", "1:4", "--json", out]) == EXIT_OK
+    assert run(["sweep", "--sizes", "1:4", "--json", out]) == EXIT_OK
     report = json.loads(out.read_text())
+    assert sorted(report) == ["alpha", "rows", "strictly_increasing"]
     values = [row["value"]["exact"] for row in report["rows"]]
     assert values == ["3/4", "7/8", "15/16", "31/32"]
-    capsys.readouterr()
+    assert capsys.readouterr().out.startswith("alpha: 1/2\n  N=1: 3/4 (0.75)\n")
 
-    assert run(["sweep", "nonexistence", "--sizes", "2,5,9", "--alpha", "1/4"]) == EXIT_OK
+    assert run(["sweep", "--sizes", "2,5,9", "--alpha", "1/4"]) == EXIT_OK
     text = capsys.readouterr().out
     assert "13/16" in text
 
     # A range is checked on its ends, so a huge one is refused at once.
     for sizes in ("0:2", "0:1000000000000"):
-        assert run(["sweep", "nonexistence", "--sizes", sizes]) == EXIT_INPUT
+        assert run(["sweep", "--sizes", sizes]) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: --sizes: sizes must be at least 1, got {sizes!r}\n"
-    assert run(["sweep", "nonexistence", "--sizes", "3:1"]) == EXIT_INPUT
+    assert run(["sweep", "--sizes", "3:1"]) == EXIT_INPUT
     assert capsys.readouterr().err == "error: --sizes: empty range '3:1'\n"
-    assert run(["sweep", "unknown_family", "--sizes", "1:2"]) == EXIT_INPUT
-    assert capsys.readouterr().err == (
-        "error: unknown generator 'unknown_family'; available: ['nonexistence']\n"
-    )
+    # sweep takes no generator: the old positional form is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "nonexistence", "--sizes", "1:2"])
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments: nonexistence\n" in capsys.readouterr().err
 
 
 def test_check_command(tmp_path, capsys):
@@ -775,7 +784,8 @@ def test_checker_rejects_nudged_np_reports(np_reports):
     # class exactly (b = 0), every kappa up to the next ratio proves the
     # same power.
     for spec, report in np_reports:
-        _rejects_each_nudge(checker.check_np, spec, report, [(report, "power", "^power: ")])
+        entries = [(report, "power", "^power: "), (report, "b", "^b: ")]
+        _rejects_each_nudge(checker.check_np, spec, report, entries)
         kappa = report["kappa"]
         report["kappa"] = _exact(-NUDGE)
         with pytest.raises(checker.ReportRejected, match="negative"):
@@ -833,7 +843,6 @@ def test_checker_names_each_broken_claim(tmp_path):
         ),
         (lambda r: r["representation"]["b_values"].update(w1=_exact(1)), "^representation.b_val"),
         (lambda r: r["representation"]["violations"].append("w1"), "^representation.violations"),
-        (rep_edit(precondition_support=False), "^representation.precondition_support: "),
         (lambda r: r.update(p_weights=[_exact(F(1, 2))]), "^p_weights: "),
     ]
     # The dirac report is slack: its representation is the degenerate form.
@@ -861,6 +870,8 @@ def test_checker_names_each_broken_claim(tmp_path):
         (dirac, {"level_slack": not np_report["level_slack"]}, "^level_slack: "),
         # Feasible but not optimal: kappa's bound is above its power.
         (dirac, {"test": zero, "attained_level": _exact(0), "power": _exact(0)}, "kappa proves"),
+        # The test is 0 on atom "0", where q = kappa p = 0 < p.
+        (dirac, {"b": _exact(F(7, 3))}, "^b: 7/3, "),
         (three, {}, "one charge per family"),
     ]
     for spec, edit, pattern in np_cases:
@@ -906,7 +917,8 @@ def test_checker_names_a_missing_or_mistyped_field(tmp_path, capsys):
         with pytest.raises(checker.ReportRejected, match=f"^{message}$"):
             checker.check_solve(three, bad)
     for edit, message in ((lambda r: r.pop("power"), "power: missing"),
-                          (lambda r: r.update(kappa="0"), "kappa: not an object")):
+                          (lambda r: r.update(kappa="0"), "kappa: not an object"),
+                          (lambda r: r.pop("b"), "b: missing")):
         bad = copy.deepcopy(np_report)
         edit(bad)
         with pytest.raises(checker.ReportRejected, match=f"^{message}$"):
