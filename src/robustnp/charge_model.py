@@ -10,8 +10,12 @@ So a charge's Yosida-Hewitt decomposition is read off its slots:
 :meth:`Charge.atom_part` is the countably additive part and ``tail_mass``
 the mass of the purely finitely additive part.
 
-Everything is a `fractions.Fraction`. There is no rounding anywhere in this
-package, so equality assertions downstream mean exact equality.
+Every mass and value is a `fractions.Fraction`, and every charge and test
+also has ``scaled``, its slots as integers over their least common
+denominator, which the LPs and the certificate read. A mixture, and a test
+read off an LP, is built from those integers, with ``scaled`` preset and
+its checks made on them. There is no rounding anywhere in this package, so
+equality assertions downstream mean exact equality.
 """
 
 from __future__ import annotations
@@ -22,18 +26,32 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence, Union
 
-from .simplex import ONE, ZERO, _frac as frac
+from .simplex import ONE, ZERO, _frac as frac, _scale
 
 TAIL_LABEL = "tail"
 
 RationalLike = Union[int, str, Fraction]
 
 
-def _scale(values: list[Fraction]) -> tuple[list[int], int]:
-    """Integers over the least common denominator of ``values``."""
-    dens = [v.denominator for v in values]
-    den = math.lcm(*dens)
-    return [v.numerator * (den // d) for v, d in zip(values, dens)], den
+def _from_scaled(cls, space: "SampleSpace", ints: list[int], den: int):
+    """The ``cls`` with slots ``ints / den`` (den > 0) and ``scaled`` preset.
+
+    One gcd brings the integers to their least common denominator, so
+    ``scaled`` is what the slots would give. Only the slot count is checked
+    here, the range by the caller; ``__post_init__`` does not run.
+    """
+    if len(ints) != space.n_slots:
+        raise ValueError(f"expected {space.n_slots} slots, got {len(ints)}")
+    if (g := math.gcd(den, *ints)) > 1:
+        ints, den = [a // g for a in ints], den // g
+    slots = [ZERO if not a else ONE if a == den else Fraction(a, den) for a in ints]
+    tail = slots.pop() if space.has_tail else ZERO
+    obj = object.__new__(cls)
+    # The fields in order: the space, the atoms' slots, the tail's.
+    for name, v in zip(cls.__dataclass_fields__, (space, tuple(slots), tail)):
+        object.__setattr__(obj, name, v)
+    object.__setattr__(obj, "scaled", (ints, den))
+    return obj
 
 
 def _digits(n: int) -> int:
@@ -150,6 +168,13 @@ class Charge:
             v.append(self.tail_mass)
         return v
 
+    @classmethod
+    def _from_scaled(cls, space: SampleSpace, ints: list[int], den: int) -> "Charge":
+        """The charge with slot masses ``ints / den`` (den > 0), checked on the integers."""
+        if min(ints) < 0:
+            raise ValueError("charges are nonnegative")
+        return _from_scaled(cls, space, ints, den)
+
     def atom_part(self) -> "Charge":
         """The same charge with its tail mass dropped (not renormalized)."""
         return Charge(self.space, self.atom_mass, ZERO)
@@ -184,6 +209,13 @@ class TestFunction:
     def scaled(self) -> tuple[list[int], int]:
         """:meth:`slot_values` as ``(integers, their denominator)``: one entry per slot."""
         return _scale(self.slot_values())
+
+    @classmethod
+    def _from_scaled(cls, space: SampleSpace, ints: list[int], den: int) -> "TestFunction":
+        """The test with slot values ``ints / den`` (den > 0), checked on the integers."""
+        if min(ints) < 0 or max(ints) > den:
+            raise ValueError("test values must lie in [0, 1]")
+        return _from_scaled(cls, space, ints, den)
 
     @classmethod
     def from_slots(cls, space: SampleSpace, values: Sequence[Fraction]) -> "TestFunction":
@@ -268,9 +300,7 @@ def mix(charges: Sequence[Charge], weights: Sequence[RationalLike]) -> Charge:
     for c in charges:
         if c.space != space:
             raise ValueError("all charges must share one sample space")
-    acc, den = _mixed(charges, *_scale(ws))
-    out = [Fraction(s, den) if s else ZERO for s in acc]
-    return Charge(space, tuple(out[: space.n_atoms]), out[-1] if space.has_tail else ZERO)
+    return Charge._from_scaled(space, *_mixed(charges, *_scale(ws)))
 
 
 def _mixed(charges: Sequence[Charge], weights: list[int], den: int) -> tuple[list[int], int]:

@@ -71,6 +71,7 @@ the alternative supports, and the least attained level is max_i P_i(S).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -237,17 +238,17 @@ class RepresentationReport:
 def _epigraph_program(t_rows, cap_rows, cap):
     """max t : t <= E_r[x] for r in t_rows, E_c[x] <= cap for c in cap_rows, 0 <= x <= 1.
 
-    The rows are charges, each written as ints over its ``scaled``
-    denominator den: a t row reads den t - ints . x <= 0 and a cap row
-    ints . x <= cap den, so a row's dual comes back over den. It returns
-    ``(c, a_ub, b_ub, upper)`` over (x, t), t rows first, so the row duals
-    split in that order; the box is the bounds ``upper``, whose duals are
-    w. With ``cap`` nonnegative, x = 0, t = 0 is a feasible basis.
+    Each row is a charge's masses as ``(ints, den)``, its ``scaled`` form: a
+    t row reads den t - ints . x <= 0 and a cap row ints . x <= cap den, so
+    a row's dual comes back over den. It returns ``(c, a_ub, b_ub, upper)``
+    over (x, t), t rows first, so the row duals split in that order; the
+    box is the bounds ``upper``, whose duals are w. With ``cap``
+    nonnegative, x = 0, t = 0 is a feasible basis.
     """
-    nv = t_rows[0].space.n_slots
-    a_ub = [[-m for m in r.scaled[0]] + [r.scaled[1]] for r in t_rows]
-    a_ub += [r.scaled[0] + [0] for r in cap_rows]
-    b_ub = [ZERO] * len(t_rows) + [cap * r.scaled[1] for r in cap_rows]
+    nv = len(t_rows[0][0])
+    a_ub = [[-m for m in ints] + [den] for ints, den in t_rows]
+    a_ub += [ints + [0] for ints, _ in cap_rows]
+    b_ub = [ZERO] * len(t_rows) + [cap * den for _, den in cap_rows]
     return [0] * nv + [1], a_ub, b_ub, [ONE] * nv + [None]
 
 
@@ -261,11 +262,13 @@ def _optimal(res, what: str):
 def _solve_epigraph(prob: TestProblem):
     """Max worst-case power via the epigraph LP: value, duals (u, v, w), test x0."""
     qs, ps = prob.q_family.family, prob.p_family.family
-    c, a_ub, b_ub, upper = _epigraph_program(qs, ps, prob.alpha)
+    c, a_ub, b_ub, upper = _epigraph_program([q.scaled for q in qs], [p.scaled for p in ps],
+                                             prob.alpha)
     res = _optimal(solve_lp(c, a_ub, b_ub, upper=upper), "epigraph program")
     duals = [m.scaled[1] * y for m, y in zip(qs + ps, res.y_ub)]
     u, v, w = duals[: len(qs)], duals[len(qs) :], list(res.y_upper[:-1])
-    return res.value, u, v, w, TestFunction.from_slots(prob.space, res.x[:-1])
+    xs, top = res._scaled_x()
+    return res.value, u, v, w, TestFunction._from_scaled(prob.space, xs[:-1], top)
 
 
 def _lift_dual_support(prob: TestProblem, gamma: Fraction, u, v, w, x0: TestFunction):
@@ -338,38 +341,40 @@ def _lift_dual_support(prob: TestProblem, gamma: Fraction, u, v, w, x0: TestFunc
 
 def _min_attained_level(prob: TestProblem, gamma: Fraction):
     """Among optimal tests, minimize the worst-case null level (in complements)."""
-    qs = prob.q_family.family
-    c, a_ub, b_ub, upper = _epigraph_program(prob.p_family.family, qs, ONE - gamma)
+    c, a_ub, b_ub, upper = _epigraph_program([p.scaled for p in prob.p_family.family],
+                                             [q.scaled for q in prob.q_family.family], ONE - gamma)
     res = _optimal(solve_lp(c, a_ub, b_ub, upper=upper), "level program")
-    x = [ONE - y if y else ONE for y in res.x[: prob.space.n_slots]]
-    return TestFunction.from_slots(prob.space, x), ONE - res.value
+    ys, top = res._scaled_x()
+    return TestFunction._from_scaled(prob.space, [top - y for y in ys[:-1]], top), ONE - res.value
 
 
-def _countable_value(prob: TestProblem, lam_qc: Charge):
+def _countable_value(prob: TestProblem, lam_qc):
     """Best integral of the countably additive part at level alpha, with the level duals.
 
     Its rows are the null members' integers, as the epigraph's cap rows,
-    and its objective is ``lam_qc``'s, so the value comes back times
-    ``lam_qc``'s den and row i's dual times that den over member i's.
+    and its objective is ``lam_qc``, the part's masses as ``(ints, den)``,
+    so the value comes back times den and row i's dual times den over
+    member i's.
     """
-    ps, nv, (lam, den) = prob.p_family.family, prob.space.n_slots, lam_qc.scaled
+    ps, nv, (lam, den) = prob.p_family.family, prob.space.n_slots, lam_qc
     b_ub = [prob.alpha * p.scaled[1] for p in ps]
     res = _optimal(solve_lp(lam, [p.scaled[0] for p in ps], b_ub, upper=[ONE] * nv),
                    "countable part program")
     return res.value / den, [p.scaled[1] * y / den for p, y in zip(ps, res.y_ub)]
 
 
-def _null_side_mixture(prob: TestProblem, lam_qc: Charge, lam, gamma_c):
+def _null_side_mixture(prob: TestProblem, lam_qc, lam, gamma_c):
     """Null mixture from the auxiliary program's level-side duals.
 
     The auxiliary program minimizes the worst-case null level over tests
     whose integral against the countably additive part reaches gamma_c. In
     its complemented form the level rows' multipliers sum to 1 (module
     docstring) and are the mixture's weights. Returns the weights and the
-    program's value. ``lam`` is the total mass of ``lam_qc``.
+    program's value. ``lam_qc`` is the countably additive part's masses as
+    ``(ints, den)``, and ``lam`` its total mass.
     """
     ps = prob.p_family.family
-    c, a_ub, b_ub, upper = _epigraph_program(ps, [lam_qc], lam - gamma_c)
+    c, a_ub, b_ub, upper = _epigraph_program([p.scaled for p in ps], [lam_qc], lam - gamma_c)
     res = _optimal(solve_lp(c, a_ub, b_ub, upper=upper), "auxiliary level program")
     weights = tuple(p.scaled[1] * y for p, y in zip(ps, res.y_ub))
     if (total := sum(weights, ZERO)) != ONE:
@@ -441,9 +446,9 @@ def kkt_certificate(prob: TestProblem, sol: Solution) -> DualCertificate:
         )
     if sol.case is not (Case.LEVEL_SLACK if attained < prob.alpha else Case.LEVEL_ATTAINED):
         raise CertificateError(f"case {sol.case.value} disagrees with attained level {attained}")
-    # q_alpha is sum_j u_j Q_j, which is qm / dq.
-    if sol.q_alpha.space != prob.space or any(f.numerator * dq != m * f.denominator
-                                              for f, m in zip(sol.q_alpha.slot_masses(), qm)):
+    # q_alpha is sum_j u_j Q_j, which is qm / dq: over one gcd, its scaled form.
+    g = math.gcd(dq, *qm)
+    if sol.q_alpha.space != prob.space or sol.q_alpha.scaled != ([m // g for m in qm], dq // g):
         raise CertificateError("q_alpha is not the mixture of the alternatives under q_weights")
     return cert
 
@@ -461,7 +466,10 @@ def solve_minimax(prob: TestProblem) -> Solution:
     x_alpha, attained = _min_attained_level(prob, gamma)
     case = Case.LEVEL_SLACK if attained < prob.alpha else Case.LEVEL_ATTAINED
     lam = ONE - q_alpha.tail_mass
-    lam_qc = q_alpha.atom_part()
+    # The countable part's masses are q_alpha's integers with the tail at 0,
+    # over the same den: q_alpha's total is 1, so it is still the least.
+    ints, den = q_alpha.scaled
+    lam_qc = (ints[:-1] + [0] if prob.space.has_tail else ints, den)
     if lam == 0:
         gamma_c, p_weights, level_c = ZERO, None, None
     else:

@@ -14,13 +14,14 @@ pivot is fraction-free (Edmonds 1967, *J. Res. NBS* 71B; Bareiss 1968,
 the pivot p. So every entry is a minor of the input rows as given, bounded
 by Hadamard's bound, with no gcd taken; each slack has coefficient 1, so
 the slack basis starts at d = 1. Those coercions and the nonzero entries
-of the result are the only `fractions.Fraction`s built. The sign checks
-run on the integers, and the optimal value is read off the cost row's
-right-hand side rather than summed as ``c . x``. Nothing is rounded, so
-"optimal" means optimal, not optimal up to a tolerance, and the duals
-returned here can be used in exact complementary slackness checks. Every
-right-hand side must be nonnegative, so the slack basis x = 0 is feasible
-and there is one phase: the callers write their programs in that form.
+of the result, built when read, are the only `fractions.Fraction`s built.
+The sign checks run on the integers, and the optimal value is read off the
+cost row's right-hand side rather than summed as ``c . x``. Nothing is
+rounded, so "optimal" means optimal, not optimal up to a tolerance, and the
+duals returned here can be used in exact complementary slackness checks.
+Every right-hand side must be nonnegative, so the slack basis x = 0 is
+feasible and there is one phase: the callers write their programs in that
+form.
 
 Bounds ``x_j <= 1`` stay out of the tableau (Dantzig's upper-bounding
 technique): a variable at its bound is complemented, ``x_j = 1 - x_j'``, by
@@ -74,7 +75,6 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -83,7 +83,6 @@ ONE = Fraction(1)
 
 _MAX_PIVOTS = 200_000
 
-@dataclass(frozen=True)
 class LpSolution:
     """Result of :func:`solve_lp`.
 
@@ -94,15 +93,84 @@ class LpSolution:
     so ``y_eq`` is ``()``; the field keeps the result's shape for code that
     reads it. ``value`` is read off the final tableau, not summed, and
     equals both ``c . x`` and ``b_ub . y_ub + upper . y_upper`` exactly.
-    Zero entries are the shared ``ZERO``.
+    Zero entries are the shared ``ZERO``. A result is immutable, and ``==``
+    compares every field.
+
+    :func:`solve_lp` builds ``value`` and ``y_ub`` at once, and ``x`` and
+    ``y_upper`` when first read, each on its own, from the integers it
+    keeps in ``_ints``: the basis, the basic right-hand sides, the
+    complement flags, the cost row's first n entries (``None`` without
+    ``upper``), d and the right-hand sides' denominator, not the tableau.
     """
 
-    status: str
-    x: "tuple[Fraction, ...] | None" = None
-    value: "Fraction | None" = None
-    y_ub: "tuple[Fraction, ...] | None" = None
-    y_eq: "tuple[Fraction, ...] | None" = None
-    y_upper: "tuple[Fraction, ...] | None" = None
+    __slots__ = ("status", "value", "y_ub", "y_eq", "_x", "_y_upper", "_ints")
+
+    def __init__(self, status, x=None, value=None, y_ub=None, y_eq=None, y_upper=None, _ints=None):
+        for name, v in zip(self.__slots__, (status, value, y_ub, y_eq, x, y_upper, _ints)):
+            object.__setattr__(self, name, v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LpSolution is immutable; cannot set {name!r}")
+
+    def _scaled_x(self) -> tuple[list[int], int]:
+        """``x`` as ``(integers, their denominator)``; from the tableau, over d * rden."""
+        if self._ints is None:
+            return _scale(self.x)
+        basis, rhs, comp, _, d, rden = self._ints
+        xs = [0] * (len(comp) + len(rhs))
+        for j, v in zip(basis, rhs):
+            xs[j] = v
+        # A complemented x_j is 1 less its complement; zip stops at the n variables.
+        top = d * rden
+        return [top - v if c else v for v, c in zip(xs, comp)], top
+
+    # Both build their tuple from a list, at its size. A tuple built from a
+    # generator is resized at the end, and CPython's free lists keep the
+    # freed ones by their final size, so the process's memory grows.
+    @property
+    def x(self) -> "tuple[Fraction, ...] | None":
+        if self._x is _UNREAD:
+            xs, top = self._scaled_x()
+            object.__setattr__(self, "_x", tuple([
+                ZERO if not v else ONE if v == top else Fraction(v, top) for v in xs]))
+        return self._x
+
+    @property
+    def y_upper(self) -> "tuple[Fraction, ...] | None":
+        # A complemented x_j sits at its bound 1, and its column's reduced
+        # cost cbar' is -cbar_j: the bound row takes y_upper = cbar' and
+        # leaves x_j a reduced cost of 0.
+        if self._y_upper is _UNREAD:
+            _, _, comp, cost, d, _ = self._ints
+            object.__setattr__(self, "_y_upper", None if cost is None else tuple([
+                Fraction(v, d) if c and v else ZERO for v, c in zip(cost, comp)]))
+        return self._y_upper
+
+    def _fields(self) -> tuple:
+        return self.status, self.x, self.value, self.y_ub, self.y_eq, self.y_upper
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if isinstance(other, LpSolution) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):  # copy and pickle rebuild it from its fields
+        return LpSolution, self._fields()
+
+    def __repr__(self):
+        return ("LpSolution(status={!r}, x={!r}, value={!r}, y_ub={!r}, y_eq={!r}, "
+                "y_upper={!r})".format(*self._fields()))
+
+
+_UNREAD = object()
+
+
+def _scale(values) -> tuple[list[int], int]:
+    """Integers over the least common denominator of ``values`` (Fractions)."""
+    dens = [v.denominator for v in values]
+    den = math.lcm(*dens)
+    return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
 
 def _frac(v) -> Fraction:
@@ -267,30 +335,11 @@ def solve_lp(
     if run() == "unbounded":
         return LpSolution("unbounded")
     cost = rows[m]
-
-    x = [ZERO] * n
-    for r in range(m):
-        if basis[r] < n and (v := rows[r][n_cols]):
-            x[basis[r]] = Fraction(v, d * rden)
-    # A complemented x_j sits at its bound 1, and its column's reduced cost
-    # cbar' is -cbar_j: the bound row takes y_upper = cbar' and leaves x_j a
-    # reduced cost of 0.
-    y_upper = [ZERO] * n
-    for j in range(n):
-        if comp[j]:
-            x[j] = ONE - x[j] if x[j] else ONE
-            if cost[j]:
-                y_upper[j] = Fraction(cost[j], d)
-
     # Row r's slack column (+e_r, cost 0) has the final reduced cost y_r;
     # complementing columns leaves y = c_B B^-1 unchanged.
-    y_ub = tuple(Fraction(v, d) if v else ZERO for v in cost[n:n_cols])
-
     return LpSolution(
-        status="optimal",
-        x=tuple(x),
-        value=Fraction(cost[n_cols], d * rden),
-        y_ub=y_ub,
-        y_eq=(),
-        y_upper=None if upper is None else tuple(y_upper),
+        "optimal", _UNREAD, Fraction(cost[n_cols], d * rden),
+        tuple(Fraction(v, d) if v else ZERO for v in cost[n:n_cols]), (), _UNREAD,
+        _ints=(basis, [row[n_cols] for row in rows[:m]], comp,
+               None if upper is None else cost[:n], d, rden),
     )

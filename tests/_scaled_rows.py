@@ -14,7 +14,6 @@ and must return equal solutions.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 from robustnp.charge_model import _scale
@@ -29,9 +28,11 @@ def solve_scaled(c, a_ub=None, b_ub=None, *, upper=None) -> LpSolution:
     sol = solve_lp(cost, [row for row, _ in rows], b_ub, upper=upper)
     if sol.status != "optimal":
         return sol
-    return dataclasses.replace(
-        sol,
+    return LpSolution(
+        status=sol.status,
+        x=sol.x,
         value=sol.value / kc,
         y_ub=tuple(y * k / kc for y, (_, k) in zip(sol.y_ub, rows)),
+        y_eq=sol.y_eq,
         y_upper=None if sol.y_upper is None else tuple(y / kc for y in sol.y_upper),
     )

@@ -402,6 +402,36 @@ def test_solving_leaves_every_members_scaled_list_as_it_was():
             _assert_slot_layout(obj)
 
 
+def test_the_integer_constructors_refuse_what_the_public_ones_refuse():
+    # mix builds its charge, and the solver its tests, from slot integers
+    # over a den with scaled preset; the checks run on those integers.
+    s = space_of(2, has_tail=True)
+    eps = 10**30
+    refused = [
+        ("nonnegative", lambda: charge(s, F(-1, 3), F(2, 3), tail=F(2, 3))),
+        ("nonnegative", lambda: Charge._from_scaled(s, [-1, 2, 2], 3)),
+        ("nonnegative", lambda: Charge._from_scaled(s, [1, 1, -1], 1)),
+        (r"\[0, 1\]", lambda: tf(s, F(4, 3), 0)),
+        (r"\[0, 1\]", lambda: TestFunction._from_scaled(s, [4, 0, 0], 3)),
+        (r"\[0, 1\]", lambda: TestFunction._from_scaled(s, [0, 0, eps + 1], eps)),
+        (r"\[0, 1\]", lambda: TestFunction._from_scaled(s, [0, -1, 0], 3)),
+        ("expected 2 atom masses", lambda: Charge(s, (F(1),), F(0))),
+        ("expected 3 slots", lambda: Charge._from_scaled(s, [1, 2], 3)),
+        ("expected 2 atom values", lambda: TestFunction(s, (F(1),) * 3, F(0))),
+        ("expected 3 slots", lambda: TestFunction._from_scaled(s, [1, 1, 1, 0], 1)),
+    ]
+    for match, build in refused:
+        with pytest.raises(ValueError, match=match):
+            build()
+    # The end points are accepted, and the integers come out over their
+    # least common denominator, as the public constructors' scaled has them.
+    x = TestFunction._from_scaled(s, [0, 6, 6], 6)
+    assert x == tf(s, 0, 1, tail=1) and x.scaled == ([0, 1, 1], 1) == tf(s, 0, 1, tail=1).scaled
+    c = Charge._from_scaled(s, [0, 4, 2], 12)
+    assert c == charge(s, 0, F(1, 3), tail=F(1, 6)) and c.scaled == ([0, 2, 1], 6)
+    assert repr(c) == repr(charge(s, 0, F(1, 3), tail=F(1, 6)))
+
+
 def test_sign_and_range_checks_see_tiny_excesses():
     # The checks read numerators and denominators; a step of 10^-30 past
     # either end of the range must still be caught.

@@ -40,6 +40,7 @@ from robustnp import (
     verify_threshold_form,
     vertex_enumerate,
 )
+from robustnp.charge_model import _scale
 from robustnp.cli import load_problem, main as cli_main
 from robustnp.hypotheses import nonexistence_problem
 
@@ -703,7 +704,8 @@ def _solve_lp_with_box_rows(c, a_ub=None, b_ub=None, *, sense, upper=None):
     y_upper = [F(0)] * n
     for k, y in zip(kept, res.y_ub[m:]):
         y_upper[k] = y
-    return dataclasses.replace(res, y_ub=res.y_ub[:m], y_upper=tuple(y_upper))
+    return LpSolution(status=res.status, x=res.x, value=res.value, y_ub=res.y_ub[:m],
+                      y_eq=res.y_eq, y_upper=tuple(y_upper))
 
 
 def test_bounded_pipeline_matches_explicit_box_rows(monkeypatch):
@@ -819,10 +821,11 @@ def test_certificate_shortcuts_match_the_lps_they_replace(monkeypatch):
         ran["no tail"] += not prob.space.has_tail
         for stage, label in (("_countable_value", "countable"), ("_null_side_mixture", "null side")):
             ran[label if stage in stage_calls else f"{label} skipped"] += 1
+        # The two stages take the countably additive part as (ints, den).
         lam_qc = sol.q_alpha.atom_part()
-        gamma_c, _ = minimax._countable_value(prob, lam_qc)
+        gamma_c, _ = minimax._countable_value(prob, lam_qc.scaled)
         assert sol.gamma_c == gamma_c
-        _, level_c = minimax._null_side_mixture(prob, lam_qc, sol.lam, gamma_c)
+        _, level_c = minimax._null_side_mixture(prob, lam_qc.scaled, sol.lam, gamma_c)
         assert sol.level_c == level_c
         assert all(m >= 0 for m in sol.p_weights)
         assert sum(sol.p_weights) == 1
@@ -917,6 +920,24 @@ def _level_corpus(rng):
     problems += [_stress_problem(rng) for _ in range(60)]
     problems += [nonexistence_problem(n, F(rng.randint(1, 15), 16)) for n in range(1, 57)]
     return problems
+
+
+def test_every_preset_integer_form_is_the_one_its_values_give():
+    # x0, x_alpha and q_alpha are built from the LPs' and the mixture's
+    # integers, with scaled preset rather than computed from the slots. It
+    # must be what _scale gives, and each object must be the one the public
+    # constructor builds from the same values, repr included.
+    for prob in _level_corpus(random.Random(1605)):
+        sol = solve_minimax(prob)
+        x0 = minimax._solve_epigraph(prob)[-1]
+        for x in (x0, sol.x_alpha):
+            assert x.scaled == _scale(x.slot_values())
+            public = TestFunction(x.space, x.atom_value, x.tail_value)
+            assert x == public and repr(x) == repr(public) and x.scaled == public.scaled
+        q = sol.q_alpha
+        assert q.scaled == _scale(q.slot_masses())
+        public = Charge(q.space, q.atom_mass, q.tail_mass)
+        assert q == public and repr(q) == repr(public) and q.scaled == public.scaled
 
 
 def _outcome(check, prob, sol):

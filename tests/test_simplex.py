@@ -1,8 +1,9 @@
 """Exact simplex: known LPs, sign conventions, duals, degenerate cases."""
 
-import dataclasses
+import copy
 import heapq
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from _fraction_simplex import solve_lp as fraction_solve_lp
 from _scaled_rows import solve_scaled
 
 from robustnp import minimax, nonexistence_problem
-from robustnp.simplex import LpSolution, solve_lp
+from robustnp.charge_model import _scale
+from robustnp.simplex import _UNREAD, LpSolution, solve_lp
 
 F = Fraction
 
@@ -237,7 +239,8 @@ def _in_sense(c, a_ub, b_ub, sense):
     sol = solve_scaled([-v for v in c], a_ub, b_ub)
     if sol.status != "optimal":
         return sol
-    return dataclasses.replace(sol, value=-sol.value, y_ub=tuple(-y for y in sol.y_ub))
+    return LpSolution(status=sol.status, x=sol.x, value=-sol.value,
+                      y_ub=tuple(-y for y in sol.y_ub), y_eq=sol.y_eq, y_upper=sol.y_upper)
 
 
 def test_integer_tableau_matches_fraction_reference():
@@ -253,6 +256,46 @@ def test_integer_tableau_matches_fraction_reference():
         big += any(v.denominator > 2**39 for row in a_ub for v in row)
     assert min(statuses.values()) >= 10
     assert degenerate >= 30 and big >= 30
+
+
+def test_x_and_y_upper_are_built_when_read_in_any_order():
+    # solve_lp builds x and y_upper only when they are read. The 300 LPs
+    # above, on their integer rows, give the Fraction reference's fields
+    # read in a seeded random order; x is not among them, so == builds it.
+    # Under drawn bounds, every field read in a random order is the one a
+    # fresh solve gives when read in the fixed order.
+    rng, order = random.Random(2016), random.Random(35)
+    names = ("status", "x", "value", "y_ub", "y_eq", "y_upper")
+    unread = 0
+    for _ in range(300):
+        c, a_ub, b_ub, sense = _random_lp(rng)
+        # A "min" draw solves min c . x as max -c . x.
+        sign = 1 if sense == "max" else -1
+        (cost, kc), rows = _scale([sign * v for v in c]), [_scale(row) for row in a_ub]
+        args = (cost, [row for row, _ in rows], [b * k for b, (_, k) in zip(b_ub, rows)])
+        ref = fraction_solve_lp(c, a_ub, b_ub, sense=sense)
+        if ref.status == "optimal":
+            # Over the integer rows the value is kc times the reference's and
+            # row i's dual kc / k_i times its dual.
+            y_ub = tuple(sign * kc * y / k for y, (_, k) in zip(ref.y_ub, rows))
+            ref = LpSolution("optimal", ref.x, sign * kc * ref.value, y_ub, (), None)
+        got = solve_lp(*args)
+        fields = list(names[:1] + names[2:])
+        order.shuffle(fields)
+        for name in fields[: order.randint(0, len(fields))]:
+            assert getattr(got, name) == getattr(ref, name), name
+        unread += got.status == "optimal" and got._x is _UNREAD
+        assert got == ref and hash(got) == hash(ref)
+        upper = _random_bounds(order, len(c))
+        first = solve_lp(*args, upper=upper)
+        want = LpSolution(*(getattr(first, name) for name in names))
+        got = solve_lp(*args, upper=upper)
+        order.shuffle(fields := list(names))
+        for name in fields:
+            assert getattr(got, name) == getattr(want, name), name
+        assert got == want
+        assert copy.copy(got) == pickle.loads(pickle.dumps(got)) == want
+    assert unread >= 200, unread
 
 
 def test_scaled_slack_pricing_and_the_shared_rhs_denominator_match_the_reference():
