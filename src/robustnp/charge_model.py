@@ -12,10 +12,10 @@ the mass of the purely finitely additive part.
 
 Every mass and value is a `fractions.Fraction`, and every charge and test
 also has ``scaled``, its slots as integers over their least common
-denominator, which the LPs and the certificate read. A mixture, and a test
-read off an LP, is built from those integers, with ``scaled`` preset and
-its checks made on them. There is no rounding anywhere in this package, so
-equality assertions downstream mean exact equality.
+denominator, which the LPs, the certificate and the threshold report read.
+A charge, a spec's members included, is checked on those integers; a
+mixture, and a test read off an LP, is built from them. There is no
+rounding anywhere in this package, so equality means exact equality.
 """
 
 from __future__ import annotations
@@ -108,7 +108,8 @@ class Charge:
 
     ``atom_mass[i]`` is the mass on ``space.atoms[i]``; ``tail_mass`` is the
     purely finitely additive part sitting past every explicit atom. A charge
-    is countably additive exactly when ``tail_mass == 0``.
+    is countably additive exactly when ``tail_mass == 0``. Every constructor
+    sets ``scaled``, :meth:`slot_masses` over their lcm: ``(integers, lcm)``.
     """
 
     space: SampleSpace
@@ -123,11 +124,13 @@ class Charge:
             raise ValueError(
                 f"expected {self.space.n_atoms} atom masses, got {len(masses)}"
             )
-        # A Fraction's denominator is positive: the signs are the numerators'.
-        if any(m.numerator < 0 for m in masses) or self.tail_mass.numerator < 0:
+        # The checks read the slots as integers over one lcm, kept as ``scaled``.
+        ints, den = _scale([*masses, self.tail_mass])
+        if min(ints) < 0:
             raise ValueError("charges are nonnegative")
-        if self.tail_mass.numerator and not self.space.has_tail:
+        if ints[-1] and not self.space.has_tail:
             raise ValueError("tail mass on a space without a tail atom")
+        object.__setattr__(self, "scaled", (ints[: self.space.n_slots], den))
 
     @classmethod
     def from_mapping(
@@ -143,11 +146,6 @@ class Charge:
         return cls(space, tuple(masses.get(a, 0) for a in space.atoms), tail)
 
     @cached_property
-    def scaled(self) -> tuple[list[int], int]:
-        """:meth:`slot_masses` as ``(integers, their denominator)``: one entry per slot."""
-        return _scale(self.slot_masses())
-
-    @cached_property
     def total(self) -> Fraction:
         """The total mass, summed once in integers over a common denominator."""
         masses, den = self.scaled
@@ -155,7 +153,7 @@ class Charge:
 
     @property
     def is_probability(self) -> bool:
-        return self.total == ONE
+        return sum(self.scaled[0]) == self.scaled[1]
 
     @property
     def is_countably_additive(self) -> bool:

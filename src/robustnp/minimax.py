@@ -87,7 +87,6 @@ from .charge_model import (
     _scale,
     expectation,
     frac,
-    lower_expectation,
     mix,
     upper_expectation,
 )
@@ -503,25 +502,24 @@ def compute_beta(p_family: SublinearExpectation, q_countable: Charge) -> Fractio
 
     Over events B with ``q_countable(B) == 0``, the best choice is the
     complement of the support of ``q_countable`` (monotonicity), so the
-    value is the lower expectation of that complement's indicator.
+    value is the least mass of a null member on that complement: one
+    integer sum per member, over the lcm of their denominators.
     """
     if q_countable.space != p_family.space:
         raise ValueError("charge and family live on different sample spaces")
     if not q_countable.is_countably_additive:
         raise ValueError("the countably additive part must have no tail mass")
-    if q_countable.total == 0:
+    if not any(masses := q_countable.scaled[0]):
         raise ValueError("the countably additive part is zero; beta is not defined")
-    space = q_countable.space
-    zero = tuple(ONE if m == 0 else ZERO for m in q_countable.atom_mass)
-    return lower_expectation(p_family, TestFunction(space, zero, ONE if space.has_tail else ZERO))
+    unseen = [k for k, m in enumerate(masses) if not m]  # the tail too: its mass is 0
+    members = [c.scaled for c in p_family.family]
+    lcm = math.lcm(*[den for _, den in members])
+    least = min([sum([ints[k] for k in unseen]) * (lcm // den) for ints, den in members])
+    return Fraction(least, lcm)
 
 
 def _scan_threshold(
-    space: SampleSpace,
-    tau_pc: Charge,
-    lam_qc: Charge,
-    x: TestFunction,
-    classes: list[tuple["Fraction | None", list[int]]],
+    space: SampleSpace, tau_pc, lam_qc, x: TestFunction, classes
 ) -> tuple[Fraction, dict[str, str], dict[str, Fraction], bool, tuple[str, ...]]:
     """Search for a cut kappa on the mass ratio q/p of lam_qc to tau_pc consistent with ``x``.
 
@@ -531,68 +529,66 @@ def _scan_threshold(
     1), strict reject (x must be 0) and boundary (x free). The candidate
     with the fewest violations wins, ties broken toward fewer boundary
     atoms, then toward smaller kappa. The counts go class by class, walking
-    kappa down from the top; only the winner's atoms are classified.
-    ``classes`` is ``_ratio_classes(tau_pc, lam_qc)``.
+    kappa down from the top, so a candidate is its place in that walk, the
+    last class it accepts and the class it leaves free (-1 for none). Only
+    the winner's kappa is built. ``tau_pc`` and ``lam_qc`` are ``scaled``
+    forms, and ``classes`` is ``_ratio_classes(tau_pc, lam_qc, n_atoms)``.
     """
-    xs = x.atom_value
-    not_one = [sum(xs[i] != ONE for i in idxs) for _, idxs in classes]
-    not_zero = [sum(xs[i] != ZERO for i in idxs) for _, idxs in classes]
-    finite = [r for r, _ in classes[1:]]
+    xs, dx = x.scaled
+    not_one = [sum([xs[i] != dx for i in idxs]) for _, idxs in classes]
+    not_zero = [sum([xs[i] != 0 for i in idxs]) for _, idxs in classes]
+    last = len(classes) - 1
     # Above the largest ratio every finite class is strict reject.
     accepts, rejects = not_one[0], sum(not_zero[1:])
-    scores = [(accepts + rejects, 0, finite[0] + 1 if finite else ONE)]
-    for k, r in enumerate(finite, start=1):
+    cuts = [(accepts + rejects, 0, 0, 0, -1)]
+    for k in range(1, last + 1):
         rejects -= not_zero[k]
-        scores.append((accepts + rejects, len(classes[k][1]), r))
+        cuts.append((accepts + rejects, len(classes[k][1]), -len(cuts), k - 1, k))
         accepts += not_one[k]
-        if k < len(finite):
-            scores.append((accepts + rejects, 0, (r + finite[k]) / 2))
-    if not finite or finite[-1] > 0:
-        scores.append((accepts + rejects, 0, ZERO))
-    kappa = min(scores)[2]
+        if k < last or classes[k][0][0]:  # a midpoint, or 0 below a positive ratio
+            cuts.append((accepts + rejects, 0, -len(cuts), k, -1))
+    *_, accept, free = min(cuts)
+    ratio = lambda k: Fraction(*classes[k][0])  # noqa: E731
+    if free > 0:
+        kappa = ratio(free)
+    elif accept == last:  # the cut at 0, or no finite ratio at all
+        kappa = ZERO
+    else:
+        kappa = ratio(1) + 1 if accept == 0 else (ratio(accept) + ratio(accept + 1)) / 2
 
-    ratio_of = {i: r for r, idxs in classes for i in idxs}
+    class_of = {i: k for k, (_, idxs) in enumerate(classes) for i in idxs}
+    (pm, dp), (qm, dq) = tau_pc, lam_qc
     classification: dict[str, str] = {}
     b_values: dict[str, Fraction] = {}
     violations: list[str] = []
     for i, label in enumerate(space.atoms):
-        if i not in ratio_of:
+        if (k := class_of.get(i)) is None:
             classification[label] = "base_null"
-            continue
-        r, xv = ratio_of[i], xs[i]
-        p, q = tau_pc.atom_mass[i], lam_qc.atom_mass[i]
-        if r is None or r > kappa:
-            classification[label] = "strict_accept"
-            if xv != ONE:
-                violations.append(
-                    f"atom {label!r}: q={q} > kappa*p={kappa * p} requires x=1, got {xv}"
-                )
-        elif r < kappa:
-            classification[label] = "strict_reject"
-            if xv != ZERO:
-                violations.append(
-                    f"atom {label!r}: q={q} < kappa*p={kappa * p} requires x=0, got {xv}"
-                )
+        elif k == free:
+            classification[label], b_values[label] = "boundary", x.atom_value[i]
         else:
-            classification[label] = "boundary"
-            b_values[label] = xv
+            up = k <= accept  # q > kappa * p: x must be 1
+            classification[label] = "strict_accept" if up else "strict_reject"
+            if xs[i] != (dx if up else 0):
+                violations.append(
+                    f"atom {label!r}: q={Fraction(qm[i], dq)} {'>' if up else '<'} kappa*p="
+                    f"{kappa * Fraction(pm[i], dp)} requires x={int(up)}, got {x.atom_value[i]}"
+                )
     return kappa, classification, b_values, not violations, tuple(violations)
 
 
-def _kappa_from_quantile(
-    classes: list[tuple["Fraction | None", list[int]]], lam_qc: Charge, gamma_c: Fraction
-) -> Fraction:
+def _kappa_from_quantile(classes, lam_qc, gamma_c: Fraction) -> Fraction:
     """Smallest u >= 0 with lam_qc{u * q >= p} >= gamma_c, for p, q the masses of tau_pc, lam_qc.
 
-    ``classes`` is ``_ratio_classes(tau_pc, lam_qc)``. The answer is 1/ratio
-    at the first class of q/p whose mass brings lam_qc to gamma_c, or 0 if
-    the class where p vanishes already does.
+    ``classes`` is ``_ratio_classes(tau_pc, lam_qc, n_atoms)``, for their
+    ``scaled`` forms. The answer is 1/ratio at the first class of q/p whose
+    mass, summed in integers, brings lam_qc to gamma_c (0 at ratio +infinity).
     """
-    mass = ZERO
+    (masses, den), (num, gden), mass = lam_qc, gamma_c.as_integer_ratio(), 0
     for ratio, idxs in classes:
-        mass += sum((lam_qc.atom_mass[i] for i in idxs), ZERO)
-        if mass >= gamma_c:
-            return ZERO if ratio is None else 1 / ratio
+        mass += sum([masses[i] for i in idxs])
+        if mass * gden >= num * den:
+            return Fraction(ratio[1], ratio[0])
     raise RuntimeError("quantile search failed; gamma_c exceeds the countable mass")
 
 
@@ -636,16 +632,16 @@ def verify_threshold_form(prob: TestProblem, sol: Solution) -> RepresentationRep
             "threshold verification applies to the level-attained case; "
             "the slack case's degenerate form follows from the certificate"
         )
-    p_alpha = mix(prob.p_family.family, sol.p_weights)
-    tau = ONE - p_alpha.tail_mass
+    tau_pc, n = _mixed(prob.p_family.family, *_scale(sol.p_weights)), prob.space.n_atoms
+    tau = tau_pc[1] - sum(tau_pc[0][n:])  # 1 less the null mixture's tail mass, over its den
     if tau == 0:
         raise PureLeastFavorableError(
             "the least favorable null mixture has no countably additive part"
         )
     # The cuts read only the atom masses: the mixtures' countable parts.
-    classes = _ratio_classes(p_alpha, sol.q_alpha)
+    classes = _ratio_classes(tau_pc, sol.q_alpha.scaled, n)
     kappa, classification, b_values, verdict, violations = _scan_threshold(
-        prob.space, p_alpha, sol.q_alpha, sol.x_alpha, classes
+        prob.space, tau_pc, sol.q_alpha.scaled, sol.x_alpha, classes
     )
     # The grid criterion: the best countable integral V(a) at level a is
     # concave and nondecreasing with V(alpha) = gamma_c, and level_c is the
@@ -653,8 +649,8 @@ def verify_threshold_form(prob: TestProblem, sol: Solution) -> RepresentationRep
     # V(alpha - eps) < gamma_c for every eps > 0 exactly when level_c == alpha.
     return RepresentationReport(
         kappa=kappa,
-        kappa_formula=_kappa_from_quantile(classes, sol.q_alpha, sol.gamma_c),
-        tau=tau,
+        kappa_formula=_kappa_from_quantile(classes, sol.q_alpha.scaled, sol.gamma_c),
+        tau=Fraction(tau, tau_pc[1]),
         classification=classification,
         b_values=b_values,
         verdict=verdict,

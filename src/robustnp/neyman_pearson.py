@@ -15,8 +15,10 @@ that add level but no power.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .charge_model import (
     ONE,
@@ -35,7 +37,9 @@ class NpResult:
     ``test`` equals 1 where q_i > kappa * p_i, 0 where q_i < kappa * p_i, and
     on the boundary q_i = kappa * p_i the constant ``b`` if p_i > 0 and 0 if
     p_i = q_i = 0. ``attained_level`` is below ``alpha`` exactly when
-    ``level_slack`` is set, and then kappa = b = 0.
+    ``level_slack`` is set, and then kappa = b = 0. A ratio class whose null
+    mass equals the budget left is accepted whole: kappa is the next class's
+    ratio (0 if there is none) and b = 0.
     """
 
     kappa: Fraction
@@ -46,20 +50,22 @@ class NpResult:
     level_slack: bool
 
 
-def _ratio_classes(p: Charge, q: Charge) -> list[tuple["Fraction | None", list[int]]]:
-    """Atom indices grouped by the ratio q_i / p_i, largest ratio first.
+def _ratio_classes(p, q, n: int) -> list[tuple[tuple[int, int], list[int]]]:
+    """The first ``n`` slots of two charges' ``scaled`` forms grouped by the ratio q_i / p_i.
 
-    The class of atoms with p_i = 0 < q_i, ratio +infinity, comes first
-    under ``None`` and may be empty. Atoms with p_i = q_i = 0 are in no class.
+    A ratio is its lowest-terms pair ``(num, den)``, largest first by cross-multiplying.
+    The class where p_i = 0 < q_i, ratio +infinity or (1, 0), is always first and
+    may be empty; slots with p_i = q_i = 0 are in no class.
     """
-    infinite: list[int] = []
-    finite: dict[Fraction, list[int]] = {}
-    for i, (pm, qm) in enumerate(zip(p.atom_mass, q.atom_mass)):
-        if pm:
-            finite.setdefault(qm / pm, []).append(i)
-        elif qm:
-            infinite.append(i)
-    return [(None, infinite)] + [(r, finite[r]) for r in sorted(finite, reverse=True)]
+    (pm, dp), (qm, dq) = p, q
+    classes: dict[tuple[int, int], list[int]] = {(1, 0): []}
+    for i in range(n):
+        num, den = qm[i] * dp, pm[i] * dq
+        if num or den:
+            g = math.gcd(num, den)
+            classes.setdefault((num // g, den // g), []).append(i)
+    by_ratio = cmp_to_key(lambda r, s: s[0][0] * r[0][1] - r[0][0] * s[0][1])
+    return sorted(classes.items(), key=by_ratio)  # largest first
 
 
 def np_test(p: Charge, q: Charge, alpha: Fraction) -> NpResult:
@@ -85,8 +91,8 @@ def np_test(p: Charge, q: Charge, alpha: Fraction) -> NpResult:
     remaining = alpha
     kappa = ZERO
     b = ZERO
-    for ratio, idxs in _ratio_classes(p, q):
-        if ratio == 0:
+    for ratio, idxs in _ratio_classes(p.scaled, q.scaled, space.n_atoms):
+        if not ratio[0]:
             break
         pmass = sum((p.atom_mass[i] for i in idxs), ZERO)
         if pmass <= remaining:
@@ -97,7 +103,7 @@ def np_test(p: Charge, q: Charge, alpha: Fraction) -> NpResult:
         b = remaining / pmass
         for i in idxs:
             values[i] = b
-        kappa = ratio
+        kappa = Fraction(*ratio)  # never +infinity: that class has null mass 0
         break
 
     test = TestFunction(space, tuple(values), ZERO)

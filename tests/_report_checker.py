@@ -3,9 +3,9 @@
 The checker shares no code with the solver: it uses the standard library
 only and imports nothing from ``robustnp``. It reads the problem spec and
 the report as JSON, works in ``Fraction``s, and accepts a report only if
-the certificate in it proves the reported test optimal. Every check is a
-sum over the slots (atoms, then the tail), so the cost is linear in the
-size of the spec; nothing is re-solved.
+the certificate in it proves the reported test optimal. Every check but
+one is a sum over the slots (atoms, then the tail), so its cost is linear
+in the size of the spec; nothing is re-solved.
 
 A ``solve`` report carries u = ``q_weights`` and, under ``certificate``,
 v = ``level_duals`` and w = ``box_duals``. For every test y in [0, 1] with
@@ -30,7 +30,12 @@ null members. The form is "none" when lam = 0, "degenerate" in the slack
 case (the test is 1 on every atom of lam_qc, which the certificate also
 proves: there v = 0 and the value is 1), and otherwise "threshold", or
 "none" when tau_pc is zero. A threshold report's classification,
-boundary values and violation count are rederived from its ``kappa``. Its
+boundary values and violation count are rederived from its ``kappa``. A
+false verdict needs proof: every candidate cut, that is 0, each finite
+ratio q/p, the midpoints between consecutive ratios and one value above
+the largest, must leave a violation. No atom changes class between two
+consecutive candidates, so these are all the cuts there are. This is the
+check that is not linear: it costs O(n) per candidate. Its
 ``kappa_formula`` is recomputed as the least u >= 0 with
 lam_qc{u q >= p} >= gamma_c, for p and q the atom masses of tau_pc and
 lam_qc and gamma_c the reported one, and its ``precondition_grid`` must
@@ -195,6 +200,35 @@ def _np_value(p: list[Fraction], q: list[Fraction], alpha: Fraction) -> Fraction
     return power
 
 
+def _classify(labels: list, x: list, p: list, q: list, kappa: Fraction) -> tuple[dict, dict, int]:
+    """The cut kappa on q/p: each atom's class, the test on the boundary, and the violations."""
+    classes, boundary, broken = {}, {}, 0
+    for label, xk, pk, qk in zip(labels, x, p, q):
+        if pk == qk == 0:
+            classes[label] = "base_null"
+        elif qk > kappa * pk:
+            classes[label], broken = "strict_accept", broken + (xk != 1)
+        elif qk < kappa * pk:
+            classes[label], broken = "strict_reject", broken + (xk != 0)
+        else:
+            classes[label], boundary[label] = "boundary", xk
+    return classes, boundary, broken
+
+
+def _fitting_cut(x: list, p: list, q: list) -> "Fraction | None":
+    """A cut on q/p with no violation, or None: 0, each finite ratio, the midpoints, one above.
+
+    Between two consecutive candidates every atom keeps its class, so these
+    are all the cuts there are.
+    """
+    ratios = sorted({qk / pk for pk, qk in zip(p, q) if pk})
+    cuts = [Fraction(0), *ratios, *[(a + b) / 2 for a, b in zip(ratios, ratios[1:])]]
+    for cut in cuts + [ratios[-1] + 1 if ratios else Fraction(1)]:
+        if _classify(range(len(x)), x, p, q, cut)[2] == 0:
+            return cut
+    return None
+
+
 def _check_representation(
     spec: _Spec, report: _Fields, x: list, q_alpha: list, alpha: Fraction, attained: Fraction
 ) -> None:
@@ -224,16 +258,7 @@ def _check_representation(
     _require(rep.rational("tau") == tau, f"representation.tau: tau_pc has mass {tau}")
     kappa = rep.rational("kappa")
     _require(kappa >= 0, f"representation.kappa {kappa} is negative")
-    classes, boundary, broken = {}, {}, 0
-    for label, xk, pk, qk in zip(spec.atoms, x, tau_pc, q_alpha):
-        if pk == qk == 0:
-            classes[label] = "base_null"
-        elif qk > kappa * pk:
-            classes[label], broken = "strict_accept", broken + (xk != 1)
-        elif qk < kappa * pk:
-            classes[label], broken = "strict_reject", broken + (xk != 0)
-        else:
-            classes[label], boundary[label] = "boundary", xk
+    classes, boundary, broken = _classify(spec.atoms, x, tau_pc, q_alpha, kappa)
     _require(rep["classification"] == classes, f"representation.classification: not {classes}")
     reported = rep.obj("b_values")
     b_values = {label: reported.rational(label) for label in reported}
@@ -241,6 +266,9 @@ def _check_representation(
     broken_ok = len(rep.array("violations")) == broken
     _require(broken_ok, f"representation.violations: kappa gives {broken}")
     _require(rep["verdict"] == (broken == 0), f"representation.verdict: {broken} violations")
+    if broken:
+        cut = _fitting_cut(x, tau_pc, q_alpha)
+        _require(cut is None, f"representation.verdict: false, but the cut {cut} fits the test")
     # kappa_formula is the least u >= 0 with lam_qc{u q >= p} >= gamma_c,
     # for p, q the masses of tau_pc, lam_qc: walk the ratios p/q up from 0.
     gamma_c, formula, mass = report.rational("gamma_c"), Fraction(0), Fraction(0)

@@ -8,9 +8,11 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import _fraction_parse as reference_parse
 import _report_checker as checker
 import pytest
 from _oracle import np_oracle
@@ -813,7 +815,8 @@ def test_checker_names_each_broken_claim(tmp_path):
         (lambda r: r["test"].update(w3=_exact(-NUDGE)), "^test: a value lies outside"),
         (lambda r: r["test"].update(zz=r["test"].pop("w3")), "^test: keys"),
         (lambda r: r["problem"].update(alpha=_exact(F(1, 3))), "exceeds alpha"),
-        (lambda r: r["problem"].update(alpha=_exact(1)), "is not in"),
+        (lambda r: r["problem"].update(alpha=_exact(0)), r"^problem\.alpha 0 is not in \(0, 1\)$"),
+        (lambda r: r["problem"].update(alpha=_exact(1)), r"^problem\.alpha 1 is not in \(0, 1\)$"),
         (lambda r: r["problem"].update(q_members=3), "^problem: "),
         (lambda r: r["q_weights"].append(_exact(0)), "^q_weights: one weight"),
         (lambda r: r["certificate"]["level_duals"].append(_exact(0)), "^level_duals: "),
@@ -877,6 +880,126 @@ def test_checker_names_each_broken_claim(tmp_path):
     for spec, edit, pattern in np_cases:
         with pytest.raises(checker.ReportRejected, match=pattern):
             checker.check_np(spec, dict(np_report, **edit))
+
+
+def test_checker_requires_proof_of_a_false_verdict(tmp_path):
+    # Move a true verdict's kappa above every ratio, where the test breaks,
+    # and make every field the cut decides agree with it: the report is
+    # consistent with its kappa, but the old cut still fits the test.
+    three = json.loads((FIXTURES / "three_atom.json").read_text())
+    ((_, report),) = _reports(tmp_path, "solve", [three])
+    assert report["representation"]["verdict"] is True
+    atoms, weights = three["atoms"], [F(e["exact"]) for e in report["p_weights"]]
+    x = [F(report["test"][a]["exact"]) for a in atoms]
+    p = [sum((w * F(c.get(a, 0)) for w, c in zip(weights, three["p_family"])), F(0)) for a in atoms]
+    q = [F(report["q_alpha"][a]["exact"]) for a in atoms]
+    cut = max(qk / pk for pk, qk in zip(p, q) if pk) + 1
+    classes = {a: "strict_reject" if pk else "strict_accept" for a, pk in zip(atoms, p)}
+    broken = [a for a, xk, pk in zip(atoms, x, p) if xk != (0 if pk else 1)]
+    assert broken
+    bad = copy.deepcopy(report)
+    bad["representation"].update(
+        kappa=_exact(cut), classification=classes, b_values={}, violations=broken, verdict=False
+    )
+    with pytest.raises(checker.ReportRejected, match=r"^representation\.verdict: false, but the cut "):
+        checker.check_solve(three, bad)
+    # The scan's example whose every cut leaves a violation: no cut fits.
+    p = [F(1, 4), F(1, 8), F(1, 4), F(0), F(0), F(3, 8)]
+    q = [F(3, 8), F(3, 16), F(1, 4), F(3, 16), F(0), F(0)]
+    x = [F(1, 2), F(1, 3), F(1, 2), F(3, 4), F(1, 3), F(0)]
+    assert checker._fitting_cut(x, p, q) is None
+    assert checker._fitting_cut([F(1), F(1), F(0), F(1), F(0), F(0)], p, q) == 1
+
+
+# Values a spec may hold in place of a "num/den" mass or alpha, each refused
+# or read by the coercion rule: floats, bools, other types, strings that
+# Fraction reads or refuses, exponents, and integers past a float's range.
+_ODD_VALUES = [
+    0.5, 1.0, True, False, None, [], {}, "1.5", "1_0/2", " 1/2 ", "\u0661/\u0662", "\u00bd", "1/0",
+    "0x10", "1e-3", "2E5", "1/2e3", "", "/", "1/-2", "+1/2", "nan", 2**70, -(2**70), -1, 0, 1,
+    "-1/2", "3/2", "1/3", "0/5", "-0",
+]
+
+
+def _mutated_specs(seed, count):
+    """Mutants of the fixtures, one to three edits each, from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    bases = [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
+
+    def edit(spec):
+        family = rng.choice(["p_family", "q_family"])
+        members = spec.get(family) if isinstance(spec.get(family), list) else []
+        member = rng.choice([m for m in members if isinstance(m, dict)] or [{}])
+        atoms = spec.get("atoms") if isinstance(spec.get("atoms"), list) else []
+        labels = list(member) or atoms or ["a"]
+        kind = rng.randrange(12)
+        if kind >= 10 and member:  # the same mass, spelled another way that Fraction reads
+            label = rng.choice(list(member))
+            v = member[label]
+            if isinstance(v, str) and "/" in v and v.count("/") == 1 and v.isascii():
+                n, d = v.split("/")
+                k = rng.randint(2, 5)
+                member[label] = rng.choice([
+                    f"{int(n) * k}/{int(d) * k}", f" {v} ", f"+{v}", f"{n}/{d}\n",
+                    f"{n}/{d}".translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                                                    "\u0665\u0666\u0667\u0668\u0669")),
+                ])
+        elif kind == 0:  # an odd mass on a label the member has or not
+            member[rng.choice(labels)] = rng.choice(_ODD_VALUES)
+        elif kind == 1:  # tail mass, on a space with or without a tail
+            member["tail"] = rng.choice(["1/2", "0", "-1/2", "1", 0.5])
+        elif kind == 2:  # an unknown label
+            member[rng.choice(["zz", "tail ", "w9", "\u0661"])] = rng.choice(["0", "1/2"])
+        elif kind == 3 and member:  # drop a mass, or move part of one: sums other than 1
+            label = rng.choice(list(member))
+            if rng.random() < 0.5:
+                del member[label]
+            else:
+                member[label] = rng.choice(["1/7", "2", "0", "999/1000", "1000001/1000000"])
+        elif kind == 4:
+            spec["alpha"] = rng.choice(_ODD_VALUES + ["1/2", "1/3"])
+        elif kind == 5:  # atoms: the reserved label, a duplicate, a non-string, none
+            spec["atoms"] = rng.choice(
+                [atoms + ["tail"], atoms + atoms[:1], atoms + [3], [], "w1", atoms[1:]]
+            )
+        elif kind == 6:
+            spec["has_tail"] = rng.choice([True, False, 1, "true", None])
+        elif kind == 7:  # the families' shape
+            spec[family] = rng.choice([[], {}, "p", [["1/2"]], [None], members + [{}]])
+        elif kind == 8:  # top-level keys
+            if rng.random() < 0.5:
+                spec.pop(rng.choice(["alpha", "atoms", "has_tail", "description"]), None)
+            else:
+                spec[rng.choice(["Alpha", "tail", "notes"])] = "1/2"
+        elif members:  # a family member that is not an object
+            members[rng.randrange(len(members))] = rng.choice(["1", 1, [], None])
+
+    for _ in range(count):
+        spec = copy.deepcopy(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            edit(spec)
+        yield spec
+
+
+def _parsed(parse, spec):
+    """What ``parse`` makes of ``spec``: the problem, or the exception's type and message."""
+    try:
+        return parse(spec)
+    except Exception as exc:  # any type: it is compared too
+        return type(exc).__name__, str(exc)
+
+
+def test_parse_matches_the_fraction_reference_on_mutated_fixtures():
+    # Each mutant is accepted into an equal problem by both parsers, or
+    # refused by both with the same exception and message.
+    outcomes = Counter()
+    for spec in _mutated_specs(2036, 3000):
+        got, want = _parsed(parse_problem, spec), _parsed(reference_parse.parse_problem, spec)
+        assert got == want, spec
+        outcomes[want[0] if isinstance(want, tuple) else "accepted"] += 1
+        if isinstance(want, tuple):
+            assert want[0] == "ValueError", (spec, want)
+    assert outcomes["accepted"] > 100 and outcomes["ValueError"] > 1000, outcomes
 
 
 def test_checker_names_a_missing_or_mistyped_field(tmp_path, capsys):

@@ -163,15 +163,15 @@ def test_threshold_scan_and_quantile_match_the_brute_force_reference():
     verdicts = Counter()
     for _ in range(2000):
         space, tau_pc, lam_qc, x, gamma_c = _random_threshold_case(rng)
-        classes = minimax._ratio_classes(tau_pc, lam_qc)
-        got = minimax._scan_threshold(space, tau_pc, lam_qc, x, classes)
+        classes = minimax._ratio_classes(tau_pc.scaled, lam_qc.scaled, space.n_atoms)
+        got = minimax._scan_threshold(space, tau_pc.scaled, lam_qc.scaled, x, classes)
         dens = reference.densities(tau_pc, lam_qc)
         want = reference.scan_threshold(space, dens, x)
         assert got[:4] == want[:4]
         assert len(got[4]) == len(want[4])
         verdicts[got[3]] += 1
         if lam_qc.total:
-            assert minimax._kappa_from_quantile(classes, lam_qc, gamma_c) == (
+            assert minimax._kappa_from_quantile(classes, lam_qc.scaled, gamma_c) == (
                 reference.kappa_from_quantile(lam_qc, dens, gamma_c)
             )
     assert min(verdicts[True], verdicts[False]) > 500, verdicts
@@ -184,9 +184,9 @@ def test_threshold_scan_names_the_masses_of_each_violation():
     tau_pc = Charge(space, (F(1, 4), F(1, 8), F(1, 4), F(0), F(0), F(3, 8)), F(0))
     lam_qc = Charge(space, (F(3, 8), F(3, 16), F(1, 4), F(3, 16), F(0), F(0)), F(0))
     x = TestFunction(space, (F(1, 2), F(1, 3), F(1, 2), F(3, 4), F(1, 3), F(0)))
-    classes = minimax._ratio_classes(tau_pc, lam_qc)
+    classes = minimax._ratio_classes(tau_pc.scaled, lam_qc.scaled, space.n_atoms)
     kappa, classification, b_values, verdict, violations = minimax._scan_threshold(
-        space, tau_pc, lam_qc, x, classes
+        space, tau_pc.scaled, lam_qc.scaled, x, classes
     )
     assert kappa == F(3, 2)
     assert classification == {
@@ -204,8 +204,8 @@ def test_threshold_scan_names_the_masses_of_each_violation():
         "atom 'd': q=3/16 > kappa*p=0 requires x=1, got 3/4",
     )
     # lam_qc puts 3/16 on d (ratio +infinity), then 9/16 on a and b (ratio 3/2).
-    assert minimax._kappa_from_quantile(classes, lam_qc, F(1, 2)) == F(2, 3)
-    assert minimax._kappa_from_quantile(classes, lam_qc, F(3, 16)) == 0
+    assert minimax._kappa_from_quantile(classes, lam_qc.scaled, F(1, 2)) == F(2, 3)
+    assert minimax._kappa_from_quantile(classes, lam_qc.scaled, F(3, 16)) == 0
 
 
 def test_dirac_slack_case():

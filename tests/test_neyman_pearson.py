@@ -71,6 +71,19 @@ def test_four_atom_example():
     assert_threshold_consistent(p, q, res)
 
 
+def test_a_class_that_spends_the_budget_exactly_is_accepted_whole():
+    # The top class (ratio 3/2) has null mass 1/2, the whole budget: it is
+    # accepted whole, so the cut is the next class's ratio 1/2 with b = 0,
+    # not 3/2 with b = 1, though both describe the same test.
+    space = SampleSpace(("a", "b"), False)
+    p = charge_on(space, {"a": F(1, 2), "b": F(1, 2)})
+    q = charge_on(space, {"a": F(3, 4), "b": F(1, 4)})
+    res = np_test(p, q, F(1, 2))
+    assert (res.kappa, res.b, res.test.atom_value) == (F(1, 2), 0, (1, 0))
+    assert (res.attained_level, res.power, res.level_slack) == (F(1, 2), F(3, 4), False)
+    assert_threshold_consistent(p, q, res)
+
+
 def test_partial_class_randomizes():
     space = SampleSpace(("a", "b", "c"), False)
     p = charge_on(space, {"a": 1})
