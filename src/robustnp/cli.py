@@ -27,7 +27,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import cache, partial
@@ -199,6 +199,12 @@ def _representation_obj(prob: TestProblem, sol) -> dict:
     }
 
 
+def _hypotheses_obj(prob: TestProblem) -> dict:
+    r = hypothesis_report(prob)  # its fields, with a shallow copy of witnesses
+    return {"h1": r.h1, "h3": r.h3, "continuity_p": r.continuity_p,
+            "continuity_q": r.continuity_q, "witnesses": dict(r.witnesses)}
+
+
 def _write_over(path: str, text: str) -> None:
     """Write ``text`` to ``path`` over the old bytes, then cut the file to length.
 
@@ -247,7 +253,7 @@ def cmd_solve(args) -> dict:
     sol = solve_minimax(prob)
     beta = criterion = None
     if sol.lam > 0:
-        beta = compute_beta(prob.p_family, sol.q_alpha.atom_part())
+        beta = compute_beta(prob.p_family, sol.q_alpha)
         criterion = (sol.case is Case.LEVEL_SLACK) == (beta > 1 - prob.alpha)
     report = {
         "problem": {
@@ -269,7 +275,7 @@ def cmd_solve(args) -> dict:
         "beta": None if beta is None else _rat(beta),
         "beta_criterion_matches_case": criterion,
         "representation": _representation_obj(prob, sol),
-        "hypotheses": asdict(hypothesis_report(prob)),
+        "hypotheses": _hypotheses_obj(prob),
         "certificate": {
             "level_duals": [_rat(vi) for vi in sol.certificate.level_duals],
             "box_duals": _slot_obj(prob.space, sol.certificate.box_duals),
@@ -372,7 +378,7 @@ def cmd_sweep(args) -> dict:
 
 def cmd_check(args) -> dict:
     prob = load_problem(args.spec)
-    report = asdict(hypothesis_report(prob))
+    report = _hypotheses_obj(prob)
     print(f"h1: {report['h1']}")
     print(f"h3: {report['h3']}")
     print(f"continuity: P={report['continuity_p']} Q={report['continuity_q']}")

@@ -266,7 +266,7 @@ def _solve_epigraph(prob: TestProblem):
     res = _optimal(solve_lp(c, a_ub, b_ub, upper=upper), "epigraph program")
     duals = [m.scaled[1] * y for m, y in zip(qs + ps, res.y_ub)]
     u, v, w = duals[: len(qs)], duals[len(qs) :], list(res.y_upper[:-1])
-    xs, top = res._scaled_x()
+    xs, top = res.x_scaled
     return res.value, u, v, w, TestFunction._from_scaled(prob.space, xs[:-1], top)
 
 
@@ -333,8 +333,9 @@ def _lift_dual_support(prob: TestProblem, gamma: Fraction, u, v, w, x0: TestFunc
                             upper=[None] * n_face + [ONE] * nc), "dual face program")
     if res.value == 0:
         return u, v, w
-    s = sum((d * a for d, a in zip(dens, res.x[:mq])), ZERO)
-    avg = [(a + d * b / s) / 2 for a, b, d in zip(u + v + w, res.x, dens + [1] * nv)]
+    x = res.x
+    s = sum((d * a for d, a in zip(dens, x[:mq])), ZERO)
+    avg = [(a + d * b / s) / 2 for a, b, d in zip(u + v + w, x, dens + [1] * nv)]
     return avg[:mq], avg[mq : mq + mp], avg[mq + mp :]
 
 
@@ -343,7 +344,7 @@ def _min_attained_level(prob: TestProblem, gamma: Fraction):
     c, a_ub, b_ub, upper = _epigraph_program([p.scaled for p in prob.p_family.family],
                                              [q.scaled for q in prob.q_family.family], ONE - gamma)
     res = _optimal(solve_lp(c, a_ub, b_ub, upper=upper), "level program")
-    ys, top = res._scaled_x()
+    ys, top = res.x_scaled
     return TestFunction._from_scaled(prob.space, [top - y for y in ys[:-1]], top), ONE - res.value
 
 
@@ -500,18 +501,18 @@ def solve_minimax(prob: TestProblem) -> Solution:
 def compute_beta(p_family: SublinearExpectation, q_countable: Charge) -> Fraction:
     """Largest lower-family mass of a set the countable part cannot see.
 
-    Over events B with ``q_countable(B) == 0``, the best choice is the
-    complement of the support of ``q_countable`` (monotonicity), so the
-    value is the least mass of a null member on that complement: one
-    integer sum per member, over the lcm of their denominators.
+    The countable part is ``q_countable``'s atom part, so a tail slot is
+    unseen. Over events B that part gives mass 0, the best choice is the
+    complement of its support (monotonicity), so the value is the least
+    mass of a null member there: one integer sum per member, over the lcm
+    of their denominators.
     """
     if q_countable.space != p_family.space:
         raise ValueError("charge and family live on different sample spaces")
-    if not q_countable.is_countably_additive:
-        raise ValueError("the countably additive part must have no tail mass")
-    if not any(masses := q_countable.scaled[0]):
+    n, masses = q_countable.space.n_atoms, q_countable.scaled[0]
+    if not any(masses[:n]):
         raise ValueError("the countably additive part is zero; beta is not defined")
-    unseen = [k for k, m in enumerate(masses) if not m]  # the tail too: its mass is 0
+    unseen = [k for k, m in enumerate(masses) if not m or k == n]
     members = [c.scaled for c in p_family.family]
     lcm = math.lcm(*[den for _, den in members])
     least = min([sum([ints[k] for k in unseen]) * (lcm // den) for ints, den in members])

@@ -13,8 +13,8 @@ pivot is fraction-free (Edmonds 1967, *J. Res. NBS* 71B; Bareiss 1968,
 ``(p * row - row[j] * pivot_row) // d``, an exact division, and d becomes
 the pivot p. So every entry is a minor of the input rows as given, bounded
 by Hadamard's bound, with no gcd taken; each slack has coefficient 1, so
-the slack basis starts at d = 1. Those coercions and the nonzero entries
-of the result, built when read, are the only `fractions.Fraction`s built.
+the slack basis starts at d = 1. Those coercions and the result's nonzero
+entries (x's and y_upper's on each read) are the only `fractions.Fraction`s built.
 The sign checks run on the integers, and the optimal value is read off the
 cost row's right-hand side rather than summed as ``c . x``. Nothing is
 rounded, so "optimal" means optimal, not optimal up to a tolerance, and the
@@ -75,6 +75,7 @@ from __future__ import annotations
 import heapq
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -83,87 +84,40 @@ ONE = Fraction(1)
 
 _MAX_PIVOTS = 200_000
 
+@dataclass(frozen=True)
 class LpSolution:
     """Result of :func:`solve_lp`.
 
-    ``status`` is ``"optimal"`` or ``"unbounded"``; the slack basis is
-    feasible, so no program is infeasible. The remaining fields are
-    ``None`` unless the status is ``"optimal"``; ``y_upper`` is also
-    ``None`` when the problem had no ``upper``. There are no equality rows,
-    so ``y_eq`` is ``()``; the field keeps the result's shape for code that
-    reads it. ``value`` is read off the final tableau, not summed, and
-    equals both ``c . x`` and ``b_ub . y_ub + upper . y_upper`` exactly.
-    Zero entries are the shared ``ZERO``. A result is immutable, and ``==``
-    compares every field.
-
-    :func:`solve_lp` builds ``value`` and ``y_ub`` at once, and ``x`` and
-    ``y_upper`` when first read, each on its own, from the integers it
-    keeps in ``_ints``: the basis, the basic right-hand sides, the
-    complement flags, the cost row's first n entries (``None`` without
-    ``upper``), d and the right-hand sides' denominator, not the tableau.
+    ``status`` is ``"optimal"`` or ``"unbounded"`` (the slack basis is
+    feasible); every other field is ``None`` unless it is ``"optimal"``,
+    and ``y_upper_scaled`` also without ``upper``. ``y_eq`` is ``()``.
+    ``value`` equals ``c . x`` and ``b_ub . y_ub + upper . y_upper`` exactly.
+    ``x_scaled`` is x as ``(ints, d * rden)`` and ``y_upper_scaled`` y_upper
+    as ``(ints, d)``, as the final tableau leaves them (no gcd); ``x`` and
+    ``y_upper`` build Fractions from them on each read. ``==`` compares fields.
     """
 
-    __slots__ = ("status", "value", "y_ub", "y_eq", "_x", "_y_upper", "_ints")
+    status: str
+    value: Fraction | None = None
+    y_ub: tuple[Fraction, ...] | None = None
+    y_eq: tuple[Fraction, ...] | None = None
+    x_scaled: tuple[list[int], int] | None = None
+    y_upper_scaled: tuple[list[int], int] | None = None
 
-    def __init__(self, status, x=None, value=None, y_ub=None, y_eq=None, y_upper=None, _ints=None):
-        for name, v in zip(self.__slots__, (status, value, y_ub, y_eq, x, y_upper, _ints)):
-            object.__setattr__(self, name, v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"LpSolution is immutable; cannot set {name!r}")
-
-    def _scaled_x(self) -> tuple[list[int], int]:
-        """``x`` as ``(integers, their denominator)``; from the tableau, over d * rden."""
-        if self._ints is None:
-            return _scale(self.x)
-        basis, rhs, comp, _, d, rden = self._ints
-        xs = [0] * (len(comp) + len(rhs))
-        for j, v in zip(basis, rhs):
-            xs[j] = v
-        # A complemented x_j is 1 less its complement; zip stops at the n variables.
-        top = d * rden
-        return [top - v if c else v for v, c in zip(xs, comp)], top
-
-    # Both build their tuple from a list, at its size. A tuple built from a
-    # generator is resized at the end, and CPython's free lists keep the
-    # freed ones by their final size, so the process's memory grows.
+    # Each tuple is built from a list: CPython's free lists keep resized, generator-built ones.
     @property
-    def x(self) -> "tuple[Fraction, ...] | None":
-        if self._x is _UNREAD:
-            xs, top = self._scaled_x()
-            object.__setattr__(self, "_x", tuple([
-                ZERO if not v else ONE if v == top else Fraction(v, top) for v in xs]))
-        return self._x
+    def x(self) -> tuple[Fraction, ...] | None:
+        if self.x_scaled is None:
+            return None
+        xs, top = self.x_scaled
+        return tuple([ZERO if not v else ONE if v == top else Fraction(v, top) for v in xs])
 
     @property
-    def y_upper(self) -> "tuple[Fraction, ...] | None":
-        # A complemented x_j sits at its bound 1, and its column's reduced
-        # cost cbar' is -cbar_j: the bound row takes y_upper = cbar' and
-        # leaves x_j a reduced cost of 0.
-        if self._y_upper is _UNREAD:
-            _, _, comp, cost, d, _ = self._ints
-            object.__setattr__(self, "_y_upper", None if cost is None else tuple([
-                Fraction(v, d) if c and v else ZERO for v, c in zip(cost, comp)]))
-        return self._y_upper
-
-    def _fields(self) -> tuple:
-        return self.status, self.x, self.value, self.y_ub, self.y_eq, self.y_upper
-
-    def __eq__(self, other):
-        return self._fields() == other._fields() if isinstance(other, LpSolution) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):  # copy and pickle rebuild it from its fields
-        return LpSolution, self._fields()
-
-    def __repr__(self):
-        return ("LpSolution(status={!r}, x={!r}, value={!r}, y_ub={!r}, y_eq={!r}, "
-                "y_upper={!r})".format(*self._fields()))
-
-
-_UNREAD = object()
+    def y_upper(self) -> tuple[Fraction, ...] | None:
+        if self.y_upper_scaled is None:
+            return None
+        ys, d = self.y_upper_scaled
+        return tuple([Fraction(v, d) if v else ZERO for v in ys])
 
 
 def _scale(values) -> tuple[list[int], int]:
@@ -334,12 +288,16 @@ def solve_lp(
 
     if run() == "unbounded":
         return LpSolution("unbounded")
-    cost = rows[m]
+    cost, top, xs = rows[m], d * rden, [0] * n_cols
+    for j, row in zip(basis, rows):
+        xs[j] = row[n_cols]
     # Row r's slack column (+e_r, cost 0) has the final reduced cost y_r;
-    # complementing columns leaves y = c_B B^-1 unchanged.
+    # complementing leaves y = c_B B^-1 unchanged. A complemented x_j is 1
+    # less its complement, at its bound, and its column's reduced cost is
+    # the bound row's dual. Each zip with comp stops at the n variables.
     return LpSolution(
-        "optimal", _UNREAD, Fraction(cost[n_cols], d * rden),
-        tuple(Fraction(v, d) if v else ZERO for v in cost[n:n_cols]), (), _UNREAD,
-        _ints=(basis, [row[n_cols] for row in rows[:m]], comp,
-               None if upper is None else cost[:n], d, rden),
+        "optimal", Fraction(cost[n_cols], top),
+        tuple([Fraction(v, d) if v else ZERO for v in cost[n:n_cols]]), (),
+        ([top - v if c else v for v, c in zip(xs, comp)], top),
+        None if upper is None else ([v if c else 0 for v, c in zip(cost, comp)], d),
     )

@@ -9,9 +9,8 @@ denominator L of the row's entries. The library takes only rows of ints,
 and ``_scaled_rows.solve_scaled`` hands it each rational row times its L,
 where the slack's price is exactly that: so the library on the scaled rows
 makes the same pivots as this reference on the rational ones, and the two
-must return equal :class:`~robustnp.simplex.LpSolution` values on every
-input once the duals are mapped back; the tests in ``test_simplex.py``
-compare them.
+must return equal :func:`views` of their results on every input once the
+duals are mapped back; the tests in ``test_simplex.py`` compare them.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from robustnp.simplex import _MAX_PIVOTS, LpSolution
+from robustnp.simplex import _MAX_PIVOTS, LpSolution, _scale
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -231,8 +230,18 @@ def solve_lp(
 
     return LpSolution(
         status="optimal",
-        x=tuple(x),
         value=value,
         y_ub=tuple(y_ub_out),
         y_eq=tuple(y_eq_out),
+        x_scaled=_scale(x),
     )
+
+
+def views(sol: LpSolution) -> tuple:
+    """What a result shows: ``status, x, value, y_ub, y_eq, y_upper``.
+
+    ``==`` on two results compares their stored fields, and the library
+    keeps x and y_upper over the tableau's denominators, with no gcd taken;
+    so results are compared through these views.
+    """
+    return sol.status, sol.x, sol.value, sol.y_ub, sol.y_eq, sol.y_upper

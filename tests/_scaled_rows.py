@@ -9,11 +9,12 @@ answer back to the rational program: the value and every dual over ``c``'s
 scale, and each row's dual times its L. The Fraction reference in
 ``_fraction_simplex.py`` prices a slack at its reduced cost over L, which
 is the library's price on the scaled row, so the two make the same pivots
-and must return equal solutions.
+and must return equal views of their solutions (``_fraction_simplex.views``).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from robustnp.charge_model import _scale
@@ -28,11 +29,9 @@ def solve_scaled(c, a_ub=None, b_ub=None, *, upper=None) -> LpSolution:
     sol = solve_lp(cost, [row for row, _ in rows], b_ub, upper=upper)
     if sol.status != "optimal":
         return sol
-    return LpSolution(
-        status=sol.status,
-        x=sol.x,
+    return replace(
+        sol,
         value=sol.value / kc,
         y_ub=tuple(y * k / kc for y, (_, k) in zip(sol.y_ub, rows)),
-        y_eq=sol.y_eq,
-        y_upper=None if sol.y_upper is None else tuple(y / kc for y in sol.y_upper),
+        y_upper_scaled=None if sol.y_upper is None else _scale([y / kc for y in sol.y_upper]),
     )

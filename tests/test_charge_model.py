@@ -118,6 +118,9 @@ def test_test_function_range_checked():
         tf(s, F(3, 2), 0)
     with pytest.raises(ValueError):
         tf(s, F(-1, 10), 0)
+    # In range, but s has no tail slot to hold it.
+    with pytest.raises(ValueError, match="^tail value on a space without a tail atom$"):
+        tf(s, 0, 0, tail=F(1, 2))
 
 
 def test_family_requires_probabilities_and_common_space():
@@ -130,6 +133,8 @@ def test_family_requires_probabilities_and_common_space():
         SublinearExpectation((charge(s, F(1, 2), F(1, 2)), other), "null")
     with pytest.raises(ValueError):
         SublinearExpectation((charge(s, F(1, 2), F(1, 2)),), "prosecution")
+    with pytest.raises(ValueError, match="^a sublinear expectation needs at least one charge$"):
+        SublinearExpectation((), "null")
 
 
 def test_family_check_names_a_sum_too_long_to_print():
@@ -243,6 +248,12 @@ def test_mix_three_atom_alternatives():
 def test_mix_rejects_bad_weights():
     with pytest.raises(ValueError):
         mix([Q1, Q2], [F(3, 2), F(-1, 2)])
+    with pytest.raises(ValueError, match="^need one weight per charge$"):
+        mix([Q1, Q2], [1])
+    with pytest.raises(ValueError, match="^cannot mix an empty family$"):
+        mix([], [])
+    with pytest.raises(ValueError, match="^all charges must share one sample space$"):
+        mix([Q1, charge(space_of(3, has_tail=True), 1, 0, 0)], [F(1, 2), F(1, 2)])
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from robustnp.cli import (
     EXIT_CERTIFICATE,
     EXIT_INPUT,
     EXIT_OK,
+    _rat,
     load_problem,
     main,
     parse_problem,
@@ -285,6 +286,9 @@ def test_input_errors(tmp_path, capsys):
     assert run(["solve", write_spec(tmp_path, empty_family, "e.json")]) == EXIT_INPUT
     capsys.readouterr()
 
+    assert run(["solve", write_spec(tmp_path, [SMALL], "list.json")]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: top level: expected a JSON object\n"
+
     # --oracle is gone: the report's certificate vouches for the answer.
     with pytest.raises(SystemExit) as refused:
         run(["solve", write_spec(tmp_path, SMALL), "--oracle"])
@@ -479,6 +483,18 @@ def test_value_too_long_to_print_asks_for_the_digit_limit(tmp_path):
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == EXIT_OK, done.stderr
     assert done.stdout.startswith("problem: 3 atoms")
+    # In process, under the lowest limit str allows, _rat says the same.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError) as refused:
+            _rat(F(10**650 + 1, 3))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(refused.value) == (
+        "a reported value is a fraction too long to print "
+        "(651 digits over 1); rerun with PYTHONINTMAXSTRDIGITS=0"
+    )
 
 
 def test_unwritable_json_path_exits_2(tmp_path, capsys):
@@ -534,6 +550,12 @@ def test_sweep_command(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: --sizes: sizes must be at least 1, got {sizes!r}\n"
     assert run(["sweep", "--sizes", "3:1"]) == EXIT_INPUT
     assert capsys.readouterr().err == "error: --sizes: empty range '3:1'\n"
+    assert run(["sweep", "--sizes", "abc"]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: --sizes: expected 'lo:hi' or comma separated integers, got 'abc'\n"
+    )
+    assert run(["sweep", "--sizes", ","]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: --sizes: no sizes given\n"
     # sweep takes no generator: the old positional form is a usage error.
     with pytest.raises(SystemExit) as exc:
         run(["sweep", "nonexistence", "--sizes", "1:2"])
@@ -1204,3 +1226,11 @@ def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
     assert run(["solve", FIXTURES / "three_atom.json"]) == EXIT_CERTIFICATE
     err = capsys.readouterr().err
     assert err == "internal error: epigraph program ended unbounded; it is always solvable\n"
+
+    # A certificate that fails its check exits 3 too, with its own prefix.
+    def refuted(prob):
+        raise robustnp.CertificateError("duality gap is 1/7, expected 0")
+
+    monkeypatch.setattr(robustnp.cli, "solve_minimax", refuted)
+    assert run(["solve", FIXTURES / "three_atom.json"]) == EXIT_CERTIFICATE
+    assert capsys.readouterr() == ("", "certificate error: duality gap is 1/7, expected 0\n")

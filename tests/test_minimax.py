@@ -385,6 +385,21 @@ def test_threshold_form_refuses_a_solution_on_another_space():
                 verify_threshold_form(prob, bad)
 
 
+def test_problem_and_beta_refuse_swapped_roles_and_another_space():
+    prob = three_atom_problem()
+    space, p, q, alpha = prob.space, prob.p_family, prob.q_family, prob.alpha
+    with pytest.raises(ValueError, match="^p_family must have role 'null'$"):
+        TestProblem(space, SublinearExpectation(p.family, "alternative"), q, alpha)
+    with pytest.raises(ValueError, match="^q_family must have role 'alternative'$"):
+        TestProblem(space, p, SublinearExpectation(q.family, "null"), alpha)
+    with pytest.raises(ValueError, match="^families and problem disagree on the sample space$"):
+        TestProblem(_relabelled(space), p, q, alpha)
+    sol = solve_minimax(prob)
+    moved = Charge(_relabelled(space), sol.q_alpha.atom_mass, sol.q_alpha.tail_mass)
+    with pytest.raises(ValueError, match="^charge and family live on different sample spaces$"):
+        compute_beta(p, moved)
+
+
 def test_beta_criterion_needs_countable_part():
     space = SampleSpace(("a",), True)
     pure = Charge(space, (F(0),), F(1))
@@ -398,6 +413,9 @@ def test_beta_criterion_needs_countable_part():
     assert sol.lam == 0
     with pytest.raises(PureLeastFavorableError):
         beta_criterion_check(prob, sol)
+    # compute_beta reads the atom slots only, and all of q_alpha's mass is on the tail.
+    with pytest.raises(ValueError, match="^the countably additive part is zero; beta is not"):
+        compute_beta(prob.p_family, sol.q_alpha)
 
 
 def test_beta_without_h1_can_disagree():
@@ -417,6 +435,9 @@ def test_beta_without_h1_can_disagree():
     assert sol.case is Case.LEVEL_ATTAINED
     qc = sol.q_alpha.atom_part()
     assert compute_beta(prob.p_family, qc) == 1 > 1 - prob.alpha
+    # compute_beta reads a charge's atom part: q_alpha keeps tail mass 1/2.
+    assert sol.q_alpha.tail_mass == F(1, 2)
+    assert compute_beta(prob.p_family, sol.q_alpha) == 1
     assert not beta_criterion_check(prob, sol)
 
 
@@ -704,8 +725,7 @@ def _solve_lp_with_box_rows(c, a_ub=None, b_ub=None, *, sense, upper=None):
     y_upper = [F(0)] * n
     for k, y in zip(kept, res.y_ub[m:]):
         y_upper[k] = y
-    return LpSolution(status=res.status, x=res.x, value=res.value, y_ub=res.y_ub[:m],
-                      y_eq=res.y_eq, y_upper=tuple(y_upper))
+    return dataclasses.replace(res, y_ub=res.y_ub[:m], y_upper_scaled=_scale(y_upper))
 
 
 def test_bounded_pipeline_matches_explicit_box_rows(monkeypatch):

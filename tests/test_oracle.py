@@ -217,6 +217,10 @@ def test_beta_oracle_matches_compute_beta():
             q_raw[0] = 1
         q = Charge(space, tuple(F(v, sum(q_raw)) for v in q_raw), F(0))
         assert beta_oracle(fam, q) == compute_beta(fam, q)
+        if has_tail:
+            # compute_beta reads only the atom part of a charge with tail mass.
+            with_tail = Charge(space, q.atom_mass, F(1, 3))
+            assert compute_beta(fam, with_tail) == beta_oracle(fam, q)
 
 
 def test_beta_oracle_bound():
